@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import CertificateError, InputError
-from .norms import (FLOAT_EPS, NormSpec, Vec, is_unit, norm_eval,
-                    polygon_vertices_2d, vadd, vneg, vscale, vsub)
+from .norms import (IntGauge, NormSpec, Vec, is_unit, norm_eval,
+                    polygon_vertices_2d, vadd, vscale, vsub)
 
 SEPARATION = Fraction(1, 5)
 HALF_WIDTH = Fraction(1, 2)
@@ -88,54 +89,83 @@ class SeparatedSet:
     separation: Fraction = SEPARATION
 
 
-def _far_enough(spec: NormSpec, c: Vec, x: Vec) -> bool:
-    sep = SEPARATION if spec.exact else float(SEPARATION)
-    return (norm_eval(spec, vsub(c, x)) >= sep
-            and norm_eval(spec, vadd(c, x)) >= sep)
+# Exact kinds decide every threshold on IntGauge ints: with c = (Y_c, q_c)
+# and x = (Y_x, q_x), ||c -+ x|| compared with 1/5 is
+# 5 * value(q_x * Y_c -+ q_c * Y_x) compared with q_c * q_x * scale.
+
+def _unit_splits(gauge: IntGauge, vectors, what: str) -> list:
+    """``gauge.split`` of each vector, which must be a unit vector."""
+    out = []
+    for v in vectors:
+        y, q = gauge.split(v)
+        if gauge.value(y) != q * gauge.scale:
+            raise InputError(f"{what} {v} is not a unit vector")
+        out.append((y, q))
+    return out
+
+
+def _gap(gauge: IntGauge, c, x) -> int:
+    """An int with the sign of min(||c - x||, ||c + x||) - 1/5, on splits."""
+    (yc, qc), (yx, qx) = c, x
+    value = gauge.value
+    return (5 * min(value([qx * a - qc * b for a, b in zip(yc, yx)]),
+                    value([qx * a + qc * b for a, b in zip(yc, yx)]))
+            - qc * qx * gauge.scale)
+
+
+def _check_separated(spec: NormSpec, centers, message: str) -> None:
+    """Raise CertificateError unless the centers are pairwise 1/5-separated."""
+    if spec.exact:
+        gauge = IntGauge(spec)
+        pts = [gauge.split(c) for c in centers]
+        for i, c in enumerate(pts):
+            if any(_gap(gauge, c, c2) < 0 for c2 in pts[i + 1:]):
+                raise CertificateError(message)
+        return
+    sep = float(SEPARATION)
+    for i, c in enumerate(centers):
+        for c2 in centers[i + 1:]:
+            if not (norm_eval(spec, vsub(c, c2)) >= sep
+                    and norm_eval(spec, vadd(c, c2)) >= sep):
+                raise CertificateError(message)
 
 
 def greedy_separated_set(spec: NormSpec, samples) -> SeparatedSet:
     """Greedy pass in input order keeping every sample far from all kept ones.
 
-    The result is maximal with respect to the sample set.  A float
-    prefilter keeps the pass cheap; accepted centers are re-validated with
-    exact arithmetic for exact kinds.
+    The result is maximal with respect to the sample set.  Exact kinds
+    decide each separation test exactly on integers and re-check the kept
+    centers afterwards; lp compares floats with a 1e-9 margin.
     """
     samples = list(samples)
     if not samples:
         raise InputError("samples must be nonempty")
+    if not spec.exact:
+        return _greedy_float(spec, samples)
+    gauge = IntGauge(spec)
+    kept: list[Vec] = []
+    kept_splits: list = []
+    for s, xs in zip(samples, _unit_splits(gauge, samples, "sample")):
+        if all(_gap(gauge, c, xs) >= 0 for c in kept_splits):
+            kept.append(s)
+            kept_splits.append(xs)
+    _check_separated(spec, kept, "greedy output violates separation")
+    return SeparatedSet(tuple(kept))
+
+
+def _greedy_float(spec: NormSpec, samples: list) -> SeparatedSet:
     for s in samples:
         if not is_unit(spec, s):
             raise InputError(f"sample {s} is not a unit vector")
-
-    sep_f = float(SEPARATION)
-    kept: list[Vec] = []
-    kept_f: list[tuple[float, ...]] = []
+    sep = float(SEPARATION) - 1e-9
+    kept: list = []
+    kept_f: list = []
     for s in samples:
         sf = tuple(float(a) for a in s)
-        ok = True
-        for c, cf in zip(kept, kept_f):
-            # NormSpec evaluation is generic over floats; cheap prefilter.
-            dm = norm_eval(spec, tuple(a - b for a, b in zip(cf, sf)))
-            dp = norm_eval(spec, tuple(a + b for a, b in zip(cf, sf)))
-            closest = min(dm, dp)
-            if closest < sep_f - 1e-9:
-                ok = False
-                break
-            if closest < sep_f + 1e-9 and spec.exact:
-                # Too close to the threshold for floats; decide exactly.
-                if not _far_enough(spec, c, s):
-                    ok = False
-                    break
-        if ok:
+        if all(norm_eval(spec, vsub(cf, sf)) >= sep
+               and norm_eval(spec, vadd(cf, sf)) >= sep for cf in kept_f):
             kept.append(s)
             kept_f.append(sf)
-
-    if spec.exact:
-        for i, c in enumerate(kept):
-            for c2 in kept[i + 1:]:
-                if not _far_enough(spec, c, c2):
-                    raise CertificateError("greedy output violates separation")
     return SeparatedSet(tuple(kept))
 
 
@@ -160,21 +190,22 @@ def cover_assignment(sep: SeparatedSet, spec: NormSpec, test_vectors) -> CoverRe
     The non-strict threshold follows the maximality clause: a vector at
     distance exactly 1/5 from every center could not extend the set.
     """
-    sepval = SEPARATION if spec.exact else float(SEPARATION)
-    assignments = []
-    unassigned = []
-    for x in test_vectors:
-        if not is_unit(spec, x):
-            raise InputError(f"test vector {x} is not a unit vector")
-        found = None
-        for i, c in enumerate(sep.centers):
-            if (norm_eval(spec, vsub(c, x)) <= sepval
-                    or norm_eval(spec, vadd(c, x)) <= sepval):
-                found = i
-                break
-        assignments.append(found)
-        if found is None:
-            unassigned.append(x)
+    test_vectors = list(test_vectors)
+    if spec.exact:
+        gauge = IntGauge(spec)
+        centers = [gauge.split(c) for c in sep.centers]
+        assignments = [next((i for i, c in enumerate(centers) if _gap(gauge, c, x) <= 0), None)
+                       for x in _unit_splits(gauge, test_vectors, "test vector")]
+    else:
+        for x in test_vectors:
+            if not is_unit(spec, x):
+                raise InputError(f"test vector {x} is not a unit vector")
+        sepval = float(SEPARATION)
+        assignments = [next((i for i, c in enumerate(sep.centers)
+                             if norm_eval(spec, vsub(c, x)) <= sepval
+                             or norm_eval(spec, vadd(c, x)) <= sepval), None)
+                       for x in test_vectors]
+    unassigned = [v for v, i in zip(test_vectors, assignments) if i is None]
     return CoverReport(assignments, unassigned)
 
 
@@ -188,11 +219,22 @@ class GeneratedCone:
 
 def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[GeneratedCone]:
     """The cones of the construction: generators are samples strictly within 1/5."""
-    sepval = SEPARATION if spec.exact else float(SEPARATION)
+    samples = list(samples)
+    if not spec.exact:
+        sepval = float(SEPARATION)
+        return [GeneratedCone(c, tuple(x for x in samples
+                                       if norm_eval(spec, vsub(c, x)) < sepval) or (c,))
+                for c in sep.centers]
+    gauge = IntGauge(spec)
+    value, scale = gauge.value, gauge.scale
+    xs = [gauge.split(x) for x in samples]
     cones = []
     for c in sep.centers:
-        gens = tuple(x for x in samples if norm_eval(spec, vsub(c, x)) < sepval)
-        cones.append(GeneratedCone(c, gens if gens else (c,)))
+        yc, qc = gauge.split(c)
+        gens = tuple([x for x, (yx, qx) in zip(samples, xs)
+                      if 5 * value([qx * a - qc * b for a, b in zip(yc, yx)])
+                      < qc * qx * scale])
+        cones.append(GeneratedCone(c, gens or (c,)))
     return cones
 
 
@@ -217,26 +259,66 @@ def cone_halfwidth_check(cone: GeneratedCone, spec: NormSpec,
     """
     if not cone.generators:
         raise InputError("cone has no generators")
+    if not spec.exact:
+        return _halfwidth_float(cone, spec, trials, seed)
+    rng = random.Random(seed)
+    gens = cone.generators
+    gauge = IntGauge(spec)
+    value, scale = gauge.value, gauge.scale
+    splits = [gauge.split(x) for x in gens]
+    yc, qc = gauge.split(cone.center)
+    # Running maxima as (numerator, denominator) int pairs.
+    max_dist = max_sum = (0, 1)
+    failures = []
+    for _ in range(trials):
+        chosen = rng.sample(range(len(gens)), k=rng.randint(1, min(6, len(gens))))
+        coeffs = [(rng.randint(1, 8), rng.randint(1, 8)) for _ in chosen]
+        # acc = sum_i (a_i / b_i) * x_i over the common denominator big_l,
+        # and s = (sum of coefficients) * big_l.
+        big_l = lcm(*(b * splits[i][1] for i, (_, b) in zip(chosen, coeffs)))
+        acc = [0] * len(yc)
+        s = 0
+        for i, (a, b) in zip(chosen, coeffs):
+            y, q = splits[i]
+            f = a * (big_l // (b * q))
+            acc = [u + f * w for u, w in zip(acc, y)]
+            s += a * (big_l // b)
+        n = value(acc)  # ||acc|| == n / (big_l * scale)
+        if n == 0:
+            continue
+        # ||c - acc / ||acc|| || == value(n * Y_c - scale * q_c * acc) / (q_c * n * scale)
+        dist = (value([n * u - scale * qc * w for u, w in zip(yc, acc)]),
+                qc * n * scale)
+        coeff_sum = (s * scale, n)
+        if dist[0] * max_dist[1] > max_dist[0] * dist[1]:
+            max_dist = dist
+        if coeff_sum[0] * max_sum[1] > max_sum[0] * coeff_sum[1]:
+            max_sum = coeff_sum
+        if 2 * dist[0] >= dist[1] or 4 * coeff_sum[0] >= 5 * coeff_sum[1]:
+            failures.append({"coeffs": [Fraction(a, b) for a, b in coeffs],
+                             "generators": [gens[i] for i in chosen],
+                             "distance": Fraction(*dist),
+                             "coeff_sum": Fraction(*coeff_sum)})
+    return HalfwidthReport(trials, Fraction(*max_dist), Fraction(*max_sum), failures)
+
+
+def _halfwidth_float(cone: GeneratedCone, spec: NormSpec,
+                     trials: int, seed: int) -> HalfwidthReport:
     rng = random.Random(seed)
     gens = list(cone.generators)
-    max_dist = Fraction(0) if spec.exact else 0.0
-    max_sum = Fraction(0) if spec.exact else 0.0
+    max_dist = max_sum = 0.0
     failures = []
-    half = HALF_WIDTH if spec.exact else float(HALF_WIDTH)
-    limit = COEFF_SUM_LIMIT if spec.exact else float(COEFF_SUM_LIMIT)
+    half, limit = float(HALF_WIDTH), float(COEFF_SUM_LIMIT)
     for _ in range(trials):
         chosen = rng.sample(gens, k=rng.randint(1, min(6, len(gens))))
-        if spec.exact:
-            coeffs = [Fraction(rng.randint(1, 8), rng.randint(1, 8)) for _ in chosen]
-        else:
-            coeffs = [rng.uniform(0.05, 2.0) for _ in chosen]
+        coeffs = [rng.uniform(0.05, 2.0) for _ in chosen]
         acc = tuple(0 * a for a in chosen[0])
         for lam, x in zip(coeffs, chosen):
             acc = vadd(acc, vscale(lam, x))
         n = norm_eval(spec, acc)
         if n == 0:
             continue
-        unit = vscale(1 / n if spec.exact else 1.0 / n, acc)
+        unit = vscale(1.0 / n, acc)
         dist = norm_eval(spec, vsub(cone.center, unit))
         coeff_sum = sum(coeffs) / n
         max_dist = max(max_dist, dist)
@@ -258,8 +340,5 @@ def packing_bound_check(sep: SeparatedSet, spec: NormSpec) -> bool:
         raise CertificateError(
             f"separated set of size {m} exceeds the packing cap "
             f"{separated_set_capacity(spec.dim)} in dimension {spec.dim}")
-    for i, c in enumerate(sep.centers):
-        for c2 in sep.centers[i + 1:]:
-            if not _far_enough(spec, c, c2):
-                raise CertificateError("separated-set invariant violated")
+    _check_separated(spec, sep.centers, "separated-set invariant violated")
     return True

@@ -4,7 +4,8 @@ Supported gauges: l-infinity, l1, polytopal gauges given by facet
 functionals (evaluated as ``max_i |a_i . x|``), and a float lp fallback.
 The exact kinds evaluate in :class:`fractions.Fraction`, so equality of
 distances is decidable; lp is the only inexact kind and is quarantined
-behind the relative tolerance used by spectrum grouping.
+behind the relative tolerance used by spectrum grouping.  :class:`IntGauge`
+evaluates the exact kinds on plain ints for hot threshold tests.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
+from operator import mul
 
 from .errors import GeometryError, InputError
 
@@ -65,12 +68,24 @@ def rat_to_pair(q: Fraction) -> list[int]:
     return [q.numerator, q.denominator]
 
 
+def _is_json_int(obj) -> bool:
+    # JSON true/false arrive as bool, a subclass of int.
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def int_from_json(obj, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are rejected, not coerced."""
+    if not _is_json_int(obj):
+        raise InputError(f"{what} must be an integer, got {obj!r}")
+    return obj
+
+
 def rat_from_pair(obj) -> Fraction:
-    if isinstance(obj, int):
+    if _is_json_int(obj):
         return Fraction(obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         num, den = obj
-        if isinstance(num, int) and isinstance(den, int) and den != 0:
+        if _is_json_int(num) and _is_json_int(den) and den != 0:
             return Fraction(num, den)
     raise InputError(f"not a rational [num, den] pair: {obj!r}")
 
@@ -156,6 +171,47 @@ def norm_eval(spec: NormSpec, v: Vec):
     if spec.kind == "polytopal":
         return max(abs(dot(a, v)) for a in spec.functionals)
     return sum(abs(float(a)) ** spec.p for a in v) ** (1.0 / spec.p)
+
+
+class IntGauge:
+    """An exact gauge evaluated on plain ints.
+
+    Each exact gauge is a reduction of the absolute values of a linear
+    image of the vector: the max of the coordinates for linf, their sum
+    for l1, the max over the facet functionals for polytopal.  Polytopal
+    functionals are cleared of denominators by their lcm, ``scale``
+    (1 for linf and l1).  A rational vector v is carried as ``(Y, q)``
+    (see :meth:`split`), and ``||v|| == value(Y) / (q * scale)``.  Images
+    are linear, so an integer combination of vectors is the same
+    combination of their images: a threshold such as ``||c - x|| <= 1/5``
+    becomes ``5 * value(q_x * Y_c - q_c * Y_x) <= q_c * q_x * scale``.
+    """
+
+    def __init__(self, spec: NormSpec):
+        if not spec.exact:
+            raise InputError("the integer gauge needs an exact norm kind")
+        self.dim = spec.dim
+        self._reduce = sum if spec.kind == "l1" else max
+        self._rows = None
+        self.scale = 1
+        if spec.kind == "polytopal":
+            self.scale = lcm(*(a.denominator for f in spec.functionals for a in f))
+            self._rows = tuple(tuple(a.numerator * (self.scale // a.denominator)
+                                     for a in f) for f in spec.functionals)
+
+    def split(self, v: Vec) -> tuple[tuple[int, ...], int]:
+        """``(Y, q)``: q > 0 is the lcm of v's denominators, Y the image of q*v."""
+        if len(v) != self.dim:
+            raise InputError(f"vector has dimension {len(v)}, expected {self.dim}")
+        q = lcm(*(a.denominator for a in v))
+        x = [a.numerator * (q // a.denominator) for a in v]
+        if self._rows is None:
+            return tuple(x), q
+        return tuple([sum(map(mul, r, x)) for r in self._rows]), q
+
+    def value(self, image) -> int:
+        """The gauge of the integer vector whose image is given."""
+        return self._reduce(map(abs, image))
 
 
 def is_unit(spec: NormSpec, v: Vec) -> bool:
@@ -281,13 +337,19 @@ def norm_from_json(obj) -> NormSpec:
     if not isinstance(obj, dict):
         raise InputError("norm spec must be a JSON object")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         kind = obj["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(f"norm spec missing dim/kind: {exc}") from exc
+    dim = int_from_json(dim, "norm dim")
     if kind == "polytopal":
-        funcs = tuple(vec_from_json(a) for a in obj.get("functionals", []))
-        return NormSpec(dim, "polytopal", funcs)
+        funcs = obj.get("functionals", [])
+        if not isinstance(funcs, list):
+            raise InputError(f"functionals must be a list, got {funcs!r}")
+        return NormSpec(dim, "polytopal", tuple(vec_from_json(a) for a in funcs))
     if kind == "lp":
-        return NormSpec(dim, "lp", p=float(obj.get("p", 0.0)))
+        p = obj.get("p", 0.0)
+        if not isinstance(p, (int, float)) or isinstance(p, bool):
+            raise InputError(f"lp exponent must be a number, got {p!r}")
+        return NormSpec(dim, "lp", p=float(p))
     return NormSpec(dim, kind)

@@ -5,9 +5,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError
-from .norms import (FLOAT_EPS, NormSpec, Vec, norm_eval, vec_from_json,
-                    vec_to_json, vsub)
+from .errors import GeometryError, InputError
+from .norms import (FLOAT_EPS, NormSpec, Vec, int_from_json, norm_eval,
+                    vec_from_json, vec_to_json, vsub)
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,21 @@ def distance_spectrum(spec: NormSpec, ps: PointSet) -> DistanceSpectrum:
 
     Exact kinds group by exact equality; for lp, distances within relative
     FLOAT_EPS are merged into one class (class representative: its minimum).
+    Two distinct points at distance 0 (a seminorm, or lp underflow) raise
+    GeometryError.
     """
     dists = pair_distances(spec, ps)
     if not dists:
         return DistanceSpectrum((), ())
     if spec.exact:
         counts = Counter(dists)
+        if 0 in counts:
+            raise GeometryError("distinct points at distance 0: the gauge is a seminorm")
         keys = sorted(counts)
         return DistanceSpectrum(tuple(keys), tuple(counts[k] for k in keys))
     groups = _merge_float_classes(dists)
+    if groups[0][0] == 0:
+        raise GeometryError("distinct points at float distance 0 (underflow)")
     return DistanceSpectrum(tuple(g[0] for g in groups),
                             tuple(len(g) for g in groups))
 
@@ -134,10 +140,10 @@ def pointset_to_json(ps: PointSet) -> dict:
 
 
 def pointset_from_json(obj) -> PointSet:
-    if not isinstance(obj, dict) or "points" not in obj:
-        raise InputError("point set must be a JSON object with a 'points' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
+        raise InputError("point set must be a JSON object with a 'points' list")
     pts = tuple(vec_from_json(p) for p in obj["points"])
-    dim = int(obj.get("dim", len(pts[0]) if pts else 0))
+    dim = int_from_json(obj.get("dim", len(pts[0]) if pts else 0), "point set dim")
     return PointSet(dim, pts)
 
 

@@ -114,3 +114,26 @@ def test_dimension_mismatch_is_input_error(files, capsys):
     norm = files("norm.json", norm_to_json(linf(3)))
     points = files("pts.json", pointset_to_json(_grid_points()))
     assert run_command(["spectrum", "--norm", norm, "--points", points]) == 1
+
+
+@pytest.mark.parametrize("norm, points", [
+    ({"dim": 2, "kind": "linf"}, {"points": 5}),
+    ({"dim": 2, "kind": "linf"}, {"dim": 2, "points": [[True, 0], [0, 0]]}),
+    ({"dim": 2.7, "kind": "linf"}, {"dim": 2, "points": [[0, 0], [1, 0]]}),
+    ({"dim": 2, "kind": "lp", "p": "3"}, {"dim": 2, "points": [[0, 0], [1, 0]]}),
+], ids=["points-not-a-list", "boolean-coordinate", "fractional-dim", "string-exponent"])
+def test_malformed_json_is_input_error(files, capsys, norm, points):
+    rc = run_command(["spectrum", "--norm", files("norm.json", norm),
+                      "--points", files("pts.json", points)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_seminorm_is_rejected_not_a_crash(files, capsys):
+    # The functionals do not span R^3: (0,0,0) and (0,0,1) are at distance 0.
+    norm = files("norm.json", {"dim": 3, "kind": "polytopal",
+                               "functionals": [[1, 0, 0], [0, 1, 0]]})
+    pts = PointSet.of([vec(0, 0, 0), vec(0, 0, 1), vec(1, 0, 0), vec(2, 0, 0)])
+    points = files("pts.json", pointset_to_json(pts))
+    assert run_command(["bound", "--norm", norm, "--points", points]) == 1
+    assert "distance 0" in capsys.readouterr().err

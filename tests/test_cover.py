@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 from kdist import (CertificateError, InputError, cone_halfwidth_check,
                    cover_assignment, general_bound, generated_cones,
                    greedy_separated_set, hexagon_gauge, l1, linf, lp,
-                   norm_eval, packing_bound_check, separated_set_capacity,
+                   norm_eval, packing_bound_check, polygon_gauge,
+                   polygon_vertices_2d, separated_set_capacity,
                    sphere_samples, vec)
-from kdist.cover import SeparatedSet
-from kdist.norms import is_unit, vadd, vsub
+from kdist.cover import GeneratedCone, SeparatedSet
+from kdist.norms import is_unit, vadd, vscale, vsub
 
 
 def test_capacity_values():
@@ -138,7 +140,6 @@ def test_halfwidth_detects_wide_cone():
     spec = linf(2)
     # Generators spanning far more than a 1/5-cap around the center.
     cone_gens = (vec(1, 1), vec(1, -1))
-    from kdist.cover import GeneratedCone
     report = cone_halfwidth_check(GeneratedCone(vec(1, 1), cone_gens),
                                   spec, trials=200, seed=9)
     assert not report.ok
@@ -149,3 +150,114 @@ def test_packing_bound_check_rejects_close_pair():
     bad = SeparatedSet((vec(1, 0), vec(1, Fraction(1, 10))))
     with pytest.raises(CertificateError):
         packing_bound_check(bad, spec)
+
+
+# ---------------------------------------------------------------------------
+# the integer-kernel cover functions against plain norm_eval loops
+
+SEP = Fraction(1, 5)
+#: Its functionals (1/5, 2/5), ... have non-integer entries.
+OCTAGON = polygon_gauge([vec(3, 1), vec(1, 2), vec(-1, 2), vec(-3, 1),
+                         vec(-3, -1), vec(-1, -2), vec(1, -2), vec(3, -1)])
+REFERENCE_GAUGES = [linf(2), l1(2), hexagon_gauge(), OCTAGON]
+
+
+def _ref_greedy(spec, samples):
+    kept = []
+    for s in samples:
+        if all(norm_eval(spec, vsub(c, s)) >= SEP
+               and norm_eval(spec, vadd(c, s)) >= SEP for c in kept):
+            kept.append(s)
+    return tuple(kept)
+
+
+def _ref_assignments(spec, centers, xs):
+    return [next((i for i, c in enumerate(centers)
+                  if norm_eval(spec, vsub(c, x)) <= SEP
+                  or norm_eval(spec, vadd(c, x)) <= SEP), None) for x in xs]
+
+
+def _ref_generators(spec, centers, samples):
+    return [tuple(x for x in samples if norm_eval(spec, vsub(c, x)) < SEP) or (c,)
+            for c in centers]
+
+
+def _ref_halfwidth(spec, cone, trials, seed):
+    rng = random.Random(seed)
+    gens = list(cone.generators)
+    max_dist = max_sum = Fraction(0)
+    failures = []
+    for _ in range(trials):
+        chosen = rng.sample(gens, k=rng.randint(1, min(6, len(gens))))
+        coeffs = [Fraction(rng.randint(1, 8), rng.randint(1, 8)) for _ in chosen]
+        acc = vec(*[0] * spec.dim)
+        for lam, x in zip(coeffs, chosen):
+            acc = vadd(acc, vscale(lam, x))
+        n = norm_eval(spec, acc)
+        dist = norm_eval(spec, vsub(cone.center, vscale(1 / n, acc)))
+        coeff_sum = sum(coeffs) / n
+        max_dist, max_sum = max(max_dist, dist), max(max_sum, coeff_sum)
+        if dist >= Fraction(1, 2) or coeff_sum >= Fraction(5, 4):
+            failures.append({"coeffs": coeffs, "generators": chosen,
+                             "distance": dist, "coeff_sum": coeff_sum})
+    return max_dist, max_sum, failures
+
+
+def _assert_halfwidth_matches(spec, cone, trials, seed):
+    report = cone_halfwidth_check(cone, spec, trials=trials, seed=seed)
+    assert ((report.max_distance, report.max_coeff_sum, report.failures)
+            == _ref_halfwidth(spec, cone, trials, seed))
+    return report
+
+
+def _edge_points(spec):
+    """Per polygon vertex v: the unit vectors on its outgoing edge at
+    distance exactly 1/5 and just below 1/5 from v."""
+    verts = polygon_vertices_2d(spec)
+    out = []
+    for v, w in zip(verts, verts[1:] + verts[:1]):
+        step = vsub(w, v)
+        t = SEP / norm_eval(spec, step)
+        if t <= 1:
+            out.append((v, vadd(v, vscale(t, step)),
+                        vadd(v, vscale(t * Fraction(9, 10), step))))
+    return out
+
+
+@pytest.mark.parametrize("spec", REFERENCE_GAUGES + [l1(3)])
+def test_cover_functions_match_reference(spec):
+    samples = sphere_samples(spec, 150 if spec.dim == 2 else 60, seed=11)
+    sep = greedy_separated_set(spec, samples)
+    assert sep.centers == _ref_greedy(spec, samples)
+    assert packing_bound_check(sep, spec)
+    fresh = sphere_samples(spec, 40, seed=12)
+    report = cover_assignment(sep, spec, fresh)
+    assert report.assignments == _ref_assignments(spec, sep.centers, fresh)
+    cones = generated_cones(sep, spec, samples)
+    assert [c.generators for c in cones] == _ref_generators(spec, sep.centers, samples)
+    for i, cone in enumerate(cones):
+        _assert_halfwidth_matches(spec, cone, trials=30, seed=i)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_GAUGES)
+def test_cover_thresholds_match_reference(spec):
+    cases = _edge_points(spec)
+    assert cases
+    centers = tuple(v for v, _, _ in cases)
+    at, inside = [x for _, x, _ in cases], [x for _, _, x in cases]
+    assert all(norm_eval(spec, vsub(v, x)) == SEP for v, x, _ in cases)
+    # Closed threshold: a vector at exactly 1/5 is assigned.
+    report = cover_assignment(SeparatedSet(centers), spec, at + inside)
+    assert report.assignments == _ref_assignments(spec, centers, at + inside)
+    assert report.ok
+    # Open threshold: it does not generate the cone.
+    cones = generated_cones(SeparatedSet(centers), spec, at + inside)
+    assert [c.generators for c in cones] == _ref_generators(spec, centers, at + inside)
+    for (v, x_at, x_in), cone in zip(cases, cones):
+        assert x_at not in cone.generators and x_in in cone.generators
+
+
+def test_halfwidth_wide_cone_matches_reference():
+    cone = GeneratedCone(vec(1, 1), (vec(1, 1), vec(1, -1)))
+    report = _assert_halfwidth_matches(linf(2), cone, trials=200, seed=9)
+    assert report.failures and report.max_distance == 2

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdist import (GeometryError, InputError, hexagon_gauge, l1, linf, lp,
-                   norm_eval, polygon_vertices_2d, polytopal, validate_norm,
-                   vec)
-from kdist.norms import norm_from_json, norm_to_json, vadd, vscale, vsub
+                   norm_eval, polygon_gauge, polygon_vertices_2d, polytopal,
+                   validate_norm, vec)
+from kdist.gen import random_symmetric_polygon
+from kdist.norms import (IntGauge, norm_from_json, norm_to_json, vadd, vscale,
+                         vsub)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 
@@ -98,3 +100,50 @@ def test_norm_axioms(spec, data):
 @pytest.mark.parametrize("spec", [linf(2), l1(3), hexagon_gauge(), lp(2, 2.5)])
 def test_norm_json_round_trip(spec):
     assert norm_from_json(norm_to_json(spec)) == spec
+
+
+# ---------------------------------------------------------------------------
+# the integer gauge against the Fraction reference
+
+@st.composite
+def exact_gauges(draw):
+    """linf, l1, random octagons and random polytopal gauges in d = 2, 3."""
+    kind = draw(st.sampled_from(("linf", "l1", "octagon", "polytopal")))
+    if kind == "octagon":
+        rng = draw(st.randoms(use_true_random=False))
+        return polygon_gauge(random_symmetric_polygon(rng, 8, 8))
+    dim = draw(st.integers(2, 3))
+    if kind == "polytopal":
+        funcs = draw(st.lists(rvec(dim), min_size=1, max_size=5))
+        return polytopal(funcs)
+    return linf(dim) if kind == "linf" else l1(dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_int_gauge_matches_norm_eval(data):
+    spec = data.draw(exact_gauges())
+    u = data.draw(rvec(spec.dim))
+    v = data.draw(rvec(spec.dim))
+    gauge = IntGauge(spec)
+    (yu, qu), (yv, qv) = gauge.split(u), gauge.split(v)
+    assert Fraction(gauge.value(yu), qu * gauge.scale) == norm_eval(spec, u)
+    # Images are linear: a pair's distance comes from the two images.
+    diff = [qv * a - qu * b for a, b in zip(yu, yv)]
+    assert (Fraction(gauge.value(diff), qu * qv * gauge.scale)
+            == norm_eval(spec, vsub(u, v)))
+
+
+def test_int_gauge_clears_functional_denominators():
+    spec = polytopal([("1/2", "1/3"), ("-3/4", 1)])
+    gauge = IntGauge(spec)
+    assert gauge.scale == 12
+    assert gauge.split(vec("1/5", 2)) == ((46, 111), 5)
+    assert Fraction(111, 5 * 12) == norm_eval(spec, vec("1/5", 2))
+
+
+def test_int_gauge_rejects_lp_and_dimension_mismatch():
+    with pytest.raises(InputError):
+        IntGauge(lp(2, 2.0))
+    with pytest.raises(InputError):
+        IntGauge(linf(2)).split(vec(1, 2, 3))

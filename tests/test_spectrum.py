@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdist import (InputError, PointSet, best_distinct_witness,
-                   distance_spectrum, is_k_distance_set, linf, lp, vec)
+from kdist import (GeometryError, InputError, PointSet, best_distinct_witness,
+                   distance_spectrum, is_k_distance_set, linf, lp, polytopal,
+                   vec)
 from kdist.gen import integer_ceil_root
 from kdist.norms import vadd, vscale
 from kdist.search import extremal_grid
@@ -35,6 +37,17 @@ def test_spectrum_single_point():
 def test_duplicate_points_rejected():
     with pytest.raises(InputError):
         PointSet.of([vec(0, 0), vec(0, 0)])
+
+
+@pytest.mark.parametrize("spec, points", [
+    # A seminorm: the functionals do not span R^3.
+    (polytopal([(1, 0, 0), (0, 1, 0)]), [vec(0, 0, 0), vec(0, 0, 1), vec(1, 0, 0)]),
+    # The lp difference underflows to 0.0.
+    (lp(1, 2.0), [vec(0), vec(Fraction(1, 10 ** 400)), vec(1)]),
+])
+def test_zero_distance_between_distinct_points_rejected(spec, points):
+    with pytest.raises(GeometryError):
+        distance_spectrum(spec, PointSet.of(points))
 
 
 def test_is_k_distance_examples():
