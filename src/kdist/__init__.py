@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .chains import (ConeConditionReport, HeightCertificate, LInfCone,
                      PolyhedralCone, chain_certificate,
                      chain_distinct_distances, check_cone_conditions,
-                     cone_heights, height_vector, linf_cone_contains,
-                     linf_cone_family)
+                     cone_heights, linf_cone_family)
 from .cover import (CoverReport, GeneratedCone, SeparatedSet,
                     cone_halfwidth_check, cover_assignment, general_bound,
                     generated_cones, greedy_separated_set,

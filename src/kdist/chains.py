@@ -64,37 +64,15 @@ class PolyhedralCone:
 
 def _same_direction(v: Vec, r: Vec) -> bool:
     """True iff v = t r for some t > 0."""
-    t = None
-    for a, b in zip(v, r):
-        if b == 0:
-            if a != 0:
-                return False
-            continue
-        s = Fraction(a, b) if isinstance(a, (int, Fraction)) else a / b
-        if s <= 0:
-            return False
-        if t is None:
-            t = s
-        elif s != t:
-            return False
-    return t is not None
+    i = next((i for i, b in enumerate(r) if b != 0), None)
+    if i is None:
+        return False
+    t = Fraction(v[i], r[i])
+    return t > 0 and all(a == t * b for a, b in zip(v, r))
 
 
 def linf_cone_family(dim: int) -> tuple[LInfCone, ...]:
     return tuple(LInfCone(i, dim) for i in range(dim))
-
-
-def linf_cone_contains(axis: int, v: Vec) -> bool:
-    return LInfCone(axis, len(v)).contains(v)
-
-
-def check_acute(cone, vectors) -> list[Vec]:
-    """Vectors witnessing P cap -P != {0}, i.e. failures of acuteness."""
-    bad = []
-    for v in vectors:
-        if not is_zero(v) and cone.contains(v) and cone.contains(tuple(-a for a in v)):
-            bad.append(v)
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +105,6 @@ def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
     for x in pts:
         visit(x)
     return height
-
-
-def height_vector(ps: PointSet, x: Vec, family) -> tuple[int, ...]:
-    """Heights of x under every cone order of the family."""
-    if x not in ps.points:
-        raise InputError("x must belong to the point set")
-    return tuple(cone_heights(ps, cone)[x] for cone in family)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +231,8 @@ def chain_distinct_distances(spec: NormSpec, ps: PointSet, family):
     """
     pts = sorted(ps.points)
     per_cone = [cone_heights(ps, cone) for cone in family]
-    best = None  # (h, point, cone index)
-    for idx, hc in enumerate(per_cone):
-        for x in pts:
-            cand = (hc[x], x, idx)
-            if best is None or cand[0] > best[0] or (
-                    cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2])):
-                best = cand
-    h, x, idx = best
+    # The highest head; ties go to the smallest point, then the first cone.
+    _, x, idx = min((-hc[x], x, idx) for idx, hc in enumerate(per_cone) for x in pts)
     cone, hc = family[idx], per_cone[idx]
     chain = [x]
     while hc[chain[-1]] > 0:

@@ -54,10 +54,6 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _scalar_json(spec: NormSpec, value):
-    return rat_to_pair(value) if spec.exact else float(value)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -208,7 +204,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .selftest import run_selftest
+    from .criteria import run_selftest
     return run_selftest()
 
 
@@ -260,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("selftest", help="run the scaled-down acceptance checks")
+    p = sub.add_parser("selftest", help="run the ten acceptance criteria at small scale")
     p.set_defaults(func=_cmd_selftest)
     return parser
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import CertificateError, InputError
+from .errors import CertificateError, GeometryError, InputError
 from .norms import (IntGauge, NormSpec, Vec, is_unit, norm_eval,
                     polygon_vertices_2d, vadd, vscale, vsub)
 
@@ -60,6 +60,8 @@ def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
                 out.append(vadd(u, vscale(Fraction(j, per_edge), step)))
         return out[:max(count, m)]
     if spec.exact:
+        if IntGauge(spec).rank() < spec.dim:
+            raise GeometryError("a seminorm: its unit sphere is unbounded in R^d")
         out = []
         while len(out) < count:
             v = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(spec.dim))

@@ -1,4 +1,9 @@
-"""Seeded instance generators used by the self-test and the test suite."""
+"""Seeded instance generators.
+
+The acceptance criteria (`kdist.criteria`, run at full scale by the test
+suite and at small scale by `kdist selftest`), the unit tests and the
+benchmark draw their random point sets and polygons from here.
+"""
 
 from __future__ import annotations
 
@@ -88,9 +93,7 @@ def half_open_grid_set(n: int, d: int = 2) -> PointSet:
     Attains equality in the distinct-distance witness bound: exactly c - 1
     distinct l-infinity distances.
     """
-    c = 1
-    while c ** d < n:
-        c += 1
+    c = integer_ceil_root(n, d)
     inner = [vec(*p) for p in product(range(c - 1), repeat=d)]
     shell = sorted(vec(*p) for p in product(range(c), repeat=d)
                    if max(p) == c - 1)

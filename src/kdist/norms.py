@@ -213,6 +213,19 @@ class IntGauge:
         """The gauge of the integer vector whose image is given."""
         return self._reduce(map(abs, image))
 
+    def rank(self) -> int:
+        """Rank of the image (exact elimination); below ``dim`` iff a seminorm."""
+        if self._rows is None:
+            return self.dim
+        rows, rank = [list(r) for r in self._rows], 0
+        for col in range(self.dim):
+            pivot = next((r for r in rows if r[col]), None)
+            if pivot is not None:
+                rows.remove(pivot)
+                rows = [[pivot[col] * a - r[col] * b for a, b in zip(r, pivot)] for r in rows]
+                rank += 1
+        return rank
+
 
 def is_unit(spec: NormSpec, v: Vec) -> bool:
     n = norm_eval(spec, v)

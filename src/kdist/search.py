@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 from .cover import general_bound
 from .errors import FalsificationError, InputError
-from .norms import NormSpec, Vec, norm_eval, vec, vsub
+from .norms import NormSpec, Vec, linf, norm_eval, vec, vsub
 from .spectrum import (DistanceSpectrum, PointSet, distance_spectrum,
                        _merge_float_classes)
 
@@ -248,7 +248,6 @@ def verify_extremal_uniqueness(d: int, k: int, m: int) -> UniquenessReport:
     Desk scale only (d = 2, k <= 2, m <= 4).  A counterexample raises
     FalsificationError.
     """
-    from .norms import linf
     if d != 2 or k > 2 or m > 4 or k < 1 or m < k:
         raise InputError("uniqueness check is desk-scale: d=2, 1<=k<=2, k<=m<=4")
     ground = PointSet(d, tuple(vec(*c) for c in product(range(m + 1), repeat=d)))

@@ -1,257 +1,50 @@
-"""Full-scale acceptance criteria.
-
-Each test covers one numbered criterion at its stated scale and prints a
-single pass line on success (pytest reports the fail case).  Criteria 6
-and 7 re-verify their bounds on every point set produced while running
-criteria 1 through 4, collected in module-scoped fixtures.
+"""Each test runs one criterion of `kdist.criteria` at full scale and prints
+one pass line (pytest reports a failure); `kdist selftest` runs them small.
 """
 
-import random
-from fractions import Fraction
-from itertools import product
-
-import pytest
-
-from kdist import (PointSet, SearchProblem, best_distinct_witness,
-                   branch_and_bound, brute_force_oracle, chain_certificate,
-                   brunn_minkowski_mc_check, cone_halfwidth_check,
-                   cover_assignment,
-                   decompose_recursive_bound, exact_box_union_area,
-                   find_equivalence_threshold, general_bound, generated_cones,
-                   greedy_separated_set, hexagon_gauge, is_grid_homothet, l1,
-                   linf, linf_cone_family, lp, max_area_normalization,
-                   packing_bound_check, planar_bound_certificate,
-                   polygon_vertices_2d, sphere_samples, vec,
-                   verify_extremal_uniqueness, volume_ratio_bound)
-from kdist.gen import (clustered_lattice_set, half_open_grid_set,
-                       integer_ceil_root, random_lattice_subset,
-                       random_symmetric_polygon)
-from kdist.spectrum import distance_spectrum
-
-PLANAR_GAUGES = (linf(2), l1(2), hexagon_gauge())
+from kdist import criteria
 
 
-def _report(n, detail):
-    print(f"criterion {n}: PASS ({detail})")
+def _run(criterion):
+    number = criteria.CRITERIA.index(criterion) + 1
+    print(f"criterion {number}: PASS ({criterion(full=True)})")
 
 
-# ---------------------------------------------------------------------------
-# shared point-set registry (criteria 1-4 feed criteria 6-7)
-
-@pytest.fixture(scope="module")
-def registry():
-    return []
+def test_criterion_01_grid_extremality():
+    _run(criteria.grid_extremality)
 
 
-@pytest.fixture(scope="module")
-def c1_results(registry):
-    out = []
-    cases = [(1, k) for k in range(1, 5)] + [(2, 1), (2, 2), (3, 1)]
-    for d, k in cases:
-        ground = PointSet(d, tuple(vec(*c)
-                                   for c in product(range(k + 2), repeat=d)))
-        result = branch_and_bound(SearchProblem(linf(d), ground, k))
-        out.append((d, k, result))
-        registry.append((linf(d), PointSet(d, result.points)))
-    return out
+def test_criterion_02_height_certificates():
+    _run(criteria.height_certificates)
 
 
-@pytest.fixture(scope="module")
-def c2_sets(registry):
-    rng = random.Random(202)
-    sets = []
-    while len(sets) < 200:
-        d = rng.choice((1, 2, 3))
-        ps = random_lattice_subset(rng, d, 5, rng.randint(2, 25))
-        if len(ps) < 2:
-            continue
-        sets.append((d, ps))
-        registry.append((linf(d), ps))
-    return sets
+def test_criterion_03_distinct_distance_witness():
+    _run(criteria.distinct_distance_witness)
 
 
-@pytest.fixture(scope="module")
-def c3_sets(registry):
-    rng = random.Random(303)
-    side = {1: 80, 2: 8, 3: 4}
-    sets = []
-    while len(sets) < 200:
-        d = rng.choice((1, 2, 3))
-        n = rng.randint(2, 64)
-        ps = random_lattice_subset(rng, d, side[d], n)
-        sets.append((d, ps))
-        registry.append((linf(d), ps))
-    return sets
-
-
-@pytest.fixture(scope="module")
-def c4_results(registry):
-    out = []
-    for spec in PLANAR_GAUGES:
-        for k in (1, 2):
-            ground = PointSet(2, tuple(vec(*c)
-                                       for c in product(range(k + 2), repeat=2)))
-            result = branch_and_bound(SearchProblem(spec, ground, k))
-            ps = PointSet(2, result.points)
-            out.append((spec, k, ps))
-            registry.append((spec, ps))
-    hexa = hexagon_gauge()
-    ground = PointSet(2, tuple(polygon_vertices_2d(hexa)) + (vec(0, 0),))
-    result = branch_and_bound(SearchProblem(hexa, ground, 1))
-    ps = PointSet(2, result.points)
-    out.append((hexa, 1, ps))
-    registry.append((hexa, ps))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# criteria
-
-def test_criterion_01_grid_extremality(c1_results):
-    for d, k, result in c1_results:
-        assert result.size == (k + 1) ** d, (d, k, result.size)
-        assert is_grid_homothet(result.points, k)
-    _report(1, f"{len(c1_results)} (d, k) cases, optimum (k+1)^d each")
-
-
-def test_criterion_02_height_certificates(c2_sets):
-    for d, ps in c2_sets:
-        sp = distance_spectrum(linf(d), ps)
-        cert = chain_certificate(linf(d), ps, linf_cone_family(d))
-        assert cert.injective and cert.ok
-        assert cert.h <= sp.k
-        assert len(ps) <= (sp.k + 1) ** d
-    _report(2, "200 random lattice subsets, injective with h <= k")
-
-
-def test_criterion_03_distinct_distance_witness(c3_sets):
-    for d, ps in c3_sets:
-        _, count = best_distinct_witness(linf(d), ps)
-        assert count >= integer_ceil_root(len(ps), d) - 1
-    for n in range(5, 17):
-        ps = half_open_grid_set(n, 2)
-        _, count = best_distinct_witness(linf(2), ps)
-        assert count == integer_ceil_root(n, 2) - 1
-    _report(3, "200 random sets above the bound; equality on half-open grids")
-
-
-def test_criterion_04_planar_bound(c4_results):
-    for spec, k, ps in c4_results:
-        assert len(ps) <= (k + 1) ** 2
-        sk = distance_spectrum(spec, ps).k
-        if sk >= 1:
-            cert = planar_bound_certificate(spec, ps, sk)
-            assert cert.ok and len(ps) <= cert.claimed
-    hexa_case = c4_results[-1]
-    assert hexa_case[1] == 1 and len(hexa_case[2]) == 3 < 4
-    _report(4, "3 gauges x k in {1,2}; hexagon optimum 3 < 4")
+def test_criterion_04_planar_bound():
+    _run(criteria.planar_bound)
 
 
 def test_criterion_05_normalization():
-    rng = random.Random(505)
-    for _ in range(50):
-        poly = random_symmetric_polygon(rng)
-        nrm = max_area_normalization(poly)  # raises on invariant failure
-        assert all(abs(a) <= 1 for v in nrm.vertices for a in v)
-    _report(5, "50 random symmetric polygons normalized exactly")
+    _run(criteria.normalization)
 
 
-@pytest.fixture(scope="module")
-def clustered_sets():
-    rng = random.Random(606)
-    sets = []
-    while len(sets) < 100:
-        d = rng.choice((1, 2, 3))
-        ps = clustered_lattice_set(rng, d)
-        sp = distance_spectrum(linf(d), ps)
-        if not (2 <= sp.k <= 4 and sp.ratio > 2 ** (sp.k - 1)):
-            continue
-        sets.append((d, ps, sp))
-    return sets
+def test_criterion_06_cluster_equivalence():
+    _run(criteria.cluster_equivalence)
 
 
-def test_criterion_06_cluster_equivalence(clustered_sets, registry,
-                                    c1_results, c2_sets, c3_sets, c4_results):
-    for d, ps, sp in clustered_sets:
-        assert find_equivalence_threshold(sp, ps, linf(d)) is not None
-        node = decompose_recursive_bound(ps, linf(d))
-        assert len(ps) <= node.bound <= 2 ** (sp.k * d)
-    for spec, ps in registry:
-        sp = distance_spectrum(spec, ps)
-        node = decompose_recursive_bound(ps, spec)
-        assert len(ps) <= node.bound
-        if sp.k >= 1:
-            assert node.bound <= 2 ** (sp.k * spec.dim)
-    _report(6, f"100 clustered sets + {len(registry)} suite sets within 2^kd")
-
-
-def test_criterion_07_volume_bound(clustered_sets, registry,
-                                   c1_results, c2_sets, c3_sets, c4_results):
-    suite = [(linf(d), ps) for d, ps, _ in clustered_sets] + list(registry)
-    checked_exact = 0
-    for spec, ps in suite:
-        sp = distance_spectrum(spec, ps)
-        if sp.k < 1:
-            continue
-        assert len(ps) <= volume_ratio_bound(sp, spec.dim)
-        if spec.kind == "linf" and spec.dim == 2:
-            rho1 = sp.distances[0]
-            area = exact_box_union_area(ps.points, rho1 / 2)
-            assert area == len(ps) * rho1 ** 2  # disjoint interiors
-            checked_exact += 1
-    mc_cases = [PointSet.of([vec(x, y) for x in range(3) for y in range(3)]),
-                PointSet.of([vec(0, 0), vec(1, 0), vec(0, 1), vec(3, 3)])]
-    for ps in mc_cases:
-        sp = distance_spectrum(linf(2), ps)
-        exact = float(exact_box_union_area(ps.points, sp.distances[0] / 2))
-        report = brunn_minkowski_mc_check(linf(2), ps, trials=1_000_000, seed=7)
-        assert report.ok
-        assert abs(report.vol_v - exact) <= 0.02 * exact
-    _report(7, f"volume bound on {len(suite)} sets; "
-               f"{checked_exact} exact box unions; MC within 2%")
+def test_criterion_07_volume_bound():
+    _run(criteria.volume_bound)
 
 
 def test_criterion_08_cone_cover():
-    for spec in PLANAR_GAUGES:
-        samples = sphere_samples(spec, 10_000, seed=8)
-        sep = greedy_separated_set(spec, samples)
-        assert packing_bound_check(sep, spec)
-        assert len(sep.centers) <= 20
-        fresh = sphere_samples(spec, 1_000, seed=9)
-        assert cover_assignment(sep, spec, fresh).ok
-        for cone in generated_cones(sep, spec, samples):
-            report = cone_halfwidth_check(cone, spec, trials=1_000, seed=10)
-            assert report.ok and report.max_distance < Fraction(1, 2)
-    for k in range(1, 5):
-        for d in range(1, 5):
-            cap = (11 ** d - 9 ** d) // 2
-            independent = min(2 ** (k * d), (k + 1) ** cap)
-            assert general_bound(k, d) == independent
-    _report(8, "3 gauges covered with m <= 20 and half-width < 1/2")
+    _run(criteria.cone_cover)
 
 
 def test_criterion_09_oracle_equivalence():
-    rng = random.Random(909)
-    specs = [linf(1), linf(2), linf(3), l1(2), hexagon_gauge(), lp(2, 2.0)]
-    for _ in range(100):
-        spec = rng.choice(specs)
-        d = spec.dim
-        ps = random_lattice_subset(rng, d, 4, rng.randint(3, 18))
-        if not spec.exact:
-            ps = PointSet(d, tuple(tuple(float(a) for a in p)
-                                   for p in ps.points))
-        k = rng.randint(1, 3)
-        problem = SearchProblem(spec, ps, k)
-        assert branch_and_bound(problem).size == brute_force_oracle(problem).size
-    _report(9, "100 mixed-norm instances, search equals oracle")
+    _run(criteria.oracle_equivalence)
 
 
 def test_criterion_10_extremal_uniqueness():
-    total = 0
-    for k in (1, 2):
-        for m in range(k, 5):
-            report = verify_extremal_uniqueness(2, k, m)
-            assert report.ok
-            assert all(is_grid_homothet(s, k) for s in report.optima)
-            total += len(report.optima)
-    _report(10, f"{total} desk-scale optima, all grid homothets")
+    _run(criteria.extremal_uniqueness)

@@ -4,24 +4,22 @@ from itertools import product
 import pytest
 
 from kdist import (CertificateError, PointSet, chain_certificate,
-                   chain_distinct_distances, check_cone_conditions,
-                   height_vector, linf, linf_cone_contains, linf_cone_family,
-                   vec)
+                   chain_distinct_distances, check_cone_conditions, linf,
+                   linf_cone_family, vec)
 from kdist.chains import LInfCone, PolyhedralCone, cone_heights
 from kdist.gen import random_lattice_subset
 from kdist.norms import vsub
 from kdist.search import extremal_grid
-from kdist.spectrum import distance_spectrum
 
 GRID33 = extremal_grid(2, 2)
 
 
 def test_linf_cone_membership():
-    assert linf_cone_contains(0, vec(3, 1))
-    assert not linf_cone_contains(0, vec(-3, 1))
-    assert linf_cone_contains(1, vec(2, 2))  # boundary of two cones
-    assert linf_cone_contains(0, vec(2, 2))
-    assert linf_cone_contains(0, vec(0, 0))
+    assert LInfCone(0, 2).contains(vec(3, 1))
+    assert not LInfCone(0, 2).contains(vec(-3, 1))
+    assert LInfCone(1, 2).contains(vec(2, 2))  # boundary of two cones
+    assert LInfCone(0, 2).contains(vec(2, 2))
+    assert LInfCone(0, 2).contains(vec(0, 0))
 
 
 def test_polyhedral_cone_excluded_ray():
@@ -53,18 +51,20 @@ def test_heights_match_brute_force_on_grids(d, m):
             assert heights[p] == _chain_length_brute(pts, cone, p) == p[cone.axis]
 
 
+def _heights(ps):
+    """Height vector of every point under the linf coordinate cones."""
+    return chain_certificate(linf(ps.dim), ps, linf_cone_family(ps.dim)).heights
+
+
 def test_height_vector_examples():
-    ps = PointSet.of([vec(0, 0), vec(3, 1)])
-    assert height_vector(ps, vec(3, 1), linf_cone_family(2)) == (1, 0)
-    assert height_vector(ps, vec(0, 0), linf_cone_family(2)) == (0, 0)
-    single = PointSet.of([vec(4, 5)])
-    assert height_vector(single, vec(4, 5), linf_cone_family(2)) == (0, 0)
+    heights = _heights(PointSet.of([vec(0, 0), vec(3, 1)]))
+    assert heights[vec(3, 1)] == (1, 0)
+    assert heights[vec(0, 0)] == (0, 0)
+    assert _heights(PointSet.of([vec(4, 5)])) == {vec(4, 5): (0, 0)}
 
 
 def test_grid_heights_equal_coordinates():
-    heights = {p: height_vector(GRID33, p, linf_cone_family(2))
-               for p in GRID33.points}
-    assert all(hv == p for p, hv in heights.items())
+    assert all(hv == p for p, hv in _heights(GRID33).items())
 
 
 def test_chain_certificate_grid():
@@ -143,16 +143,13 @@ def test_heights_translation_and_scaling_invariant():
     from kdist.norms import vadd, vscale
     for _ in range(10):
         ps = random_lattice_subset(rng, 2, 4, rng.randint(2, 8))
-        base = {p: height_vector(ps, p, linf_cone_family(2)) for p in ps.points}
+        base = _heights(ps)
         shift = vec(rng.randint(-5, 5), rng.randint(-5, 5))
-        moved = PointSet.of([vadd(p, shift) for p in ps.points])
+        moved = _heights(PointSet.of([vadd(p, shift) for p in ps.points]))
+        scaled = _heights(PointSet.of([vscale(3, p) for p in ps.points]))
         for p in ps.points:
-            assert height_vector(moved, vadd(p, shift),
-                                 linf_cone_family(2)) == base[p]
-        scaled = PointSet.of([vscale(3, p) for p in ps.points])
-        for p in ps.points:
-            assert height_vector(scaled, vscale(3, p),
-                                 linf_cone_family(2)) == base[p]
+            assert moved[vadd(p, shift)] == base[p]
+            assert scaled[vscale(3, p)] == base[p]
 
 
 def test_order_is_strict_partial_order():

@@ -1,8 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kdist import linf, vec
+from kdist import criteria, linf, vec
 from kdist.cli import run_command
 from kdist.norms import norm_to_json
 from kdist.spectrum import PointSet, pointset_to_json
@@ -98,6 +103,17 @@ def test_conecover_command(files, capsys):
     assert out["max_halfwidth"] < 0.5
 
 
+def test_conecover_rejects_seminorm(files, capsys):
+    # Two functionals cannot span R^3: the unit sphere is an unbounded cylinder.
+    norm = files("norm.json", {"dim": 3, "kind": "polytopal",
+                               "functionals": [[1, 0, 0], [0, 1, 0]]})
+    rc = run_command(["conecover", "--norm", norm, "--samples", "100",
+                      "--trials", "10"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "seminorm" in out.err
+
+
 def test_missing_file_is_input_error(files, capsys):
     norm = files("norm.json", norm_to_json(linf(2)))
     assert run_command(["spectrum", "--norm", norm,
@@ -137,3 +153,43 @@ def test_seminorm_is_rejected_not_a_crash(files, capsys):
     points = files("pts.json", pointset_to_json(pts))
     assert run_command(["bound", "--norm", norm, "--points", points]) == 1
     assert "distance 0" in capsys.readouterr().err
+
+
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
+
+
+def test_selftest_runs_the_acceptance_criteria(capsys):
+    assert run_command(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # test_criterion_NN_name in the acceptance file <-> "PASS  N name detail".
+    expected = [["PASS", str(int(n)), name] for n, name in re.findall(
+        r"^def test_criterion_(\d\d)_(\w+)\(", ACCEPTANCE.read_text(), re.M)]
+    assert len(expected) == 10
+    assert [line.split()[:3] for line in lines[:-1]] == expected
+    assert all(len(line.split()) > 3 for line in lines[:-1])
+    assert lines[-1] == "10/10 criteria passed"
+
+
+def test_selftest_reports_a_failing_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(criteria, "general_bound", lambda k, d: 17)
+    assert run_command(["selftest"]) == 2
+    out = capsys.readouterr().out
+    failed = [line.split(maxsplit=3) for line in out.splitlines()
+              if line.startswith("FAIL")]
+    assert [f[:3] for f in failed] == [["FAIL", "8", "cone_cover"]]
+    assert failed[0][3].strip()
+    assert out.splitlines()[-1] == "9/10 criteria passed"
+
+
+def test_selftest_failure_survives_python_O():
+    # Bare asserts vanish under -O; the criteria raise explicitly instead.
+    script = ("import sys; from kdist import cli, criteria; "
+              "criteria.general_bound = lambda k, d: 17; "
+              "sys.exit(cli.run_command(['selftest']))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(r"^FAIL\s+8 cone_cover\s+\S", proc.stdout, re.M)

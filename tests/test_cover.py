@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from kdist import (CertificateError, InputError, cone_halfwidth_check,
+from kdist import (CertificateError, GeometryError, InputError,
+                   cone_halfwidth_check,
                    cover_assignment, general_bound, generated_cones,
                    greedy_separated_set, hexagon_gauge, l1, linf, lp,
                    norm_eval, packing_bound_check, polygon_gauge,
-                   polygon_vertices_2d, separated_set_capacity,
+                   polygon_vertices_2d, polytopal, separated_set_capacity,
                    sphere_samples, vec)
 from kdist.cover import GeneratedCone, SeparatedSet
 from kdist.norms import is_unit, vadd, vscale, vsub
@@ -46,6 +47,14 @@ def test_sphere_samples_exact_3d():
     samples = sphere_samples(spec, 200, seed=2)
     assert len(samples) == 200
     assert all(is_unit(spec, s) for s in samples)
+
+
+def test_sphere_samples_rejects_seminorm():
+    # Two functionals cannot span R^3: the unit "sphere" is an unbounded cylinder.
+    with pytest.raises(GeometryError):
+        sphere_samples(polytopal([[1, 0, 0], [0, 1, 0]]), 10, seed=2)
+    with pytest.raises(GeometryError):
+        sphere_samples(polytopal([[1, 1, 0], [2, 2, 0], [0, 0, 1]]), 10, seed=2)
 
 
 def test_sphere_samples_lp():

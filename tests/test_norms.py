@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,23 @@ def test_int_gauge_clears_functional_denominators():
     assert gauge.scale == 12
     assert gauge.split(vec("1/5", 2)) == ((46, 111), 5)
     assert Fraction(111, 5 * 12) == norm_eval(spec, vec("1/5", 2))
+
+
+def test_int_gauge_rank():
+    assert IntGauge(linf(3)).rank() == 3 and IntGauge(l1(2)).rank() == 2
+    assert IntGauge(hexagon_gauge()).rank() == 2
+    assert IntGauge(polytopal([["1/2", 0, 0], [0, "1/3", 0], [0, 0, "2/7"]])).rank() == 3
+    assert IntGauge(polytopal([[1, 0, 0], [0, 1, 0]])).rank() == 2
+    assert IntGauge(polytopal([[1, 1, 0], [2, 2, 0], [0, 0, 1]])).rank() == 2
+    assert IntGauge(polytopal([[0, 0, 0], [0, 0, 3], [0, 0, 1]])).rank() == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=6)))
+def test_int_gauge_rank_matches_numpy(rows):
+    expected = np.linalg.matrix_rank(np.array(rows, dtype=float))
+    assert IntGauge(polytopal(rows)).rank() == expected
 
 
 def test_int_gauge_rejects_lp_and_dimension_mismatch():
