@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul, neg, sub
 
 from .errors import CertificateError, InputError
-from .norms import NormSpec, Vec, dot, is_zero, norm_eval, vec_to_json, vsub
-from .spectrum import PointSet
+from .norms import (IntGauge, NormSpec, Vec, clear_denominators, is_zero,
+                    norm_eval, vec_to_json, vsub)
+from .spectrum import PairTable, PointSet
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +37,7 @@ class LInfCone:
     def contains(self, v: Vec) -> bool:
         if len(v) != self.dim:
             raise InputError("dimension mismatch in cone membership")
-        if is_zero(v):
-            return True
-        return max(abs(a) for a in v) == v[self.axis]
+        return max(map(abs, v)) == v[self.axis]
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,14 @@ class PolyhedralCone:
 
     facets: tuple[Vec, ...]
     excluded_rays: tuple[Vec, ...] = ()
+    # The facets times one common denominator: the same halfspaces.
+    _rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", tuple(clear_denominators(self.facets)[0]))
 
     def contains(self, v: Vec) -> bool:
-        if is_zero(v):
-            return True
-        if any(dot(c, v) < 0 for c in self.facets):
+        if any(sum(map(mul, c, v)) < 0 for c in self._rows):
             return False
         for r in self.excluded_rays:
             if _same_direction(v, r):
@@ -82,18 +85,27 @@ def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
     """Longest strictly descending chain length from each point, under cone's order.
 
     Memoized longest-path on the comparability DAG; a cycle (cone not acute
-    on these differences) raises CertificateError.
+    on these differences) raises CertificateError.  Membership is tested on
+    the differences cleared to ints, which scaling by D > 0 leaves unchanged.
     """
     pts = sorted(ps.points)
-    below = {x: [y for y in pts if y != x and cone.contains(vsub(x, y))] for x in pts}
-    height: dict[Vec, int] = {}
-    in_progress: set[Vec] = set()
+    ints, _ = clear_denominators(pts)
+    below: list[list[int]] = [[] for _ in pts]     # ascending indices
+    for i, x in enumerate(ints):
+        for j in range(i + 1, len(pts)):
+            d = tuple(map(sub, ints[j], x))
+            if cone.contains(d):
+                below[j].append(i)
+            if cone.contains(tuple(map(neg, d))):
+                below[i].append(j)
+    height: dict[int, int] = {}
+    in_progress: set[int] = set()
 
-    def visit(x: Vec) -> int:
+    def visit(x: int) -> int:
         if x in height:
             return height[x]
         if x in in_progress:
-            raise CertificateError(f"cycle in cone order at {x}; cone is not acute")
+            raise CertificateError(f"cycle in cone order at {pts[x]}; cone is not acute")
         in_progress.add(x)
         h = 0
         for y in below[x]:
@@ -102,9 +114,7 @@ def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
         height[x] = h
         return h
 
-    for x in pts:
-        visit(x)
-    return height
+    return {x: visit(i) for i, x in enumerate(pts)}
 
 
 # ---------------------------------------------------------------------------
@@ -127,26 +137,33 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
 
     Coverage: every vector lies in some P_i or -P_i.  Equal-norm condition:
     for distinct u, v in a common P_i with ||u|| = ||v||, neither u - v nor
-    v - u lies in P_i.
+    v - u lies in P_i.  For the exact kinds both are decided on the vectors
+    cleared to ints over one common denominator, with the integer gauge.
     """
     vectors = list(dict.fromkeys(v for v in vectors if not is_zero(v)))
     if not vectors:
         raise InputError("vectors must be nonempty")
+    if spec.exact:
+        gauge = IntGauge(spec)
+        scaled, _ = clear_denominators(vectors)
+        norms = [gauge.value(gauge.image(x)) for x in scaled]
+    else:
+        scaled, norms = vectors, [norm_eval(spec, v) for v in vectors]
     report = ConeConditionReport()
-    for v in vectors:
-        neg = tuple(-a for a in v)
-        if not any(c.contains(v) or c.contains(neg) for c in family):
+    for v, x in zip(vectors, scaled):
+        neg_x = tuple(map(neg, x))
+        if not any(c.contains(x) or c.contains(neg_x) for c in family):
             report.uncovered.append(v)
     for idx, cone in enumerate(family):
-        members = [v for v in vectors if cone.contains(v)]
         by_norm: dict = {}
-        for v in members:
-            by_norm.setdefault(norm_eval(spec, v), []).append(v)
+        for v, x, n in zip(vectors, scaled, norms):
+            if cone.contains(x):
+                by_norm.setdefault(n, []).append((v, x))
         for group in by_norm.values():
-            for i, u in enumerate(group):
-                for v in group[i + 1:]:
-                    d = vsub(u, v)
-                    if cone.contains(d) or cone.contains(tuple(-a for a in d)):
+            for i, (u, xu) in enumerate(group):
+                for v, xv in group[i + 1:]:
+                    d = tuple(map(sub, xu, xv))
+                    if cone.contains(d) or cone.contains(tuple(map(neg, d))):
                         report.equal_norm_violations.append((idx, u, v))
     return report
 
@@ -193,20 +210,26 @@ def chain_certificate(spec: NormSpec, ps: PointSet, family) -> HeightCertificate
     recorded in the certificate rather than raised, since they invalidate
     the h <= k guarantee but not the height computation.
     """
-    pts = sorted(ps.points)
-    diffs = {}
+    return _chain_certificate(PairTable(spec, ps), spec, ps, family)
+
+
+def _chain_certificate(table: PairTable, spec: NormSpec, ps: PointSet,
+                       family) -> HeightCertificate:
+    pts = table.points
+    pairs = {}          # integer difference -> the (last) pair (x, y) with it
     for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            diffs[vsub(y, x)] = (x, y)
-    if diffs:
-        report = check_cone_conditions(family, spec, list(diffs))
+        for j in range(i + 1, len(pts)):
+            pairs[table.diff(i, j)] = (x, pts[j])
+    violations = []
+    if pairs:
+        report = check_cone_conditions(family, spec, list(pairs))
         if report.uncovered:
-            x, y = diffs[report.uncovered[0]]
+            x, y = pairs[report.uncovered[0]]
             raise CertificateError(
                 f"no cone of the family covers the difference of {x} and {y}")
-        violations = report.equal_norm_violations
-    else:
-        violations = []
+        # Back from the integer differences to those of the points.
+        violations = [(idx, vsub(*pairs[u][::-1]), vsub(*pairs[v][::-1]))
+                      for idx, u, v in report.equal_norm_violations]
 
     per_cone = [cone_heights(ps, cone) for cone in family]
     heights = {x: tuple(hc[x] for hc in per_cone) for x in pts}
@@ -227,23 +250,25 @@ def chain_distinct_distances(spec: NormSpec, ps: PointSet, family):
     Returns (chain, distances) where chain = [x_0 > x_1 > ... > x_h] in one
     cone order and distances[j-1] = ||x_0 - x_j||; the distances are
     asserted pairwise distinct (the head of a longest chain witnesses that
-    many distinct distances).
+    many distinct distances).  The family must cover the differences of ps
+    (see chain_certificate).
     """
-    pts = sorted(ps.points)
-    per_cone = [cone_heights(ps, cone) for cone in family]
+    table = PairTable(spec, ps)
+    pts = table.points
+    heights = _chain_certificate(table, spec, ps, family).heights
+    hv = [heights[x] for x in pts]
     # The highest head; ties go to the smallest point, then the first cone.
-    _, x, idx = min((-hc[x], x, idx) for idx, hc in enumerate(per_cone) for x in pts)
-    cone, hc = family[idx], per_cone[idx]
-    chain = [x]
-    while hc[chain[-1]] > 0:
+    _, head, idx = min((-h[c], i, c) for i, h in enumerate(hv) for c in range(len(family)))
+    cone = family[idx]
+    chain = [head]
+    while hv[chain[-1]][idx] > 0:
         cur = chain[-1]
-        succ = min(y for y in pts
-                   if y != cur and cone.contains(vsub(cur, y))
-                   and hc[y] == hc[cur] - 1)
-        chain.append(succ)
-    dists = [norm_eval(spec, vsub(chain[0], y)) for y in chain[1:]]
+        chain.append(min(j for j in range(len(pts))
+                         if j != cur and hv[j][idx] == hv[cur][idx] - 1
+                         and cone.contains(table.diff(j, cur))))
+    dists = [table.values[head][j] for j in chain[1:]]
     if len(set(dists)) != len(dists):
         raise CertificateError(
             "distances along the longest chain are not distinct; "
             "equal-norm cone condition fails on S")
-    return chain, dists
+    return [pts[i] for i in chain], [table.distance(v) for v in dists]

@@ -1,13 +1,15 @@
 """Command-line interface: JSON in, JSON certificates out.
 
 Subcommands: spectrum, chains, normalize2d, conecover, decompose, search,
-bound, selftest.  Exit status: 0 on success/pass, 1 on input errors, 2 on
-a falsification alarm (a verified computation contradicting a bound).
+bound, selftest.  Exit status: 0 on success/pass (and --help), 1 on input
+errors (usage errors included) and other rejected input, 2 on a
+falsification alarm (a verified computation contradicting a bound).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -211,8 +213,16 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise InputError (exit 1), not SystemExit(2)."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="kdist",
         description="Bounds and certificates for k-distance sets in Minkowski spaces")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -262,9 +272,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:   # --help; usage errors raise InputError
+            return exc.code
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

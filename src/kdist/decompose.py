@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FalsificationError, InputError
-from .norms import NormSpec, Vec, norm_eval, vsub
-from .spectrum import DistanceSpectrum, PointSet, distance_spectrum
+from .norms import NormSpec, Vec
+from .spectrum import DistanceSpectrum, PairTable, PointSet, distance_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,12 @@ def clusters_at(spec: NormSpec, ps: PointSet, rho) -> list[list[Vec]] | None:
     The relation is an equivalence iff every component is a clique under
     the threshold, which is checked on all intra-component pairs.
     """
-    pts = sorted(ps.points)
+    table = PairTable(spec, ps)
+    pts, values = table.points, table.values
+    limit = rho
+    if spec.exact:      # an int value v is at most rho * scale iff v <= limit
+        num, den = rho.as_integer_ratio()
+        limit = num * table.scale // den
     parent = list(range(len(pts)))
 
     def find(a):
@@ -41,7 +46,7 @@ def clusters_at(spec: NormSpec, ps: PointSet, rho) -> list[list[Vec]] | None:
 
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if norm_eval(spec, vsub(pts[j], pts[i])) <= rho:
+            if values[i][j] <= limit:
                 parent[find(i)] = find(j)
     comps: dict[int, list[int]] = {}
     for i in range(len(pts)):
@@ -50,7 +55,7 @@ def clusters_at(spec: NormSpec, ps: PointSet, rho) -> list[list[Vec]] | None:
     for cluster in clusters:
         for a in range(len(cluster)):
             for b in range(a + 1, len(cluster)):
-                if norm_eval(spec, vsub(pts[cluster[b]], pts[cluster[a]])) > rho:
+                if values[cluster[a]][cluster[b]] > limit:
                     return None
     clusters.sort(key=lambda c: pts[c[0]])
     return [[pts[i] for i in cluster] for cluster in clusters]

@@ -63,6 +63,16 @@ def is_zero(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
+def clear_denominators(vectors) -> tuple[list[tuple[int, ...]], int]:
+    """The vectors times one common denominator D > 0, as int tuples, and D.
+
+    Exact for ints, Fractions and floats alike.
+    """
+    ratios = [[a.as_integer_ratio() for a in v] for v in vectors]
+    den = lcm(*(q for r in ratios for _, q in r))
+    return [tuple([p * (den // q) for p, q in r]) for r in ratios], den
+
+
 def rat_to_pair(q: Fraction) -> list[int]:
     q = Fraction(q)
     return [q.numerator, q.denominator]
@@ -170,7 +180,10 @@ def norm_eval(spec: NormSpec, v: Vec):
         return sum(abs(a) for a in v)
     if spec.kind == "polytopal":
         return max(abs(dot(a, v)) for a in spec.functionals)
-    return sum(abs(float(a)) ** spec.p for a in v) ** (1.0 / spec.p)
+    try:
+        return sum(abs(float(a)) ** spec.p for a in v) ** (1.0 / spec.p)
+    except OverflowError as exc:
+        raise GeometryError(f"lp norm of {v} overflows a float") from exc
 
 
 class IntGauge:
@@ -199,15 +212,18 @@ class IntGauge:
             self._rows = tuple(tuple(a.numerator * (self.scale // a.denominator)
                                      for a in f) for f in spec.functionals)
 
+    def image(self, x) -> tuple[int, ...]:
+        """The image of an integer vector: x itself, or its functional values."""
+        if self._rows is None:
+            return tuple(x)
+        return tuple([sum(map(mul, r, x)) for r in self._rows])
+
     def split(self, v: Vec) -> tuple[tuple[int, ...], int]:
         """``(Y, q)``: q > 0 is the lcm of v's denominators, Y the image of q*v."""
         if len(v) != self.dim:
             raise InputError(f"vector has dimension {len(v)}, expected {self.dim}")
         q = lcm(*(a.denominator for a in v))
-        x = [a.numerator * (q // a.denominator) for a in v]
-        if self._rows is None:
-            return tuple(x), q
-        return tuple([sum(map(mul, r, x)) for r in self._rows]), q
+        return self.image([a.numerator * (q // a.denominator) for a in v]), q
 
     def value(self, image) -> int:
         """The gauge of the integer vector whose image is given."""

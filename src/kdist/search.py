@@ -15,9 +15,8 @@ from itertools import combinations, product
 
 from .cover import general_bound
 from .errors import FalsificationError, InputError
-from .norms import NormSpec, Vec, linf, norm_eval, vec, vsub
-from .spectrum import (DistanceSpectrum, PointSet, distance_spectrum,
-                       _merge_float_classes)
+from .norms import NormSpec, Vec, linf, vec
+from .spectrum import DistanceSpectrum, PairTable, PointSet, distance_spectrum
 
 
 @dataclass(frozen=True)
@@ -47,27 +46,8 @@ class SearchResult:
 
 
 def _pair_classes(spec: NormSpec, pts: list[Vec]) -> list[list[int]]:
-    """Distance-class id per point pair; lp merges nearby values into one class."""
-    n = len(pts)
-    values = {}
-    if not spec.exact:
-        dists = [norm_eval(spec, vsub(pts[j], pts[i]))
-                 for i in range(n) for j in range(i + 1, n)]
-        if dists:
-            for cid, group in enumerate(_merge_float_classes(dists)):
-                for v in group:
-                    values[v] = cid
-    cls = [[0] * n for _ in range(n)]
-    next_id = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = norm_eval(spec, vsub(pts[j], pts[i]))
-            if spec.exact:
-                if d not in values:
-                    values[d] = next_id
-                    next_id += 1
-            cls[i][j] = cls[j][i] = values[d]
-    return cls
+    """Distance-class id per pair of the sorted points (see PairTable)."""
+    return PairTable(spec, PointSet(spec.dim, tuple(pts))).classes
 
 
 def brute_force_oracle(problem: SearchProblem) -> SearchResult:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from operator import sub
 
 from .errors import GeometryError, InputError
-from .norms import (FLOAT_EPS, NormSpec, Vec, int_from_json, norm_eval,
-                    vec_from_json, vec_to_json, vsub)
+from .norms import (FLOAT_EPS, IntGauge, NormSpec, Vec, clear_denominators,
+                    int_from_json, norm_eval, vec_from_json, vec_to_json, vsub)
 
 
 @dataclass(frozen=True)
@@ -57,24 +60,81 @@ class DistanceSpectrum:
 
 def _merge_float_classes(values: list[float]) -> list[list[float]]:
     # Single-linkage on the sorted list with relative gap FLOAT_EPS.
-    values = sorted(values)
-    groups: list[list[float]] = [[values[0]]]
-    for v in values[1:]:
-        if v - groups[-1][-1] <= FLOAT_EPS * max(v, 1.0):
+    groups: list[list[float]] = []
+    for v in sorted(values):
+        if groups and v - groups[-1][-1] <= FLOAT_EPS * max(v, 1.0):
             groups[-1].append(v)
         else:
             groups.append([v])
     return groups
 
 
-def pair_distances(spec: NormSpec, ps: PointSet) -> list:
-    """All n(n-1)/2 pairwise distances (unsorted)."""
-    if ps.dim != spec.dim:
-        raise InputError(
-            f"point set dimension {ps.dim} does not match norm dimension {spec.dim}")
-    pts = ps.points
-    return [norm_eval(spec, vsub(pts[j], pts[i]))
-            for i in range(len(pts)) for j in range(i + 1, len(pts))]
+class PairTable:
+    """Every pairwise distance of one point set, computed once.
+
+    ``points`` are the points sorted; ``values[i][j]`` is the distance of
+    points i and j.  For the exact kinds the points are cleared to integer
+    vectors (``ints``) over one common denominator D and mapped through
+    :class:`IntGauge`, so a value is the distance times ``scale`` =
+    D * gauge scale as a plain int: equality and order stay exact.  For lp
+    the values are the float distances, ``ints`` are the points and
+    ``scale`` is None.  ``spectrum`` holds the distance classes and
+    ``classes[i][j]`` numbers the class of a pair, in increasing order of
+    distance; lp merges distances within relative FLOAT_EPS by single
+    linkage over all pairs.  A seminorm, or two distinct points at lp
+    distance 0 (underflow), raises GeometryError.
+    """
+
+    def __init__(self, spec: NormSpec, ps: PointSet):
+        if ps.dim != spec.dim:
+            raise InputError(
+                f"point set dimension {ps.dim} does not match norm dimension {spec.dim}")
+        self.points = pts = sorted(ps.points)
+        n = len(pts)
+        if spec.exact:
+            gauge = IntGauge(spec)
+            if gauge.rank() < spec.dim:
+                raise GeometryError(
+                    f"a seminorm: its functionals do not span R^{spec.dim}, "
+                    "so distinct points can be at distance 0")
+            self.ints, den = clear_denominators(pts)
+            self.scale = den * gauge.scale
+            images = [gauge.image(x) for x in self.ints]
+
+            def dist(i, j):
+                return gauge.value(map(sub, images[j], images[i]))
+        else:
+            self.ints, self.scale = pts, None
+
+            def dist(i, j):
+                return norm_eval(spec, vsub(pts[j], pts[i]))
+        self.values = values = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                values[i][j] = values[j][i] = dist(i, j)
+        pairs = [v for i, row in enumerate(values) for v in row[i + 1:]]
+        if spec.exact:
+            groups = [[v] * m for v, m in sorted(Counter(pairs).items())]
+        else:
+            groups = _merge_float_classes(pairs)
+            if groups and groups[0][0] == 0:
+                raise GeometryError("distinct points at float distance 0 (underflow)")
+        self._ids = {v: c for c, g in enumerate(groups) for v in g}
+        self.spectrum = DistanceSpectrum(tuple(self.distance(g[0]) for g in groups),
+                                         tuple(len(g) for g in groups))
+
+    @cached_property
+    def classes(self) -> list[list[int]]:
+        # No pair is at distance 0, so the diagonal alone gets the default 0.
+        return [[self._ids.get(v, 0) for v in row] for row in self.values]
+
+    def diff(self, i: int, j: int) -> tuple:
+        """Point j minus point i, times D for the exact kinds."""
+        return tuple(map(sub, self.ints[j], self.ints[i]))
+
+    def distance(self, value):
+        """The distance a table value stands for: a Fraction, or a float for lp."""
+        return value if self.scale is None else Fraction(value, self.scale)
 
 
 def distance_spectrum(spec: NormSpec, ps: PointSet) -> DistanceSpectrum:
@@ -82,23 +142,9 @@ def distance_spectrum(spec: NormSpec, ps: PointSet) -> DistanceSpectrum:
 
     Exact kinds group by exact equality; for lp, distances within relative
     FLOAT_EPS are merged into one class (class representative: its minimum).
-    Two distinct points at distance 0 (a seminorm, or lp underflow) raise
-    GeometryError.
+    A seminorm or two distinct points at lp distance 0 raise GeometryError.
     """
-    dists = pair_distances(spec, ps)
-    if not dists:
-        return DistanceSpectrum((), ())
-    if spec.exact:
-        counts = Counter(dists)
-        if 0 in counts:
-            raise GeometryError("distinct points at distance 0: the gauge is a seminorm")
-        keys = sorted(counts)
-        return DistanceSpectrum(tuple(keys), tuple(counts[k] for k in keys))
-    groups = _merge_float_classes(dists)
-    if groups[0][0] == 0:
-        raise GeometryError("distinct points at float distance 0 (underflow)")
-    return DistanceSpectrum(tuple(g[0] for g in groups),
-                            tuple(len(g) for g in groups))
+    return PairTable(spec, ps).spectrum
 
 
 def is_k_distance_set(spec: NormSpec, ps: PointSet, k: int) -> bool:
@@ -107,28 +153,21 @@ def is_k_distance_set(spec: NormSpec, ps: PointSet, k: int) -> bool:
     return distance_spectrum(spec, ps).k == k
 
 
-def distinct_distances_from(spec: NormSpec, ps: PointSet, x: Vec) -> int:
-    """Number of distinct nonzero distances from x to the rest of ps."""
-    dists = [norm_eval(spec, vsub(y, x)) for y in ps.points if y != x]
-    if not dists:
-        return 0
-    if spec.exact:
-        return len(set(dists))
-    return len(_merge_float_classes(dists))
-
-
 def best_distinct_witness(spec: NormSpec, ps: PointSet) -> tuple[Vec, int]:
     """Point of ps seeing the most distinct nonzero distances, with its count.
 
-    Ties are broken by the lexicographically smallest point.
+    Ties are broken by the lexicographically smallest point.  For lp the
+    distances from each point are grouped on their own, by single linkage.
     """
     if len(ps) < 2:
         raise InputError("witness needs at least two points")
+    table = PairTable(spec, ps)
     best_point, best_count = None, -1
-    for x in sorted(ps.points):
-        c = distinct_distances_from(spec, ps, x)
+    for i, row in enumerate(table.values):
+        others = row[:i] + row[i + 1:]
+        c = len(set(others)) if spec.exact else len(_merge_float_classes(others))
         if c > best_count:
-            best_point, best_count = x, c
+            best_point, best_count = table.points[i], c
     return best_point, best_count
 
 

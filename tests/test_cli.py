@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from kdist import criteria, linf, vec
 from kdist.cli import run_command
@@ -155,6 +159,13 @@ def test_seminorm_is_rejected_not_a_crash(files, capsys):
     assert "distance 0" in capsys.readouterr().err
 
 
+def test_lp_overflow_is_an_error_not_a_crash(files, capsys):
+    norm = files("norm.json", {"dim": 1, "kind": "lp", "p": 2000.0})
+    points = files("pts.json", {"dim": 1, "points": [[0], [4]]})
+    assert run_command(["spectrum", "--norm", norm, "--points", points]) == 1
+    assert "overflows" in capsys.readouterr().err
+
+
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 
@@ -193,3 +204,120 @@ def test_selftest_failure_survives_python_O():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 2, proc.stderr
     assert re.search(r"^FAIL\s+8 cone_cover\s+\S", proc.stdout, re.M)
+
+
+SEMINORM_3D = {"dim": 3, "kind": "polytopal", "functionals": [[1, 0, 0], [0, 1, 0]]}
+
+
+@pytest.mark.parametrize("command, points_flag", [("bound", "--points"),
+                                                  ("search", "--ground")])
+def test_seminorm_rejected_without_zero_distance(files, capsys, command, points_flag):
+    # No two points differ by a kernel vector, so no distance is 0; the
+    # rank of the functionals still marks the gauge as a seminorm.
+    norm = files("norm.json", SEMINORM_3D)
+    pts = PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(3, 0, 0)])
+    argv = [command, "--norm", norm, points_flag, files("pts.json", pointset_to_json(pts))]
+    if command == "search":
+        argv += ["--k", "1"]
+    assert run_command(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "seminorm" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bound"], ["bound", "--points", "x"], ["nonsense"],
+    ["search", "--norm", "n", "--ground", "g", "--k", "two"],
+    ["spectrum", "--norm", "n", "--points", "p", "--extra"],
+])
+def test_usage_error_is_input_error(capsys, argv):
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err.startswith("input error: kdist")
+
+
+def test_usage_error_exit_status_of_the_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = [sys.executable, "-m", "kdist.cli"]
+    proc = subprocess.run(run + ["bound", "--points", "x"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and "--norm" in proc.stderr
+    proc = subprocess.run(run + ["--help"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0 and "bound" in proc.stdout
+
+
+def test_help_exits_0(capsys):
+    assert run_command(["--help"]) == 0
+    assert run_command(["search", "-h"]) == 0
+    assert "--enumerate-optima" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# fuzz: random argv and random JSON files never escape run_command
+
+_small_ints = st.integers(-3, 4)
+_json_scalars = (st.none() | st.booleans() | _small_ints
+                 | st.floats(-1e3, 1e3) | st.sampled_from([0.5, 2.0, 1e300, float("inf"),
+                                                           float("nan"), 10 ** 30])
+                 | st.text(max_size=3))
+_json_any = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(["dim", "kind", "points", "functionals", "p"]), kids, max_size=4),
+    max_leaves=10)
+_coordinate = _small_ints | st.lists(_small_ints, min_size=2, max_size=2)
+_norm_json = st.fixed_dictionaries(
+    {"dim": st.integers(0, 3) | _json_scalars,
+     "kind": st.sampled_from(["linf", "l1", "polytopal", "lp", "l2"])},
+    optional={"functionals": st.lists(st.lists(_coordinate, max_size=4), max_size=4),
+              "p": st.sampled_from([0, 1, 1.5, 2, 3.0, 2000.0, "2", True])})
+_points_json = st.fixed_dictionaries(
+    {"points": st.lists(st.lists(_coordinate, min_size=1, max_size=3), max_size=6)},
+    optional={"dim": st.integers(0, 3) | _json_scalars})
+
+
+@st.composite
+def _well_formed(draw):
+    """A norm and a point set of one dimension (the gauge may be a seminorm)."""
+    d = draw(st.integers(1, 3))
+    vectors = st.lists(st.lists(_coordinate, min_size=d, max_size=d), min_size=1, max_size=6)
+    norm = {"dim": d, "kind": draw(st.sampled_from(["linf", "l1", "polytopal", "lp"]))}
+    if norm["kind"] == "polytopal":
+        norm["functionals"] = draw(vectors)
+    if norm["kind"] == "lp":
+        norm["p"] = draw(st.sampled_from([1.5, 3.0, 2000.0]))
+    return norm, {"dim": d, "points": draw(vectors)}
+
+
+_tokens = st.sampled_from([
+    "spectrum", "chains", "normalize2d", "conecover", "decompose", "search",
+    "bound", "nonsense", "--norm", "--points", "--ground", "--k", "--samples",
+    "--trials", "--seed", "--use-bound-pruning", "--enumerate-optima", "-h",
+    "NORM", "POINTS", "/nonexistent.json", "1", "2", "-1", "x"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["spectrum", "chains", "normalize2d", "conecover",
+                                "decompose", "search", "bound"]),
+       rest=st.just([]) | st.lists(_tokens, max_size=8),
+       files=_well_formed() | st.tuples(_norm_json | _json_any, _points_json | _json_any))
+def test_cli_fuzz_exit_status(tmp_path_factory, command, rest, files):
+    # `selftest` takes no input and runs for seconds, so it is left out;
+    # conecover's default of 10,000 samples is capped for the same reason.
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = {"NORM": tmp / "norm.json", "POINTS": tmp / "points.json"}
+    for path, obj in zip(paths.values(), files):
+        path.write_text(json.dumps(obj))
+    argv = [command] + [str(paths.get(t, t)) for t in rest] + ["--norm", str(paths["NORM"])]
+    if command == "search":
+        argv += ["--ground", str(paths["POINTS"]), "--k", "1"]
+    elif command not in ("normalize2d", "conecover"):
+        argv += ["--points", str(paths["POINTS"])]
+    if command == "conecover":
+        argv += ["--samples", "40", "--trials", "5"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run_command(argv)
+    event(f"{command} exit {rc}")
+    assert rc in (0, 1, 2), (argv, rc)

@@ -1,0 +1,264 @@
+"""The pair table against plain norm_eval loops on the original points.
+
+Each reference below evaluates every pair with ``norm_eval`` on the
+``Fraction`` (or float) differences, as the pairwise passes did before
+they shared one integer table.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kdist import (LInfCone, PointSet, PolyhedralCone, best_distinct_witness,
+                   chain_certificate, check_cone_conditions, clusters_at,
+                   distance_spectrum, hexagon_gauge, l1, linf,
+                   linf_cone_family, lp, norm_eval, polytopal, vec)
+from kdist.norms import FLOAT_EPS, dot, vneg, vsub
+from kdist.search import _pair_classes
+from kdist.spectrum import PairTable
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def _merge(values):
+    groups = []
+    for v in sorted(values):
+        if groups and v - groups[-1][-1] <= FLOAT_EPS * max(v, 1.0):
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    return groups
+
+
+def ref_spectrum(spec, pts):
+    dists = [norm_eval(spec, vsub(y, x)) for x, y in combinations(pts, 2)]
+    if not spec.exact:
+        groups = _merge(dists)
+        return tuple(g[0] for g in groups), tuple(len(g) for g in groups)
+    counts = Counter(dists)
+    return tuple(sorted(counts)), tuple(counts[d] for d in sorted(counts))
+
+
+def ref_witness(spec, pts):
+    best = None
+    for x in sorted(pts):
+        dists = [norm_eval(spec, vsub(y, x)) for y in pts if y != x]
+        count = len(set(dists)) if spec.exact else len(_merge(dists))
+        if best is None or count > best[1]:
+            best = (x, count)
+    return best
+
+
+def ref_clusters(spec, pts, rho):
+    pts = sorted(pts)
+    near = {x: {y for y in pts if y != x and norm_eval(spec, vsub(y, x)) <= rho}
+            for x in pts}
+    clusters, seen = [], set()
+    for x in pts:                      # components, by breadth-first search
+        if x in seen:
+            continue
+        comp, todo = [], [x]
+        seen.add(x)
+        while todo:
+            y = todo.pop()
+            comp.append(y)
+            for z in near[y] - seen:
+                seen.add(z)
+                todo.append(z)
+        clusters.append(sorted(comp))
+    if any(y not in near[x] for c in clusters for x in c for y in c if y != x):
+        return None
+    return sorted(clusters)
+
+
+def ref_contains(cone, v):
+    if isinstance(cone, LInfCone):
+        return max(abs(a) for a in v) == v[cone.axis]
+    if any(dot(c, v) < 0 for c in cone.facets):
+        return False
+    for r in cone.excluded_rays:
+        i = next(i for i, b in enumerate(r) if b != 0)
+        t = Fraction(v[i]) / r[i]
+        if t > 0 and all(a == t * b for a, b in zip(v, r)):
+            return False
+    return True
+
+
+def ref_conditions(family, spec, vectors):
+    vectors = list(dict.fromkeys(v for v in vectors if any(v)))
+    uncovered = [v for v in vectors
+                 if not any(ref_contains(c, v) or ref_contains(c, vneg(v)) for c in family)]
+    violations = []
+    for idx, cone in enumerate(family):
+        by_norm = {}
+        for v in vectors:
+            if ref_contains(cone, v):
+                by_norm.setdefault(norm_eval(spec, v), []).append(v)
+        for group in by_norm.values():
+            for u, v in combinations(group, 2):
+                d = vsub(u, v)
+                if ref_contains(cone, d) or ref_contains(cone, vneg(d)):
+                    violations.append((idx, u, v))
+    return uncovered, violations
+
+
+def ref_certificate(spec, pts, family):
+    pts = sorted(pts)
+    diffs = [vsub(y, x) for x, y in combinations(pts, 2)]
+    violations = ref_conditions(family, spec, diffs)[1]
+
+    def height(cone, x):
+        return max((1 + height(cone, y) for y in pts
+                    if y != x and ref_contains(cone, vsub(x, y))), default=0)
+
+    heights = {x: tuple(height(cone, x) for cone in family) for x in pts}
+    return heights, violations
+
+
+# ---------------------------------------------------------------------------
+# inputs: rational points with mixed denominators and negative coordinates
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+positive = st.fractions(min_value="1/5", max_value=4, max_denominator=5)
+
+
+@st.composite
+def gauges(draw, d):
+    kind = draw(st.sampled_from(["linf", "l1", "polytopal"] + (["hexagon"] if d == 2 else [])))
+    if kind == "linf":
+        return linf(d)
+    if kind == "l1":
+        return l1(d)
+    if kind == "hexagon":
+        return hexagon_gauge()
+    # Scaled coordinate functionals keep the gauge a norm; the rest are random.
+    axes = [[draw(positive) if i == j else 0 for j in range(d)] for i in range(d)]
+    extra = draw(st.lists(st.lists(rationals, min_size=d, max_size=d), max_size=3))
+    return polytopal(axes + extra)
+
+
+@st.composite
+def cases(draw, min_size=2, max_size=7):
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[rationals] * d), min_size=min_size,
+                        max_size=max_size, unique=True))
+    return draw(gauges(d)), PointSet(d, tuple(pts))
+
+
+# ---------------------------------------------------------------------------
+# exact kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=cases())
+def test_spectrum_witness_and_classes_match_reference(case):
+    spec, ps = case
+    sp = distance_spectrum(spec, ps)
+    assert (sp.distances, sp.multiplicities) == ref_spectrum(spec, ps.points)
+    assert best_distinct_witness(spec, ps) == ref_witness(spec, ps.points)
+    # The class ids of the search partition the pairs as their distances do.
+    pts = sorted(ps.points)
+    cls = _pair_classes(spec, pts)
+    by_class = {}
+    for i, j in combinations(range(len(pts)), 2):
+        by_class.setdefault(cls[i][j], set()).add(norm_eval(spec, vsub(pts[j], pts[i])))
+        assert cls[j][i] == cls[i][j]
+    assert all(len(v) == 1 for v in by_class.values())
+    assert len(by_class) == len(sp.distances)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cases(max_size=6), off=st.fractions(min_value="1/7", max_value="6/7",
+                                                max_denominator=7))
+def test_clusters_match_reference(case, off):
+    spec, ps = case
+    dists = distance_spectrum(spec, ps).distances
+    # Every spectrum distance, and values below, between and above them.
+    rhos = list(dists) + [dists[0] * off, dists[-1] + off]
+    if len(dists) > 1:
+        rhos.append(dists[0] + (dists[1] - dists[0]) * off)
+    for rho in rhos:
+        assert clusters_at(spec, ps, rho) == ref_clusters(spec, ps.points, rho)
+
+
+QUADRANTS = (PolyhedralCone(facets=(vec("1/2", 0), vec(0, 3))),
+             PolyhedralCone(facets=(vec(-2, 0), vec(0, "1/3"))))
+# The same quadrants with one open boundary ray removed from each.
+HALF_OPEN = (PolyhedralCone(QUADRANTS[0].facets, excluded_rays=(vec(1, 0),)),
+             PolyhedralCone(QUADRANTS[1].facets, excluded_rays=(vec(0, "1/2"),)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cases(max_size=6), data=st.data())
+def test_chain_certificate_matches_reference(case, data):
+    spec, ps = case
+    families = [linf_cone_family(ps.dim)]
+    if ps.dim == 2:
+        # Closed quadrants cover the plane but are too wide: equal-norm
+        # comparable pairs (violations) are common.
+        families += [QUADRANTS, HALF_OPEN]
+    family = data.draw(st.sampled_from(families))
+    cert = chain_certificate(spec, ps, family)
+    heights, violations = ref_certificate(spec, ps.points, family)
+    assert cert.heights == heights
+    assert cert.h == max(max(hv) for hv in heights.values())
+    assert cert.injective == (len(set(heights.values())) == len(ps))
+    assert cert.violations == violations
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=gauges(2), family=st.sampled_from([QUADRANTS, HALF_OPEN, (QUADRANTS[0],)]),
+       vectors=st.lists(st.tuples(rationals, rationals), min_size=1, max_size=12))
+def test_cone_conditions_match_reference(spec, family, vectors):
+    if not any(any(v) for v in vectors):
+        vectors.append(vec(1, 0))
+    report = check_cone_conditions(family, spec, vectors)
+    assert (report.uncovered, report.equal_norm_violations) == \
+        ref_conditions(family, spec, vectors)
+
+
+def test_violations_come_back_in_the_scale_of_the_points():
+    ps = PointSet.of([vec(0, 0), vec("1/2", "1/3"), vec("1/2", 0)])
+    cert = chain_certificate(linf(2), ps, QUADRANTS)
+    assert cert.violations == ref_certificate(linf(2), ps.points, QUADRANTS)[1]
+    assert cert.violations == [(0, vec("1/2", 0), vec("1/2", "1/3"))]
+
+
+def test_table_values_are_scaled_distances():
+    ps = PointSet.of([vec("1/2", 0), vec(0, "1/3"), vec(-1, "2/7")])
+    spec = polytopal([("1/2", 1), (1, "-1/3")])
+    table = PairTable(spec, ps)
+    for i, j in combinations(range(3), 2):
+        exact = norm_eval(spec, vsub(table.points[j], table.points[i]))
+        assert table.distance(table.values[i][j]) == exact
+        assert exact == Fraction(table.values[i][j], table.scale)
+
+
+# ---------------------------------------------------------------------------
+# lp: one float branch
+
+def test_lp_float_points_global_classes_and_row_local_witness():
+    # Values 1, 1 + 0.8e-9 and 1 + 1.6e-9 chain into one global class, but
+    # the point 0 sees only the two ends of the chain: two classes of its own.
+    spec = lp(1, 2.0)
+    pts = [(0.0,), (1.0,), (-1.0 - 1.6e-9,), (5.0,), (6.0 + 0.8e-9,)]
+    ps = PointSet(1, tuple(pts))
+    sp = distance_spectrum(spec, ps)
+    assert (sp.distances, sp.multiplicities) == ref_spectrum(spec, pts)
+    assert best_distinct_witness(spec, ps) == ref_witness(spec, pts)
+    zero = sorted(pts).index((0.0,))
+    row = [norm_eval(spec, vsub(y, (0.0,))) for y in pts if y != (0.0,)]
+    cls = _pair_classes(spec, sorted(pts))
+    assert len(_merge(row)) > len({cls[zero][j] for j in range(len(pts)) if j != zero})
+    # Global single linkage: class ids follow the merged groups.
+    groups = _merge([norm_eval(spec, vsub(y, x)) for x, y in combinations(sorted(pts), 2)])
+    gid = {v: c for c, g in enumerate(groups) for v in g}
+    s = sorted(pts)
+    assert all(cls[i][j] == gid[norm_eval(spec, vsub(s[j], s[i]))]
+               for i, j in combinations(range(len(s)), 2))
+    for rho in list(sp.distances) + [1.0 + 1.2e-9, 0.5]:
+        assert clusters_at(spec, ps, rho) == ref_clusters(spec, pts, rho)
