@@ -122,8 +122,13 @@ def _cmd_conecover(args) -> int:
         "max_halfwidth": max((float(h.max_distance) for h in halfwidths),
                              default=0.0),
     })
-    if report.unassigned or not all(h.ok for h in halfwidths):
+    if not all(h.ok for h in halfwidths):
         raise FalsificationError("cone cover construction check failed")
+    if report.unassigned:
+        # The greedy set is maximal only on its samples: inconclusive, not a
+        # contradiction of a proved bound.
+        raise InputError(f"{len(report.unassigned)} of {len(fresh)} fresh "
+                         "directions unassigned; raise --samples")
     return 0
 
 

@@ -1,11 +1,13 @@
 """Exact maximum-cardinality k-distance subset search over finite grounds.
 
 Two independent routes: a dumb top-down enumeration oracle (combinations
-by decreasing size, first hit wins) and a depth-first branch-and-bound
-that prunes on the distance-class count, on the incumbent, and optionally
-on the proved cardinality bounds.  Both are deterministic: points are
-sorted lexicographically and the reported optimum is the lexicographically
-smallest one.
+by decreasing size, first hit wins) and a forward-checking branch-and-bound
+(Carraghan-Pardalos, Oper. Res. Lett. 9, 1990, with a class count in place
+of adjacency): each candidate carries the mask of distance classes it would
+add, choosing a point drops every candidate past k classes, and `nodes`
+counts the chosen sets so checked.  Both are deterministic: points are
+sorted, candidates keep that order and inclusion is tried first, so the
+reported optimum is the lexicographically smallest one.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ class SearchProblem:
     def __post_init__(self):
         if self.k < 1:
             raise InputError("k must be >= 1")
+        if not len(self.ground):
+            raise InputError("empty ground")
         if self.ground.dim != self.spec.dim:
             raise InputError("ground dimension does not match norm dimension")
 
@@ -95,46 +99,58 @@ def _bound_cap(problem: SearchProblem) -> int:
     return cap
 
 
+def _forward_check(cls: list[list[int]], k: int, cands: list, j: int) -> list:
+    """The candidates after cands[j] still within k classes once it is chosen;
+    each is (index, mask of the classes it would span with the chosen points)."""
+    # A loop: a comprehension binding the mask with := is ~20% slower on 3.11.
+    p, pmask = cands[j]
+    row = cls[p]
+    viable = []
+    for c, cmask in cands[j + 1:]:
+        m = cmask | pmask | 1 << row[c]
+        if m.bit_count() <= k:
+            viable.append((c, m))
+    return viable
+
+
 def branch_and_bound(problem: SearchProblem,
                      use_bound_pruning: bool = False) -> SearchResult:
-    """DFS over sorted candidates with class-count and incumbent pruning.
+    """Forward-checking DFS over sorted candidates, inclusion first.
 
-    With use_bound_pruning, the search additionally stops once the
-    incumbent reaches the tightest applicable proved bound; keep it off
-    when the bound itself is the claim under test.
+    A node is pruned, and a child is not expanded, when its chosen points
+    plus its viable candidates cannot exceed the incumbent.  `nodes` counts
+    the root and each chosen set forward-checked.  With use_bound_pruning,
+    the search also stops once the incumbent reaches the tightest
+    applicable proved bound; keep it off when the bound itself is the
+    claim under test.
     """
     pts = sorted(problem.ground.points)
-    n = len(pts)
     cls = _pair_classes(problem.spec, pts)
-    k = problem.k
-    cap = _bound_cap(problem) if use_bound_pruning else n
+    cap = _bound_cap(problem) if use_bound_pruning else len(pts)
     best: list[int] = []
-    nodes = 0
+    nodes = 1
     chosen: list[int] = []
 
-    def dfs(idx: int, mask: int) -> bool:
+    def expand(cands: list[tuple[int, int]]) -> bool:
         nonlocal nodes, best
-        nodes += 1
-        if len(chosen) > len(best):
+        depth = len(chosen)
+        if depth > len(best):
             best = list(chosen)
-            if len(best) >= cap:
+            if depth >= cap:
                 return True
-        if idx == n or len(chosen) + (n - idx) <= len(best):
-            return False
-        # include pts[idx]
-        new_mask = mask
-        row = cls[idx]
-        for i in chosen:
-            new_mask |= 1 << row[i]
-        if new_mask.bit_count() <= k:
-            chosen.append(idx)
-            if dfs(idx + 1, new_mask):
-                return True
-            chosen.pop()
-        # exclude pts[idx]
-        return dfs(idx + 1, mask)
+        for j in range(len(cands)):
+            if depth + len(cands) - j <= len(best):
+                return False
+            nodes += 1
+            viable = _forward_check(cls, problem.k, cands, j)
+            if depth + 1 + len(viable) > len(best):
+                chosen.append(cands[j][0])
+                if expand(viable):
+                    return True
+                chosen.pop()
+        return False
 
-    dfs(0, 0)
+    expand([(i, 0) for i in range(len(pts))])
     chosen_pts = tuple(pts[i] for i in best)
     sub = PointSet(problem.ground.dim, chosen_pts)
     return SearchResult(chosen_pts, distance_spectrum(problem.spec, sub),
@@ -142,31 +158,25 @@ def branch_and_bound(problem: SearchProblem,
 
 
 def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[Vec, ...]]:
-    """All subsets of exactly the given size with at most k distance classes."""
+    """All subsets of exactly the given size with at most k distance classes,
+    in lexicographic order, by the forward-checking DFS of branch_and_bound."""
+    if size < 1:
+        raise InputError("enumeration size must be >= 1")
     pts = sorted(problem.ground.points)
-    n = len(pts)
     cls = _pair_classes(problem.spec, pts)
-    k = problem.k
     out: list[tuple[Vec, ...]] = []
     chosen: list[int] = []
 
-    def dfs(idx: int, mask: int):
+    def expand(cands: list[tuple[int, int]]) -> None:
         if len(chosen) == size:
             out.append(tuple(pts[i] for i in chosen))
             return
-        if idx == n or len(chosen) + (n - idx) < size:
-            return
-        row = cls[idx]
-        new_mask = mask
-        for i in chosen:
-            new_mask |= 1 << row[i]
-        if new_mask.bit_count() <= k:
-            chosen.append(idx)
-            dfs(idx + 1, new_mask)
+        for j in range(len(cands) - (size - len(chosen)) + 1):
+            chosen.append(cands[j][0])
+            expand(_forward_check(cls, problem.k, cands, j))
             chosen.pop()
-        dfs(idx + 1, mask)
 
-    dfs(0, 0)
+    expand([(i, 0) for i in range(len(pts))])
     return out
 
 

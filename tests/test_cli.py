@@ -118,6 +118,48 @@ def test_conecover_rejects_seminorm(files, capsys):
     assert out.out == "" and "seminorm" in out.err
 
 
+def test_conecover_undersampled_is_inconclusive(files, capsys):
+    # A one-sample greedy set is maximal only on that sample, so unassigned
+    # fresh directions say the sampling was too coarse, not that a bound failed.
+    norm = files("norm.json", {"dim": 3, "kind": "linf"})
+    rc = run_command(["conecover", "--norm", norm, "--samples", "1",
+                      "--trials", "3"])
+    assert rc == 1
+    out = capsys.readouterr()
+    unassigned = json.loads(out.out)["unassigned"]
+    assert unassigned > 0
+    assert f"{unassigned} of 10 fresh directions unassigned; raise --samples" in out.err
+
+
+def test_conecover_halfwidth_failure_is_alarm(files, capsys, monkeypatch):
+    from kdist import cli
+    real = cli.cone_halfwidth_check
+
+    def failing(cone, spec, trials, seed):
+        report = real(cone, spec, trials=trials, seed=seed)
+        report.failures.append("forced")
+        return report
+
+    monkeypatch.setattr(cli, "cone_halfwidth_check", failing)
+    # Under-sampled as above: a half-width failure outranks unassigned directions.
+    norm = files("norm.json", {"dim": 3, "kind": "linf"})
+    rc = run_command(["conecover", "--norm", norm, "--samples", "1",
+                      "--trials", "3"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert not json.loads(out.out)["halfwidth_ok"]
+    assert "falsification alarm" in out.err
+
+
+def test_search_empty_ground_is_input_error(files, capsys):
+    norm = files("norm.json", norm_to_json(linf(1)))
+    ground = files("ground.json", {"dim": 1, "points": []})
+    assert run_command(["search", "--norm", norm, "--ground", ground,
+                        "--k", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "empty ground" in out.err
+
+
 def test_missing_file_is_input_error(files, capsys):
     norm = files("norm.json", norm_to_json(linf(2)))
     assert run_command(["spectrum", "--norm", norm,

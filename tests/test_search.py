@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdist import (InputError, PointSet, SearchProblem, branch_and_bound,
                    brute_force_oracle, enumerate_optimal_subsets,
-                   extremal_grid, hexagon_gauge, is_grid_homothet, linf, lp,
-                   vec, verify_extremal_uniqueness)
-from kdist.gen import random_lattice_subset
+                   extremal_grid, hexagon_gauge, is_grid_homothet, l1, linf,
+                   lp, polygon_gauge, vec, verify_extremal_uniqueness)
+from kdist.gen import random_lattice_subset, random_symmetric_polygon
 from kdist.norms import polygon_vertices_2d
+from kdist.search import _pair_classes
 from kdist.spectrum import distance_spectrum
 
 
@@ -106,3 +110,91 @@ def test_verify_extremal_uniqueness_small():
 def test_verify_extremal_uniqueness_rejects_large():
     with pytest.raises(InputError):
         verify_extremal_uniqueness(3, 1, 2)
+
+
+def test_empty_ground_is_rejected():
+    with pytest.raises(InputError, match="empty ground"):
+        SearchProblem(linf(1), PointSet(1, ()), 1)
+
+
+def test_enumeration_rejects_size_below_one():
+    problem = SearchProblem(linf(1), PointSet.of([vec(0), vec(1)]), 1)
+    for size in (0, -1):
+        with pytest.raises(InputError):
+            enumerate_optimal_subsets(problem, size)
+
+
+# ---------------------------------------------------------------------------
+# the forward-checking search against the oracle and a combinations filter
+
+#: Lattice side per dimension, so that 14 distinct points fit.
+SIDE = {1: 15, 2: 5, 3: 3}
+
+
+@st.composite
+def search_problems(draw):
+    """Up to 14 lattice points under a drawn gauge (float points for lp)."""
+    kind = draw(st.sampled_from(["linf1", "linf2", "linf3", "l1-2", "l1-3",
+                                 "hexagon", "octagon", "lp2"]))
+    if kind == "octagon":
+        rng = draw(st.randoms(use_true_random=False))
+        spec = polygon_gauge(random_symmetric_polygon(rng, 8, 8))
+    else:
+        spec = {"linf1": linf(1), "linf2": linf(2), "linf3": linf(3),
+                "l1-2": l1(2), "l1-3": l1(3), "hexagon": hexagon_gauge(),
+                "lp2": lp(2, 2.0)}[kind]
+    d = spec.dim
+    n = draw(st.integers(1, 14))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, SIDE[d])] * d),
+                          min_size=n, max_size=n, unique=True))
+    pts = [tuple(float(c) for c in cell) if kind == "lp2" else vec(*cell)
+           for cell in cells]
+    return SearchProblem(spec, PointSet(d, tuple(pts)), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=search_problems())
+def test_branch_and_bound_matches_oracle(problem):
+    want = brute_force_oracle(problem)
+    for use_bound_pruning in (False, True):
+        got = branch_and_bound(problem, use_bound_pruning=use_bound_pruning)
+        assert got.points == want.points
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=search_problems(), data=st.data())
+def test_enumeration_matches_combinations_filter(problem, data):
+    pts = sorted(problem.ground.points)
+    size = data.draw(st.integers(1, len(pts)))
+    cls = _pair_classes(problem.spec, pts)
+    want = [tuple(pts[i] for i in comb)
+            for comb in combinations(range(len(pts)), size)
+            if len({cls[a][b] for a, b in combinations(comb, 2)}) <= problem.k]
+    assert enumerate_optimal_subsets(problem, size) == want
+
+
+# ---------------------------------------------------------------------------
+# finite-ground evidence for the equality clause of the conjecture: the
+# maximum k-distance subset of these grounds stays below (k+1)^d unless the
+# unit ball is a parallelotope.  These are exhaustive searches of one finite
+# ground each, not a proof for the whole space.
+
+def _lattice(d: int, m: int) -> PointSet:
+    return PointSet(d, tuple(vec(*c) for c in product(range(m + 1), repeat=d)))
+
+
+def test_hexagon_on_9x9_grid_stays_below_16():
+    result = branch_and_bound(SearchProblem(hexagon_gauge(), _lattice(2, 8), 3))
+    assert result.size == 12 < 4 ** 2
+
+
+@pytest.mark.parametrize("k, size", [(1, 6), (2, 16)])
+def test_l1_on_4x4x4_grid_stays_below_grid_bound(k, size):
+    result = branch_and_bound(SearchProblem(l1(3), _lattice(3, 3), k))
+    assert result.size == size < (k + 1) ** 3
+
+
+def test_linf_on_4x4x4_grid_attains_grid_bound_with_a_homothet():
+    result = branch_and_bound(SearchProblem(linf(3), _lattice(3, 3), 1))
+    assert result.size == 2 ** 3
+    assert is_grid_homothet(result.points, 1)
