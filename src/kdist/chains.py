@@ -15,8 +15,8 @@ from fractions import Fraction
 from operator import mul, neg, sub
 
 from .errors import CertificateError, InputError
-from .norms import (IntGauge, NormSpec, Vec, clear_denominators, is_zero,
-                    norm_eval, vec_to_json, vsub)
+from .norms import (NormSpec, Vec, clear_denominators, gauge, is_zero,
+                    vec_to_json, vsub)
 from .spectrum import PairTable, PointSet
 
 
@@ -137,18 +137,21 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
 
     Coverage: every vector lies in some P_i or -P_i.  Equal-norm condition:
     for distinct u, v in a common P_i with ||u|| = ||v||, neither u - v nor
-    v - u lies in P_i.  For the exact kinds both are decided on the vectors
-    cleared to ints over one common denominator, with the integer gauge.
+    v - u lies in P_i.  Both are decided on the vectors cleared over one
+    common denominator (cone membership and the equal-norm grouping are
+    invariant under that scaling), with the norm's gauge.
     """
     vectors = list(dict.fromkeys(v for v in vectors if not is_zero(v)))
     if not vectors:
         raise InputError("vectors must be nonempty")
-    if spec.exact:
-        gauge = IntGauge(spec)
-        scaled, _ = clear_denominators(vectors)
-        norms = [gauge.value(gauge.image(x)) for x in scaled]
-    else:
-        scaled, norms = vectors, [norm_eval(spec, v) for v in vectors]
+    g = gauge(spec)
+    scaled, _ = g.clear(vectors)
+    return _cone_conditions(family, vectors, scaled, [g.value(g.image(x)) for x in scaled])
+
+
+def _cone_conditions(family, vectors, scaled, norms) -> ConeConditionReport:
+    """check_cone_conditions on distinct nonzero vectors, given their scaled
+    copies and the gauge values of those."""
     report = ConeConditionReport()
     for v, x in zip(vectors, scaled):
         neg_x = tuple(map(neg, x))
@@ -210,19 +213,21 @@ def chain_certificate(spec: NormSpec, ps: PointSet, family) -> HeightCertificate
     recorded in the certificate rather than raised, since they invalidate
     the h <= k guarantee but not the height computation.
     """
-    return _chain_certificate(PairTable(spec, ps), spec, ps, family)
+    return _chain_certificate(PairTable(spec, ps), ps, family)
 
 
-def _chain_certificate(table: PairTable, spec: NormSpec, ps: PointSet,
-                       family) -> HeightCertificate:
-    pts = table.points
+def _chain_certificate(table: PairTable, ps: PointSet, family) -> HeightCertificate:
+    pts, values = table.points, table.values
     pairs = {}          # integer difference -> the (last) pair (x, y) with it
+    norms = {}          # integer difference -> its table value
     for i, x in enumerate(pts):
         for j in range(i + 1, len(pts)):
-            pairs[table.diff(i, j)] = (x, pts[j])
+            d = table.diff(i, j)
+            pairs[d], norms[d] = (x, pts[j]), values[i][j]
     violations = []
     if pairs:
-        report = check_cone_conditions(family, spec, list(pairs))
+        diffs = list(pairs)
+        report = _cone_conditions(family, diffs, diffs, list(norms.values()))
         if report.uncovered:
             x, y = pairs[report.uncovered[0]]
             raise CertificateError(
@@ -255,7 +260,7 @@ def chain_distinct_distances(spec: NormSpec, ps: PointSet, family):
     """
     table = PairTable(spec, ps)
     pts = table.points
-    heights = _chain_certificate(table, spec, ps, family).heights
+    heights = _chain_certificate(table, ps, family).heights
     hv = [heights[x] for x in pts]
     # The highest head; ties go to the smallest point, then the first cone.
     _, head, idx = min((-h[c], i, c) for i, h in enumerate(hv) for c in range(len(family)))

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .chains import chain_certificate, linf_cone_family
+from .chains import _chain_certificate, linf_cone_family
 from .cover import (cone_halfwidth_check, cover_assignment, general_bound,
                     generated_cones, greedy_separated_set, packing_bound_check,
                     separated_set_capacity, sphere_samples)
@@ -26,8 +26,8 @@ from .norms import (NormSpec, norm_from_json, norm_to_json, rat_to_pair,
 from .planar import max_area_normalization, planar_bound_certificate, \
     polygon_vertices_2d, quadrant_cones
 from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
-from .spectrum import (PointSet, distance_spectrum, pointset_from_json,
-                       pointset_to_json, spectrum_to_json)
+from .spectrum import (PairTable, PointSet, distance_spectrum,
+                       pointset_from_json, pointset_to_json, spectrum_to_json)
 
 
 def _load_json(path: str):
@@ -72,8 +72,9 @@ def _cmd_chains(args) -> int:
     if spec.kind != "linf":
         raise InputError("chains subcommand uses the coordinate cones of linf")
     ps = _load_points(args.points)
-    cert = chain_certificate(spec, ps, linf_cone_family(spec.dim))
-    sp = distance_spectrum(spec, ps)
+    table = PairTable(spec, ps)
+    cert = _chain_certificate(table, ps, linf_cone_family(spec.dim))
+    sp = table.spectrum
     out = cert.to_json()
     out["k"] = sp.k
     out["observed"] = len(ps)
@@ -164,14 +165,14 @@ def _cmd_search(args) -> int:
 def _cmd_bound(args) -> int:
     spec = _load_norm(args.norm)
     ps = _load_points(args.points)
-    sp = distance_spectrum(spec, ps)
-    k, d, observed = sp.k, spec.dim, len(ps)
+    table = PairTable(spec, ps)
+    k, d, observed = table.spectrum.k, spec.dim, len(ps)
     witnesses: dict = {}
     if k == 0:
         name, claimed = "single-point", 1
     elif spec.kind == "linf":
         name = "parallelotope-chain"
-        cert = chain_certificate(spec, ps, linf_cone_family(d))
+        cert = _chain_certificate(table, ps, linf_cone_family(d))
         claimed = (k + 1) ** d
         witnesses = {"chain": cert.to_json()}
         if not cert.ok or cert.h > k:

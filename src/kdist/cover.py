@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CertificateError, GeometryError, InputError
-from .norms import (IntGauge, NormSpec, Vec, is_unit, norm_eval,
+from .norms import (Gauge, IntGauge, NormSpec, Vec, gauge, norm_eval,
                     polygon_vertices_2d, vadd, vscale, vsub)
 
 SEPARATION = Fraction(1, 5)
@@ -59,24 +59,16 @@ def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
             for j in range(per_edge):
                 out.append(vadd(u, vscale(Fraction(j, per_edge), step)))
         return out[:max(count, m)]
-    if spec.exact:
-        if IntGauge(spec).rank() < spec.dim:
-            raise GeometryError("a seminorm: its unit sphere is unbounded in R^d")
-        out = []
-        while len(out) < count:
-            v = tuple(Fraction(rng.randint(-64, 64), 64) for _ in range(spec.dim))
-            n = norm_eval(spec, v)
-            if n == 0:
-                continue
-            out.append(vscale(1 / n, v))
-        return out
+    if gauge(spec).rank() < spec.dim:
+        raise GeometryError("a seminorm: its unit sphere is unbounded in R^d")
+    draw = ((lambda: Fraction(rng.randint(-64, 64), 64)) if spec.exact
+            else (lambda: rng.gauss(0.0, 1.0)))
     out = []
     while len(out) < count:
-        v = tuple(rng.gauss(0.0, 1.0) for _ in range(spec.dim))
+        v = tuple(draw() for _ in range(spec.dim))
         n = norm_eval(spec, v)
-        if n < 1e-12:
-            continue
-        out.append(tuple(a / n for a in v))
+        if n:
+            out.append(tuple(a / n for a in v))
     return out
 
 
@@ -91,83 +83,59 @@ class SeparatedSet:
     separation: Fraction = SEPARATION
 
 
-# Exact kinds decide every threshold on IntGauge ints: with c = (Y_c, q_c)
-# and x = (Y_x, q_x), ||c -+ x|| compared with 1/5 is
-# 5 * value(q_x * Y_c -+ q_c * Y_x) compared with q_c * q_x * scale.
+# Every threshold is decided on gauge values: with c = (Y_c, q_c) and
+# x = (Y_x, q_x), ||c -+ x|| compared with 1/5 is
+# 5 * value(q_x * Y_c -+ q_c * Y_x) compared with q_c * q_x * scale.  On
+# IntGauge ints that is exact; LpGauge runs the same tests in floats.
 
-def _unit_splits(gauge: IntGauge, vectors, what: str) -> list:
-    """``gauge.split`` of each vector, which must be a unit vector."""
+def _unit_splits(g: Gauge, vectors, what: str) -> list:
+    """``g.split`` of each vector, which must be a unit vector."""
     out = []
     for v in vectors:
-        y, q = gauge.split(v)
-        if gauge.value(y) != q * gauge.scale:
+        y, q = g.split(v)
+        unit = q * g.scale
+        if abs(g.value(y) - unit) > g.tol * unit:
             raise InputError(f"{what} {v} is not a unit vector")
         out.append((y, q))
     return out
 
 
-def _gap(gauge: IntGauge, c, x) -> int:
-    """An int with the sign of min(||c - x||, ||c + x||) - 1/5, on splits."""
+def _gap(g: Gauge, c, x):
+    """A number with the sign of min(||c - x||, ||c + x||) - 1/5, on splits."""
     (yc, qc), (yx, qx) = c, x
-    value = gauge.value
+    value = g.value
     return (5 * min(value([qx * a - qc * b for a, b in zip(yc, yx)]),
                     value([qx * a + qc * b for a, b in zip(yc, yx)]))
-            - qc * qx * gauge.scale)
+            - qc * qx * g.scale)
 
 
 def _check_separated(spec: NormSpec, centers, message: str) -> None:
     """Raise CertificateError unless the centers are pairwise 1/5-separated."""
-    if spec.exact:
-        gauge = IntGauge(spec)
-        pts = [gauge.split(c) for c in centers]
-        for i, c in enumerate(pts):
-            if any(_gap(gauge, c, c2) < 0 for c2 in pts[i + 1:]):
-                raise CertificateError(message)
-        return
-    sep = float(SEPARATION)
-    for i, c in enumerate(centers):
-        for c2 in centers[i + 1:]:
-            if not (norm_eval(spec, vsub(c, c2)) >= sep
-                    and norm_eval(spec, vadd(c, c2)) >= sep):
-                raise CertificateError(message)
+    g = gauge(spec)
+    pts = [g.split(c) for c in centers]
+    for i, c in enumerate(pts):
+        if any(_gap(g, c, c2) < 0 for c2 in pts[i + 1:]):
+            raise CertificateError(message)
 
 
 def greedy_separated_set(spec: NormSpec, samples) -> SeparatedSet:
     """Greedy pass in input order keeping every sample far from all kept ones.
 
-    The result is maximal with respect to the sample set.  Exact kinds
-    decide each separation test exactly on integers and re-check the kept
-    centers afterwards; lp compares floats with a 1e-9 margin.
+    The result is maximal with respect to the sample set.  Each separation
+    test is decided on gauge values (exactly on integers for the exact
+    kinds, in floats for lp), and the kept centers are re-checked afterwards.
     """
     samples = list(samples)
     if not samples:
         raise InputError("samples must be nonempty")
-    if not spec.exact:
-        return _greedy_float(spec, samples)
-    gauge = IntGauge(spec)
+    g = gauge(spec)
     kept: list[Vec] = []
     kept_splits: list = []
-    for s, xs in zip(samples, _unit_splits(gauge, samples, "sample")):
-        if all(_gap(gauge, c, xs) >= 0 for c in kept_splits):
+    for s, xs in zip(samples, _unit_splits(g, samples, "sample")):
+        if all(_gap(g, c, xs) >= 0 for c in kept_splits):
             kept.append(s)
             kept_splits.append(xs)
     _check_separated(spec, kept, "greedy output violates separation")
-    return SeparatedSet(tuple(kept))
-
-
-def _greedy_float(spec: NormSpec, samples: list) -> SeparatedSet:
-    for s in samples:
-        if not is_unit(spec, s):
-            raise InputError(f"sample {s} is not a unit vector")
-    sep = float(SEPARATION) - 1e-9
-    kept: list = []
-    kept_f: list = []
-    for s in samples:
-        sf = tuple(float(a) for a in s)
-        if all(norm_eval(spec, vsub(cf, sf)) >= sep
-               and norm_eval(spec, vadd(cf, sf)) >= sep for cf in kept_f):
-            kept.append(s)
-            kept_f.append(sf)
     return SeparatedSet(tuple(kept))
 
 
@@ -193,20 +161,10 @@ def cover_assignment(sep: SeparatedSet, spec: NormSpec, test_vectors) -> CoverRe
     distance exactly 1/5 from every center could not extend the set.
     """
     test_vectors = list(test_vectors)
-    if spec.exact:
-        gauge = IntGauge(spec)
-        centers = [gauge.split(c) for c in sep.centers]
-        assignments = [next((i for i, c in enumerate(centers) if _gap(gauge, c, x) <= 0), None)
-                       for x in _unit_splits(gauge, test_vectors, "test vector")]
-    else:
-        for x in test_vectors:
-            if not is_unit(spec, x):
-                raise InputError(f"test vector {x} is not a unit vector")
-        sepval = float(SEPARATION)
-        assignments = [next((i for i, c in enumerate(sep.centers)
-                             if norm_eval(spec, vsub(c, x)) <= sepval
-                             or norm_eval(spec, vadd(c, x)) <= sepval), None)
-                       for x in test_vectors]
+    g = gauge(spec)
+    centers = [g.split(c) for c in sep.centers]
+    assignments = [next((i for i, c in enumerate(centers) if _gap(g, c, x) <= 0), None)
+                   for x in _unit_splits(g, test_vectors, "test vector")]
     unassigned = [v for v, i in zip(test_vectors, assignments) if i is None]
     return CoverReport(assignments, unassigned)
 
@@ -221,18 +179,13 @@ class GeneratedCone:
 
 def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[GeneratedCone]:
     """The cones of the construction: generators are samples strictly within 1/5."""
+    g = gauge(spec)
+    value, scale = g.value, g.scale
     samples = list(samples)
-    if not spec.exact:
-        sepval = float(SEPARATION)
-        return [GeneratedCone(c, tuple(x for x in samples
-                                       if norm_eval(spec, vsub(c, x)) < sepval) or (c,))
-                for c in sep.centers]
-    gauge = IntGauge(spec)
-    value, scale = gauge.value, gauge.scale
-    xs = [gauge.split(x) for x in samples]
+    xs = [g.split(x) for x in samples]
     cones = []
     for c in sep.centers:
-        yc, qc = gauge.split(c)
+        yc, qc = g.split(c)
         gens = tuple([x for x, (yx, qx) in zip(samples, xs)
                       if 5 * value([qx * a - qc * b for a, b in zip(yc, yx)])
                       < qc * qx * scale])

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FalsificationError, InputError
-from .norms import NormSpec, Vec
+from .norms import NormSpec, Vec, gauge
 from .spectrum import DistanceSpectrum, PairTable, PointSet, distance_spectrum
 
 
@@ -27,38 +27,20 @@ from .spectrum import DistanceSpectrum, PairTable, PointSet, distance_spectrum
 def clusters_at(spec: NormSpec, ps: PointSet, rho) -> list[list[Vec]] | None:
     """Components of the "distance <= rho" graph, or None if not an equivalence.
 
-    The relation is an equivalence iff every component is a clique under
-    the threshold, which is checked on all intra-component pairs.
+    The relation is an equivalence iff related points have equal closed
+    balls of radius rho; those balls are then the components.
     """
-    table = PairTable(spec, ps)
-    pts, values = table.points, table.values
-    limit = rho
-    if spec.exact:      # an int value v is at most rho * scale iff v <= limit
-        num, den = rho.as_integer_ratio()
-        limit = num * table.scale // den
-    parent = list(range(len(pts)))
+    return _clusters(PairTable(spec, ps), rho)
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if values[i][j] <= limit:
-                parent[find(i)] = find(j)
-    comps: dict[int, list[int]] = {}
-    for i in range(len(pts)):
-        comps.setdefault(find(i), []).append(i)
-    clusters = [sorted(idx) for idx in comps.values()]
-    for cluster in clusters:
-        for a in range(len(cluster)):
-            for b in range(a + 1, len(cluster)):
-                if values[cluster[a]][cluster[b]] > limit:
-                    return None
-    clusters.sort(key=lambda c: pts[c[0]])
-    return [[pts[i] for i in cluster] for cluster in clusters]
+def _clusters(table: PairTable, rho) -> list[list[Vec]] | None:
+    """clusters_at on the table of the point set."""
+    pts, limit = table.points, table.gauge.at_most(rho, table.scale)
+    balls = [frozenset(j for j, v in enumerate(row) if v <= limit or j == i)
+             for i, row in enumerate(table.values)]
+    if any(balls[j] != ball for ball in balls for j in ball):
+        return None
+    return [[pts[i] for i in sorted(ball)] for ball in sorted(set(balls), key=min)]
 
 
 def find_equivalence_threshold(sp: DistanceSpectrum, ps: PointSet,
@@ -69,9 +51,16 @@ def find_equivalence_threshold(sp: DistanceSpectrum, ps: PointSet,
     """
     if sp.k < 2:
         raise InputError("threshold search requires a k-distance set with k >= 2")
+    found = _threshold(PairTable(spec, ps), sp)
+    return found[0] if found else None
+
+
+def _threshold(table: PairTable, sp: DistanceSpectrum) -> tuple[int, list] | None:
+    """The smallest threshold index i with its clusters, or None."""
     for i in range(1, sp.k):
-        if clusters_at(spec, ps, sp.distances[i - 1]) is not None:
-            return i
+        clusters = _clusters(table, sp.distances[i - 1])
+        if clusters is not None:
+            return i, clusters
     return None
 
 
@@ -93,7 +82,7 @@ class DecompositionNode:
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "size": self.size, "k": self.k,
-               "bound": float(self.bound), "claim": self.claim}
+               "bound": _bound_to_json(self.bound), "claim": self.claim}
         if self.threshold is not None:
             obj["threshold"] = self.threshold
         if self.children:
@@ -101,6 +90,14 @@ class DecompositionNode:
         if self.representatives is not None:
             obj["representatives"] = self.representatives.to_json()
         return obj
+
+
+def _bound_to_json(bound):
+    """The bound as a float; past float range, its floor, still a bound on |S|."""
+    try:
+        return float(bound)
+    except OverflowError:
+        return math.floor(bound)
 
 
 def volume_ratio_bound(sp: DistanceSpectrum, d: int):
@@ -117,7 +114,8 @@ def decompose_recursive_bound(ps: PointSet, spec: NormSpec) -> DecompositionNode
     the ratio condition promises a threshold that does not exist.
     """
     d = spec.dim
-    sp = distance_spectrum(spec, ps)
+    table = PairTable(spec, ps)
+    sp = table.spectrum
     k, m = sp.k, len(ps)
     claim = 2 ** (k * d)
     if k == 0:
@@ -131,11 +129,11 @@ def decompose_recursive_bound(ps: PointSet, spec: NormSpec) -> DecompositionNode
                 f"{m} points exceed the volume bound {vb} (k={k}, d={d})")
         return DecompositionNode("volume", m, k, vb, claim)
 
-    i = find_equivalence_threshold(sp, ps, spec)
-    if i is None:
+    found = _threshold(table, sp)
+    if found is None:
         raise FalsificationError(
             f"distance ratio {ratio} > 2^{k - 1} but no equivalence threshold exists")
-    clusters = clusters_at(spec, ps, sp.distances[i - 1])
+    i, clusters = found
     children = [decompose_recursive_bound(PointSet(d, tuple(c)), spec)
                 for c in clusters]
     reps = PointSet(d, tuple(c[0] for c in clusters))
@@ -213,17 +211,6 @@ class MCVolumeReport:
         return self.brunn_minkowski_ok and self.formula_ok and self.upper_ok
 
 
-def _norm_array(spec: NormSpec, pts: np.ndarray) -> np.ndarray:
-    if spec.kind == "linf":
-        return np.max(np.abs(pts), axis=1)
-    if spec.kind == "l1":
-        return np.sum(np.abs(pts), axis=1)
-    if spec.kind == "polytopal":
-        A = np.array([[float(a) for a in f] for f in spec.functionals])
-        return np.max(np.abs(pts @ A.T), axis=1)
-    return np.sum(np.abs(pts) ** spec.p, axis=1) ** (1.0 / spec.p)
-
-
 def _mc_union_volume(spec: NormSpec, centers: np.ndarray, radius: float,
                      trials: int, rng: np.random.Generator):
     d = centers.shape[1]
@@ -232,8 +219,9 @@ def _mc_union_volume(spec: NormSpec, centers: np.ndarray, radius: float,
     boxvol = float(np.prod(hi - lo))
     pts = rng.uniform(lo, hi, size=(trials, d))
     inside = np.zeros(trials, dtype=bool)
+    values = gauge(spec).values
     for c in centers:
-        inside |= _norm_array(spec, pts - c) <= radius
+        inside |= values(pts - c) <= radius
     p = inside.mean()
     vol = p * boxvol
     halfwidth = 2.576 * math.sqrt(max(p * (1 - p), 0.0) / trials) * boxvol

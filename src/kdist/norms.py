@@ -2,10 +2,10 @@
 
 Supported gauges: l-infinity, l1, polytopal gauges given by facet
 functionals (evaluated as ``max_i |a_i . x|``), and a float lp fallback.
-The exact kinds evaluate in :class:`fractions.Fraction`, so equality of
-distances is decidable; lp is the only inexact kind and is quarantined
-behind the relative tolerance used by spectrum grouping.  :class:`IntGauge`
-evaluates the exact kinds on plain ints for hot threshold tests.
+Each kind has one evaluator, :func:`gauge`: an :class:`IntGauge` for the
+exact kinds, on plain ints, so equality of distances is decidable, or an
+:class:`LpGauge` for lp, the only inexact kind, quarantined behind the
+relative tolerance ``FLOAT_EPS``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
-from operator import mul
+from operator import mul, truediv
+
+import numpy as np
 
 from .errors import GeometryError, InputError
 
@@ -172,18 +174,9 @@ def hexagon_gauge() -> NormSpec:
 
 def norm_eval(spec: NormSpec, v: Vec):
     """Evaluate the gauge; Fraction for exact kinds, float for lp."""
-    if len(v) != spec.dim:
-        raise InputError(f"vector has dimension {len(v)}, expected {spec.dim}")
-    if spec.kind == "linf":
-        return max(abs(a) for a in v)
-    if spec.kind == "l1":
-        return sum(abs(a) for a in v)
-    if spec.kind == "polytopal":
-        return max(abs(dot(a, v)) for a in spec.functionals)
-    try:
-        return sum(abs(float(a)) ** spec.p for a in v) ** (1.0 / spec.p)
-    except OverflowError as exc:
-        raise GeometryError(f"lp norm of {v} overflows a float") from exc
+    g = gauge(spec)
+    image, q = g.split(v)
+    return g.quotient(g.value(image), q * g.scale)
 
 
 class IntGauge:
@@ -200,11 +193,15 @@ class IntGauge:
     becomes ``5 * value(q_x * Y_c - q_c * Y_x) <= q_c * q_x * scale``.
     """
 
+    tol = 0                                     # values are exact
+    clear = staticmethod(clear_denominators)    # vectors over one denominator D, and D
+    quotient = Fraction                         # the distance a value stands for at a scale
+
     def __init__(self, spec: NormSpec):
         if not spec.exact:
             raise InputError("the integer gauge needs an exact norm kind")
         self.dim = spec.dim
-        self._reduce = sum if spec.kind == "l1" else max
+        self._reduce, self._reduce_rows = (sum, np.sum) if spec.kind == "l1" else (max, np.max)
         self._rows = None
         self.scale = 1
         if spec.kind == "polytopal":
@@ -229,6 +226,20 @@ class IntGauge:
         """The gauge of the integer vector whose image is given."""
         return self._reduce(map(abs, image))
 
+    def values(self, array: np.ndarray) -> np.ndarray:
+        """The gauge of each row of a float array, in floats."""
+        if self._rows is not None:
+            # int / int rounds correctly: each entry is float(a_i), exactly.
+            funcs = np.array([[a / self.scale for a in r] for r in self._rows])
+            array = array @ funcs.T
+        return self._reduce_rows(np.abs(array), axis=1)
+
+    @staticmethod
+    def at_most(rho, scale: int) -> int:
+        """The largest value v with v <= rho * scale, exactly."""
+        num, den = rho.as_integer_ratio()
+        return num * scale // den
+
     def rank(self) -> int:
         """Rank of the image (exact elimination); below ``dim`` iff a seminorm."""
         if self._rows is None:
@@ -243,11 +254,56 @@ class IntGauge:
         return rank
 
 
+class LpGauge:
+    """The lp gauge in floats, with the shape of :class:`IntGauge`.
+
+    Images are the vectors themselves and q = scale = 1, so the integer
+    gauge's threshold tests run unchanged in floats.  ``value`` converts to
+    float last: a difference of images is taken in the points' own
+    arithmetic.  Values agree only up to the relative tolerance ``tol``.
+    """
+
+    tol, scale = FLOAT_EPS, 1
+    image = staticmethod(tuple)
+    quotient = staticmethod(truediv)
+    at_most = staticmethod(mul)                 # rho * scale: floats need no rounding
+
+    def __init__(self, spec: NormSpec):
+        self.dim, self.p = spec.dim, spec.p
+
+    def split(self, v) -> tuple[tuple, int]:
+        if len(v) != self.dim:
+            raise InputError(f"vector has dimension {len(v)}, expected {self.dim}")
+        return tuple(v), 1
+
+    def value(self, image) -> float:
+        image = tuple(image)
+        try:
+            return sum(abs(float(a)) ** self.p for a in image) ** (1.0 / self.p)
+        except OverflowError as exc:
+            raise GeometryError(f"lp norm of {image} overflows a float") from exc
+
+    def values(self, array: np.ndarray) -> np.ndarray:
+        return np.sum(np.abs(array) ** self.p, axis=1) ** (1.0 / self.p)
+
+    @staticmethod
+    def clear(vectors) -> tuple[list[tuple], int]:
+        return [tuple(v) for v in vectors], 1
+
+    def rank(self) -> int:
+        return self.dim
+
+
+Gauge = IntGauge | LpGauge
+
+
+def gauge(spec: NormSpec) -> Gauge:
+    """The evaluator of the norm: exact on ints, or lp in floats."""
+    return IntGauge(spec) if spec.exact else LpGauge(spec)
+
+
 def is_unit(spec: NormSpec, v: Vec) -> bool:
-    n = norm_eval(spec, v)
-    if spec.exact:
-        return n == 1
-    return abs(n - 1.0) <= FLOAT_EPS
+    return abs(norm_eval(spec, v) - 1) <= gauge(spec).tol
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +322,7 @@ def validate_norm(spec: NormSpec, samples) -> list[dict]:
     samples = list(samples)
     if not samples:
         raise InputError("samples must be nonempty")
-    tol = 0.0 if spec.exact else FLOAT_EPS
+    tol = gauge(spec).tol
     out: list[dict] = []
 
     norms = [norm_eval(spec, v) for v in samples]

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import sub
 
 from .errors import GeometryError, InputError
-from .norms import (FLOAT_EPS, IntGauge, NormSpec, Vec, clear_denominators,
-                    int_from_json, norm_eval, vec_from_json, vec_to_json, vsub)
+from .norms import (NormSpec, Vec, gauge, int_from_json, vec_from_json,
+                    vec_to_json)
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,14 @@ class DistanceSpectrum:
         return self.distances[-1] / self.distances[0]
 
 
-def _merge_float_classes(values: list[float]) -> list[list[float]]:
-    # Single-linkage on the sorted list with relative gap FLOAT_EPS.
-    groups: list[list[float]] = []
+def _value_classes(values: list, tol) -> list[list]:
+    """The sorted values in classes: equal values for tol = 0, else runs
+    whose consecutive gaps are within relative tol (single linkage)."""
+    if not tol:
+        return [[v] * m for v, m in sorted(Counter(values).items())]
+    groups: list[list] = []
     for v in sorted(values):
-        if groups and v - groups[-1][-1] <= FLOAT_EPS * max(v, 1.0):
+        if groups and v - groups[-1][-1] <= tol * max(v, 1.0):
             groups[-1].append(v)
         else:
             groups.append([v])
@@ -73,16 +75,16 @@ class PairTable:
     """Every pairwise distance of one point set, computed once.
 
     ``points`` are the points sorted; ``values[i][j]`` is the distance of
-    points i and j.  For the exact kinds the points are cleared to integer
-    vectors (``ints``) over one common denominator D and mapped through
-    :class:`IntGauge`, so a value is the distance times ``scale`` =
-    D * gauge scale as a plain int: equality and order stay exact.  For lp
-    the values are the float distances, ``ints`` are the points and
-    ``scale`` is None.  ``spectrum`` holds the distance classes and
+    points i and j as a value of the norm's :func:`~kdist.norms.gauge`.
+    The points are cleared (``ints``) over one common denominator D and
+    mapped to gauge images, so a value is the distance times ``scale`` =
+    D * gauge scale: a plain int for the exact kinds, where equality and
+    order stay exact, and the float distance for lp (D = scale = 1, ``ints``
+    are the points).  ``spectrum`` holds the distance classes and
     ``classes[i][j]`` numbers the class of a pair, in increasing order of
-    distance; lp merges distances within relative FLOAT_EPS by single
-    linkage over all pairs.  A seminorm, or two distinct points at lp
-    distance 0 (underflow), raises GeometryError.
+    distance; lp merges distances within the gauge's relative tolerance by
+    single linkage over all pairs.  A seminorm, or two distinct points at
+    lp distance 0 (underflow), raises GeometryError.
     """
 
     def __init__(self, spec: NormSpec, ps: PointSet):
@@ -90,38 +92,26 @@ class PairTable:
             raise InputError(
                 f"point set dimension {ps.dim} does not match norm dimension {spec.dim}")
         self.points = pts = sorted(ps.points)
+        self.gauge = g = gauge(spec)
+        if g.rank() < spec.dim:
+            raise GeometryError(
+                f"a seminorm: its functionals do not span R^{spec.dim}, "
+                "so distinct points can be at distance 0")
+        self.ints, den = g.clear(pts)
+        self.scale = den * g.scale
+        images = [g.image(x) for x in self.ints]
         n = len(pts)
-        if spec.exact:
-            gauge = IntGauge(spec)
-            if gauge.rank() < spec.dim:
-                raise GeometryError(
-                    f"a seminorm: its functionals do not span R^{spec.dim}, "
-                    "so distinct points can be at distance 0")
-            self.ints, den = clear_denominators(pts)
-            self.scale = den * gauge.scale
-            images = [gauge.image(x) for x in self.ints]
-
-            def dist(i, j):
-                return gauge.value(map(sub, images[j], images[i]))
-        else:
-            self.ints, self.scale = pts, None
-
-            def dist(i, j):
-                return norm_eval(spec, vsub(pts[j], pts[i]))
         self.values = values = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                values[i][j] = values[j][i] = dist(i, j)
-        pairs = [v for i, row in enumerate(values) for v in row[i + 1:]]
-        if spec.exact:
-            groups = [[v] * m for v, m in sorted(Counter(pairs).items())]
-        else:
-            groups = _merge_float_classes(pairs)
-            if groups and groups[0][0] == 0:
-                raise GeometryError("distinct points at float distance 0 (underflow)")
-        self._ids = {v: c for c, g in enumerate(groups) for v in g}
-        self.spectrum = DistanceSpectrum(tuple(self.distance(g[0]) for g in groups),
-                                         tuple(len(g) for g in groups))
+                values[i][j] = values[j][i] = g.value(map(sub, images[j], images[i]))
+        groups = _value_classes([v for i, row in enumerate(values) for v in row[i + 1:]],
+                                g.tol)
+        if groups and groups[0][0] == 0:
+            raise GeometryError("distinct points at float distance 0 (underflow)")
+        self._ids = {v: c for c, group in enumerate(groups) for v in group}
+        self.spectrum = DistanceSpectrum(tuple(self.distance(group[0]) for group in groups),
+                                         tuple(map(len, groups)))
 
     @cached_property
     def classes(self) -> list[list[int]]:
@@ -129,12 +119,12 @@ class PairTable:
         return [[self._ids.get(v, 0) for v in row] for row in self.values]
 
     def diff(self, i: int, j: int) -> tuple:
-        """Point j minus point i, times D for the exact kinds."""
+        """Point j minus point i, times D."""
         return tuple(map(sub, self.ints[j], self.ints[i]))
 
     def distance(self, value):
         """The distance a table value stands for: a Fraction, or a float for lp."""
-        return value if self.scale is None else Fraction(value, self.scale)
+        return self.gauge.quotient(value, self.scale)
 
 
 def distance_spectrum(spec: NormSpec, ps: PointSet) -> DistanceSpectrum:
@@ -164,8 +154,7 @@ def best_distinct_witness(spec: NormSpec, ps: PointSet) -> tuple[Vec, int]:
     table = PairTable(spec, ps)
     best_point, best_count = None, -1
     for i, row in enumerate(table.values):
-        others = row[:i] + row[i + 1:]
-        c = len(set(others)) if spec.exact else len(_merge_float_classes(others))
+        c = len(_value_classes(row[:i] + row[i + 1:], table.gauge.tol))
         if c > best_count:
             best_point, best_count = table.points[i], c
     return best_point, best_count

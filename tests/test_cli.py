@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from kdist import criteria, linf, vec
+from kdist import criteria, l1, linf, vec
 from kdist.cli import run_command
 from kdist.norms import norm_to_json
-from kdist.spectrum import PointSet, pointset_to_json
+from kdist.spectrum import PairTable, PointSet, pointset_to_json
 
 
 @pytest.fixture
@@ -62,6 +63,41 @@ def test_decompose_command(files, capsys):
     assert run_command(["decompose", "--norm", norm, "--points", points]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "split" and out["size"] == 4
+
+
+def _huge_points():
+    # 28 of 30 points near 2^345: a bound past float range, about 2^1038.
+    rng = random.Random(1)
+    return {"dim": 3, "points": [[0, 0, 0], [1, 0, 0]] + [
+        [rng.randint(2 ** 345, 2 ** 346) for _ in range(3)] for _ in range(28)]}
+
+
+@pytest.mark.parametrize("command, norm", [("decompose", linf(3)), ("decompose", l1(3)),
+                                           ("bound", l1(3))])
+def test_bound_past_float_range_is_written_exactly(files, capsys, command, norm):
+    argv = [command, "--norm", files("norm.json", norm_to_json(norm)),
+            "--points", files("pts.json", _huge_points())]
+    assert run_command(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    node = out["witnesses"]["decomposition"] if command == "bound" else out
+    assert node["size"] == 30
+    assert isinstance(node["bound"], int) and 30 <= node["bound"] <= node["claim"]
+
+
+@pytest.mark.parametrize("command", ["bound", "chains"])
+def test_one_pair_table_per_command(files, capsys, monkeypatch, command):
+    builds = []
+    init = PairTable.__init__
+
+    def counting_init(self, spec, ps):
+        builds.append(ps)
+        init(self, spec, ps)
+
+    monkeypatch.setattr(PairTable, "__init__", counting_init)
+    norm = files("norm.json", norm_to_json(linf(2)))
+    points = files("pts.json", pointset_to_json(_grid_points()))
+    assert run_command([command, "--norm", norm, "--points", points]) == 0
+    assert len(builds) == 1
 
 
 def test_search_command(files, capsys):
@@ -308,7 +344,9 @@ _json_any = st.recursive(
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
         st.sampled_from(["dim", "kind", "points", "functionals", "p"]), kids, max_size=4),
     max_leaves=10)
-_coordinate = _small_ints | st.lists(_small_ints, min_size=2, max_size=2)
+# Mostly small coordinates, some up to 2^400, whose cubes leave float range.
+_coordinate_ints = _small_ints | st.integers(-2 ** 400, 2 ** 400)
+_coordinate = _coordinate_ints | st.lists(_coordinate_ints, min_size=2, max_size=2)
 _norm_json = st.fixed_dictionaries(
     {"dim": st.integers(0, 3) | _json_scalars,
      "kind": st.sampled_from(["linf", "l1", "polytopal", "lp", "l2"])},

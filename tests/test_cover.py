@@ -248,6 +248,22 @@ def test_cover_functions_match_reference(spec):
         _assert_halfwidth_matches(spec, cone, trials=30, seed=i)
 
 
+@pytest.mark.parametrize("spec", [lp(2, 2.0), lp(3, 3.0)])
+def test_lp_cover_functions_match_float_loops(spec):
+    # lp runs the exact kinds' threshold tests in floats; the references
+    # compare float norm_eval values with 1/5 directly.
+    samples = sphere_samples(spec, 150 if spec.dim == 2 else 60, seed=11)
+    sep = greedy_separated_set(spec, samples)
+    assert sep.centers == _ref_greedy(spec, samples)
+    assert packing_bound_check(sep, spec)
+    fresh = sphere_samples(spec, 40, seed=12)
+    report = cover_assignment(sep, spec, fresh)
+    assert report.assignments == _ref_assignments(spec, sep.centers, fresh)
+    cones = generated_cones(sep, spec, samples)
+    assert [c.generators for c in cones] == _ref_generators(spec, sep.centers, samples)
+    assert any(len(c.generators) > 1 for c in cones)
+
+
 @pytest.mark.parametrize("spec", REFERENCE_GAUGES)
 def test_cover_thresholds_match_reference(spec):
     cases = _edge_points(spec)

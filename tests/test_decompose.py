@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from kdist import (InputError, PointSet, brunn_minkowski_mc_check, clusters_at,
+from kdist import (DecompositionNode, InputError, PointSet,
+                   brunn_minkowski_mc_check, clusters_at,
                    decompose_recursive_bound, exact_box_union_area,
                    find_equivalence_threshold, hexagon_gauge, l1, linf, lp,
                    unit_ball_volume, vec, volume_ratio_bound)
@@ -145,3 +146,10 @@ def test_brunn_minkowski_mc(spec, pts):
 def test_mc_rejects_high_dimension():
     with pytest.raises(InputError):
         brunn_minkowski_mc_check(linf(4), PointSet.of([vec(0, 0, 0, 0)]))
+
+
+def test_bound_json_is_float_in_range_and_exact_floor_past_it():
+    small = DecompositionNode("volume", 2, 1, Fraction(9, 4), 4)
+    assert small.to_json()["bound"] == 2.25
+    huge = Fraction(3 ** 700, 2)                 # about 1.3e334
+    assert DecompositionNode("volume", 2, 1, huge, 4).to_json()["bound"] == 3 ** 700 // 2

@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kdist import (GeometryError, InputError, hexagon_gauge, l1, linf, lp,
                    norm_eval, polygon_gauge, polygon_vertices_2d, polytopal,
                    validate_norm, vec)
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import (IntGauge, norm_from_json, norm_to_json, vadd, vscale,
-                         vsub)
+from kdist.norms import (IntGauge, LpGauge, gauge, norm_from_json, norm_to_json,
+                         vadd, vscale, vsub)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 
@@ -38,6 +38,13 @@ def test_validate_norm_clean():
     samples = [vec(1, 2), vec(-3, 5), vec(0, 0), vec(7, -7)]
     assert validate_norm(linf(2), samples) == []
     assert validate_norm(l1(2), samples) == []
+
+
+def test_validate_norm_exact_triangle_equality_is_no_violation():
+    # ||u + v|| = ||u|| + ||v|| = 183/56 exactly; the float 183/56 rounds down.
+    u, v = vec("-15/7", "-7/9"), vec("-9/8", "5/7")
+    assert norm_eval(linf(2), vadd(u, v)) == norm_eval(linf(2), u) + norm_eval(linf(2), v)
+    assert validate_norm(linf(2), [u, v]) == []
 
 
 def test_validate_norm_positive_definiteness_violation():
@@ -165,3 +172,39 @@ def test_int_gauge_rejects_lp_and_dimension_mismatch():
         IntGauge(lp(2, 2.0))
     with pytest.raises(InputError):
         IntGauge(linf(2)).split(vec(1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# one gauge object per norm kind
+
+@st.composite
+def any_gauges(draw):
+    """An exact gauge of exact_gauges() that is a norm, or an lp gauge."""
+    if draw(st.booleans()):
+        return lp(draw(st.integers(1, 3)), draw(st.floats(1.1, 8.0)))
+    spec = draw(exact_gauges())
+    assume(IntGauge(spec).rank() == spec.dim)
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_batched_values_match_value(data):
+    spec = data.draw(any_gauges())
+    rows = data.draw(st.lists(rvec(spec.dim), min_size=1, max_size=6))
+    g = gauge(spec)
+    batched = g.values(np.array([[float(a) for a in r] for r in rows]))
+    assert batched.shape == (len(rows),)
+    for row, got in zip(rows, batched):
+        y, q = g.split(row)
+        assert got == pytest.approx(g.value(y) / (q * g.scale), rel=1e-12)
+
+
+def test_gauge_kinds_and_tolerances():
+    assert isinstance(gauge(hexagon_gauge()), IntGauge) and IntGauge.tol == 0
+    g = gauge(lp(2, 2.0))
+    assert isinstance(g, LpGauge) and g.tol == 1e-9 and g.scale == 1
+    assert g.split((3.0, 4.0)) == ((3.0, 4.0), 1)
+    assert g.value((3.0, 4.0)) == pytest.approx(5.0) and g.rank() == 2
+    with pytest.raises(InputError):
+        g.split((1.0, 2.0, 3.0))
