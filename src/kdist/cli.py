@@ -250,7 +250,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conecover", help="greedy separated set and cone cover")
     p.add_argument("--norm", required=True)
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=200,
+                   help="accepted and ignored: each cone's half-width is proved, not sampled")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_conecover)
 

@@ -3,7 +3,8 @@
 A maximal set C of unit vectors with pairwise ||c_i - c_j||, ||c_i + c_j||
 >= 1/5 has at most (11^d - 9^d)/2 elements (a packing argument), covers
 the sphere by the 1/5-neighbourhoods of +-C, and generates acute cones in
-which every unit vector stays within 1/2 of the center.  Together these
+which every unit vector stays within 1/2 of the center: proved per cone
+from its generators' distance to the center, not sampled.  Together these
 give the general bound min(2^{kd}, (k+1)^{(11^d-9^d)/2}).
 """
 
@@ -12,15 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import inf
 
 from .errors import CertificateError, GeometryError, InputError
-from .norms import (Gauge, IntGauge, NormSpec, Vec, gauge, norm_eval,
-                    polygon_vertices_2d, vadd, vscale, vsub)
+from .norms import (Gauge, NormSpec, Vec, gauge, norm_eval, polygon_vertices_2d,
+                    vadd, vscale, vsub)
 
 SEPARATION = Fraction(1, 5)
 HALF_WIDTH = Fraction(1, 2)
-COEFF_SUM_LIMIT = Fraction(5, 4)
 
 
 def separated_set_capacity(d: int) -> int:
@@ -195,9 +195,16 @@ def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[Generate
 
 @dataclass
 class HalfwidthReport:
-    """Sampled check that a generated cone has half-width below 1/2."""
+    """Proved bounds on the unit vectors of a generated cone.
 
-    trials: int
+    ``radius`` is r = max_i ||x_i - c|| over the generators.  Every unit
+    vector of the cone lies within ``max_distance`` = 2r of the center, and
+    its coefficient sum is at most ``max_coeff_sum`` = 1/(1 - r) (infinite
+    when r >= 1).  ``failures`` lists the generators at distance >= 1/5
+    from c: the lemma certifies only cones with r < 1/5.
+    """
+
+    radius: object
     max_distance: object
     max_coeff_sum: object
     failures: list = field(default_factory=list)
@@ -209,79 +216,31 @@ class HalfwidthReport:
 
 def cone_halfwidth_check(cone: GeneratedCone, spec: NormSpec,
                          trials: int = 1000, seed: int = 0) -> HalfwidthReport:
-    """Random conic combinations of the generators, normalized to unit norm,
-    must stay within 1/2 of the center and have coefficient sum below 5/4.
+    """Prove that the cone's unit vectors stay within 1/2 of its unit center c.
+
+    For a conic combination y = sum_i lambda_i x_i with coefficient sum s,
+    ||y - s*c|| <= s*r, so ||y|| >= s*(1 - r) and y/||y|| lies within 2r of
+    c with coefficient sum s/||y|| <= 1/(1 - r).  With r < 1/5 these are
+    below 1/2 and 5/4.  r is exact on the exact kinds and a float for lp.
+    ``trials`` and ``seed`` are accepted and ignored: nothing is sampled.
     """
     if not cone.generators:
         raise InputError("cone has no generators")
-    if not spec.exact:
-        return _halfwidth_float(cone, spec, trials, seed)
-    rng = random.Random(seed)
-    gens = cone.generators
-    gauge = IntGauge(spec)
-    value, scale = gauge.value, gauge.scale
-    splits = [gauge.split(x) for x in gens]
-    yc, qc = gauge.split(cone.center)
-    # Running maxima as (numerator, denominator) int pairs.
-    max_dist = max_sum = (0, 1)
-    failures = []
-    for _ in range(trials):
-        chosen = rng.sample(range(len(gens)), k=rng.randint(1, min(6, len(gens))))
-        coeffs = [(rng.randint(1, 8), rng.randint(1, 8)) for _ in chosen]
-        # acc = sum_i (a_i / b_i) * x_i over the common denominator big_l,
-        # and s = (sum of coefficients) * big_l.
-        big_l = lcm(*(b * splits[i][1] for i, (_, b) in zip(chosen, coeffs)))
-        acc = [0] * len(yc)
-        s = 0
-        for i, (a, b) in zip(chosen, coeffs):
-            y, q = splits[i]
-            f = a * (big_l // (b * q))
-            acc = [u + f * w for u, w in zip(acc, y)]
-            s += a * (big_l // b)
-        n = value(acc)  # ||acc|| == n / (big_l * scale)
-        if n == 0:
-            continue
-        # ||c - acc / ||acc|| || == value(n * Y_c - scale * q_c * acc) / (q_c * n * scale)
-        dist = (value([n * u - scale * qc * w for u, w in zip(yc, acc)]),
-                qc * n * scale)
-        coeff_sum = (s * scale, n)
-        if dist[0] * max_dist[1] > max_dist[0] * dist[1]:
-            max_dist = dist
-        if coeff_sum[0] * max_sum[1] > max_sum[0] * coeff_sum[1]:
-            max_sum = coeff_sum
-        if 2 * dist[0] >= dist[1] or 4 * coeff_sum[0] >= 5 * coeff_sum[1]:
-            failures.append({"coeffs": [Fraction(a, b) for a, b in coeffs],
-                             "generators": [gens[i] for i in chosen],
-                             "distance": Fraction(*dist),
-                             "coeff_sum": Fraction(*coeff_sum)})
-    return HalfwidthReport(trials, Fraction(*max_dist), Fraction(*max_sum), failures)
-
-
-def _halfwidth_float(cone: GeneratedCone, spec: NormSpec,
-                     trials: int, seed: int) -> HalfwidthReport:
-    rng = random.Random(seed)
-    gens = list(cone.generators)
-    max_dist = max_sum = 0.0
-    failures = []
-    half, limit = float(HALF_WIDTH), float(COEFF_SUM_LIMIT)
-    for _ in range(trials):
-        chosen = rng.sample(gens, k=rng.randint(1, min(6, len(gens))))
-        coeffs = [rng.uniform(0.05, 2.0) for _ in chosen]
-        acc = tuple(0 * a for a in chosen[0])
-        for lam, x in zip(coeffs, chosen):
-            acc = vadd(acc, vscale(lam, x))
-        n = norm_eval(spec, acc)
-        if n == 0:
-            continue
-        unit = vscale(1.0 / n, acc)
-        dist = norm_eval(spec, vsub(cone.center, unit))
-        coeff_sum = sum(coeffs) / n
-        max_dist = max(max_dist, dist)
-        max_sum = max(max_sum, coeff_sum)
-        if dist >= half or coeff_sum >= limit:
-            failures.append({"coeffs": coeffs, "generators": chosen,
-                             "distance": dist, "coeff_sum": coeff_sum})
-    return HalfwidthReport(trials, max_dist, max_sum, failures)
+    g = gauge(spec)
+    value, scale = g.value, g.scale
+    [(yc, qc)] = _unit_splits(g, [cone.center], "cone center")
+    # ||c - x|| == value(q_x * Y_c - q_c * Y_x) / (q_c * q_x * scale), as in
+    # generated_cones, so its strict 1/5 threshold is decided the same way.
+    far, failures = (0, 1), []
+    for x in cone.generators:
+        yx, qx = g.split(x)
+        dist = (value([qx * a - qc * b for a, b in zip(yc, yx)]), qc * qx * scale)
+        if dist[0] * far[1] > far[0] * dist[1]:
+            far = dist
+        if 5 * dist[0] >= dist[1]:
+            failures.append({"generator": x, "distance": g.quotient(*dist)})
+    r = g.quotient(*far)
+    return HalfwidthReport(r, 2 * r, 1 / (1 - r) if r < 1 else inf, failures)
 
 
 def packing_bound_check(sep: SeparatedSet, spec: NormSpec) -> bool:

@@ -215,7 +215,7 @@ def volume_bound(full: bool) -> str:
 
 
 def cone_cover(full: bool) -> str:
-    samples_n, fresh_n, trials = (10_000, 1_000, 1_000) if full else (1_000, 100, 50)
+    samples_n, fresh_n = (10_000, 1_000) if full else (1_000, 100)
     for spec in PLANAR_GAUGES:
         samples = sphere_samples(spec, samples_n, seed=8)
         sep = greedy_separated_set(spec, samples)
@@ -224,7 +224,7 @@ def cone_cover(full: bool) -> str:
         check(cover_assignment(sep, spec, sphere_samples(spec, fresh_n, seed=9)).ok,
               f"{spec.kind}: fresh unit vectors left uncovered")
         for cone in generated_cones(sep, spec, samples):
-            report = cone_halfwidth_check(cone, spec, trials=trials, seed=10)
+            report = cone_halfwidth_check(cone, spec)
             check(report.ok and report.max_distance < Fraction(1, 2),
                   f"{spec.kind}: cone half-width {report.max_distance} not below 1/2")
     for k, d in product(range(1, 5), repeat=2):

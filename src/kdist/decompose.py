@@ -117,6 +117,8 @@ def decompose_recursive_bound(ps: PointSet, spec: NormSpec) -> DecompositionNode
     table = PairTable(spec, ps)
     sp = table.spectrum
     k, m = sp.k, len(ps)
+    # lp bounds are floats, correct only up to the gauge's relative tolerance.
+    slack = 1 + table.gauge.tol
     claim = 2 ** (k * d)
     if k == 0:
         return DecompositionNode("leaf", m, 0, 1, 1)
@@ -124,7 +126,7 @@ def decompose_recursive_bound(ps: PointSet, spec: NormSpec) -> DecompositionNode
     ratio = sp.ratio
     if 1 + ratio <= 2 ** k:
         vb = volume_ratio_bound(sp, d)
-        if m > vb:
+        if m > vb * slack:
             raise FalsificationError(
                 f"{m} points exceed the volume bound {vb} (k={k}, d={d})")
         return DecompositionNode("volume", m, k, vb, claim)
@@ -139,7 +141,7 @@ def decompose_recursive_bound(ps: PointSet, spec: NormSpec) -> DecompositionNode
     reps = PointSet(d, tuple(c[0] for c in clusters))
     rep_node = decompose_recursive_bound(reps, spec)
     bound = rep_node.bound * max((c.bound for c in children), default=1)
-    if m > bound or bound > claim:
+    if m > bound * slack or bound > claim:
         raise FalsificationError(
             f"cluster recursion bound {bound} fails for {m} points (claim {claim})")
     node = DecompositionNode("split", m, k, bound, claim, threshold=i,

@@ -244,6 +244,17 @@ def test_lp_overflow_is_an_error_not_a_crash(files, capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["decompose", "bound"])
+def test_lp_float_bound_is_no_false_alarm(files, capsys, command):
+    # ||(5,)|| evaluates to 4.999999999999999, so the volume bound reads just below 6.
+    norm = files("norm.json", {"dim": 1, "kind": "lp", "p": 3.0})
+    points = files("pts.json", {"dim": 1, "points": [[x] for x in range(6)]})
+    assert run_command([command, "--norm", norm, "--points", points]) == 0
+    out = json.loads(capsys.readouterr().out)
+    node = out["witnesses"]["decomposition"] if command == "bound" else out
+    assert node["kind"] == "volume" and node["size"] == 6 and node["bound"] < 6
+
+
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 

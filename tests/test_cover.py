@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kdist import (CertificateError, GeometryError, InputError,
                    cone_halfwidth_check,
@@ -154,6 +157,19 @@ def test_halfwidth_detects_wide_cone():
     assert not report.ok
 
 
+def test_halfwidth_bounds_from_generator_radius():
+    cone = GeneratedCone(vec(1, 0), (vec(1, Fraction(1, 10)), vec(1, Fraction(-1, 20))))
+    report = cone_halfwidth_check(cone, linf(2))
+    assert report.ok and report.radius == Fraction(1, 10)
+    assert (report.max_distance, report.max_coeff_sum) == (Fraction(1, 5), Fraction(10, 9))
+
+
+def test_halfwidth_rejects_non_unit_center():
+    # The lemma needs ||c|| = 1: ||y|| >= s * (||c|| - r).
+    with pytest.raises(InputError):
+        cone_halfwidth_check(GeneratedCone(vec(2, 0), (vec(1, 0),)), linf(2))
+
+
 def test_packing_bound_check_rejects_close_pair():
     spec = linf(2)
     bad = SeparatedSet((vec(1, 0), vec(1, Fraction(1, 10))))
@@ -212,10 +228,15 @@ def _ref_halfwidth(spec, cone, trials, seed):
     return max_dist, max_sum, failures
 
 
-def _assert_halfwidth_matches(spec, cone, trials, seed):
+def _assert_halfwidth_dominates(spec, cone, trials, seed):
+    """The proved bounds dominate every sampled conic combination."""
     report = cone_halfwidth_check(cone, spec, trials=trials, seed=seed)
-    assert ((report.max_distance, report.max_coeff_sum, report.failures)
-            == _ref_halfwidth(spec, cone, trials, seed))
+    max_dist, max_sum, failures = _ref_halfwidth(spec, cone, trials, seed)
+    slack = 0 if spec.exact else 1e-9
+    assert max_dist <= report.max_distance + slack
+    assert max_sum <= report.max_coeff_sum + slack
+    assert report.ok == (5 * report.radius < 1)
+    assert not failures or not report.ok
     return report
 
 
@@ -245,7 +266,7 @@ def test_cover_functions_match_reference(spec):
     cones = generated_cones(sep, spec, samples)
     assert [c.generators for c in cones] == _ref_generators(spec, sep.centers, samples)
     for i, cone in enumerate(cones):
-        _assert_halfwidth_matches(spec, cone, trials=30, seed=i)
+        assert _assert_halfwidth_dominates(spec, cone, trials=30, seed=i).ok
 
 
 @pytest.mark.parametrize("spec", [lp(2, 2.0), lp(3, 3.0)])
@@ -262,6 +283,8 @@ def test_lp_cover_functions_match_float_loops(spec):
     cones = generated_cones(sep, spec, samples)
     assert [c.generators for c in cones] == _ref_generators(spec, sep.centers, samples)
     assert any(len(c.generators) > 1 for c in cones)
+    for i, cone in enumerate(cones):
+        assert _assert_halfwidth_dominates(spec, cone, trials=30, seed=i).ok
 
 
 @pytest.mark.parametrize("spec", REFERENCE_GAUGES)
@@ -282,7 +305,43 @@ def test_cover_thresholds_match_reference(spec):
         assert x_at not in cone.generators and x_in in cone.generators
 
 
-def test_halfwidth_wide_cone_matches_reference():
+def test_halfwidth_wide_cone_dominates_reference():
     cone = GeneratedCone(vec(1, 1), (vec(1, 1), vec(1, -1)))
-    report = _assert_halfwidth_matches(linf(2), cone, trials=200, seed=9)
-    assert report.failures and report.max_distance == 2
+    report = _assert_halfwidth_dominates(linf(2), cone, trials=200, seed=9)
+    assert _ref_halfwidth(linf(2), cone, trials=200, seed=9)[2]
+    assert not report.ok and report.radius == 2 and report.max_distance == 4
+    assert [f["generator"] for f in report.failures] == [vec(1, -1)]
+
+
+HALFWIDTH_GAUGES = REFERENCE_GAUGES + [l1(3)]
+
+
+@cache
+def _nearest_unit_vectors(i):
+    """Per sphere sample of gauge i: it and its 7 nearest samples."""
+    spec = HALFWIDTH_GAUGES[i]
+    sphere = sphere_samples(spec, 40, seed=13)
+    return [(c, sorted(sphere, key=lambda x: norm_eval(spec, vsub(x, c)))[:8])
+            for c in sphere]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_halfwidth_bounds_dominate_rational_combinations(data):
+    i = data.draw(st.integers(0, len(HALFWIDTH_GAUGES) - 1))
+    spec = HALFWIDTH_GAUGES[i]
+    center, near = data.draw(st.sampled_from(_nearest_unit_vectors(i)))
+    gens = data.draw(st.lists(st.sampled_from(near), min_size=1, max_size=6))
+    coeffs = data.draw(st.lists(
+        st.fractions(min_value=Fraction(1, 64), max_value=8, max_denominator=64),
+        min_size=len(gens), max_size=len(gens)))
+    report = cone_halfwidth_check(GeneratedCone(center, tuple(gens)), spec)
+    assert report.max_distance == 2 * report.radius
+    assert report.ok == (5 * report.radius < 1)
+    y = vec(*[0] * spec.dim)
+    for lam, x in zip(coeffs, gens):
+        y = vadd(y, vscale(lam, x))
+    n = norm_eval(spec, y)
+    assume(n > 0)
+    assert norm_eval(spec, vsub(center, vscale(1 / n, y))) <= report.max_distance
+    assert sum(coeffs) / n <= report.max_coeff_sum
