@@ -79,25 +79,18 @@ def linf_cone_family(dim: int) -> tuple[LInfCone, ...]:
 
 
 # ---------------------------------------------------------------------------
-# heights
+# orders and heights
 
-def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
-    """Longest strictly descending chain length from each point, under cone's order.
+def _order(ints, cone) -> list[list[int]]:
+    """The cone's order on the points: for each x, the ascending indices y
+    with ints[x] - ints[y] in the cone.  One membership test per ordered pair."""
+    return [[j for j, y in enumerate(ints) if j != i and cone.contains(tuple(map(sub, x, y)))]
+            for i, x in enumerate(ints)]
 
-    Memoized longest-path on the comparability DAG; a cycle (cone not acute
-    on these differences) raises CertificateError.  Membership is tested on
-    the differences cleared to ints, which scaling by D > 0 leaves unchanged.
-    """
-    pts = sorted(ps.points)
-    ints, _ = clear_denominators(pts)
-    below: list[list[int]] = [[] for _ in pts]     # ascending indices
-    for i, x in enumerate(ints):
-        for j in range(i + 1, len(pts)):
-            d = tuple(map(sub, ints[j], x))
-            if cone.contains(d):
-                below[j].append(i)
-            if cone.contains(tuple(map(neg, d))):
-                below[i].append(j)
+
+def _heights(below: list[list[int]], pts) -> list[int]:
+    """Longest descending chain length from each point of the order, by memoized
+    longest path; a cycle (the cone is not acute here) raises CertificateError."""
     height: dict[int, int] = {}
     in_progress: set[int] = set()
 
@@ -107,14 +100,21 @@ def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
         if x in in_progress:
             raise CertificateError(f"cycle in cone order at {pts[x]}; cone is not acute")
         in_progress.add(x)
-        h = 0
-        for y in below[x]:
-            h = max(h, 1 + visit(y))
+        height[x] = h = max((1 + visit(y) for y in below[x]), default=0)
         in_progress.discard(x)
-        height[x] = h
         return h
 
-    return {x: visit(i) for i, x in enumerate(pts)}
+    return [visit(x) for x in range(len(below))]
+
+
+def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
+    """Longest strictly descending chain length from each point, under cone's order.
+
+    Membership is tested on the differences cleared to ints, which scaling
+    by D > 0 leaves unchanged; a cycle raises CertificateError.
+    """
+    pts = sorted(ps.points)
+    return dict(zip(pts, _heights(_order(clear_denominators(pts)[0], cone), pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,22 @@ class ConeConditionReport:
         return not self.uncovered and not self.equal_norm_violations
 
 
+def _equal_norm_violations(idx: int, cone, members) -> list[tuple[int, Vec, Vec]]:
+    """(idx, u, v) per two members (label, scaled vector, norm), u listed first,
+    that share a norm and differ by a vector of +-cone; u, v are their labels."""
+    by_norm: dict = {}
+    for v, x, n in members:
+        by_norm.setdefault(n, []).append((v, x))
+    out = []
+    for group in by_norm.values():
+        for i, (u, xu) in enumerate(group):
+            for v, xv in group[i + 1:]:
+                d = tuple(map(sub, xu, xv))
+                if cone.contains(d) or cone.contains(tuple(map(neg, d))):
+                    out.append((idx, u, v))
+    return out
+
+
 def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionReport:
     """Check conditions (coverage; no equal-norm comparable pairs) on vectors.
 
@@ -146,28 +162,15 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
         raise InputError("vectors must be nonempty")
     g = gauge(spec)
     scaled, _ = g.clear(vectors)
-    return _cone_conditions(family, vectors, scaled, [g.value(g.image(x)) for x in scaled])
-
-
-def _cone_conditions(family, vectors, scaled, norms) -> ConeConditionReport:
-    """check_cone_conditions on distinct nonzero vectors, given their scaled
-    copies and the gauge values of those."""
+    members = [(v, x, g.value(g.image(x))) for v, x in zip(vectors, scaled)]
     report = ConeConditionReport()
-    for v, x in zip(vectors, scaled):
+    for v, x, _ in members:
         neg_x = tuple(map(neg, x))
         if not any(c.contains(x) or c.contains(neg_x) for c in family):
             report.uncovered.append(v)
     for idx, cone in enumerate(family):
-        by_norm: dict = {}
-        for v, x, n in zip(vectors, scaled, norms):
-            if cone.contains(x):
-                by_norm.setdefault(n, []).append((v, x))
-        for group in by_norm.values():
-            for i, (u, xu) in enumerate(group):
-                for v, xv in group[i + 1:]:
-                    d = tuple(map(sub, xu, xv))
-                    if cone.contains(d) or cone.contains(tuple(map(neg, d))):
-                        report.equal_norm_violations.append((idx, u, v))
+        report.equal_norm_violations += _equal_norm_violations(
+            idx, cone, [m for m in members if cone.contains(m[1])])
     return report
 
 
@@ -213,40 +216,40 @@ def chain_certificate(spec: NormSpec, ps: PointSet, family) -> HeightCertificate
     recorded in the certificate rather than raised, since they invalidate
     the h <= k guarantee but not the height computation.
     """
-    return _chain_certificate(PairTable(spec, ps), ps, family)
+    return _chain_certificate(PairTable(spec, ps), family)[0]
 
 
-def _chain_certificate(table: PairTable, ps: PointSet, family) -> HeightCertificate:
-    pts, values = table.points, table.values
-    pairs = {}          # integer difference -> the (last) pair (x, y) with it
-    norms = {}          # integer difference -> its table value
-    for i, x in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            d = table.diff(i, j)
-            pairs[d], norms[d] = (x, pts[j]), values[i][j]
+def _chain_certificate(table: PairTable, family) -> tuple[HeightCertificate, list]:
+    """chain_certificate on the table of the point set, with each cone's order.
+
+    Coverage, the equal-norm check (on all of D(S) in each cone, grouped by
+    table value) and the heights are all read off the orders.
+    """
+    pts, values, n = table.points, table.values, len(table.points)
+    orders = [_order(table.ints, cone) for cone in family]
+    related = {(x, y) for below in orders for x, ys in enumerate(below) for y in ys}
+    for x in range(n):
+        for y in range(x + 1, n):
+            if (x, y) not in related and (y, x) not in related:
+                raise CertificateError(
+                    f"no cone of the family covers the difference of {pts[x]} and {pts[y]}")
     violations = []
-    if pairs:
-        diffs = list(pairs)
-        report = _cone_conditions(family, diffs, diffs, list(norms.values()))
-        if report.uncovered:
-            x, y = pairs[report.uncovered[0]]
-            raise CertificateError(
-                f"no cone of the family covers the difference of {x} and {y}")
-        # Back from the integer differences to those of the points.
-        violations = [(idx, vsub(*pairs[u][::-1]), vsub(*pairs[v][::-1]))
-                      for idx, u, v in report.equal_norm_violations]
+    for idx, (cone, below) in enumerate(zip(family, orders)):
+        pairs: dict = {}        # integer difference -> the first pair (x, y) with it
+        for x, ys in enumerate(below):
+            for y in ys:
+                pairs.setdefault(table.diff(y, x), (x, y))
+        members = [(xy, d, values[xy[0]][xy[1]]) for d, xy in pairs.items()]
+        violations += [(i, vsub(pts[x], pts[y]), vsub(pts[z], pts[w]))
+                       for i, (x, y), (z, w) in _equal_norm_violations(idx, cone, members)]
 
-    per_cone = [cone_heights(ps, cone) for cone in family]
-    heights = {x: tuple(hc[x] for hc in per_cone) for x in pts}
+    per_cone = [_heights(below, pts) for below in orders]
+    heights = {x: tuple(hc[i] for hc in per_cone) for i, x in enumerate(pts)}
     h = max((max(hv) for hv in heights.values()), default=0)
-    injective = len(set(heights.values())) == len(pts)
-    return HeightCertificate(
-        heights=heights,
-        h=h,
-        bound=(h + 1) ** len(family),
-        injective=injective,
-        violations=violations,
-    )
+    cert = HeightCertificate(heights=heights, h=h, bound=(h + 1) ** len(family),
+                             injective=len(set(heights.values())) == n,
+                             violations=violations)
+    return cert, orders
 
 
 def chain_distinct_distances(spec: NormSpec, ps: PointSet, family):
@@ -259,21 +262,17 @@ def chain_distinct_distances(spec: NormSpec, ps: PointSet, family):
     (see chain_certificate).
     """
     table = PairTable(spec, ps)
-    pts = table.points
-    heights = _chain_certificate(table, ps, family).heights
-    hv = [heights[x] for x in pts]
+    cert, orders = _chain_certificate(table, family)
+    hv = list(cert.heights.values())        # in the order of table.points
     # The highest head; ties go to the smallest point, then the first cone.
     _, head, idx = min((-h[c], i, c) for i, h in enumerate(hv) for c in range(len(family)))
-    cone = family[idx]
     chain = [head]
     while hv[chain[-1]][idx] > 0:
         cur = chain[-1]
-        chain.append(min(j for j in range(len(pts))
-                         if j != cur and hv[j][idx] == hv[cur][idx] - 1
-                         and cone.contains(table.diff(j, cur))))
+        chain.append(next(j for j in orders[idx][cur] if hv[j][idx] == hv[cur][idx] - 1))
     dists = [table.values[head][j] for j in chain[1:]]
     if len(set(dists)) != len(dists):
         raise CertificateError(
             "distances along the longest chain are not distinct; "
             "equal-norm cone condition fails on S")
-    return [pts[i] for i in chain], [table.distance(v) for v in dists]
+    return [table.points[i] for i in chain], [table.distance(v) for v in dists]

@@ -73,7 +73,7 @@ def _cmd_chains(args) -> int:
         raise InputError("chains subcommand uses the coordinate cones of linf")
     ps = _load_points(args.points)
     table = PairTable(spec, ps)
-    cert = _chain_certificate(table, ps, linf_cone_family(spec.dim))
+    cert, _ = _chain_certificate(table, linf_cone_family(spec.dim))
     sp = table.spectrum
     out = cert.to_json()
     out["k"] = sp.k
@@ -165,19 +165,25 @@ def _cmd_search(args) -> int:
 def _cmd_bound(args) -> int:
     spec = _load_norm(args.norm)
     ps = _load_points(args.points)
-    table = PairTable(spec, ps)
-    k, d, observed = table.spectrum.k, spec.dim, len(ps)
+    d, observed = spec.dim, len(ps)
+    planar = d == 2 and spec.exact
+    if spec.kind == "linf" or planar:
+        table = PairTable(spec, ps)
+        k = table.spectrum.k
+    else:
+        node = decompose_recursive_bound(ps, spec)
+        k = node.k
     witnesses: dict = {}
     if k == 0:
         name, claimed = "single-point", 1
     elif spec.kind == "linf":
         name = "parallelotope-chain"
-        cert = _chain_certificate(table, ps, linf_cone_family(d))
+        cert, _ = _chain_certificate(table, linf_cone_family(d))
         claimed = (k + 1) ** d
         witnesses = {"chain": cert.to_json()}
         if not cert.ok or cert.h > k:
             raise FalsificationError("chain certificate failed under linf")
-    elif d == 2 and spec.exact:
+    elif planar:
         name = "planar-two-cones"
         cert = planar_bound_certificate(spec, ps, k)
         claimed = cert.claimed
@@ -191,7 +197,6 @@ def _cmd_bound(args) -> int:
     else:
         name = "general-minkowski"
         claimed = general_bound(k, d)
-        node = decompose_recursive_bound(ps, spec)
         witnesses = {"decomposition": node.to_json()}
     passed = observed <= claimed
     _emit({

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from fractions import Fraction
 from math import inf
 
@@ -19,7 +20,6 @@ from .errors import CertificateError, GeometryError, InputError
 from .norms import (Gauge, NormSpec, Vec, gauge, norm_eval, polygon_vertices_2d,
                     vadd, vscale, vsub)
 
-SEPARATION = Fraction(1, 5)
 HALF_WIDTH = Fraction(1, 2)
 
 
@@ -80,13 +80,26 @@ class SeparatedSet:
     """Unit vectors pairwise 1/5-separated in both +- combinations."""
 
     centers: tuple[Vec, ...]
-    separation: Fraction = SEPARATION
 
 
 # Every threshold is decided on gauge values: with c = (Y_c, q_c) and
-# x = (Y_x, q_x), ||c -+ x|| compared with 1/5 is
-# 5 * value(q_x * Y_c -+ q_c * Y_x) compared with q_c * q_x * scale.  On
+# x = (Y_x, q_x), ||c - x|| compared with 1/5 is
+# 5 * value(q_x * Y_c - q_c * Y_x) compared with q_c * q_x * scale.  On
 # IntGauge ints that is exact; LpGauge runs the same tests in floats.
+
+def _distances(g: Gauge, c, xs):
+    """||c - x|| for each split x of xs, lazily, as the pair
+    (value(q_x * Y_c - q_c * Y_x), q_c * q_x * scale)."""
+    yc, qc = c
+    value, den = g.value, qc * g.scale
+    for yx, qx in xs:
+        yield value([qx * a - qc * b for a, b in zip(yc, yx)]), qx * den
+
+
+def _plus_minus(splits) -> list:
+    """Each split followed by its negative's, (-Y, q): ||c + x|| is ||c - (-x)||."""
+    return [s for y, q in splits for s in ((y, q), (tuple([-a for a in y]), q))]
+
 
 def _unit_splits(g: Gauge, vectors, what: str) -> list:
     """``g.split`` of each vector, which must be a unit vector."""
@@ -100,21 +113,12 @@ def _unit_splits(g: Gauge, vectors, what: str) -> list:
     return out
 
 
-def _gap(g: Gauge, c, x):
-    """A number with the sign of min(||c - x||, ||c + x||) - 1/5, on splits."""
-    (yc, qc), (yx, qx) = c, x
-    value = g.value
-    return (5 * min(value([qx * a - qc * b for a, b in zip(yc, yx)]),
-                    value([qx * a + qc * b for a, b in zip(yc, yx)]))
-            - qc * qx * g.scale)
-
-
 def _check_separated(spec: NormSpec, centers, message: str) -> None:
     """Raise CertificateError unless the centers are pairwise 1/5-separated."""
     g = gauge(spec)
-    pts = [g.split(c) for c in centers]
-    for i, c in enumerate(pts):
-        if any(_gap(g, c, c2) < 0 for c2 in pts[i + 1:]):
+    pts = _plus_minus(g.split(c) for c in centers)
+    for i in range(0, len(pts), 2):
+        if any(5 * v < den for v, den in _distances(g, pts[i], pts[i + 2:])):
             raise CertificateError(message)
 
 
@@ -130,11 +134,11 @@ def greedy_separated_set(spec: NormSpec, samples) -> SeparatedSet:
         raise InputError("samples must be nonempty")
     g = gauge(spec)
     kept: list[Vec] = []
-    kept_splits: list = []
+    kept_splits: list = []          # each kept center and its negative
     for s, xs in zip(samples, _unit_splits(g, samples, "sample")):
-        if all(_gap(g, c, xs) >= 0 for c in kept_splits):
+        if all(5 * v >= den for v, den in _distances(g, xs, kept_splits)):
             kept.append(s)
-            kept_splits.append(xs)
+            kept_splits += _plus_minus([xs])
     _check_separated(spec, kept, "greedy output violates separation")
     return SeparatedSet(tuple(kept))
 
@@ -162,8 +166,9 @@ def cover_assignment(sep: SeparatedSet, spec: NormSpec, test_vectors) -> CoverRe
     """
     test_vectors = list(test_vectors)
     g = gauge(spec)
-    centers = [g.split(c) for c in sep.centers]
-    assignments = [next((i for i, c in enumerate(centers) if _gap(g, c, x) <= 0), None)
+    centers = _plus_minus(g.split(c) for c in sep.centers)
+    assignments = [next((i // 2 for i, (v, den) in enumerate(_distances(g, x, centers))
+                         if 5 * v <= den), None)
                    for x in _unit_splits(g, test_vectors, "test vector")]
     unassigned = [v for v, i in zip(test_vectors, assignments) if i is None]
     return CoverReport(assignments, unassigned)
@@ -180,16 +185,12 @@ class GeneratedCone:
 def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[GeneratedCone]:
     """The cones of the construction: generators are samples strictly within 1/5."""
     g = gauge(spec)
-    value, scale = g.value, g.scale
     samples = list(samples)
     xs = [g.split(x) for x in samples]
     cones = []
     for c in sep.centers:
-        yc, qc = g.split(c)
-        gens = tuple([x for x, (yx, qx) in zip(samples, xs)
-                      if 5 * value([qx * a - qc * b for a, b in zip(yc, yx)])
-                      < qc * qx * scale])
-        cones.append(GeneratedCone(c, gens or (c,)))
+        near = [5 * v < den for v, den in _distances(g, g.split(c), xs)]
+        cones.append(GeneratedCone(c, tuple(compress(samples, near)) or (c,)))
     return cones
 
 
@@ -227,18 +228,16 @@ def cone_halfwidth_check(cone: GeneratedCone, spec: NormSpec,
     if not cone.generators:
         raise InputError("cone has no generators")
     g = gauge(spec)
-    value, scale = g.value, g.scale
-    [(yc, qc)] = _unit_splits(g, [cone.center], "cone center")
-    # ||c - x|| == value(q_x * Y_c - q_c * Y_x) / (q_c * q_x * scale), as in
-    # generated_cones, so its strict 1/5 threshold is decided the same way.
+    [cs] = _unit_splits(g, [cone.center], "cone center")
+    # The same ||c - x|| as generated_cones, so the strict 1/5 threshold agrees.
+    dists = list(_distances(g, cs, map(g.split, cone.generators)))
     far, failures = (0, 1), []
-    for x in cone.generators:
-        yx, qx = g.split(x)
-        dist = (value([qx * a - qc * b for a, b in zip(yc, yx)]), qc * qx * scale)
+    for dist in dists:
         if dist[0] * far[1] > far[0] * dist[1]:
             far = dist
-        if 5 * dist[0] >= dist[1]:
-            failures.append({"generator": x, "distance": g.quotient(*dist)})
+    if 5 * far[0] >= far[1]:                # else no generator is that far
+        failures = [{"generator": x, "distance": g.quotient(*d)}
+                    for x, d in zip(cone.generators, dists) if 5 * d[0] >= d[1]]
     r = g.quotient(*far)
     return HalfwidthReport(r, 2 * r, 1 / (1 - r) if r < 1 else inf, failures)
 

@@ -206,7 +206,6 @@ class MCVolumeReport:
     brunn_minkowski_ok: bool
     formula_ok: bool
     upper_ok: bool
-    budget_ok: bool
 
     @property
     def ok(self) -> bool:
@@ -266,6 +265,5 @@ def brunn_minkowski_mc_check(spec: NormSpec, ps: PointSet,
     bm_ok = (vol_vv + hw_vv) ** (1 / d) >= 2 * max(vol_v - hw_v, 0.0) ** (1 / d)
     formula_ok = abs(vol_v - formula) <= max(3 * hw_v, 0.02 * formula)
     upper_ok = vol_vv - hw_vv <= upper * (1 + 1e-9)
-    budget_ok = hw_v <= 0.05 * max(formula, 1e-12)
     return MCVolumeReport(trials, vol_v, hw_v, formula, vol_vv, hw_vv, upper,
-                          bm_ok, formula_ok, upper_ok, budget_ok)
+                          bm_ok, formula_ok, upper_ok)

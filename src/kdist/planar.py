@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import HeightCertificate, PolyhedralCone, chain_certificate, \
+from .chains import HeightCertificate, PolyhedralCone, _chain_certificate, \
     check_cone_conditions, ConeConditionReport
 from .errors import GeometryError, InputError
 from .norms import (NormSpec, Vec, cross2, polygon_vertices_2d, polytopal,
                     vec, vsub)
-from .spectrum import PointSet, distance_spectrum
+from .spectrum import PairTable, PointSet
 
 Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -215,18 +215,19 @@ class PlanarCertificate:
 def planar_bound_certificate(spec: NormSpec, ps: PointSet, k: int) -> PlanarCertificate:
     """Compose normalization, quadrant cones, and the chain certificate.
 
-    The point set is transformed by the normalization map (gauge covariance
-    makes distances under the gauge of C' equal to the original distances),
-    and the chain certificate is run with the two quadrant cones.
+    The point set is transformed by the normalization map; gauge covariance
+    makes distances under the gauge of C' equal to the original ones, so k is
+    checked, and the two-cone chain certificate run, on the image's table.
     """
-    if spec.dim != 2 or not spec.exact:
-        raise InputError("planar bound requires a 2-dimensional exact norm")
-    if distance_spectrum(spec, ps).k != k:
-        raise InputError(f"point set is not a {k}-distance set under the given norm")
+    if spec.dim != 2 or ps.dim != 2 or not spec.exact:
+        raise InputError("planar bound requires a 2-dimensional exact norm and point set")
     verts = polygon_vertices_2d(spec)
     nrm = max_area_normalization(verts)
     qc = quadrant_cones(nrm.vertices)
     gauge = polygon_gauge(list(nrm.vertices))
     image = PointSet(2, tuple(apply_matrix(nrm.matrix, p) for p in ps.points))
-    cert = chain_certificate(gauge, image, (qc.p1, qc.p2))
+    table = PairTable(gauge, image)
+    if table.spectrum.k != k:
+        raise InputError(f"point set is not a {k}-distance set under the given norm")
+    cert, _ = _chain_certificate(table, (qc.p1, qc.p2))
     return PlanarCertificate(nrm, qc, cert, k, (k + 1) ** 2)

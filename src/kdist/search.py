@@ -26,7 +26,6 @@ class SearchProblem:
     spec: NormSpec
     ground: PointSet
     k: int
-    goal: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -222,7 +221,6 @@ def is_grid_homothet(points, k: int) -> bool:
 
 @dataclass
 class UniquenessReport:
-    target_size: int
     optima: list[tuple[Vec, ...]]
     counterexamples: list[tuple[Vec, ...]]
 
@@ -242,8 +240,7 @@ def verify_extremal_uniqueness(d: int, k: int, m: int) -> UniquenessReport:
         raise InputError("uniqueness check is desk-scale: d=2, 1<=k<=2, k<=m<=4")
     ground = PointSet(d, tuple(vec(*c) for c in product(range(m + 1), repeat=d)))
     problem = SearchProblem(linf(d), ground, k)
-    target = (k + 1) ** d
-    optima = enumerate_optimal_subsets(problem, target)
+    optima = enumerate_optimal_subsets(problem, (k + 1) ** d)
     # Keep only genuine k-distance subsets (exactly k classes, not fewer).
     optima = [s for s in optima
               if distance_spectrum(problem.spec, PointSet(d, s)).k == k]
@@ -251,4 +248,4 @@ def verify_extremal_uniqueness(d: int, k: int, m: int) -> UniquenessReport:
     if bad:
         raise FalsificationError(
             f"non-grid maximum k-distance set found at desk scale: {bad[0]}")
-    return UniquenessReport(target, optima, bad)
+    return UniquenessReport(optima, bad)

@@ -106,6 +106,40 @@ def test_cone_conditions_equal_norm_violation():
     assert report.equal_norm_violations
 
 
+CLOSED_QUADRANTS = (PolyhedralCone(facets=(vec(1, 0), vec(0, 1))),
+                    PolyhedralCone(facets=(vec(-1, 0), vec(0, 1))))
+
+
+def test_equal_norm_check_sees_both_signs_of_each_difference():
+    # (-1, 0) - (0, 0) = (-1, 0) lies in the second quadrant; the pair's other
+    # difference, (1, 0), does not.  The check must see both.
+    ps = PointSet.of([vec(-1, 0), vec(-1, 1), vec(0, 0)])
+    cert = chain_certificate(linf(2), ps, CLOSED_QUADRANTS)
+    assert cert.violations == [(1, vec(-1, 0), vec(-1, 1)), (1, vec(0, 1), vec(-1, 1))]
+    assert not cert.ok and cert.h == 2
+    with pytest.raises(CertificateError):
+        chain_distinct_distances(linf(2), ps, CLOSED_QUADRANTS)
+
+
+class _CountingCone:
+    def __init__(self, cone):
+        self.cone, self.calls = cone, 0
+
+    def contains(self, v):
+        self.calls += 1
+        return self.cone.contains(v)
+
+
+@pytest.mark.parametrize("pts", [[vec(0, 0), vec(1, 0), vec(3, 1), vec(7, 4)],
+                                 [vec(0), vec(1), vec(3)]])
+def test_one_membership_test_per_ordered_pair_and_cone(pts):
+    # All differences have distinct norms, so the equal-norm check tests nothing.
+    d, n = len(pts[0]), len(pts)
+    family = tuple(_CountingCone(c) for c in linf_cone_family(d))
+    chain_certificate(linf(d), PointSet.of(pts), family)
+    assert [c.calls for c in family] == [n * (n - 1)] * d
+
+
 def test_certificate_uncovered_difference_raises():
     family = (LInfCone(0, 2),)
     ps = PointSet.of([vec(0, 0), vec(0, 1)])

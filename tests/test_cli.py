@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from kdist import criteria, l1, linf, vec
+from kdist import criteria, hexagon_gauge, l1, linf, vec
 from kdist.cli import run_command
 from kdist.norms import norm_to_json
 from kdist.spectrum import PairTable, PointSet, pointset_to_json
@@ -84,8 +84,15 @@ def test_bound_past_float_range_is_written_exactly(files, capsys, command, norm)
     assert isinstance(node["bound"], int) and 30 <= node["bound"] <= node["claim"]
 
 
-@pytest.mark.parametrize("command", ["bound", "chains"])
-def test_one_pair_table_per_command(files, capsys, monkeypatch, command):
+@pytest.mark.parametrize("command, norm, pts, tables", [
+    ("bound", linf(2), _grid_points(), 1),
+    ("chains", linf(2), _grid_points(), 1),
+    # Planar: the input set's table for k, then its image's under C'.
+    ("bound", hexagon_gauge(), PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)]), 2),
+    # General: a volume leaf, k read off the decomposition's root.
+    ("bound", l1(3), PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)]), 1),
+], ids=["bound", "chains", "bound-planar", "bound-general"])
+def test_one_pair_table_per_command(files, capsys, monkeypatch, command, norm, pts, tables):
     builds = []
     init = PairTable.__init__
 
@@ -94,10 +101,10 @@ def test_one_pair_table_per_command(files, capsys, monkeypatch, command):
         init(self, spec, ps)
 
     monkeypatch.setattr(PairTable, "__init__", counting_init)
-    norm = files("norm.json", norm_to_json(linf(2)))
-    points = files("pts.json", pointset_to_json(_grid_points()))
-    assert run_command([command, "--norm", norm, "--points", points]) == 0
-    assert len(builds) == 1
+    argv = [command, "--norm", files("norm.json", norm_to_json(norm)),
+            "--points", files("pts.json", pointset_to_json(pts))]
+    assert run_command(argv) == 0
+    assert len(builds) == tables
 
 
 def test_search_command(files, capsys):
@@ -122,7 +129,6 @@ def test_bound_command_linf(files, capsys):
 
 
 def test_bound_command_planar(files, capsys):
-    from kdist import hexagon_gauge
     norm = files("norm.json", norm_to_json(hexagon_gauge()))
     pts = PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1)])
     points = files("pts.json", pointset_to_json(pts))

@@ -108,7 +108,7 @@ def ref_conditions(family, spec, vectors):
 
 def ref_certificate(spec, pts, family):
     pts = sorted(pts)
-    diffs = [vsub(y, x) for x, y in combinations(pts, 2)]
+    diffs = [vsub(x, y) for x in pts for y in pts if x != y]
     violations = ref_conditions(family, spec, diffs)[1]
 
     def height(cone, x):

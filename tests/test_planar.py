@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kdist import (GeometryError, PointSet, hexagon_gauge, l1, linf,
+from kdist import (GeometryError, InputError, PointSet, hexagon_gauge, l1, linf,
                    max_area_normalization, norm_eval, planar_bound_certificate,
                    polygon_gauge, quadrant_cones, vec)
 from kdist.gen import random_symmetric_polygon
@@ -136,3 +136,13 @@ def test_planar_certificate_l1():
     k = 2  # distances 1 and 2 under l1
     cert = planar_bound_certificate(l1(2), ps, k)
     assert cert.ok and cert.claimed == 9
+
+
+@pytest.mark.parametrize("spec, pts, k", [
+    (hexagon_gauge(), [vec(0, 0), vec(1, 0), vec(1, 1)], 2),       # k is 1
+    (linf(2), [vec(0, 0, 0), vec(1, 0, 0)], 1),                    # 3-dimensional points
+    (linf(2), [vec(0), vec(1)], 1),                                # 1-dimensional points
+])
+def test_planar_certificate_rejects_wrong_k_or_dimension(spec, pts, k):
+    with pytest.raises(InputError):
+        planar_bound_certificate(spec, PointSet.of(pts), k)
