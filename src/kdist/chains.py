@@ -163,14 +163,14 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
     g = gauge(spec)
     scaled, _ = g.clear(vectors)
     members = [(v, x, g.value(g.image(x))) for v, x in zip(vectors, scaled)]
+    inside = [[cone.contains(x) for cone in family] for _, x, _ in members]
     report = ConeConditionReport()
-    for v, x, _ in members:
-        neg_x = tuple(map(neg, x))
-        if not any(c.contains(x) or c.contains(neg_x) for c in family):
+    for (v, x, _), hits in zip(members, inside):
+        if not any(hits) and not any(c.contains(tuple(map(neg, x))) for c in family):
             report.uncovered.append(v)
     for idx, cone in enumerate(family):
         report.equal_norm_violations += _equal_norm_violations(
-            idx, cone, [m for m in members if cone.contains(m[1])])
+            idx, cone, [m for m, hits in zip(members, inside) if hits[idx]])
     return report
 
 

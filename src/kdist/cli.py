@@ -23,8 +23,7 @@ from .decompose import decompose_recursive_bound
 from .errors import CertificateError, FalsificationError, InputError, KdistError
 from .norms import (NormSpec, norm_from_json, norm_to_json, rat_to_pair,
                     vec_to_json)
-from .planar import max_area_normalization, planar_bound_certificate, \
-    polygon_vertices_2d, quadrant_cones
+from .planar import pulled_back_cones
 from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
 from .spectrum import (PairTable, PointSet, distance_spectrum,
                        pointset_from_json, pointset_to_json, spectrum_to_json)
@@ -85,10 +84,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_normalize2d(args) -> int:
-    spec = _load_norm(args.norm)
-    verts = polygon_vertices_2d(spec)
-    nrm = max_area_normalization(verts)
-    qc = quadrant_cones(nrm.vertices)
+    nrm, qc, _ = pulled_back_cones(_load_norm(args.norm))
     _emit({
         "x0": vec_to_json(nrm.x0),
         "y0": vec_to_json(nrm.y0),
@@ -166,8 +162,8 @@ def _cmd_bound(args) -> int:
     spec = _load_norm(args.norm)
     ps = _load_points(args.points)
     d, observed = spec.dim, len(ps)
-    planar = d == 2 and spec.exact
-    if spec.kind == "linf" or planar:
+    chained = spec.kind == "linf" or (d == 2 and spec.exact)
+    if chained:
         table = PairTable(spec, ps)
         k = table.spectrum.k
     else:
@@ -176,24 +172,19 @@ def _cmd_bound(args) -> int:
     witnesses: dict = {}
     if k == 0:
         name, claimed = "single-point", 1
-    elif spec.kind == "linf":
-        name = "parallelotope-chain"
-        cert, _ = _chain_certificate(table, linf_cone_family(d))
-        claimed = (k + 1) ** d
-        witnesses = {"chain": cert.to_json()}
+    elif chained:
+        if spec.kind == "linf":
+            name, family = "parallelotope-chain", linf_cone_family(d)
+        else:
+            name = "planar-two-cones"
+            _, qc, family = pulled_back_cones(spec)
+            witnesses["removed_rays"] = [{"cone": c, "ray": vec_to_json(r)}
+                                         for c, r in qc.removed]
+        cert, _ = _chain_certificate(table, family)
+        claimed = (k + 1) ** len(family)
+        witnesses = {"chain": cert.to_json(), **witnesses}
         if not cert.ok or cert.h > k:
-            raise FalsificationError("chain certificate failed under linf")
-    elif planar:
-        name = "planar-two-cones"
-        cert = planar_bound_certificate(spec, ps, k)
-        claimed = cert.claimed
-        witnesses = {
-            "chain": cert.chain.to_json(),
-            "removed_rays": [{"cone": c, "ray": vec_to_json(r)}
-                             for c, r in cert.cones.removed],
-        }
-        if not cert.ok:
-            raise FalsificationError("planar certificate failed")
+            raise FalsificationError(f"chain certificate failed on the {name} route")
     else:
         name = "general-minkowski"
         claimed = general_bound(k, d)

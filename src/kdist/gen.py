@@ -12,28 +12,8 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import GeometryError
-from .norms import Vec, cross2, vec, vsub
+from .norms import Vec, convex_hull, vec
 from .spectrum import PointSet
-
-
-def convex_hull(points: list[Vec]) -> list[Vec]:
-    """Exact monotone-chain convex hull, counterclockwise, collinear dropped."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        raise GeometryError("hull needs at least three distinct points")
-
-    def build(seq):
-        out: list[Vec] = []
-        for p in seq:
-            while len(out) >= 2 and cross2(vsub(out[-1], out[-2]),
-                                           vsub(p, out[-2])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return lower[:-1] + upper[:-1]
 
 
 def random_symmetric_polygon(rng: random.Random, nmin: int = 6,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
 from operator import mul, truediv
 
@@ -356,20 +355,24 @@ def _gauge_functionals_2d(spec: NormSpec) -> tuple[Vec, ...]:
     return spec.functionals
 
 
-def _ccw_cmp(p: Vec, q: Vec) -> int:
-    # Angular order starting at the positive x-axis, counterclockwise.
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+def convex_hull(points: list[Vec]) -> list[Vec]:
+    """Exact monotone-chain convex hull, counterclockwise, collinear dropped."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        raise GeometryError("hull needs at least three distinct points")
 
-    hp, hq = half(p), half(q)
-    if hp != hq:
-        return -1 if hp < hq else 1
-    c = cross2(p, q)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+    def build(seq):
+        out: list[Vec] = []
+        for p in seq:
+            while len(out) >= 2 and cross2(vsub(out[-1], out[-2]),
+                                           vsub(p, out[-2])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = build(pts)
+    upper = build(reversed(pts))
+    return lower[:-1] + upper[:-1]
 
 
 def polygon_vertices_2d(spec: NormSpec) -> list[Vec]:
@@ -401,9 +404,12 @@ def polygon_vertices_2d(spec: NormSpec) -> list[Vec]:
             p = (x, y)
             if all(abs(dot(c, p)) <= 1 for c in funcs):
                 verts.add(p)
-    if len(verts) < 3:
-        raise GeometryError("degenerate facet set; unit ball has empty interior")
-    return sorted(verts, key=cmp_to_key(_ccw_cmp))
+    hull = convex_hull(list(verts))
+    # The origin is interior, so the angle grows along the hull: start where
+    # it passes from [pi, 2 pi) into [0, pi).
+    upper = [(y, x) > (0, 0) for x, y in hull]
+    start = next(i for i, up in enumerate(upper) if up and not upper[i - 1])
+    return hull[start:] + hull[:start]
 
 
 # ---------------------------------------------------------------------------

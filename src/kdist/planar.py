@@ -5,7 +5,8 @@ a polygon C' squeezed between the cross-polytope and the square, with
 every boundary segment inside one closed coordinate quadrant.  The closed
 first and second quadrants, with some open boundary rays removed, then
 form a two-cone family valid for the gauge of C', which yields the
-(k+1)^2 bound for planar k-distance sets.
+(k+1)^2 bound for planar k-distance sets.  Pulled back by the map, the
+two cones certify the input points under the original norm.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .chains import HeightCertificate, PolyhedralCone, _chain_certificate, \
     check_cone_conditions, ConeConditionReport
 from .errors import GeometryError, InputError
 from .norms import (NormSpec, Vec, cross2, polygon_vertices_2d, polytopal,
-                    vec, vsub)
+                    vec, vneg, vsub)
 from .spectrum import PairTable, PointSet
 
 Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -52,10 +53,16 @@ def polygon_contains(verts: list[Vec], p: Vec) -> bool:
 
 
 def polygon_gauge(verts: list[Vec]) -> NormSpec:
-    """Facet-functional gauge whose unit ball is the given symmetric polygon."""
+    """Facet-functional gauge whose unit ball is the given symmetric polygon.
+
+    Edge i + n/2 is edge i negated, so one functional per opposite pair,
+    from the first n/2 edges, gives the same gauge.
+    """
     n = len(verts)
+    if n % 2 or any(vneg(verts[i + n // 2]) != verts[i] for i in range(n // 2)):
+        raise GeometryError("polygon vertices are not centrally symmetric in cyclic order")
     funcs = []
-    for i in range(n):
+    for i in range(n // 2):
         u, v = verts[i], verts[(i + 1) % n]
         det = cross2(u, v)
         if det == 0:
@@ -212,22 +219,32 @@ class PlanarCertificate:
                 and self.chain.bound <= self.claimed)
 
 
+def pulled_back_cones(spec: NormSpec) -> tuple[Normalization2D, QuadrantCones, tuple]:
+    """The normalization T of the unit polygon, its quadrant cones, and those
+    cones pulled back to the input's frame: x lies in a pulled-back cone iff
+    T x lies in the cone.  A facet c becomes c T; a removed ray r becomes
+    T^-1 r = r_1 x0 + r_2 y0."""
+    nrm = max_area_normalization(polygon_vertices_2d(spec))
+    qc = quadrant_cones(nrm.vertices)
+    transpose, inverse = tuple(zip(*nrm.matrix)), tuple(zip(nrm.x0, nrm.y0))
+    family = tuple(PolyhedralCone(tuple(apply_matrix(transpose, c) for c in cone.facets),
+                                  tuple(apply_matrix(inverse, r) for r in cone.excluded_rays))
+                   for cone in (qc.p1, qc.p2))
+    return nrm, qc, family
+
+
 def planar_bound_certificate(spec: NormSpec, ps: PointSet, k: int) -> PlanarCertificate:
     """Compose normalization, quadrant cones, and the chain certificate.
 
-    The point set is transformed by the normalization map; gauge covariance
-    makes distances under the gauge of C' equal to the original ones, so k is
-    checked, and the two-cone chain certificate run, on the image's table.
+    The cones are pulled back by the normalization map, so k is checked, and
+    the two-cone chain certificate run, on the point set's own table; its
+    heights are those of the image T(S) under the gauge of C', keyed by S.
     """
     if spec.dim != 2 or ps.dim != 2 or not spec.exact:
         raise InputError("planar bound requires a 2-dimensional exact norm and point set")
-    verts = polygon_vertices_2d(spec)
-    nrm = max_area_normalization(verts)
-    qc = quadrant_cones(nrm.vertices)
-    gauge = polygon_gauge(list(nrm.vertices))
-    image = PointSet(2, tuple(apply_matrix(nrm.matrix, p) for p in ps.points))
-    table = PairTable(gauge, image)
+    nrm, qc, family = pulled_back_cones(spec)
+    table = PairTable(spec, ps)
     if table.spectrum.k != k:
         raise InputError(f"point set is not a {k}-distance set under the given norm")
-    cert, _ = _chain_certificate(table, (qc.p1, qc.p2))
+    cert, _ = _chain_certificate(table, family)
     return PlanarCertificate(nrm, qc, cert, k, (k + 1) ** 2)

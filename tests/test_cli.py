@@ -12,9 +12,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from kdist import criteria, hexagon_gauge, l1, linf, vec
+from kdist import (criteria, hexagon_gauge, l1, linf, max_area_normalization,
+                   planar_bound_certificate, polygon_vertices_2d, vec)
 from kdist.cli import run_command
 from kdist.norms import norm_to_json
+from kdist.planar import apply_matrix
 from kdist.spectrum import PairTable, PointSet, pointset_to_json
 
 
@@ -87,8 +89,8 @@ def test_bound_past_float_range_is_written_exactly(files, capsys, command, norm)
 @pytest.mark.parametrize("command, norm, pts, tables", [
     ("bound", linf(2), _grid_points(), 1),
     ("chains", linf(2), _grid_points(), 1),
-    # Planar: the input set's table for k, then its image's under C'.
-    ("bound", hexagon_gauge(), PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)]), 2),
+    # Planar: the cones are pulled back to the input set's own table.
+    ("bound", hexagon_gauge(), PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)]), 1),
     # General: a volume leaf, k read off the decomposition's root.
     ("bound", l1(3), PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)]), 1),
 ], ids=["bound", "chains", "bound-planar", "bound-general"])
@@ -136,6 +138,23 @@ def test_bound_command_planar(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["bound"] == "planar-two-cones"
     assert out["claimed"] == 4 and out["observed"] == 3
+
+
+def test_bound_planar_heights_are_keyed_by_input_points(files, capsys):
+    spec = hexagon_gauge()
+    pts = PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)])
+    norm = files("norm.json", norm_to_json(spec))
+    points = files("pts.json", pointset_to_json(pts))
+    assert run_command(["bound", "--norm", norm, "--points", points]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["bound"] == "planar-two-cones" and out["k"] == 2
+    heights = out["witnesses"]["chain"]["heights"]
+    assert sorted(heights) == sorted(f"{x},{y}" for x, y in pts.points)
+    # The hexagon's normalization moves the points: its image is another set.
+    T = max_area_normalization(polygon_vertices_2d(spec)).matrix
+    assert {apply_matrix(T, p) for p in pts.points} != set(pts.points)
+    cert = planar_bound_certificate(spec, pts, 2)
+    assert heights == {f"{x},{y}": list(hv) for (x, y), hv in cert.chain.heights.items()}
 
 
 def test_conecover_command(files, capsys):

@@ -1,13 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kdist import (GeometryError, InputError, PointSet, hexagon_gauge, l1, linf,
-                   max_area_normalization, norm_eval, planar_bound_certificate,
-                   polygon_gauge, quadrant_cones, vec)
-from kdist.gen import random_symmetric_polygon
+from kdist import (GeometryError, InputError, PointSet, PolyhedralCone, hexagon_gauge,
+                   l1, linf, max_area_normalization, norm_eval, planar_bound_certificate,
+                   polygon_gauge, polygon_vertices_2d, quadrant_cones, vec)
+from kdist.chains import _chain_certificate
+from kdist.gen import random_lattice_subset, random_symmetric_polygon
+from kdist.norms import cross2, dot
 from kdist.planar import apply_matrix, polygon_contains
 from kdist.search import extremal_grid
+from kdist.spectrum import PairTable
 
 SQUARE = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
 DIAMOND = [vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)]
@@ -146,3 +152,83 @@ def test_planar_certificate_l1():
 def test_planar_certificate_rejects_wrong_k_or_dimension(spec, pts, k):
     with pytest.raises(InputError):
         planar_bound_certificate(spec, PointSet.of(pts), k)
+
+
+# ---------------------------------------------------------------------------
+# the input-frame certificate against the image-frame reference
+
+def _image_frame_certificate(spec, ps):
+    """The chain certificate of T(S) under the gauge of C' and the unpulled cones."""
+    nrm = max_area_normalization(polygon_vertices_2d(spec))
+    qc = quadrant_cones(nrm.vertices)
+    image = PointSet(2, tuple(apply_matrix(nrm.matrix, p) for p in ps.points))
+    table = PairTable(polygon_gauge(list(nrm.vertices)), image)
+    return nrm.matrix, table.spectrum.k, _chain_certificate(table, (qc.p1, qc.p2))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), norm=st.sampled_from(("polygon", l1(2), hexagon_gauge())),
+       side=st.integers(1, 4), size=st.integers(1, 7))
+def test_input_frame_certificate_matches_image_frame(seed, norm, side, size):
+    rng = random.Random(seed)
+    spec = polygon_gauge(random_symmetric_polygon(rng, 4, 10)) if norm == "polygon" else norm
+    ps = random_lattice_subset(rng, 2, side, size)
+    T, k, ref = _image_frame_certificate(spec, ps)
+    cert = planar_bound_certificate(spec, ps, k).chain
+    assert (cert.h, cert.bound, cert.injective, len(cert.violations)) == \
+        (ref.h, ref.bound, ref.injective, len(ref.violations))
+    assert set(cert.heights) == set(ps.points)
+    assert all(cert.heights[p] == ref.heights[apply_matrix(T, p)] for p in ps.points)
+
+
+@pytest.mark.parametrize("verts, calls", [
+    # 2 cones x 8 distinct differences, -x for the 3 in neither cone, and 10
+    # in the equal-norm check.
+    (DIAMOND, 32),
+    # 2 x 18, -x for 9, and 10.
+    (HEXAGON, 64),
+])
+def test_quadrant_cones_one_membership_test_per_vector_and_cone(monkeypatch, verts, calls):
+    count = [0]
+    contains = PolyhedralCone.contains
+
+    def counting(self, v):
+        count[0] += 1
+        return contains(self, v)
+
+    monkeypatch.setattr(PolyhedralCone, "contains", counting)
+    assert quadrant_cones(verts).condition_report.ok
+    assert count[0] == calls
+
+
+# ---------------------------------------------------------------------------
+# polygon_gauge: one functional per pair of opposite edges
+
+def _all_edge_functionals(verts):
+    n = len(verts)
+    return [((v[1] - u[1]) / cross2(u, v), (u[0] - v[0]) / cross2(u, v))
+            for u, v in ((verts[i], verts[(i + 1) % n]) for i in range(n))]
+
+
+@pytest.mark.parametrize("verts", [HEXAGON, DIAMOND, SQUARE] + [
+    random_symmetric_polygon(random.Random(seed)) for seed in range(5)])
+def test_polygon_gauge_keeps_one_functional_per_opposite_pair(verts):
+    rng = random.Random(len(verts))
+    spec = polygon_gauge(verts)
+    assert len(spec.functionals) == len(verts) // 2
+    funcs = _all_edge_functionals(verts)
+    for _ in range(30):
+        x = vec(Fraction(rng.randint(-30, 30), rng.randint(1, 6)),
+                Fraction(rng.randint(-30, 30), rng.randint(1, 6)))
+        assert norm_eval(spec, x) == max(abs(dot(a, x)) for a in funcs)
+    assert all(norm_eval(spec, v) == 1 for v in verts)
+
+
+@pytest.mark.parametrize("verts", [
+    HEXAGON[:3] + [HEXAGON[4], HEXAGON[3], HEXAGON[5]],    # symmetric as a set only
+    HEXAGON[:5],                                            # odd length
+    [vec(1, 0), vec(0, 1), vec(-1, 0), vec(1, -1)],         # not symmetric
+])
+def test_polygon_gauge_rejects_a_list_not_symmetric_in_cyclic_order(verts):
+    with pytest.raises(GeometryError):
+        polygon_gauge(verts)
