@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -293,7 +294,15 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        status = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Stdout was closed: devnull keeps the interpreter's last flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -174,18 +174,17 @@ def unit_ball_volume(spec: NormSpec):
 
 
 def exact_box_union_area(centers, half) -> Fraction:
-    """Exact area of a union of axis-aligned squares (l-infinity balls, d=2)."""
+    """Exact area of a union of axis-aligned squares (l-infinity balls, d=2):
+    over each x-slab, the merged y-intervals of the squares covering it."""
     half = Fraction(half)
-    boxes = [(c[0] - half, c[0] + half, c[1] - half, c[1] + half) for c in centers]
-    xs = sorted({x for b in boxes for x in (b[0], b[1])})
-    ys = sorted({y for b in boxes for y in (b[2], b[3])})
+    boxes = [(c[0] - half, c[0] + half, c[1]) for c in centers]
+    xs = sorted({x for b in boxes for x in b[:2]})
     area = Fraction(0)
-    for i in range(len(xs) - 1):
-        mx = (xs[i] + xs[i + 1]) / 2
-        for j in range(len(ys) - 1):
-            my = (ys[j] + ys[j + 1]) / 2
-            if any(b[0] <= mx <= b[1] and b[2] <= my <= b[3] for b in boxes):
-                area += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
+    for x0, x1 in zip(xs, xs[1:]):
+        mx = (x0 + x1) / 2
+        ys = sorted(b[2] for b in boxes if b[0] <= mx <= b[1])
+        if ys:  # intervals of one length: each adds its gap to the last, at most 2*half
+            area += (x1 - x0) * (2 * half + sum(min(b - a, 2 * half) for a, b in zip(ys, ys[1:])))
     return area
 
 
@@ -219,11 +218,11 @@ def _mc_union_volume(spec: NormSpec, centers: np.ndarray, radius: float,
     hi = centers.max(axis=0) + radius
     boxvol = float(np.prod(hi - lo))
     pts = rng.uniform(lo, hi, size=(trials, d))
-    inside = np.zeros(trials, dtype=bool)
     values = gauge(spec).values
+    # Test each ball only on the points still outside the balls before it.
     for c in centers:
-        inside |= values(pts - c) <= radius
-    p = inside.mean()
+        pts = pts[values(pts - c) > radius]
+    p = (trials - len(pts)) / trials
     vol = p * boxvol
     halfwidth = 2.576 * math.sqrt(max(p * (1 - p), 0.0) / trials) * boxvol
     return vol, halfwidth

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from operator import mul, truediv
 
@@ -200,7 +201,7 @@ class IntGauge:
         if not spec.exact:
             raise InputError("the integer gauge needs an exact norm kind")
         self.dim = spec.dim
-        self._reduce, self._reduce_rows = (sum, np.sum) if spec.kind == "l1" else (max, np.max)
+        self._reduce, self._reduce_rows = (sum, np.add) if spec.kind == "l1" else (max, np.maximum)
         self._rows = None
         self.scale = 1
         if spec.kind == "polytopal":
@@ -226,12 +227,12 @@ class IntGauge:
         return self._reduce(map(abs, image))
 
     def values(self, array: np.ndarray) -> np.ndarray:
-        """The gauge of each row of a float array, in floats."""
+        """The gauge of each row of a float array, in floats, reduced column by column."""
         if self._rows is not None:
             # int / int rounds correctly: each entry is float(a_i), exactly.
             funcs = np.array([[a / self.scale for a in r] for r in self._rows])
             array = array @ funcs.T
-        return self._reduce_rows(np.abs(array), axis=1)
+        return reduce(self._reduce_rows, np.abs(array).T)
 
     @staticmethod
     def at_most(rho, scale: int) -> int:
@@ -283,7 +284,7 @@ class LpGauge:
             raise GeometryError(f"lp norm of {image} overflows a float") from exc
 
     def values(self, array: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(array) ** self.p, axis=1) ** (1.0 / self.p)
+        return reduce(np.add, (np.abs(array) ** self.p).T) ** (1.0 / self.p)
 
     @staticmethod
     def clear(vectors) -> tuple[list[tuple], int]:

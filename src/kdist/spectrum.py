@@ -59,7 +59,8 @@ class DistanceSpectrum:
 
 def _value_classes(values: list, tol) -> list[list]:
     """The sorted values in classes: equal values for tol = 0, else runs
-    whose consecutive gaps are within relative tol (single linkage)."""
+    whose consecutive gaps are within relative tol (single linkage); a run
+    wider than relative tol is a chain of near ties, a GeometryError."""
     if not tol:
         return [[v] * m for v, m in sorted(Counter(values).items())]
     groups: list[list] = []
@@ -68,6 +69,10 @@ def _value_classes(values: list, tol) -> list[list]:
             groups[-1].append(v)
         else:
             groups.append([v])
+    for g in groups:
+        if g[-1] - g[0] > tol * max(g[-1], 1.0):
+            raise GeometryError(f"{len(g)} lp distances from {g[0]!r} to {g[-1]!r} chain into "
+                                f"one class of span {g[-1] - g[0]:.3g} > relative tol {tol:g}")
     return groups
 
 
@@ -83,8 +88,8 @@ class PairTable:
     are the points).  ``spectrum`` holds the distance classes and
     ``classes[i][j]`` numbers the class of a pair, in increasing order of
     distance; lp merges distances within the gauge's relative tolerance by
-    single linkage over all pairs.  A seminorm, or two distinct points at
-    lp distance 0 (underflow), raises GeometryError.
+    single linkage over all pairs.  A seminorm, two distinct points at lp
+    distance 0 (underflow) or an lp class wider than tol raises GeometryError.
     """
 
     def __init__(self, spec: NormSpec, ps: PointSet):
@@ -132,7 +137,7 @@ def distance_spectrum(spec: NormSpec, ps: PointSet) -> DistanceSpectrum:
 
     Exact kinds group by exact equality; for lp, distances within relative
     FLOAT_EPS are merged into one class (class representative: its minimum).
-    A seminorm or two distinct points at lp distance 0 raise GeometryError.
+    A seminorm, a zero lp distance or a wider lp class raise GeometryError.
     """
     return PairTable(spec, ps).spectrum
 

@@ -361,6 +361,25 @@ def test_usage_error_exit_status_of_the_module():
     assert proc.returncode == 0 and "bound" in proc.stdout
 
 
+def test_closed_stdout_exits_1_without_traceback(files):
+    # The reader closes its end before kdist writes anything.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "kdist.cli", "spectrum", "--norm",
+            files("norm.json", norm_to_json(linf(2))), "--points",
+            files("pts.json", pointset_to_json(_grid_points()))]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "closed" in proc.stderr
+
+
 def test_help_exits_0(capsys):
     assert run_command(["--help"]) == 0
     assert run_command(["search", "-h"]) == 0

@@ -1,14 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdist import (DecompositionNode, InputError, PointSet,
                    brunn_minkowski_mc_check, clusters_at,
                    decompose_recursive_bound, exact_box_union_area,
                    find_equivalence_threshold, hexagon_gauge, l1, linf, lp,
                    unit_ball_volume, vec, volume_ratio_bound)
+from kdist.decompose import _mc_union_volume
 from kdist.gen import clustered_lattice_set
+from kdist.norms import gauge
 from kdist.spectrum import distance_spectrum
 
 
@@ -120,6 +126,86 @@ def test_exact_box_union_area():
     assert exact_box_union_area([vec(0, 0), vec(5, 5)], Fraction(1, 2)) == 2
     # Identical squares do not double count.
     assert exact_box_union_area([vec(0, 0), vec(0, 0)], 1) == 4
+
+
+def _cell_box_union_area(centers, half):
+    """The union area by testing every cell of the edge grid against every square."""
+    half = Fraction(half)
+    boxes = [(c[0] - half, c[0] + half, c[1] - half, c[1] + half) for c in centers]
+    xs = sorted({x for b in boxes for x in (b[0], b[1])})
+    ys = sorted({y for b in boxes for y in (b[2], b[3])})
+    area = Fraction(0)
+    for i in range(len(xs) - 1):
+        mx = (xs[i] + xs[i + 1]) / 2
+        for j in range(len(ys) - 1):
+            my = (ys[j] + ys[j + 1]) / 2
+            if any(b[0] <= mx <= b[1] and b[2] <= my <= b[3] for b in boxes):
+                area += (xs[i + 1] - xs[i]) * (ys[j + 1] - ys[j])
+    return area
+
+
+# Integer x and thirds in y give touching, overlapping and repeated squares;
+# half-width 0 gives empty ones.
+@settings(max_examples=150, deadline=None)
+@given(centers=st.lists(st.tuples(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3)),
+                        min_size=1, max_size=12),
+       half=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(5, 4), 0]))
+def test_slab_merge_box_union_equals_cell_loop(centers, half):
+    centers = [tuple(map(Fraction, c)) for c in centers]
+    assert exact_box_union_area(centers, half) == _cell_box_union_area(centers, half)
+
+
+def _or_mask_union_volume(spec, centers, radius, trials, rng):
+    """The union volume with every ball tested on every point, OR-ed into a mask."""
+    d = centers.shape[1]
+    lo = centers.min(axis=0) - radius
+    hi = centers.max(axis=0) + radius
+    boxvol = float(np.prod(hi - lo))
+    pts = rng.uniform(lo, hi, size=(trials, d))
+    inside = np.zeros(trials, dtype=bool)
+    values = gauge(spec).values
+    for c in centers:
+        inside |= values(pts - c) <= radius
+    p = inside.mean()
+    return p * boxvol, 2.576 * math.sqrt(max(p * (1 - p), 0.0) / trials) * boxvol
+
+
+def _grid(n, d):
+    return [vec(*p) for p in np.ndindex(*([n] * d))]
+
+
+MC_SETS = [(linf(2), _grid(3, 2)), (l1(2), _grid(3, 2)), (hexagon_gauge(), _grid(3, 2)),
+           (lp(2, 3.0), _grid(3, 2)), (linf(2), [vec(0, 0), vec(1, 0), vec(0, 1), vec(3, 3)]),
+           (linf(3), _grid(2, 3)), (l1(3), _grid(2, 3)), (linf(3), _grid(3, 3)),
+           (l1(3), _grid(3, 3))]
+
+
+@pytest.mark.parametrize("spec,pts", MC_SETS)
+def test_active_set_union_volume_is_the_or_mask_volume(spec, pts):
+    # V and V - V of each set, as brunn_minkowski_mc_check builds them.
+    centers = np.array([[float(a) for a in p] for p in pts])
+    diffs = np.unique((centers[:, None, :] - centers[None, :, :]).reshape(-1, spec.dim), axis=0)
+    rho1 = float(distance_spectrum(spec, PointSet.of(pts)).distances[0])
+    for seed in range(3):
+        for c, radius in ((centers, rho1 / 2), (diffs, rho1)):
+            got = _mc_union_volume(spec, c, radius, 20_000, np.random.default_rng(seed))
+            assert got == _or_mask_union_volume(spec, c, radius, 20_000,
+                                                np.random.default_rng(seed))
+
+
+def test_active_set_union_volume_edge_cases():
+    one = np.array([[0.0, 0.0]])
+    for trials in (1, 1000):
+        assert (_mc_union_volume(l1(2), one, 1.0, trials, np.random.default_rng(4))
+                == _or_mask_union_volume(l1(2), one, 1.0, trials, np.random.default_rng(4)))
+    # Unit squares tile [-1/2, 5/2]^2: every point is inside, and no point is left.
+    tiles = np.array([[x, y] for x in range(3) for y in range(3)], dtype=float)
+    assert _mc_union_volume(linf(2), tiles, 0.5, 5000, np.random.default_rng(0)) == (9.0, 0.0)
+    # A repeated centre: under linf the first ball fills the box, so no point is left.
+    twice = np.array([[0.0, 0.0], [0.0, 0.0]])
+    for spec in (linf(2), l1(2), hexagon_gauge(), lp(2, 3.0)):
+        got = _mc_union_volume(spec, twice, 1.0, 1000, np.random.default_rng(1))
+        assert got == _or_mask_union_volume(spec, twice, 1.0, 1000, np.random.default_rng(1))
 
 
 def test_mc_matches_exact_box_union():

@@ -9,16 +9,17 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdist import (LInfCone, PointSet, PolyhedralCone, best_distinct_witness,
-                   chain_certificate, check_cone_conditions, clusters_at,
+from kdist import (GeometryError, LInfCone, PointSet, PolyhedralCone,
+                   best_distinct_witness, chain_certificate, check_cone_conditions, clusters_at,
                    distance_spectrum, hexagon_gauge, l1, linf,
                    linf_cone_family, lp, norm_eval, polytopal, vec)
 from kdist.norms import FLOAT_EPS, dot, vneg, vsub
 from kdist.search import _pair_classes
-from kdist.spectrum import PairTable
+from kdist.spectrum import PairTable, _value_classes
 
 # ---------------------------------------------------------------------------
 # references
@@ -242,10 +243,10 @@ def test_table_values_are_scaled_distances():
 # lp: one float branch
 
 def test_lp_float_points_global_classes_and_row_local_witness():
-    # Values 1, 1 + 0.8e-9 and 1 + 1.6e-9 chain into one global class, but
-    # the point 0 sees only the two ends of the chain: two classes of its own.
+    # Values 1, 1 + 0.4e-9 and 1 + 0.8e-9 form one global class within the
+    # tolerance; the point 0 sees only its two ends and groups them alike.
     spec = lp(1, 2.0)
-    pts = [(0.0,), (1.0,), (-1.0 - 1.6e-9,), (5.0,), (6.0 + 0.8e-9,)]
+    pts = [(0.0,), (1.0,), (-1.0 - 0.8e-9,), (5.0,), (6.0 + 0.4e-9,)]
     ps = PointSet(1, tuple(pts))
     sp = distance_spectrum(spec, ps)
     assert (sp.distances, sp.multiplicities) == ref_spectrum(spec, pts)
@@ -253,12 +254,29 @@ def test_lp_float_points_global_classes_and_row_local_witness():
     zero = sorted(pts).index((0.0,))
     row = [norm_eval(spec, vsub(y, (0.0,))) for y in pts if y != (0.0,)]
     cls = _pair_classes(spec, sorted(pts))
-    assert len(_merge(row)) > len({cls[zero][j] for j in range(len(pts)) if j != zero})
+    assert len(_merge(row)) == len({cls[zero][j] for j in range(len(pts)) if j != zero}) == 3
     # Global single linkage: class ids follow the merged groups.
     groups = _merge([norm_eval(spec, vsub(y, x)) for x, y in combinations(sorted(pts), 2)])
     gid = {v: c for c, g in enumerate(groups) for v in g}
     s = sorted(pts)
     assert all(cls[i][j] == gid[norm_eval(spec, vsub(s[j], s[i]))]
                for i, j in combinations(range(len(s)), 2))
-    for rho in list(sp.distances) + [1.0 + 1.2e-9, 0.5]:
+    for rho in list(sp.distances) + [1.0 + 0.6e-9, 0.5]:
         assert clusters_at(spec, ps, rho) == ref_clusters(spec, pts, rho)
+
+
+def test_lp_chain_wider_than_the_tolerance_is_an_error():
+    # Gaps of 0.8e-9 chain 1, 1 + 0.8e-9 and 1 + 1.6e-9, whose ends are
+    # distinct distances: every pass over the pairs refuses the class.
+    spec = lp(1, 2.0)
+    ps = PointSet(1, ((0.0,), (1.0,), (-1.0 - 1.6e-9,), (5.0,), (6.0 + 0.8e-9,)))
+    for run in (distance_spectrum, best_distinct_witness,
+                lambda spec, ps: _pair_classes(spec, sorted(ps.points))):
+        with pytest.raises(GeometryError, match="span 1.6e-09"):
+            run(spec, ps)
+    # 2,000 values 0.9e-9 apart used to collapse into one class 1.8e-6 wide.
+    with pytest.raises(GeometryError, match="2000 lp distances"):
+        _value_classes([1.0 + i * 0.9e-9 for i in range(2000)], FLOAT_EPS)
+    # Near-equal values, as rounding leaves them, still make one class.
+    near = [1.0 + i * 2e-12 for i in range(400)] + [3.0, 3.0 + 4e-16]
+    assert list(map(len, _value_classes(near, FLOAT_EPS))) == [400, 2]
