@@ -6,9 +6,9 @@ everything else is reached through its module (``kdist.cover`` and so on).
 
 __version__ = "0.1.0"
 
-from .chains import (LInfCone, PolyhedralCone, chain_certificate,
+from .chains import (PolyhedralCone, chain_certificate,
                      chain_distinct_distances, check_cone_conditions,
-                     linf_cone_family)
+                     linf_cone_family, parallelotope_cones)
 from .cover import (cone_halfwidth_check, cover_assignment, general_bound,
                     generated_cones, greedy_separated_set,
                     packing_bound_check, separated_set_capacity,

@@ -10,35 +10,19 @@ k-distance set h <= k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul, neg, sub
+from operator import ge, mul, neg, sub
 
 from .errors import CertificateError, InputError
-from .norms import (NormSpec, Vec, clear_denominators, gauge, is_zero,
-                    vec_to_json, vsub)
+from .norms import (NormSpec, Vec, clear_denominators, dot, gauge, is_zero, linf,
+                    vadd, vec, vec_to_json, vneg, vsub)
 from .spectrum import PairTable, PointSet
 
 
 # ---------------------------------------------------------------------------
 # cones
-
-@dataclass(frozen=True)
-class LInfCone:
-    """The cone {v : max_j |v_j| = v_axis} of the l-infinity order (0-based axis)."""
-
-    axis: int
-    dim: int
-
-    def __post_init__(self):
-        if not 0 <= self.axis < self.dim:
-            raise InputError(f"axis {self.axis} out of range for dimension {self.dim}")
-
-    def contains(self, v: Vec) -> bool:
-        if len(v) != self.dim:
-            raise InputError("dimension mismatch in cone membership")
-        return max(map(abs, v)) == v[self.axis]
-
 
 @dataclass(frozen=True)
 class PolyhedralCone:
@@ -54,28 +38,57 @@ class PolyhedralCone:
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if any(is_zero(r) for r in self.excluded_rays):
+            raise InputError("an excluded ray must be nonzero")
         object.__setattr__(self, "_rows", tuple(clear_denominators(self.facets)[0]))
 
     def contains(self, v: Vec) -> bool:
-        if any(sum(map(mul, c, v)) < 0 for c in self._rows):
-            return False
-        for r in self.excluded_rays:
-            if _same_direction(v, r):
+        for c in self._rows:
+            if sum(map(mul, c, v)) < 0:
                 return False
-        return True
+        return not self.excluded_rays or not self.on_excluded_ray(v)
 
-
-def _same_direction(v: Vec, r: Vec) -> bool:
-    """True iff v = t r for some t > 0."""
-    i = next((i for i, b in enumerate(r) if b != 0), None)
-    if i is None:
+    def on_excluded_ray(self, v: Vec) -> bool:
+        """True iff v = t r for some t > 0 and excluded ray r."""
+        for r in self.excluded_rays:
+            i = next(i for i, b in enumerate(r) if b != 0)
+            t = Fraction(v[i], r[i])
+            if t > 0 and all(a == t * b for a, b in zip(v, r)):
+                return True
         return False
-    t = Fraction(v[i], r[i])
-    return t > 0 and all(a == t * b for a, b in zip(v, r))
 
 
-def linf_cone_family(dim: int) -> tuple[LInfCone, ...]:
-    return tuple(LInfCone(i, dim) for i in range(dim))
+def pull_back(facets, A) -> tuple[Vec, ...]:
+    """The facets c A of the cone {x : A x in P}, for the facets c of a cone P."""
+    cols = tuple(zip(*A))
+    return tuple(tuple(dot(c, col) for col in cols) for c in facets)
+
+
+@functools.cache       # once per norm: the pull-back runs on Fractions
+def parallelotope_cones(spec: NormSpec) -> tuple[PolyhedralCone, ...] | None:
+    """The cones of a parallelotope gauge ||x|| = ||A x||_inf, or None if not one.
+
+    A is I for linf; for polytopal, its functionals (the first of each +-
+    pair) when there are d of rank d: a sound test that misses dominated
+    extras.  Cone i = {x : a_i.x >= |a_j.x| for j != i} pulls back by A the
+    linf cone with facets e_i -+ e_j; in d = 1 the facet e_0 alone, {y >= 0}.
+    """
+    d = spec.dim
+    e = [vec(*(int(i == j) for j in range(d))) for i in range(d)]
+    firsts: dict = {}
+    for a in spec.functionals:
+        firsts.setdefault(max(a, vneg(a)), a)
+    A = e if spec.kind == "linf" else list(firsts.values())
+    if spec.kind not in ("linf", "polytopal") or len(A) != d or gauge(spec).rank() != d:
+        return None
+    return tuple(PolyhedralCone(pull_back(
+        [c for j in range(d) if j != i for c in (vsub(e[i], e[j]), vadd(e[i], e[j]))] or [e[i]],
+        A)) for i in range(d))
+
+
+def linf_cone_family(dim: int) -> tuple[PolyhedralCone, ...]:
+    """The l-infinity cones {v : max_j |v_j| = v_i}: the parallelotope cones of A = I."""
+    return parallelotope_cones(linf(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +96,16 @@ def linf_cone_family(dim: int) -> tuple[LInfCone, ...]:
 
 def _order(ints, cone) -> list[list[int]]:
     """The cone's order on the points: for each x, the ascending indices y
-    with ints[x] - ints[y] in the cone.  One membership test per ordered pair."""
-    return [[j for j, y in enumerate(ints) if j != i and cone.contains(tuple(map(sub, x, y)))]
-            for i, x in enumerate(ints)]
+    with ints[x] - ints[y] in the cone.  Each facet row r is evaluated once
+    per point: x - y lies in the closed cone iff r.x >= r.y for every r, and
+    only the pairs that pass are tested against the excluded rays."""
+    vals = [tuple([sum(map(mul, r, x)) for r in cone._rows]) for x in ints]
+    below = [[j for j, vy in enumerate(vals) if j != i and all(map(ge, vx, vy))]
+             for i, vx in enumerate(vals)]
+    if cone.excluded_rays:
+        below = [[j for j in ys if not cone.on_excluded_ray(tuple(map(sub, ints[i], ints[j])))]
+                 for i, ys in enumerate(below)]
+    return below
 
 
 def _heights(below: list[list[int]], pts) -> list[int]:
@@ -110,8 +130,8 @@ def _heights(below: list[list[int]], pts) -> list[int]:
 def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
     """Longest strictly descending chain length from each point, under cone's order.
 
-    Membership is tested on the differences cleared to ints, which scaling
-    by D > 0 leaves unchanged; a cycle raises CertificateError.
+    The order is built on the points cleared to ints, which scaling by
+    D > 0 leaves unchanged; a cycle raises CertificateError.
     """
     pts = sorted(ps.points)
     return dict(zip(pts, _heights(_order(clear_denominators(pts)[0], cone), pts)))
@@ -193,7 +213,7 @@ class HeightCertificate:
 
     def to_json(self) -> dict:
         return {
-            "heights": {_point_key(p): list(hv) for p, hv in self.heights.items()},
+            "heights": {",".join(map(str, p)): list(hv) for p, hv in self.heights.items()},
             "h": self.h,
             "bound": self.bound,
             "injective": self.injective,
@@ -202,10 +222,6 @@ class HeightCertificate:
                 for i, u, v in self.violations
             ],
         }
-
-
-def _point_key(p: Vec) -> str:
-    return ",".join(str(a) for a in p)
 
 
 def chain_certificate(spec: NormSpec, ps: PointSet, family) -> HeightCertificate:

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .chains import _chain_certificate, linf_cone_family
+from .chains import _chain_certificate, parallelotope_cones
 from .cover import (cone_halfwidth_check, cover_assignment, general_bound,
                     generated_cones, greedy_separated_set, packing_bound_check,
                     separated_set_capacity, sphere_samples)
@@ -69,17 +69,16 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_chains(args) -> int:
     spec = _load_norm(args.norm)
-    if spec.kind != "linf":
-        raise InputError("chains subcommand uses the coordinate cones of linf")
+    family = parallelotope_cones(spec)
+    if family is None:
+        raise InputError("chains needs a parallelotope gauge: linf, or d polytopal "
+                         "functionals of rank d")
     ps = _load_points(args.points)
     table = PairTable(spec, ps)
-    cert, _ = _chain_certificate(table, linf_cone_family(spec.dim))
-    sp = table.spectrum
-    out = cert.to_json()
-    out["k"] = sp.k
-    out["observed"] = len(ps)
-    _emit(out)
-    if not cert.ok or cert.h > sp.k or len(ps) > cert.bound:
+    cert, _ = _chain_certificate(table, family)
+    k = table.spectrum.k
+    _emit({**cert.to_json(), "k": k, "observed": len(ps)})
+    if not cert.ok or cert.h > k or len(ps) > cert.bound:
         raise FalsificationError("chain certificate failed on a k-distance set")
     return 0
 
@@ -107,8 +106,7 @@ def _cmd_conecover(args) -> int:
     fresh = sphere_samples(spec, max(args.samples // 10, 10), seed=args.seed + 1)
     report = cover_assignment(sep, spec, fresh)
     cones = generated_cones(sep, spec, samples)
-    halfwidths = [cone_halfwidth_check(c, spec, trials=args.trials, seed=args.seed)
-                  for c in cones]
+    halfwidths = [cone_halfwidth_check(c, spec) for c in cones]
     _emit({
         "centers": [vec_to_json(c) if spec.exact else list(c)
                     for c in sep.centers],
@@ -163,7 +161,10 @@ def _cmd_bound(args) -> int:
     spec = _load_norm(args.norm)
     ps = _load_points(args.points)
     d, observed = spec.dim, len(ps)
-    chained = spec.kind == "linf" or (d == 2 and spec.exact)
+    # Planar norms but linf take the two-cone route, parallelograms included.
+    planar = d == 2 and spec.exact and spec.kind != "linf"
+    family = None if planar else parallelotope_cones(spec)
+    chained = planar or family is not None
     if chained:
         table = PairTable(spec, ps)
         k = table.spectrum.k
@@ -174,13 +175,15 @@ def _cmd_bound(args) -> int:
     if k == 0:
         name, claimed = "single-point", 1
     elif chained:
-        if spec.kind == "linf":
-            name, family = "parallelotope-chain", linf_cone_family(d)
-        else:
+        if planar:
             name = "planar-two-cones"
-            _, qc, family = pulled_back_cones(spec)
+            _, _, family = pulled_back_cones(spec)
+            # The rays the pulled-back cones exclude, in the input's frame.
             witnesses["removed_rays"] = [{"cone": c, "ray": vec_to_json(r)}
-                                         for c, r in qc.removed]
+                                         for c, cone in zip(("p1", "p2"), family)
+                                         for r in cone.excluded_rays]
+        else:
+            name = "parallelotope-chain"
         cert, _ = _chain_certificate(table, family)
         claimed = (k + 1) ** len(family)
         witnesses = {"chain": cert.to_json(), **witnesses}
@@ -235,7 +238,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("chains", help="linf chain-height certificate")
+    p = sub.add_parser("chains", help="(k+1)^d chain-height certificate for every "
+                       "parallelotope gauge")
     p.add_argument("--norm", required=True)
     p.add_argument("--points", required=True)
     p.set_defaults(func=_cmd_chains)
@@ -247,8 +251,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conecover", help="greedy separated set and cone cover")
     p.add_argument("--norm", required=True)
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--trials", type=int, default=200,
-                   help="accepted and ignored: each cone's half-width is proved, not sampled")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_conecover)
 

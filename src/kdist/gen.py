@@ -51,10 +51,7 @@ def clustered_lattice_set(rng: random.Random, d: int,
     distance count stays small while rho_k / rho_1 is large.
     """
     if d == 1:
-        base = [vec(0), vec(1)]
-        offs = [0, spread]
-        pts = {vec(p[0] + o) for p in base for o in offs}
-        return PointSet(1, tuple(sorted(pts)))
+        return PointSet(1, tuple(sorted({vec(a + o) for a in (0, 1) for o in (0, spread)})))
     while True:
         pattern = set()
         for _ in range(rng.randint(2, 4)):

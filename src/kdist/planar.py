@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import HeightCertificate, PolyhedralCone, _chain_certificate, \
-    check_cone_conditions, ConeConditionReport
+from .chains import (ConeConditionReport, HeightCertificate, PolyhedralCone,
+                     _chain_certificate, check_cone_conditions, pull_back)
 from .errors import GeometryError, InputError
 from .norms import (NormSpec, Vec, cross2, polygon_vertices_2d, polytopal,
                     vec, vneg, vsub)
@@ -29,14 +29,21 @@ def apply_matrix(T: Matrix2, v: Vec) -> Vec:
             T[1][0] * v[0] + T[1][1] * v[1])
 
 
+def _check_symmetric(verts: list[Vec]) -> None:
+    """Vertex i + n/2 must be vertex i negated (central symmetry in cyclic order)."""
+    n = len(verts)
+    if n % 2 or any(vneg(verts[i + n // 2]) != verts[i] for i in range(n // 2)):
+        raise GeometryError("polygon vertices are not centrally symmetric in cyclic order")
+
+
 def _validate_polygon(verts: list[Vec]) -> None:
-    if len(verts) < 4 or len(verts) % 2 != 0:
-        raise GeometryError("need an even number (>= 4) of vertices")
-    vset = set(verts)
-    if len(vset) != len(verts):
+    """Symmetric (cyclically: the same as a set under strict convexity),
+    strictly convex and counterclockwise."""
+    if len(verts) < 4:
+        raise GeometryError("need at least 4 vertices")
+    _check_symmetric(verts)
+    if len(set(verts)) != len(verts):
         raise GeometryError("repeated polygon vertex")
-    if any(tuple(-a for a in v) not in vset for v in verts):
-        raise GeometryError("polygon is not centrally symmetric")
     n = len(verts)
     for i in range(n):
         u, v, w = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
@@ -53,14 +60,15 @@ def polygon_contains(verts: list[Vec], p: Vec) -> bool:
 
 
 def polygon_gauge(verts: list[Vec]) -> NormSpec:
-    """Facet-functional gauge whose unit ball is the given symmetric polygon.
+    """Facet-functional gauge whose unit ball is the given symmetric polygon."""
+    _check_symmetric(verts)
+    return _edge_gauge(verts)
 
-    Edge i + n/2 is edge i negated, so one functional per opposite pair,
-    from the first n/2 edges, gives the same gauge.
-    """
+
+def _edge_gauge(verts: list[Vec]) -> NormSpec:
+    """polygon_gauge of a symmetric polygon: edge i + n/2 is edge i negated,
+    so the functionals of the first n/2 edges give the gauge."""
     n = len(verts)
-    if n % 2 or any(vneg(verts[i + n // 2]) != verts[i] for i in range(n // 2)):
-        raise GeometryError("polygon vertices are not centrally symmetric in cyclic order")
     funcs = []
     for i in range(n // 2):
         u, v = verts[i], verts[(i + 1) % n]
@@ -167,36 +175,23 @@ def quadrant_cones(vertices) -> QuadrantCones:
         if not quads:
             raise GeometryError(
                 f"segment {u}-{v} crosses two quadrants; input is not normalized")
-        x_parallel = u[1] == v[1]
-        y_parallel = u[0] == v[0]
-        if 0 in quads:  # first quadrant
-            if x_parallel:
-                removed[("p1", vec(1, 0))] = True
-            if y_parallel:
-                removed[("p1", vec(0, 1))] = True
-        if 1 in quads:  # second quadrant
-            if x_parallel:
-                removed[("p2", vec(-1, 0))] = True
-            if y_parallel:
-                removed[("p2", vec(0, 1))] = True
+        for q, label, x_ray in ((0, "p1", vec(1, 0)), (1, "p2", vec(-1, 0))):
+            if q in quads and u[1] == v[1]:         # x-parallel
+                removed[(label, x_ray)] = True
+            if q in quads and u[0] == v[0]:         # y-parallel
+                removed[(label, vec(0, 1))] = True
 
     # A ray removed from both cones would leave it uncovered; the
     # normalization invariant rules this out.
-    if ("p1", vec(0, 1)) in removed and ("p2", vec(0, 1)) in removed:
-        raise GeometryError(
-            "y-parallel boundary segments in both upper quadrants; not normalized")
-    if ("p1", vec(1, 0)) in removed and ("p2", vec(-1, 0)) in removed:
-        raise GeometryError(
-            "x-parallel boundary segments in both upper quadrants; not normalized")
+    for axis, x1, x2 in (("y", vec(0, 1), vec(0, 1)), ("x", vec(1, 0), vec(-1, 0))):
+        if ("p1", x1) in removed and ("p2", x2) in removed:
+            raise GeometryError(
+                f"{axis}-parallel boundary segments in both upper quadrants; not normalized")
+    p1, p2 = (PolyhedralCone((vec(sign, 0), vec(0, 1)),
+                             tuple(r for c, r in removed if c == label))
+              for sign, label in ((1, "p1"), (-1, "p2")))
 
-    p1 = PolyhedralCone(
-        facets=(vec(1, 0), vec(0, 1)),
-        excluded_rays=tuple(r for c, r in removed if c == "p1"))
-    p2 = PolyhedralCone(
-        facets=(vec(-1, 0), vec(0, 1)),
-        excluded_rays=tuple(r for c, r in removed if c == "p2"))
-
-    gauge = polygon_gauge(verts)
+    gauge = _edge_gauge(verts)
     diffs = [vsub(verts[b], verts[a])
              for a in range(n) for b in range(n) if a != b]
     report = check_cone_conditions((p1, p2), gauge, diffs)
@@ -226,8 +221,8 @@ def pulled_back_cones(spec: NormSpec) -> tuple[Normalization2D, QuadrantCones, t
     T^-1 r = r_1 x0 + r_2 y0."""
     nrm = max_area_normalization(polygon_vertices_2d(spec))
     qc = quadrant_cones(nrm.vertices)
-    transpose, inverse = tuple(zip(*nrm.matrix)), tuple(zip(nrm.x0, nrm.y0))
-    family = tuple(PolyhedralCone(tuple(apply_matrix(transpose, c) for c in cone.facets),
+    inverse = tuple(zip(nrm.x0, nrm.y0))
+    family = tuple(PolyhedralCone(pull_back(cone.facets, nrm.matrix),
                                   tuple(apply_matrix(inverse, r) for r in cone.excluded_rays))
                    for cone in (qc.p1, qc.p2))
     return nrm, qc, family

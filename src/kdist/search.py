@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .chains import parallelotope_cones
 from .cover import general_bound
 from .errors import FalsificationError, InputError
 from .norms import NormSpec, Vec, linf, vec
@@ -89,13 +90,11 @@ def brute_force_oracle(problem: SearchProblem) -> SearchResult:
 
 
 def _bound_cap(problem: SearchProblem) -> int:
+    """The tightest proved bound: (k+1)^d for a planar or a parallelotope norm."""
     spec, k, d = problem.spec, problem.k, problem.spec.dim
-    cap = general_bound(k, d)
-    if spec.kind == "linf":
-        cap = min(cap, (k + 1) ** d)
-    if d == 2 and spec.exact:
-        cap = min(cap, (k + 1) ** 2)
-    return cap
+    if (d == 2 and spec.exact) or parallelotope_cones(spec) is not None:
+        return (k + 1) ** d
+    return general_bound(k, d)
 
 
 def _forward_check(cls: list[list[int]], k: int, cands: list, j: int) -> list:
@@ -200,23 +199,10 @@ def extremal_grid(k: int, d: int, offset=None, scale=1) -> PointSet:
 def is_grid_homothet(points, k: int) -> bool:
     """True iff the points are exactly some a + lambda {0..k}^d."""
     pts = list(points)
-    d = len(pts[0])
-    axes = []
-    step = None
-    for i in range(d):
-        vals = sorted({p[i] for p in pts})
-        if len(vals) != k + 1:
-            return False
-        diffs = {vals[j + 1] - vals[j] for j in range(k)}
-        if len(diffs) != 1:
-            return False
-        s = diffs.pop()
-        if step is None:
-            step = s
-        elif s != step:
-            return False
-        axes.append(vals)
-    return set(pts) == set(product(*axes)) and len(pts) == (k + 1) ** d
+    axes = [sorted({p[i] for p in pts}) for i in range(len(pts[0]))]
+    steps = {b - a for vals in axes for a, b in zip(vals, vals[1:])}
+    return (all(len(vals) == k + 1 for vals in axes) and len(steps) == 1
+            and set(pts) == set(product(*axes)) and len(pts) == (k + 1) ** len(axes))
 
 
 @dataclass

@@ -2,24 +2,31 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdist import (CertificateError, PointSet, chain_certificate,
-                   chain_distinct_distances, check_cone_conditions, linf,
-                   linf_cone_family, vec)
-from kdist.chains import LInfCone, PolyhedralCone, cone_heights
+                   chain_distinct_distances, check_cone_conditions, l1, linf,
+                   linf_cone_family, lp, parallelotope_cones, polytopal, vec)
+from kdist import chains
+from kdist.chains import PolyhedralCone, cone_heights
 from kdist.gen import random_lattice_subset
-from kdist.norms import vsub
+from kdist.norms import dot, vsub
 from kdist.search import extremal_grid
 
 GRID33 = extremal_grid(2, 2)
 
 
 def test_linf_cone_membership():
-    assert LInfCone(0, 2).contains(vec(3, 1))
-    assert not LInfCone(0, 2).contains(vec(-3, 1))
-    assert LInfCone(1, 2).contains(vec(2, 2))  # boundary of two cones
-    assert LInfCone(0, 2).contains(vec(2, 2))
-    assert LInfCone(0, 2).contains(vec(0, 0))
+    # Cone i of the family is {v : max_j |v_j| = v_i}; in d = 1, {v >= 0}.
+    rng = random.Random(0)
+    for d in (1, 2, 3):
+        family = linf_cone_family(d)
+        vectors = [vec(*(rng.randint(-3, 3) for _ in range(d))) for _ in range(300)]
+        vectors += [vec(*[0] * d), vec(*[2] * d), vec(*[-2] * d)]
+        for v in vectors:
+            assert [c.contains(v) for c in family] == \
+                [max(map(abs, v)) == v[i] for i in range(d)]
 
 
 def test_polyhedral_cone_excluded_ray():
@@ -45,10 +52,10 @@ def _chain_length_brute(points, cone, x):
 def test_heights_match_brute_force_on_grids(d, m):
     pts = [vec(*c) for c in product(range(m + 1), repeat=d)]
     ps = PointSet(d, tuple(pts))
-    for cone in linf_cone_family(d):
+    for axis, cone in enumerate(linf_cone_family(d)):
         heights = cone_heights(ps, cone)
         for p in pts:
-            assert heights[p] == _chain_length_brute(pts, cone, p) == p[cone.axis]
+            assert heights[p] == _chain_length_brute(pts, cone, p) == p[axis]
 
 
 def _heights(ps):
@@ -93,7 +100,7 @@ def test_cone_conditions_linf():
 
 
 def test_cone_conditions_coverage_violation():
-    family = (LInfCone(0, 2),)  # first coordinate cone alone
+    family = linf_cone_family(2)[:1]  # first coordinate cone alone
     report = check_cone_conditions(family, linf(2), [vec(0, 1)])
     assert report.uncovered == [vec(0, 1)]
 
@@ -121,27 +128,33 @@ def test_equal_norm_check_sees_both_signs_of_each_difference():
         chain_distinct_distances(linf(2), ps, CLOSED_QUADRANTS)
 
 
-class _CountingCone:
-    def __init__(self, cone):
-        self.cone, self.calls = cone, 0
-
-    def contains(self, v):
-        self.calls += 1
-        return self.cone.contains(v)
-
-
 @pytest.mark.parametrize("pts", [[vec(0, 0), vec(1, 0), vec(3, 1), vec(7, 4)],
                                  [vec(0), vec(1), vec(3)]])
-def test_one_membership_test_per_ordered_pair_and_cone(pts):
-    # All differences have distinct norms, so the equal-norm check tests nothing.
-    d, n = len(pts[0]), len(pts)
-    family = tuple(_CountingCone(c) for c in linf_cone_family(d))
-    chain_certificate(linf(d), PointSet.of(pts), family)
-    assert [c.calls for c in family] == [n * (n - 1)] * d
+def test_one_membership_test_per_ordered_pair_and_cone(monkeypatch, pts):
+    # Each cone's order is built once per certificate, from facet values
+    # taken once per point: no per-pair membership test.  All differences
+    # have distinct norms, so the equal-norm check tests nothing either.
+    ordered, tests = [], [0]
+    order, contains = chains._order, PolyhedralCone.contains
+
+    def counting_order(ints, cone):
+        ordered.append(cone)
+        return order(ints, cone)
+
+    def counting_contains(self, v):
+        tests[0] += 1
+        return contains(self, v)
+
+    monkeypatch.setattr(chains, "_order", counting_order)
+    monkeypatch.setattr(PolyhedralCone, "contains", counting_contains)
+    family = linf_cone_family(len(pts[0]))
+    cert = chain_certificate(linf(len(pts[0])), PointSet.of(pts), family)
+    assert ordered == list(family) and tests == [0]
+    assert cert.ok
 
 
 def test_certificate_uncovered_difference_raises():
-    family = (LInfCone(0, 2),)
+    family = linf_cone_family(2)[:1]
     ps = PointSet.of([vec(0, 0), vec(0, 1)])
     with pytest.raises(CertificateError):
         chain_certificate(linf(2), ps, family)
@@ -198,3 +211,66 @@ def test_order_is_strict_partial_order():
             for c in ps.points:
                 if (b, c) in less:
                     assert (a, c) in less
+
+
+# ---------------------------------------------------------------------------
+# parallelotope gauges ||A x||_inf
+
+@pytest.mark.parametrize("spec, cones", [
+    (linf(1), 1),
+    (linf(3), 3),
+    (polytopal([(1, 1, 0), (0, 1, 0), (0, 0, 1)]), 3),               # the skewed cube
+    (polytopal([(2,)]), 1),
+    (polytopal([(1, 1), (-1, -1), (0, "1/2"), (1, 1)]), 2),           # repeats up to sign
+    (polytopal([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]), None),  # a cube cut by a slab
+    (polytopal([(1, 0, 0), (0, 1, 0), (1, 1, 0)]), None),             # rank 2: a seminorm
+    (l1(3), None),
+    (lp(2, 3.0), None),
+])
+def test_parallelotope_recognition(spec, cones):
+    family = parallelotope_cones(spec)
+    assert (None if family is None else len(family)) == cones
+
+
+def test_parallelotope_cones_keep_the_first_sign_of_a_repeated_functional():
+    # (1, 1) repeats (-1, -1) up to sign, so cone 0 is {x : -x_1 - x_2 >= |x_2 / 2|}.
+    p0, p1 = parallelotope_cones(polytopal([(-1, -1), (1, 1), (0, "1/2")]))
+    assert p0.contains(vec(-1, 0)) and not p0.contains(vec(1, 0))
+    assert p1.contains(vec(-4, 4)) and not p1.contains(vec(4, -4))
+
+
+def _mat_vec(A, v):
+    return tuple(dot(a, v) for a in A)
+
+
+@st.composite
+def invertible_matrices(draw):
+    d = draw(st.integers(1, 3))
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = st.lists(st.tuples(*[entries] * d), min_size=d, max_size=d)
+    A = draw(rows.filter(lambda A: _det(A) != 0))
+    return [vec(*a) for a in A]
+
+
+def _det(A):
+    if len(A) == 1:
+        return A[0][0]
+    return sum((-1) ** j * A[0][j] * _det([r[:j] + r[j + 1:] for r in A[1:]])
+               for j in range(len(A)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(A=invertible_matrices(), data=st.data())
+def test_parallelotope_certificate_is_the_linf_certificate_of_the_image(A, data):
+    # The certificate of S under ||A x||_inf is the linf certificate of A S,
+    # with its heights keyed by S.
+    d = len(A)
+    coords = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    pts = data.draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=8, unique=True))
+    ps = PointSet(d, tuple(vec(*p) for p in pts))
+    cert = chain_certificate(polytopal(A), ps, parallelotope_cones(polytopal(A)))
+    image = PointSet(d, tuple(_mat_vec(A, p) for p in ps.points))
+    ref = chain_certificate(linf(d), image, linf_cone_family(d))
+    assert (cert.h, cert.bound, cert.injective) == (ref.h, ref.bound, ref.injective)
+    assert cert.heights == {p: ref.heights[_mat_vec(A, p)] for p in ps.points}
+    assert cert.violations == ref.violations == []

@@ -6,17 +6,21 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from kdist import (criteria, hexagon_gauge, l1, linf, max_area_normalization,
-                   planar_bound_certificate, polygon_vertices_2d, vec)
+from kdist import (PolyhedralCone, criteria, hexagon_gauge, l1, linf,
+                   max_area_normalization, planar_bound_certificate, polygon_gauge,
+                   polygon_vertices_2d, polytopal, vec)
 from kdist.cli import run_command
+from kdist.gen import random_symmetric_polygon
 from kdist.norms import norm_to_json
-from kdist.planar import apply_matrix
+from kdist.planar import apply_matrix, pulled_back_cones
 from kdist.spectrum import PairTable, PointSet, pointset_to_json
 
 
@@ -157,10 +161,56 @@ def test_bound_planar_heights_are_keyed_by_input_points(files, capsys):
     assert heights == {f"{x},{y}": list(hv) for (x, y), hv in cert.chain.heights.items()}
 
 
+@pytest.mark.parametrize("spec", [hexagon_gauge(), polygon_gauge(
+    [vec(2, 1), vec(1, 2), vec(-1, 1), vec(-2, -1), vec(-1, -2), vec(1, -1)]),
+    polygon_gauge(random_symmetric_polygon(random.Random(1), 4, 10))])
+def test_bound_planar_removed_rays_are_in_the_input_frame(files, capsys, spec):
+    pts = PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)])
+    argv = ["bound", "--norm", files("norm.json", norm_to_json(spec)),
+            "--points", files("pts.json", pointset_to_json(pts))]
+    assert run_command(argv) == 0
+    rays = json.loads(capsys.readouterr().out)["witnesses"]["removed_rays"]
+    nrm, qc, family = pulled_back_cones(spec)
+    assert rays and len(rays) == len(qc.removed)
+    for item in rays:
+        label, ray = item["cone"], vec(*(Fraction(a, b) for a, b in item["ray"]))
+        assert (label, apply_matrix(nrm.matrix, ray)) in qc.removed
+        cone = family[("p1", "p2").index(label)]
+        assert not cone.contains(ray) and PolyhedralCone(cone.facets).contains(ray)
+
+
+SKEWED_CUBE = polytopal([(1, 1, 0), (0, 1, 0), (0, 0, 1)])
+# A^-1 {0, 1, 2}^3 for the rows A of SKEWED_CUBE: a 2-distance set of 27 points.
+SKEWED_GRID = PointSet.of([vec(a - b, b, c) for a, b, c in product(range(3), repeat=3)])
+
+
+def test_skewed_cube_takes_the_parallelotope_route(files, capsys):
+    argv = ["--norm", files("norm.json", norm_to_json(SKEWED_CUBE)),
+            "--points", files("pts.json", pointset_to_json(SKEWED_GRID))]
+    assert run_command(["bound"] + argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["bound"], out["k"], out["claimed"], out["observed"]) == \
+        ("parallelotope-chain", 2, 27, 27)
+    assert run_command(["chains"] + argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["h"], out["bound"], out["observed"], out["injective"]) == (2, 27, 27, True)
+
+
+def test_l1_3_stays_general_and_chains_refuses_it(files, capsys):
+    argv = ["--norm", files("norm.json", norm_to_json(l1(3))),
+            "--points", files("pts.json", pointset_to_json(
+                PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)])))]
+    assert run_command(["bound"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == "general-minkowski"
+    assert run_command(["chains"] + argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert "parallelotope" in out.err
+
+
 def test_conecover_command(files, capsys):
     norm = files("norm.json", norm_to_json(linf(2)))
-    rc = run_command(["conecover", "--norm", norm, "--samples", "1000",
-                      "--trials", "50"])
+    rc = run_command(["conecover", "--norm", norm, "--samples", "1000"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["m"] <= out["capacity"] == 20
@@ -172,8 +222,7 @@ def test_conecover_rejects_seminorm(files, capsys):
     # Two functionals cannot span R^3: the unit sphere is an unbounded cylinder.
     norm = files("norm.json", {"dim": 3, "kind": "polytopal",
                                "functionals": [[1, 0, 0], [0, 1, 0]]})
-    rc = run_command(["conecover", "--norm", norm, "--samples", "100",
-                      "--trials", "10"])
+    rc = run_command(["conecover", "--norm", norm, "--samples", "100"])
     assert rc == 1
     out = capsys.readouterr()
     assert out.out == "" and "seminorm" in out.err
@@ -183,8 +232,7 @@ def test_conecover_undersampled_is_inconclusive(files, capsys):
     # A one-sample greedy set is maximal only on that sample, so unassigned
     # fresh directions say the sampling was too coarse, not that a bound failed.
     norm = files("norm.json", {"dim": 3, "kind": "linf"})
-    rc = run_command(["conecover", "--norm", norm, "--samples", "1",
-                      "--trials", "3"])
+    rc = run_command(["conecover", "--norm", norm, "--samples", "1"])
     assert rc == 1
     out = capsys.readouterr()
     unassigned = json.loads(out.out)["unassigned"]
@@ -196,16 +244,15 @@ def test_conecover_halfwidth_failure_is_alarm(files, capsys, monkeypatch):
     from kdist import cli
     real = cli.cone_halfwidth_check
 
-    def failing(cone, spec, trials, seed):
-        report = real(cone, spec, trials=trials, seed=seed)
+    def failing(cone, spec):
+        report = real(cone, spec)
         report.failures.append("forced")
         return report
 
     monkeypatch.setattr(cli, "cone_halfwidth_check", failing)
     # Under-sampled as above: a half-width failure outranks unassigned directions.
     norm = files("norm.json", {"dim": 3, "kind": "linf"})
-    rc = run_command(["conecover", "--norm", norm, "--samples", "1",
-                      "--trials", "3"])
+    rc = run_command(["conecover", "--norm", norm, "--samples", "1"])
     assert rc == 2
     out = capsys.readouterr()
     assert not json.loads(out.out)["halfwidth_ok"]
@@ -428,7 +475,7 @@ def _well_formed(draw):
 _tokens = st.sampled_from([
     "spectrum", "chains", "normalize2d", "conecover", "decompose", "search",
     "bound", "nonsense", "--norm", "--points", "--ground", "--k", "--samples",
-    "--trials", "--seed", "--use-bound-pruning", "--enumerate-optima", "-h",
+    "--seed", "--use-bound-pruning", "--enumerate-optima", "-h",
     "NORM", "POINTS", "/nonexistent.json", "1", "2", "-1", "x"])
 
 
@@ -450,7 +497,7 @@ def test_cli_fuzz_exit_status(tmp_path_factory, command, rest, files):
     elif command not in ("normalize2d", "conecover"):
         argv += ["--points", str(paths["POINTS"])]
     if command == "conecover":
-        argv += ["--samples", "40", "--trials", "5"]
+        argv += ["--samples", "40"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = run_command(argv)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from kdist import (InputError, PointSet, SearchProblem, branch_and_bound,
                    brute_force_oracle, enumerate_optimal_subsets,
-                   extremal_grid, hexagon_gauge, is_grid_homothet, l1, linf,
-                   lp, polygon_gauge, vec, verify_extremal_uniqueness)
+                   extremal_grid, general_bound, hexagon_gauge, is_grid_homothet,
+                   l1, linf, lp, polygon_gauge, polytopal, vec,
+                   verify_extremal_uniqueness)
 from kdist.gen import random_lattice_subset, random_symmetric_polygon
 from kdist.norms import polygon_vertices_2d
-from kdist.search import _pair_classes
+from kdist.search import _bound_cap, _pair_classes
 from kdist.spectrum import distance_spectrum
 
 
@@ -63,6 +64,44 @@ def test_bound_pruning_gives_same_size():
     pruned = branch_and_bound(problem, use_bound_pruning=True)
     assert plain.size == pruned.size == 4
     assert pruned.nodes <= plain.nodes
+
+
+@pytest.mark.parametrize("spec, cap", [
+    (linf(3), 27), (l1(2), 9), (hexagon_gauge(), 9),
+    (polytopal([(1, 1, 0), (0, 1, 0), (0, 0, 1)]), 27),    # a skewed cube
+    (l1(3), general_bound(2, 3)), (lp(3, 3.0), general_bound(2, 3)),
+])
+def test_bound_cap_is_the_tightest_proved_bound(spec, cap):
+    ground = PointSet.of([vec(*[0] * spec.dim)])
+    assert _bound_cap(SearchProblem(spec, ground, 2)) == cap
+
+
+def _ref_homothet(pts, k):
+    # a + lambda {0..k}^d with a the coordinatewise minimum and lambda read off axis 0.
+    d = len(pts[0])
+    a = [min(p[i] for p in pts) for i in range(d)]
+    lam = Fraction(max(p[0] for p in pts) - a[0], k)
+    grid = {tuple(a[i] + lam * c[i] for i in range(d)) for c in product(range(k + 1), repeat=d)}
+    return lam > 0 and len(pts) == len(grid) and set(pts) == grid
+
+
+def test_is_grid_homothet_matches_the_definition():
+    rng = random.Random(12)
+    for _ in range(3000):
+        d, k = rng.randint(1, 3), rng.randint(1, 3)
+        if rng.random() < 0.5:
+            steps = [Fraction(rng.randint(1, 3), rng.randint(1, 2))] * d
+            if rng.random() < 0.3:
+                steps[-1] += 1
+            pts = [tuple(steps[i] * c[i] - 1 for i in range(d))
+                   for c in product(range(k + 1), repeat=d)]
+            if rng.random() < 0.4:
+                pts[rng.randrange(len(pts))] = tuple(Fraction(rng.randint(-2, 6)) for _ in range(d))
+        else:
+            pts = [tuple(Fraction(rng.randint(0, 3)) for _ in range(d))
+                   for _ in range(rng.randint(1, 12))]
+        pts = list(dict.fromkeys(pts))
+        assert is_grid_homothet(pts, k) == _ref_homothet(pts, k), (pts, k)
 
 
 def test_hexagon_equilateral_optimum_is_three():
