@@ -109,22 +109,28 @@ def _order(ints, cone) -> list[list[int]]:
 
 
 def _heights(below: list[list[int]], pts) -> list[int]:
-    """Longest descending chain length from each point of the order, by memoized
-    longest path; a cycle (the cone is not acute here) raises CertificateError."""
-    height: dict[int, int] = {}
-    in_progress: set[int] = set()
-
-    def visit(x: int) -> int:
-        if x in height:
-            return height[x]
-        if x in in_progress:
-            raise CertificateError(f"cycle in cone order at {pts[x]}; cone is not acute")
-        in_progress.add(x)
-        height[x] = h = max((1 + visit(y) for y in below[x]), default=0)
-        in_progress.discard(x)
-        return h
-
-    return [visit(x) for x in range(len(below))]
+    """Longest descending chain length from each point of the order, over a
+    topological order; points left over lie on or above a cycle (the cone is
+    not acute here), and CertificateError names a point on one."""
+    above: list[list[int]] = [[] for _ in below]
+    for x, ys in enumerate(below):
+        for y in ys:
+            above[y].append(x)
+    left = [len(ys) for ys in below]        # points below x not yet resolved
+    height = [0] * len(below)
+    ready = [x for x, c in enumerate(left) if not c]
+    for y in ready:                         # grows while it is read
+        for x in above[y]:
+            height[x] = max(height[x], height[y] + 1)
+            left[x] -= 1
+            if not left[x]:
+                ready.append(x)
+    if len(ready) < len(below):
+        x = next(x for x, c in enumerate(left) if c)
+        for _ in below:                     # walk down into the cycle
+            x = next(y for y in below[x] if left[y])
+        raise CertificateError(f"cycle in cone order at {pts[x]}; cone is not acute")
+    return height
 
 
 def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
@@ -153,18 +159,17 @@ class ConeConditionReport:
 
 
 def _equal_norm_violations(idx: int, cone, members) -> list[tuple[int, Vec, Vec]]:
-    """(idx, u, v) per two members (label, scaled vector, norm), u listed first,
-    that share a norm and differ by a vector of +-cone; u, v are their labels."""
+    """(idx, u, v) for the labels u before v of two members (label, scaled
+    vector, norm) of one norm, related in the cone's order on those members."""
     by_norm: dict = {}
     for v, x, n in members:
         by_norm.setdefault(n, []).append((v, x))
     out = []
-    for group in by_norm.values():
-        for i, (u, xu) in enumerate(group):
-            for v, xv in group[i + 1:]:
-                d = tuple(map(sub, xu, xv))
-                if cone.contains(d) or cone.contains(tuple(map(neg, d))):
-                    out.append((idx, u, v))
+    for group in (g for g in by_norm.values() if len(g) > 1):
+        below = [set(ys) for ys in _order([x for _, x in group], cone)]
+        out += [(idx, u, v) for i, (u, _) in enumerate(group)
+                for j, (v, _) in enumerate(group[i + 1:], i + 1)
+                if j in below[i] or i in below[j]]
     return out
 
 

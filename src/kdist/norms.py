@@ -392,25 +392,17 @@ def polygon_vertices_2d(spec: NormSpec) -> list[Vec]:
     if all(cross2(funcs[0], a) == 0 for a in funcs):
         raise GeometryError("functionals do not span the plane; unit ball unbounded")
 
-    lines = [a for a in funcs] + [vneg(a) for a in funcs]
-    verts: set[Vec] = set()
-    for i, a in enumerate(lines):
-        for b in lines[i + 1:]:
-            det = cross2(a, b)
-            if det == 0:
-                continue
-            # Solve a.x = 1, b.x = 1.
-            x = (b[1] - a[1]) / det
-            y = (a[0] - b[0]) / det
-            p = (x, y)
-            if all(abs(dot(c, p)) <= 1 for c in funcs):
-                verts.add(p)
-    hull = convex_hull(list(verts))
-    # The origin is interior, so the angle grows along the hull: start where
-    # it passes from [pi, 2 pi) into [0, pi).
-    upper = [(y, x) > (0, 0) for x, y in hull]
+    # {x : |a.x| <= 1} is the polar of conv(+-a): each counterclockwise hull
+    # edge a, b (cross(a, b) > 0) gives the vertex x with a.x = b.x = 1.
+    hull = convex_hull(list(funcs) + [vneg(a) for a in funcs])
+    verts = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        det = cross2(a, b)
+        verts.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
+    # The angle grows along the list: start where it passes from [pi, 2 pi) into [0, pi).
+    upper = [(y, x) > (0, 0) for x, y in verts]
     start = next(i for i, up in enumerate(upper) if up and not upper[i - 1])
-    return hull[start:] + hull[:start]
+    return verts[start:] + verts[:start]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def _check_symmetric(verts: list[Vec]) -> None:
 
 def _validate_polygon(verts: list[Vec]) -> None:
     """Symmetric (cyclically: the same as a set under strict convexity),
-    strictly convex and counterclockwise."""
+    strictly convex and counterclockwise, winding once around the origin."""
     if len(verts) < 4:
         raise GeometryError("need at least 4 vertices")
     _check_symmetric(verts)
@@ -50,6 +50,11 @@ def _validate_polygon(verts: list[Vec]) -> None:
         turn = cross2(vsub(v, u), vsub(w, v))
         if turn <= 0:
             raise GeometryError("polygon is not strictly convex counterclockwise")
+    # Steps of less than a half turn cross the positive x-axis once per turn.
+    upper = [(y, x) > (0, 0) for x, y in verts]
+    if (any(cross2(verts[i - 1], verts[i]) <= 0 for i in range(n))
+            or sum(up and not upper[i - 1] for i, up in enumerate(upper)) != 1):
+        raise GeometryError("polygon does not wind exactly once around the origin")
 
 
 def polygon_contains(verts: list[Vec], p: Vec) -> bool:
@@ -120,9 +125,7 @@ def max_area_normalization(polygon) -> Normalization2D:
             area = abs(cross2(u, verts[j]))
             if best is None or area > best[0]:
                 best = (area, i, j)
-    area, i, j = best
-    if area == 0:
-        raise GeometryError("polygon is degenerate (zero maximal triangle area)")
+    _, i, j = best                  # the area is positive: validation winds once
     x0, y0 = verts[i], verts[j]
     if cross2(x0, y0) < 0:
         x0, y0 = y0, x0
@@ -134,10 +137,9 @@ def max_area_normalization(polygon) -> Normalization2D:
     for p in image:
         if abs(p[0]) > 1 or abs(p[1]) > 1:
             raise GeometryError(f"normalized vertex {p} escapes the unit square")
-    img_list = list(image)
-    for e in (vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)):
-        if not polygon_contains(img_list, e):
-            raise GeometryError("cross-polytope vertex outside normalized polygon")
+    # C' is convex (validated), so it holds B1 when it has +-e1, +-e2 as vertices.
+    if not {vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)} <= set(image):
+        raise GeometryError("cross-polytope vertex outside normalized polygon")
     n = len(image)
     for a in range(n):
         if not _segment_quadrants(image[a], image[(a + 1) % n]):

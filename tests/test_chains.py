@@ -153,6 +153,21 @@ def test_one_membership_test_per_ordered_pair_and_cone(monkeypatch, pts):
     assert cert.ok
 
 
+def test_heights_of_a_chain_deeper_than_the_recursion_limit():
+    n = 5000
+    up = [[x - 1] if x else [] for x in range(n)]
+    down = [[x + 1] if x < n - 1 else [] for x in range(n)]
+    assert chains._heights(up, range(n)) == list(range(n))
+    assert chains._heights(down, range(n)) == list(range(n))[::-1]
+
+
+def test_heights_cycle_names_a_point_on_the_cycle():
+    # 0 lies above the cycle 1 > 2 > 3 > 1, and 4 below it.
+    below = [[1], [2, 4], [3], [1], []]
+    with pytest.raises(CertificateError, match="cycle in cone order at [123];"):
+        chains._heights(below, range(5))
+
+
 def test_certificate_uncovered_difference_raises():
     family = linf_cone_family(2)[:1]
     ps = PointSet.of([vec(0, 0), vec(0, 1)])

@@ -71,6 +71,15 @@ def test_decompose_command(files, capsys):
     assert out["kind"] == "split" and out["size"] == 4
 
 
+def test_bound_on_a_chain_deeper_than_the_recursion_limit(files, capsys):
+    norm = files("norm.json", {"dim": 1, "kind": "polytopal", "functionals": [[-1]]})
+    points = files("pts.json", {"dim": 1, "points": [[i] for i in range(1100)]})
+    assert run_command(["bound", "--norm", norm, "--points", points]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["k"], out["claimed"], out["observed"]) == (1099, 1100, 1100)
+    assert out["witnesses"]["chain"]["h"] == 1099
+
+
 def _huge_points():
     # 28 of 30 points near 2^345: a bound past float range, about 2^1038.
     rng = random.Random(1)

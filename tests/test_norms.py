@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kdist import (GeometryError, InputError, hexagon_gauge, l1, linf, lp,
                    norm_eval, polygon_gauge, polygon_vertices_2d, polytopal,
                    validate_norm, vec)
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import (IntGauge, LpGauge, gauge, norm_from_json, norm_to_json,
-                         vadd, vscale, vsub)
+from kdist.norms import (IntGauge, LpGauge, convex_hull, cross2, dot, gauge, is_zero,
+                         norm_from_json, norm_to_json, vadd, vneg, vscale, vsub)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 
@@ -78,6 +78,60 @@ def test_polygon_vertices_hexagon():
 def test_polygon_vertices_unbounded():
     with pytest.raises(GeometryError):
         polygon_vertices_2d(polytopal([(1, 0), (2, 0)]))
+
+
+def _all_pairs_vertices(funcs):
+    """The unit polygon of the functionals by intersecting every pair of lines
+    +-a.x = 1 and keeping the feasible points: the reference construction."""
+    if any(is_zero(a) for a in funcs):
+        raise GeometryError("zero functional in gauge")
+    if all(cross2(funcs[0], a) == 0 for a in funcs):
+        raise GeometryError("functionals do not span the plane; unit ball unbounded")
+    lines = list(funcs) + [vneg(a) for a in funcs]
+    verts = set()
+    for i, a in enumerate(lines):
+        for b in lines[i + 1:]:
+            det = cross2(a, b)
+            if det != 0:
+                p = ((b[1] - a[1]) / det, (a[0] - b[0]) / det)
+                if all(abs(dot(c, p)) <= 1 for c in funcs):
+                    verts.add(p)
+    hull = convex_hull(list(verts))
+    upper = [(y, x) > (0, 0) for x, y in hull]
+    start = next(i for i, up in enumerate(upper) if up and not upper[i - 1])
+    return hull[start:] + hull[:start]
+
+
+@st.composite
+def functional_lists(draw):
+    """Random rational functionals, then repeats, negations, scaled copies and
+    dominated extras (convex combinations of +-a), shuffled."""
+    rat = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    funcs = draw(st.lists(st.tuples(rat, rat).map(lambda a: vec(*a)), min_size=2, max_size=6))
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.sampled_from(funcs)), draw(st.sampled_from(funcs))
+        s = draw(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4))
+        t = draw(st.fractions(min_value=0, max_value=1, max_denominator=5))
+        extras = {"repeat": a, "negate": vneg(a), "scale": vscale(s, a),
+                  "dominated": vadd(vscale(t, a), vscale(t - 1, b))}    # between a and -b
+        funcs.append(extras[draw(st.sampled_from(sorted(extras)))])
+    return draw(st.permutations(funcs))
+
+
+def _vertices_or_error(f, funcs):
+    try:
+        return f(funcs)
+    except GeometryError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(funcs=functional_lists())
+@example(funcs=[vec(1, 0), vec(0, 0), vec(0, 1)])              # a zero functional
+@example(funcs=[vec(1, 2), vec(-2, -4), vec(Fraction(1, 2), 1)])  # not spanning
+def test_polar_hull_vertices_match_all_pairs_intersection(funcs):
+    got = _vertices_or_error(lambda fs: polygon_vertices_2d(polytopal(fs)), funcs)
+    assert got == _vertices_or_error(_all_pairs_vertices, funcs)
 
 
 @pytest.mark.parametrize("spec", [linf(2), l1(2), hexagon_gauge()])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kdist import (GeometryError, InputError, PointSet, PolyhedralCone, hexagon_gauge,
                    l1, linf, max_area_normalization, norm_eval, planar_bound_certificate,
                    polygon_gauge, polygon_vertices_2d, quadrant_cones, vec)
+from kdist import chains
 from kdist.chains import _chain_certificate
 from kdist.gen import random_lattice_subset, random_symmetric_polygon
 from kdist.norms import cross2, dot
@@ -182,23 +183,33 @@ def test_input_frame_certificate_matches_image_frame(seed, norm, side, size):
 
 
 @pytest.mark.parametrize("verts, calls", [
-    # 2 cones x 8 distinct differences, -x for the 3 in neither cone, and 10
-    # in the equal-norm check.
-    (DIAMOND, 32),
-    # 2 x 18, -x for 9, and 10.
-    (HEXAGON, 64),
+    # 2 cones x 8 distinct differences, and -x for the 3 in neither cone
+    # (4 calls: the scan of -x stops at the first cone that holds it).
+    (DIAMOND, 20),
+    # 2 x 18, and -x for 9 (14 calls).
+    (HEXAGON, 50),
 ])
 def test_quadrant_cones_one_membership_test_per_vector_and_cone(monkeypatch, verts, calls):
-    count = [0]
-    contains = PolyhedralCone.contains
+    """contains runs only in the coverage test; the equal-norm check compares
+    facet values through the cone's order."""
+    count, checks = [0], []
+    contains, equal_norm = PolyhedralCone.contains, chains._equal_norm_violations
 
     def counting(self, v):
         count[0] += 1
         return contains(self, v)
 
+    def checked(*args):
+        before = count[0]
+        out = equal_norm(*args)
+        checks.append(count[0] - before)
+        return out
+
     monkeypatch.setattr(PolyhedralCone, "contains", counting)
+    monkeypatch.setattr(chains, "_equal_norm_violations", checked)
     assert quadrant_cones(verts).condition_report.ok
     assert count[0] == calls
+    assert checks == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +243,16 @@ def test_polygon_gauge_keeps_one_functional_per_opposite_pair(verts):
 def test_polygon_gauge_rejects_a_list_not_symmetric_in_cyclic_order(verts):
     with pytest.raises(GeometryError):
         polygon_gauge(verts)
+
+
+# The octagon (3, 0), (2, 2), (0, 3), ..., (2, -2) listed in steps of three:
+# cyclically symmetric, a left turn at every vertex, no repeat, but three turns.
+OCTAGON = [vec(3, 0), vec(2, 2), vec(0, 3), vec(-2, 2),
+           vec(-3, 0), vec(-2, -2), vec(0, -3), vec(2, -2)]
+
+
+@pytest.mark.parametrize("build", [max_area_normalization, quadrant_cones])
+def test_polygon_winding_more_than_once_rejected(build):
+    build(OCTAGON)                      # in order, it winds once
+    with pytest.raises(GeometryError, match="wind exactly once"):
+        build([OCTAGON[3 * i % 8] for i in range(8)])
