@@ -16,8 +16,8 @@ from fractions import Fraction
 from operator import ge, mul, neg, sub
 
 from .errors import CertificateError, InputError
-from .norms import (NormSpec, Vec, clear_denominators, dot, gauge, is_zero, linf,
-                    vadd, vec, vec_to_json, vneg, vsub)
+from .norms import (NormSpec, Vec, clear_denominators, gauge, is_zero, linf, vadd,
+                    vec, vec_to_json, vneg, vsub)
 from .spectrum import PairTable, PointSet
 
 
@@ -29,17 +29,23 @@ class PolyhedralCone:
     """Intersection of halfspaces c.x >= 0, minus optional open boundary rays.
 
     Each excluded ray is a direction r; the open ray {t r : t > 0} is removed
-    from the closed cone (the origin always remains a member).
+    from the closed cone (the origin always remains a member).  Facets and
+    rays share one length, the cone's dim (None when it has neither).
     """
 
     facets: tuple[Vec, ...]
     excluded_rays: tuple[Vec, ...] = ()
+    dim: int | None = field(init=False, compare=False)
     # The facets times one common denominator: the same halfspaces.
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(is_zero(r) for r in self.excluded_rays):
             raise InputError("an excluded ray must be nonzero")
+        dims = {len(v) for v in (*self.facets, *self.excluded_rays)}
+        if len(dims) > 1:
+            raise InputError("cone facets and excluded rays differ in length")
+        object.__setattr__(self, "dim", dims.pop() if dims else None)
         object.__setattr__(self, "_rows", tuple(clear_denominators(self.facets)[0]))
 
     def contains(self, v: Vec) -> bool:
@@ -58,32 +64,27 @@ class PolyhedralCone:
         return False
 
 
-def pull_back(facets, A) -> tuple[Vec, ...]:
-    """The facets c A of the cone {x : A x in P}, for the facets c of a cone P."""
-    cols = tuple(zip(*A))
-    return tuple(tuple(dot(c, col) for col in cols) for c in facets)
-
-
-@functools.cache       # once per norm: the pull-back runs on Fractions
+@functools.cache       # once per norm: the rank test and the facets run on Fractions
 def parallelotope_cones(spec: NormSpec) -> tuple[PolyhedralCone, ...] | None:
     """The cones of a parallelotope gauge ||x|| = ||A x||_inf, or None if not one.
 
-    A is I for linf; for polytopal, its functionals (the first of each +-
-    pair) when there are d of rank d: a sound test that misses dominated
-    extras.  Cone i = {x : a_i.x >= |a_j.x| for j != i} pulls back by A the
-    linf cone with facets e_i -+ e_j; in d = 1 the facet e_0 alone, {y >= 0}.
+    A is I for linf; for polytopal, its nonzero functionals (the first of
+    each +- pair) when there are d of rank d: a sound test that misses
+    dominated extras.  Cone i = {x : a_i.x >= |a_j.x| for j != i} has the
+    facets a_i -+ a_j; in d = 1 the facet a_0 alone, {a_0.x >= 0}.
     """
     d = spec.dim
-    e = [vec(*(int(i == j) for j in range(d))) for i in range(d)]
     firsts: dict = {}
     for a in spec.functionals:
-        firsts.setdefault(max(a, vneg(a)), a)
-    A = e if spec.kind == "linf" else list(firsts.values())
+        if not is_zero(a):
+            firsts.setdefault(max(a, vneg(a)), a)
+    A = ([vec(*(int(i == j) for j in range(d))) for i in range(d)] if spec.kind == "linf"
+         else list(firsts.values()))
     if spec.kind not in ("linf", "polytopal") or len(A) != d or gauge(spec).rank() != d:
         return None
-    return tuple(PolyhedralCone(pull_back(
-        [c for j in range(d) if j != i for c in (vsub(e[i], e[j]), vadd(e[i], e[j]))] or [e[i]],
-        A)) for i in range(d))
+    return tuple(PolyhedralCone(tuple(
+        c for j in range(d) if j != i for c in (vsub(A[i], A[j]), vadd(A[i], A[j]))) or (A[i],))
+        for i in range(d))
 
 
 def linf_cone_family(dim: int) -> tuple[PolyhedralCone, ...]:
@@ -98,7 +99,10 @@ def _order(ints, cone) -> list[list[int]]:
     """The cone's order on the points: for each x, the ascending indices y
     with ints[x] - ints[y] in the cone.  Each facet row r is evaluated once
     per point: x - y lies in the closed cone iff r.x >= r.y for every r, and
-    only the pairs that pass are tested against the excluded rays."""
+    only the pairs that pass are tested against the excluded rays.  Points
+    of another dimension than the cone's raise InputError."""
+    if cone.dim is not None and any(len(x) != cone.dim for x in ints):
+        raise InputError(f"a cone of dimension {cone.dim} on points of another dimension")
     vals = [tuple([sum(map(mul, r, x)) for r in cone._rows]) for x in ints]
     below = [[j for j, vy in enumerate(vals) if j != i and all(map(ge, vx, vy))]
              for i, vx in enumerate(vals)]
@@ -180,11 +184,14 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
     for distinct u, v in a common P_i with ||u|| = ||v||, neither u - v nor
     v - u lies in P_i.  Both are decided on the vectors cleared over one
     common denominator (cone membership and the equal-norm grouping are
-    invariant under that scaling), with the norm's gauge.
+    invariant under that scaling), with the norm's gauge.  Cones or vectors
+    of another dimension than the norm's raise InputError.
     """
     vectors = list(dict.fromkeys(v for v in vectors if not is_zero(v)))
     if not vectors:
         raise InputError("vectors must be nonempty")
+    if {len(v) for v in vectors} | ({c.dim for c in family} - {None}) != {spec.dim}:
+        raise InputError("the cones, the vectors and the norm differ in dimension")
     g = gauge(spec)
     scaled, _ = g.clear(vectors)
     members = [(v, x, g.value(g.image(x))) for v, x in zip(vectors, scaled)]

@@ -22,9 +22,9 @@ from .cover import (cone_halfwidth_check, cover_assignment, general_bound,
                     separated_set_capacity, sphere_samples)
 from .decompose import decompose_recursive_bound
 from .errors import CertificateError, FalsificationError, InputError, KdistError
-from .norms import (NormSpec, norm_from_json, norm_to_json, rat_to_pair,
-                    vec_to_json)
-from .planar import pulled_back_cones
+from .norms import (NormSpec, norm_from_json, norm_to_json, polygon_vertices_2d,
+                    rat_to_pair, vec_to_json)
+from .planar import max_area_normalization, planar_cones, quadrant_cones
 from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
 from .spectrum import (PairTable, PointSet, distance_spectrum,
                        pointset_from_json, pointset_to_json, spectrum_to_json)
@@ -84,7 +84,8 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_normalize2d(args) -> int:
-    nrm, qc, _ = pulled_back_cones(_load_norm(args.norm))
+    nrm = max_area_normalization(polygon_vertices_2d(_load_norm(args.norm)))
+    qc = quadrant_cones(nrm.vertices)
     _emit({
         "x0": vec_to_json(nrm.x0),
         "y0": vec_to_json(nrm.y0),
@@ -177,8 +178,8 @@ def _cmd_bound(args) -> int:
     elif chained:
         if planar:
             name = "planar-two-cones"
-            _, _, family = pulled_back_cones(spec)
-            # The rays the pulled-back cones exclude, in the input's frame.
+            family = planar_cones(spec)
+            # The rays the cones exclude, in the input's frame.
             witnesses["removed_rays"] = [{"cone": c, "ray": vec_to_json(r)}
                                          for c, cone in zip(("p1", "p2"), family)
                                          for r in cone.excluded_rays]

@@ -386,10 +386,8 @@ def polygon_vertices_2d(spec: NormSpec) -> list[Vec]:
         raise InputError("polygon_vertices_2d requires dimension 2")
     if not spec.exact:
         raise InputError("polygon_vertices_2d requires an exact norm kind")
-    funcs = _gauge_functionals_2d(spec)
-    if any(is_zero(a) for a in funcs):
-        raise GeometryError("zero functional in gauge")
-    if all(cross2(funcs[0], a) == 0 for a in funcs):
+    funcs = [a for a in _gauge_functionals_2d(spec) if not is_zero(a)]    # 0 constrains nothing
+    if not funcs or all(cross2(funcs[0], a) == 0 for a in funcs):
         raise GeometryError("functionals do not span the plane; unit ball unbounded")
 
     # {x : |a.x| <= 1} is the polar of conv(+-a): each counterclockwise hull

@@ -5,8 +5,9 @@ a polygon C' squeezed between the cross-polytope and the square, with
 every boundary segment inside one closed coordinate quadrant.  The closed
 first and second quadrants, with some open boundary rays removed, then
 form a two-cone family valid for the gauge of C', which yields the
-(k+1)^2 bound for planar k-distance sets.  Pulled back by the map, the
-two cones certify the input points under the original norm.
+(k+1)^2 bound for planar k-distance sets.  Written in the input frame,
+through the vertices x0, y0 that the map sends to e1, e2, the two cones
+certify the input points under the original norm.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import (ConeConditionReport, HeightCertificate, PolyhedralCone,
-                     _chain_certificate, check_cone_conditions, pull_back)
+                     _chain_certificate, check_cone_conditions)
 from .errors import GeometryError, InputError
 from .norms import (NormSpec, Vec, cross2, polygon_vertices_2d, polytopal,
                     vec, vneg, vsub)
@@ -57,22 +58,11 @@ def _validate_polygon(verts: list[Vec]) -> None:
         raise GeometryError("polygon does not wind exactly once around the origin")
 
 
-def polygon_contains(verts: list[Vec], p: Vec) -> bool:
-    """Closed containment test for a convex CCW polygon."""
-    n = len(verts)
-    return all(cross2(vsub(verts[(i + 1) % n], verts[i]), vsub(p, verts[i])) >= 0
-               for i in range(n))
-
-
 def polygon_gauge(verts: list[Vec]) -> NormSpec:
-    """Facet-functional gauge whose unit ball is the given symmetric polygon."""
+    """Facet-functional gauge whose unit ball is the given symmetric polygon:
+    edge i + n/2 is edge i negated, so the functionals of the first n/2
+    edges give the gauge."""
     _check_symmetric(verts)
-    return _edge_gauge(verts)
-
-
-def _edge_gauge(verts: list[Vec]) -> NormSpec:
-    """polygon_gauge of a symmetric polygon: edge i + n/2 is edge i negated,
-    so the functionals of the first n/2 edges give the gauge."""
     n = len(verts)
     funcs = []
     for i in range(n // 2):
@@ -148,6 +138,34 @@ def max_area_normalization(polygon) -> Normalization2D:
     return Normalization2D(x0, y0, T, image)
 
 
+def _quadrant_pair(verts: list[Vec], x0: Vec, y0: Vec):
+    """The quadrant pair of a polygon's vertex basis x0, y0 (cross(x0, y0) > 0)
+    and its removed rays (label, ray) in edge order: p1 = {cross(x, y0) >= 0,
+    cross(x0, x) >= 0}, p2 = {cross(x, y0) <= 0, cross(x0, x) >= 0}.  Those
+    two values are det T x for T x0 = e1, T y0 = e2, so x lies in p1 (p2)
+    iff T x lies in the first (second) closed quadrant.  A cone loses the
+    open ray +-x0 (y0) where an edge lying in it runs parallel to x0 (y0);
+    none leaves both cones, which would need an edge on a line through 0."""
+    coords = [(cross2(v, y0), cross2(x0, v)) for v in verts]
+    n = len(verts)
+    removed: dict[tuple[str, Vec], bool] = {}
+    for a in range(n):
+        u, v = coords[a], coords[(a + 1) % n]
+        quads = _segment_quadrants(u, v)
+        if not quads:
+            raise GeometryError(f"segment {verts[a]}-{verts[(a + 1) % n]} crosses two "
+                                "quadrants; input is not normalized")
+        for q, label, x_ray in ((0, "p1", x0), (1, "p2", vneg(x0))):
+            if q in quads and u[1] == v[1]:         # parallel to x0
+                removed[(label, x_ray)] = True
+            if q in quads and u[0] == v[0]:         # parallel to y0
+                removed[(label, y0)] = True
+    p1, p2 = (PolyhedralCone((vec(sign * y0[1], -sign * y0[0]), vec(-x0[1], x0[0])),
+                             tuple(r for c, r in removed if c == label))
+              for sign, label in ((1, "p1"), (-1, "p2")))
+    return p1, p2, tuple(removed)
+
+
 @dataclass(frozen=True)
 class QuadrantCones:
     """First- and second-quadrant cones with their removed boundary rays."""
@@ -169,43 +187,18 @@ def quadrant_cones(vertices) -> QuadrantCones:
     """
     verts = [vec(*v) for v in vertices]
     _validate_polygon(verts)
+    p1, p2, removed = _quadrant_pair(verts, vec(1, 0), vec(0, 1))
     n = len(verts)
-    removed: dict[tuple[str, Vec], bool] = {}
-    for a in range(n):
-        u, v = verts[a], verts[(a + 1) % n]
-        quads = _segment_quadrants(u, v)
-        if not quads:
-            raise GeometryError(
-                f"segment {u}-{v} crosses two quadrants; input is not normalized")
-        for q, label, x_ray in ((0, "p1", vec(1, 0)), (1, "p2", vec(-1, 0))):
-            if q in quads and u[1] == v[1]:         # x-parallel
-                removed[(label, x_ray)] = True
-            if q in quads and u[0] == v[0]:         # y-parallel
-                removed[(label, vec(0, 1))] = True
-
-    # A ray removed from both cones would leave it uncovered; the
-    # normalization invariant rules this out.
-    for axis, x1, x2 in (("y", vec(0, 1), vec(0, 1)), ("x", vec(1, 0), vec(-1, 0))):
-        if ("p1", x1) in removed and ("p2", x2) in removed:
-            raise GeometryError(
-                f"{axis}-parallel boundary segments in both upper quadrants; not normalized")
-    p1, p2 = (PolyhedralCone((vec(sign, 0), vec(0, 1)),
-                             tuple(r for c, r in removed if c == label))
-              for sign, label in ((1, "p1"), (-1, "p2")))
-
-    gauge = _edge_gauge(verts)
     diffs = [vsub(verts[b], verts[a])
              for a in range(n) for b in range(n) if a != b]
-    report = check_cone_conditions((p1, p2), gauge, diffs)
-    return QuadrantCones(p1, p2, tuple(removed), report)
+    report = check_cone_conditions((p1, p2), polygon_gauge(verts), diffs)
+    return QuadrantCones(p1, p2, removed, report)
 
 
 @dataclass
 class PlanarCertificate:
     """(k+1)^2 bound certificate for a planar k-distance set."""
 
-    normalization: Normalization2D
-    cones: QuadrantCones
     chain: HeightCertificate
     k: int
     claimed: int
@@ -216,32 +209,28 @@ class PlanarCertificate:
                 and self.chain.bound <= self.claimed)
 
 
-def pulled_back_cones(spec: NormSpec) -> tuple[Normalization2D, QuadrantCones, tuple]:
-    """The normalization T of the unit polygon, its quadrant cones, and those
-    cones pulled back to the input's frame: x lies in a pulled-back cone iff
-    T x lies in the cone.  A facet c becomes c T; a removed ray r becomes
-    T^-1 r = r_1 x0 + r_2 y0."""
-    nrm = max_area_normalization(polygon_vertices_2d(spec))
-    qc = quadrant_cones(nrm.vertices)
-    inverse = tuple(zip(nrm.x0, nrm.y0))
-    family = tuple(PolyhedralCone(pull_back(cone.facets, nrm.matrix),
-                                  tuple(apply_matrix(inverse, r) for r in cone.excluded_rays))
-                   for cone in (qc.p1, qc.p2))
-    return nrm, qc, family
+def planar_cones(spec: NormSpec) -> tuple[PolyhedralCone, PolyhedralCone]:
+    """The two cones of the planar certificate in the input frame: the
+    quadrant pair of the normalization's basis x0, y0 on the unit polygon.
+    x lies in one iff T x lies in the matching cone of quadrant_cones(C'),
+    and the removed rays are T^-1 r = r_1 x0 + r_2 y0."""
+    verts = polygon_vertices_2d(spec)
+    nrm = max_area_normalization(verts)
+    return _quadrant_pair(verts, nrm.x0, nrm.y0)[:2]
 
 
 def planar_bound_certificate(spec: NormSpec, ps: PointSet, k: int) -> PlanarCertificate:
     """Compose normalization, quadrant cones, and the chain certificate.
 
-    The cones are pulled back by the normalization map, so k is checked, and
-    the two-cone chain certificate run, on the point set's own table; its
+    The cones are written in the input frame, so k is checked, and the
+    two-cone chain certificate run, on the point set's own table; its
     heights are those of the image T(S) under the gauge of C', keyed by S.
     """
     if spec.dim != 2 or ps.dim != 2 or not spec.exact:
         raise InputError("planar bound requires a 2-dimensional exact norm and point set")
-    nrm, qc, family = pulled_back_cones(spec)
+    family = planar_cones(spec)
     table = PairTable(spec, ps)
     if table.spectrum.k != k:
         raise InputError(f"point set is not a {k}-distance set under the given norm")
     cert, _ = _chain_certificate(table, family)
-    return PlanarCertificate(nrm, qc, cert, k, (k + 1) ** 2)
+    return PlanarCertificate(cert, k, (k + 1) ** 2)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdist import (CertificateError, PointSet, chain_certificate,
+from kdist import (CertificateError, InputError, PointSet, chain_certificate,
                    chain_distinct_distances, check_cone_conditions, l1, linf,
                    linf_cone_family, lp, parallelotope_cones, polytopal, vec)
 from kdist import chains
 from kdist.chains import PolyhedralCone, cone_heights
 from kdist.gen import random_lattice_subset
-from kdist.norms import dot, vsub
+from kdist.norms import dot, vadd, vneg, vsub
 from kdist.search import extremal_grid
 
 GRID33 = extremal_grid(2, 2)
@@ -259,8 +259,8 @@ def _mat_vec(A, v):
 
 
 @st.composite
-def invertible_matrices(draw):
-    d = draw(st.integers(1, 3))
+def invertible_matrices(draw, max_dim=3):
+    d = draw(st.integers(1, max_dim))
     entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     rows = st.lists(st.tuples(*[entries] * d), min_size=d, max_size=d)
     A = draw(rows.filter(lambda A: _det(A) != 0))
@@ -289,3 +289,66 @@ def test_parallelotope_certificate_is_the_linf_certificate_of_the_image(A, data)
     assert (cert.h, cert.bound, cert.injective) == (ref.h, ref.bound, ref.injective)
     assert cert.heights == {p: ref.heights[_mat_vec(A, p)] for p in ps.points}
     assert cert.violations == ref.violations == []
+
+
+def _pull_back(facets, A):
+    """The facets c A of the cone {x : A x in P}, for the facets c of a cone P:
+    the reference construction of the parallelotope cones."""
+    cols = tuple(zip(*A))
+    return tuple(tuple(dot(c, col) for col in cols) for c in facets)
+
+
+@settings(max_examples=120, deadline=None)
+@given(A=invertible_matrices(max_dim=4), data=st.data())
+def test_parallelotope_facets_are_the_linf_facets_pulled_back(A, data):
+    # Repeats up to sign and zero functionals, shuffled; A is then the first
+    # nonzero functional of each +- pair, in order.
+    d = len(A)
+    extras = data.draw(st.lists(st.sampled_from(A + [vneg(a) for a in A] + [vec(*[0] * d)]),
+                                max_size=4))
+    funcs = data.draw(st.permutations(A + extras))
+    firsts: dict = {}
+    for a in funcs:
+        if any(a):
+            firsts.setdefault(max(a, vneg(a)), a)
+    A = list(firsts.values())
+    e = [vec(*(int(i == j) for j in range(d))) for i in range(d)]
+    family = parallelotope_cones(polytopal(funcs))
+    assert [c.facets for c in family] == [_pull_back(
+        [c for j in range(d) if j != i for c in (vsub(e[i], e[j]), vadd(e[i], e[j]))] or [e[i]],
+        A) for i in range(d)]
+
+
+def test_zero_functionals_are_skipped_by_the_parallelotope_test():
+    family = parallelotope_cones(polytopal([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    assert [c.facets for c in family] == [c.facets for c in linf_cone_family(3)]
+    assert parallelotope_cones(polytopal([(0, 0), (1, 0)])) is None     # one functional left
+
+
+# ---------------------------------------------------------------------------
+# cone dimension
+
+@pytest.mark.parametrize("facets, rays", [
+    ((vec(1, 0), vec(0, 1, 0)), ()),
+    ((vec(1, 0),), (vec(1, 0, 0),)),
+])
+def test_cone_rejects_facets_and_rays_of_different_lengths(facets, rays):
+    with pytest.raises(InputError, match="differ in length"):
+        PolyhedralCone(facets, rays)
+
+
+SPACE_PTS = PointSet.of([vec(0, 0, 0), vec(1, 0, 5)])
+
+
+@pytest.mark.parametrize("run", [
+    lambda fam: chain_certificate(linf(3), SPACE_PTS, fam),
+    lambda fam: chain_distinct_distances(linf(3), SPACE_PTS, fam),
+    lambda fam: cone_heights(SPACE_PTS, fam[0]),
+    lambda fam: check_cone_conditions(fam, linf(2), [vec(1, 2, 3), vec(0, 1)]),
+    lambda fam: check_cone_conditions(fam, linf(3), [vec(1, 2, 3)]),
+    lambda fam: check_cone_conditions(fam, linf(2), [vec(0, 1), vec(1, 2, 3)]),
+], ids=["chain_certificate", "chain_distinct_distances", "cone_heights",
+        "check_cone_conditions", "check_cone_conditions-norm", "check_cone_conditions-late"])
+def test_cones_of_another_dimension_are_rejected(run):
+    with pytest.raises(InputError, match="dimension"):
+        run(linf_cone_family(2))

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from kdist import (PolyhedralCone, criteria, hexagon_gauge, l1, linf,
                    max_area_normalization, planar_bound_certificate, polygon_gauge,
                    polygon_vertices_2d, polytopal, vec)
+from kdist import chains, cli, planar
 from kdist.cli import run_command
 from kdist.gen import random_symmetric_polygon
 from kdist.norms import norm_to_json
-from kdist.planar import apply_matrix, pulled_back_cones
+from kdist.planar import apply_matrix, planar_cones, quadrant_cones
 from kdist.spectrum import PairTable, PointSet, pointset_to_json
 
 
@@ -179,13 +180,79 @@ def test_bound_planar_removed_rays_are_in_the_input_frame(files, capsys, spec):
             "--points", files("pts.json", pointset_to_json(pts))]
     assert run_command(argv) == 0
     rays = json.loads(capsys.readouterr().out)["witnesses"]["removed_rays"]
-    nrm, qc, family = pulled_back_cones(spec)
+    nrm = max_area_normalization(polygon_vertices_2d(spec))
+    qc, family = quadrant_cones(nrm.vertices), planar_cones(spec)
     assert rays and len(rays) == len(qc.removed)
     for item in rays:
         label, ray = item["cone"], vec(*(Fraction(a, b) for a, b in item["ray"]))
         assert (label, apply_matrix(nrm.matrix, ray)) in qc.removed
         cone = family[("p1", "p2").index(label)]
         assert not cone.contains(ray) and PolyhedralCone(cone.facets).contains(ray)
+
+
+def test_each_planar_command_builds_only_what_it_prints(files, capsys, monkeypatch):
+    # bound prints the input-frame cones' certificate and rays; normalize2d
+    # prints C' and its cones' condition report.
+    calls = {"quadrant_cones": 0, "check_cone_conditions": 0, "planar_cones": 0}
+
+    def count(module, name):
+        f = getattr(module, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(module, name, counting)
+
+    for module in (chains, planar, cli):
+        for name in calls:
+            if hasattr(module, name):
+                count(module, name)
+    norm = files("norm.json", norm_to_json(hexagon_gauge()))
+    points = files("pts.json", pointset_to_json(
+        PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)])))
+    assert run_command(["bound", "--norm", norm, "--points", points]) == 0
+    assert calls == {"quadrant_cones": 0, "check_cone_conditions": 0, "planar_cones": 1}
+    assert run_command(["normalize2d", "--norm", norm]) == 0
+    assert calls == {"quadrant_cones": 1, "check_cone_conditions": 1, "planar_cones": 1}
+
+
+# l-infinity with a zero functional, which constrains nothing.
+LINF2_WITH_ZERO = polytopal([(0, 0), (0, 1), (1, 0)])
+LINF3_WITH_ZERO = polytopal([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def test_a_zero_functional_constrains_nothing_in_the_plane(files, capsys):
+    pts = files("pts.json", pointset_to_json(PointSet.of([vec(0, 0), vec(1, 0), vec(0, 1)])))
+    outs = {}
+    for spec in (LINF2_WITH_ZERO, polytopal([(0, 1), (1, 0)])):
+        norm = files("norm.json", norm_to_json(spec))
+        for argv in (["spectrum", "--points", pts], ["decompose", "--points", pts],
+                     ["bound", "--points", pts], ["normalize2d"]):
+            assert run_command(argv + ["--norm", norm]) == 0, argv
+            out = json.loads(capsys.readouterr().out)
+            out.pop("inputs_digest", None)
+            outs.setdefault(argv[0], []).append(out)
+    assert all(a == b for a, b in outs.values())
+    assert outs["bound"][0]["bound"] == "planar-two-cones"
+    assert outs["bound"][0]["claimed"] == 4
+
+
+def test_a_zero_functional_constrains_nothing_in_space(files, capsys):
+    argv = ["--norm", files("norm.json", norm_to_json(LINF3_WITH_ZERO)),
+            "--points", files("pts.json", pointset_to_json(
+                PointSet.of([vec(*p) for p in product(range(2), repeat=3)])))]
+    assert run_command(["bound"] + argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["bound"], out["k"], out["claimed"], out["observed"]) == \
+        ("parallelotope-chain", 1, 8, 8)
+    assert run_command(["chains"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["injective"]
+
+
+def test_all_zero_functionals_are_rejected(files, capsys):
+    norm = files("norm.json", {"dim": 2, "kind": "polytopal", "functionals": [[0, 0], [0, 0]]})
+    assert run_command(["normalize2d", "--norm", norm]) == 1
+    assert "do not span the plane" in capsys.readouterr().err
 
 
 SKEWED_CUBE = polytopal([(1, 1, 0), (0, 1, 0), (0, 0, 1)])

@@ -82,10 +82,10 @@ def test_polygon_vertices_unbounded():
 
 def _all_pairs_vertices(funcs):
     """The unit polygon of the functionals by intersecting every pair of lines
-    +-a.x = 1 and keeping the feasible points: the reference construction."""
-    if any(is_zero(a) for a in funcs):
-        raise GeometryError("zero functional in gauge")
-    if all(cross2(funcs[0], a) == 0 for a in funcs):
+    +-a.x = 1 and keeping the feasible points: the reference construction.
+    A zero functional constrains nothing, so it is skipped."""
+    funcs = [a for a in funcs if not is_zero(a)]
+    if not funcs or all(cross2(funcs[0], a) == 0 for a in funcs):
         raise GeometryError("functionals do not span the plane; unit ball unbounded")
     lines = list(funcs) + [vneg(a) for a in funcs]
     verts = set()

@@ -11,8 +11,8 @@ from kdist import (GeometryError, InputError, PointSet, PolyhedralCone, hexagon_
 from kdist import chains
 from kdist.chains import _chain_certificate
 from kdist.gen import random_lattice_subset, random_symmetric_polygon
-from kdist.norms import cross2, dot
-from kdist.planar import apply_matrix, polygon_contains
+from kdist.norms import cross2, dot, vscale, vsub
+from kdist.planar import apply_matrix, planar_cones
 from kdist.search import extremal_grid
 from kdist.spectrum import PairTable
 
@@ -39,7 +39,7 @@ def test_hexagon_normalization_invariants():
     for v in nrm.vertices:
         assert abs(v[0]) <= 1 and abs(v[1]) <= 1
     for e in DIAMOND:
-        assert polygon_contains(list(nrm.vertices), e)
+        assert norm_eval(polygon_gauge(list(nrm.vertices)), e) <= 1
 
 
 def test_degenerate_polygon_rejected():
@@ -52,7 +52,7 @@ def _check_normalization_invariants(nrm):
     for v in verts:
         assert abs(v[0]) <= 1 and abs(v[1]) <= 1
     for e in DIAMOND:
-        assert polygon_contains(verts, e)
+        assert norm_eval(polygon_gauge(verts), e) <= 1
     n = len(verts)
     for i in range(n):
         u, v = verts[i], verts[(i + 1) % n]
@@ -210,6 +210,52 @@ def test_quadrant_cones_one_membership_test_per_vector_and_cone(monkeypatch, ver
     assert quadrant_cones(verts).condition_report.ok
     assert count[0] == calls
     assert checks == [0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the input-frame cones against the quadrant cones of C' pulled back by T
+
+PARALLELOGRAM = [vec(2, 1), vec(-1, 1), vec(-2, -1), vec(1, -1)]
+
+
+def _reference_quadrant_cones(verts):
+    """The quadrant cones of a normalized polygon C' and their removed axis
+    rays, by the axis-parallel edges in each closed upper quadrant: the
+    reference construction, in the frame of C'."""
+    removed = {"p1": [], "p2": []}
+    for u, v in zip(verts, verts[1:] + verts[:1]):
+        for label, sx, x_ray in (("p1", 1, vec(1, 0)), ("p2", -1, vec(-1, 0))):
+            if min(sx * u[0], sx * v[0], u[1], v[1]) >= 0:
+                if u[1] == v[1] and x_ray not in removed[label]:
+                    removed[label].append(x_ray)
+                if u[0] == v[0] and vec(0, 1) not in removed[label]:
+                    removed[label].append(vec(0, 1))
+    return [PolyhedralCone((vec(sx, 0), vec(0, 1)), tuple(removed[label]))
+            for label, sx in (("p1", 1), ("p2", -1))]
+
+
+@pytest.mark.parametrize("spec", [hexagon_gauge(), l1(2), polygon_gauge(PARALLELOGRAM)] + [
+    polygon_gauge(random_symmetric_polygon(random.Random(seed), 4, 10)) for seed in range(8)])
+def test_planar_cones_are_the_quadrant_cones_pulled_back(spec):
+    # x lies in an input-frame cone iff T x lies in the reference cone, and
+    # the removed rays are T^-1 r = r_1 x0 + r_2 y0 for its rays r, in order.
+    nrm = max_area_normalization(polygon_vertices_2d(spec))
+    ref = _reference_quadrant_cones(list(nrm.vertices))
+    qc = quadrant_cones(nrm.vertices)
+    assert [qc.p1, qc.p2] == ref
+    inverse = tuple(zip(nrm.x0, nrm.y0))
+    rays = [tuple(apply_matrix(inverse, r) for r in c.excluded_rays) for c in ref]
+    family = planar_cones(spec)
+    assert [c.excluded_rays for c in family] == rays
+    rng = random.Random(len(rays[0]) + 3 * len(rays[1]))
+    verts = polygon_vertices_2d(spec)
+    axes = [vscale(t, v) for v in (nrm.x0, nrm.y0) for t in (1, -1, 3, Fraction(-1, 2))]
+    edges = [vscale(t, vsub(v, u)) for u, v in zip(verts, verts[1:] + verts[:1]) for t in (1, -2)]
+    randoms = [vec(Fraction(rng.randint(-20, 20), rng.randint(1, 5)),
+                   Fraction(rng.randint(-20, 20), rng.randint(1, 5))) for _ in range(200)]
+    for x in axes + edges + randoms + [vec(0, 0)]:
+        tx = apply_matrix(nrm.matrix, x)
+        assert [c.contains(x) for c in family] == [c.contains(tx) for c in ref]
 
 
 # ---------------------------------------------------------------------------
