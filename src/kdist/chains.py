@@ -5,7 +5,8 @@ space induces, on a finite point set S, the orders y <_i x iff x - y in
 P_i.  If additionally no two equal-norm vectors inside one cone differ by
 a vector of that cone, the height map x -> (h_1(x), ..., h_m(x)) is
 injective and |S| <= (h+1)^m where h is the largest height; for a
-k-distance set h <= k.
+k-distance set h <= k.  chain_certificate is the one entry point of every
+chain route, and HeightCertificate.ok its one verdict.
 """
 
 from __future__ import annotations
@@ -211,17 +212,24 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
 
 @dataclass
 class HeightCertificate:
-    """Record of the height map on S and the cardinality bound it implies."""
+    """Record of the height map on S and the cardinality bound it implies.
+
+    k is the number of distances of S and claimed = (k+1)^m for m cones.
+    ok is the height lemma's conclusion on S: the height map is injective,
+    no equal-norm violation was found, and h <= k, so |S| <= bound <= claimed.
+    """
 
     heights: dict[Vec, tuple[int, ...]]
     h: int
     bound: int
     injective: bool
+    k: int
+    claimed: int
     violations: list[tuple[int, Vec, Vec]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.injective and not self.violations
+        return self.injective and not self.violations and self.h <= self.k
 
     def to_json(self) -> dict:
         return {
@@ -237,7 +245,7 @@ class HeightCertificate:
 
 
 def chain_certificate(spec: NormSpec, ps: PointSet, family) -> HeightCertificate:
-    """Height-vector certificate for ps under the cone family.
+    """Height-vector certificate for ps under the cone family, on ps's table.
 
     Raises CertificateError if some difference of ps is covered by no cone
     (condition (1) fails on S).  Equal-norm violations found on S are
@@ -274,9 +282,10 @@ def _chain_certificate(table: PairTable, family) -> tuple[HeightCertificate, lis
     per_cone = [_heights(below, pts) for below in orders]
     heights = {x: tuple(hc[i] for hc in per_cone) for i, x in enumerate(pts)}
     h = max((max(hv) for hv in heights.values()), default=0)
+    k = table.spectrum.k
     cert = HeightCertificate(heights=heights, h=h, bound=(h + 1) ** len(family),
                              injective=len(set(heights.values())) == n,
-                             violations=violations)
+                             k=k, claimed=(k + 1) ** len(family), violations=violations)
     return cert, orders
 
 

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .chains import _chain_certificate, parallelotope_cones
+from .chains import chain_certificate, parallelotope_cones
 from .cover import (cone_halfwidth_check, cover_assignment, general_bound,
                     generated_cones, greedy_separated_set, packing_bound_check,
                     separated_set_capacity, sphere_samples)
@@ -26,8 +26,8 @@ from .norms import (NormSpec, norm_from_json, norm_to_json, polygon_vertices_2d,
                     rat_to_pair, vec_to_json)
 from .planar import max_area_normalization, planar_cones, quadrant_cones
 from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
-from .spectrum import (PairTable, PointSet, distance_spectrum,
-                       pointset_from_json, pointset_to_json, spectrum_to_json)
+from .spectrum import (PointSet, distance_spectrum, pointset_from_json,
+                       pointset_to_json, spectrum_to_json)
 
 
 def _load_json(path: str):
@@ -74,11 +74,9 @@ def _cmd_chains(args) -> int:
         raise InputError("chains needs a parallelotope gauge: linf, or d polytopal "
                          "functionals of rank d")
     ps = _load_points(args.points)
-    table = PairTable(spec, ps)
-    cert, _ = _chain_certificate(table, family)
-    k = table.spectrum.k
-    _emit({**cert.to_json(), "k": k, "observed": len(ps)})
-    if not cert.ok or cert.h > k or len(ps) > cert.bound:
+    cert = chain_certificate(spec, ps, family)
+    _emit({**cert.to_json(), "k": cert.k, "observed": len(ps)})
+    if not cert.ok:
         raise FalsificationError("chain certificate failed on a k-distance set")
     return 0
 
@@ -96,7 +94,9 @@ def _cmd_normalize2d(args) -> int:
         "uncovered": [vec_to_json(v) for v in qc.condition_report.uncovered],
         "equal_norm_violations": len(qc.condition_report.equal_norm_violations),
     })
-    return 0 if qc.condition_report.ok else 2
+    if not qc.condition_report.ok:
+        raise FalsificationError("quadrant cone conditions fail on the normalized polygon")
+    return 0
 
 
 def _cmd_conecover(args) -> int:
@@ -164,31 +164,25 @@ def _cmd_bound(args) -> int:
     d, observed = spec.dim, len(ps)
     # Planar norms but linf take the two-cone route, parallelograms included.
     planar = d == 2 and spec.exact and spec.kind != "linf"
-    family = None if planar else parallelotope_cones(spec)
-    chained = planar or family is not None
-    if chained:
-        table = PairTable(spec, ps)
-        k = table.spectrum.k
+    family = planar_cones(spec) if planar else parallelotope_cones(spec)
+    if family is not None:
+        cert = chain_certificate(spec, ps, family)
+        k = cert.k
     else:
         node = decompose_recursive_bound(ps, spec)
         k = node.k
     witnesses: dict = {}
     if k == 0:
         name, claimed = "single-point", 1
-    elif chained:
-        if planar:
-            name = "planar-two-cones"
-            family = planar_cones(spec)
-            # The rays the cones exclude, in the input's frame.
+    elif family is not None:
+        name = "planar-two-cones" if planar else "parallelotope-chain"
+        claimed = cert.claimed
+        witnesses["chain"] = cert.to_json()
+        if planar:      # the rays the cones exclude, in the input's frame
             witnesses["removed_rays"] = [{"cone": c, "ray": vec_to_json(r)}
                                          for c, cone in zip(("p1", "p2"), family)
                                          for r in cone.excluded_rays]
-        else:
-            name = "parallelotope-chain"
-        cert, _ = _chain_certificate(table, family)
-        claimed = (k + 1) ** len(family)
-        witnesses = {"chain": cert.to_json(), **witnesses}
-        if not cert.ok or cert.h > k:
+        if not cert.ok:
             raise FalsificationError(f"chain certificate failed on the {name} route")
     else:
         name = "general-minkowski"

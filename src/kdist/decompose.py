@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FalsificationError, InputError
-from .norms import NormSpec, Vec, gauge
+from .norms import NormSpec, Vec, cross2, gauge, polygon_vertices_2d
 from .spectrum import DistanceSpectrum, PairTable, PointSet, distance_spectrum
 
 
@@ -162,7 +162,6 @@ def unit_ball_volume(spec: NormSpec):
     if spec.kind == "polytopal":
         if d != 2:
             raise InputError("polytopal ball volume implemented for d = 2 only")
-        from .norms import polygon_vertices_2d, cross2
         verts = polygon_vertices_2d(spec)
         area = Fraction(0)
         for i in range(len(verts)):

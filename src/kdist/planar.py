@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import (ConeConditionReport, HeightCertificate, PolyhedralCone,
-                     _chain_certificate, check_cone_conditions)
+                     chain_certificate, check_cone_conditions)
 from .errors import GeometryError, InputError
 from .norms import (NormSpec, Vec, cross2, polygon_vertices_2d, polytopal,
                     vec, vneg, vsub)
-from .spectrum import PairTable, PointSet
+from .spectrum import PointSet
 
 Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -75,16 +75,36 @@ def polygon_gauge(verts: list[Vec]) -> NormSpec:
     return polytopal(funcs)
 
 
-_QUADRANT_SIGNS = ((1, 1), (-1, 1), (-1, -1), (1, -1))
-
-
-def _segment_quadrants(u: Vec, v: Vec) -> list[int]:
-    """Indices of closed quadrants (Q1..Q4 as 0..3) containing both endpoints."""
-    out = []
-    for q, (sx, sy) in enumerate(_QUADRANT_SIGNS):
-        if sx * u[0] >= 0 and sy * u[1] >= 0 and sx * v[0] >= 0 and sy * v[1] >= 0:
-            out.append(q)
-    return out
+def _quadrant_pair(verts: list[Vec], x0: Vec, y0: Vec):
+    """The quadrant pair of a polygon's vertex basis x0, y0 (cross(x0, y0) > 0)
+    and its removed rays (label, ray) in edge order: p1 = {cross(x, y0) >= 0,
+    cross(x0, x) >= 0}, p2 = {cross(x, y0) <= 0, cross(x0, x) >= 0}.  Those
+    two values are det T x for T x0 = e1, T y0 = e2, so x lies in p1 (p2)
+    iff T x lies in the first (second) closed quadrant.  A cone loses the
+    open ray +-x0 (y0) where an edge lying in it runs parallel to x0 (y0);
+    none leaves both cones, which would need an edge on a line through 0.
+    An edge whose ends have coordinates of opposite signs lies in no closed
+    quadrant, a GeometryError."""
+    coords = [(cross2(v, y0), cross2(x0, v)) for v in verts]
+    n = len(verts)
+    removed: dict[tuple[str, Vec], bool] = {}
+    for a in range(n):
+        u, v = coords[a], coords[(a + 1) % n]
+        if u[0] * v[0] < 0 or u[1] * v[1] < 0:
+            raise GeometryError(f"boundary segment {verts[a]}-{verts[(a + 1) % n]} lies "
+                                "in no closed quadrant of the basis")
+        if min(u[1], v[1]) < 0:                     # in the lower half: no upper cone
+            continue
+        for label, x_ray, inside in (("p1", x0, min(u[0], v[0]) >= 0),
+                                     ("p2", vneg(x0), max(u[0], v[0]) <= 0)):
+            if inside and u[1] == v[1]:             # parallel to x0
+                removed[(label, x_ray)] = True
+            if inside and u[0] == v[0]:             # parallel to y0
+                removed[(label, y0)] = True
+    p1, p2 = (PolyhedralCone((vec(sign * y0[1], -sign * y0[0]), vec(-x0[1], x0[0])),
+                             tuple(r for c, r in removed if c == label))
+              for sign, label in ((1, "p1"), (-1, "p2")))
+    return p1, p2, tuple(removed)
 
 
 @dataclass(frozen=True)
@@ -95,6 +115,7 @@ class Normalization2D:
     y0: Vec
     matrix: Matrix2              # T with T x0 = e1, T y0 = e2
     vertices: tuple[Vec, ...]    # image polygon C', counterclockwise
+    cones: tuple[PolyhedralCone, PolyhedralCone]    # the quadrant pair of x0, y0
 
 
 def max_area_normalization(polygon) -> Normalization2D:
@@ -105,7 +126,8 @@ def max_area_normalization(polygon) -> Normalization2D:
     orientation fixed so that cross(x0, y0) > 0), and applies the inverse
     of the matrix with columns x0, y0.  The three normalization invariants
     (B1 inside C', C' inside the square, single-quadrant boundary segments)
-    are verified exactly and failures raise GeometryError.
+    are verified exactly and failures raise GeometryError; the last one
+    while building the quadrant pair of x0, y0 on the input polygon.
     """
     verts = [vec(*v) for v in polygon]
     _validate_polygon(verts)
@@ -130,40 +152,7 @@ def max_area_normalization(polygon) -> Normalization2D:
     # C' is convex (validated), so it holds B1 when it has +-e1, +-e2 as vertices.
     if not {vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)} <= set(image):
         raise GeometryError("cross-polytope vertex outside normalized polygon")
-    n = len(image)
-    for a in range(n):
-        if not _segment_quadrants(image[a], image[(a + 1) % n]):
-            raise GeometryError(
-                f"boundary segment {image[a]}-{image[(a + 1) % n]} crosses quadrants")
-    return Normalization2D(x0, y0, T, image)
-
-
-def _quadrant_pair(verts: list[Vec], x0: Vec, y0: Vec):
-    """The quadrant pair of a polygon's vertex basis x0, y0 (cross(x0, y0) > 0)
-    and its removed rays (label, ray) in edge order: p1 = {cross(x, y0) >= 0,
-    cross(x0, x) >= 0}, p2 = {cross(x, y0) <= 0, cross(x0, x) >= 0}.  Those
-    two values are det T x for T x0 = e1, T y0 = e2, so x lies in p1 (p2)
-    iff T x lies in the first (second) closed quadrant.  A cone loses the
-    open ray +-x0 (y0) where an edge lying in it runs parallel to x0 (y0);
-    none leaves both cones, which would need an edge on a line through 0."""
-    coords = [(cross2(v, y0), cross2(x0, v)) for v in verts]
-    n = len(verts)
-    removed: dict[tuple[str, Vec], bool] = {}
-    for a in range(n):
-        u, v = coords[a], coords[(a + 1) % n]
-        quads = _segment_quadrants(u, v)
-        if not quads:
-            raise GeometryError(f"segment {verts[a]}-{verts[(a + 1) % n]} crosses two "
-                                "quadrants; input is not normalized")
-        for q, label, x_ray in ((0, "p1", x0), (1, "p2", vneg(x0))):
-            if q in quads and u[1] == v[1]:         # parallel to x0
-                removed[(label, x_ray)] = True
-            if q in quads and u[0] == v[0]:         # parallel to y0
-                removed[(label, y0)] = True
-    p1, p2 = (PolyhedralCone((vec(sign * y0[1], -sign * y0[0]), vec(-x0[1], x0[0])),
-                             tuple(r for c, r in removed if c == label))
-              for sign, label in ((1, "p1"), (-1, "p2")))
-    return p1, p2, tuple(removed)
+    return Normalization2D(x0, y0, T, image, _quadrant_pair(verts, x0, y0)[:2])
 
 
 @dataclass(frozen=True)
@@ -195,42 +184,24 @@ def quadrant_cones(vertices) -> QuadrantCones:
     return QuadrantCones(p1, p2, removed, report)
 
 
-@dataclass
-class PlanarCertificate:
-    """(k+1)^2 bound certificate for a planar k-distance set."""
-
-    chain: HeightCertificate
-    k: int
-    claimed: int
-
-    @property
-    def ok(self) -> bool:
-        return (self.chain.ok and self.chain.h <= self.k
-                and self.chain.bound <= self.claimed)
-
-
 def planar_cones(spec: NormSpec) -> tuple[PolyhedralCone, PolyhedralCone]:
     """The two cones of the planar certificate in the input frame: the
     quadrant pair of the normalization's basis x0, y0 on the unit polygon.
     x lies in one iff T x lies in the matching cone of quadrant_cones(C'),
     and the removed rays are T^-1 r = r_1 x0 + r_2 y0."""
-    verts = polygon_vertices_2d(spec)
-    nrm = max_area_normalization(verts)
-    return _quadrant_pair(verts, nrm.x0, nrm.y0)[:2]
+    return max_area_normalization(polygon_vertices_2d(spec)).cones
 
 
-def planar_bound_certificate(spec: NormSpec, ps: PointSet, k: int) -> PlanarCertificate:
-    """Compose normalization, quadrant cones, and the chain certificate.
+def planar_bound_certificate(spec: NormSpec, ps: PointSet, k: int) -> HeightCertificate:
+    """The chain certificate of ps under the planar cones, claimed (k+1)^2.
 
-    The cones are written in the input frame, so k is checked, and the
-    two-cone chain certificate run, on the point set's own table; its
-    heights are those of the image T(S) under the gauge of C', keyed by S.
+    The cones are written in the input frame, so the certificate is taken
+    on the point set's own table; its heights are those of the image T(S)
+    under the gauge of C', keyed by S.
     """
     if spec.dim != 2 or ps.dim != 2 or not spec.exact:
         raise InputError("planar bound requires a 2-dimensional exact norm and point set")
-    family = planar_cones(spec)
-    table = PairTable(spec, ps)
-    if table.spectrum.k != k:
+    cert = chain_certificate(spec, ps, planar_cones(spec))
+    if cert.k != k:
         raise InputError(f"point set is not a {k}-distance set under the given norm")
-    cert, _ = _chain_certificate(table, family)
-    return PlanarCertificate(cert, k, (k + 1) ** 2)
+    return cert

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -9,7 +10,7 @@ from kdist import (CertificateError, InputError, PointSet, chain_certificate,
                    chain_distinct_distances, check_cone_conditions, l1, linf,
                    linf_cone_family, lp, parallelotope_cones, polytopal, vec)
 from kdist import chains
-from kdist.chains import PolyhedralCone, cone_heights
+from kdist.chains import HeightCertificate, PolyhedralCone, cone_heights
 from kdist.gen import random_lattice_subset
 from kdist.norms import dot, vadd, vneg, vsub
 from kdist.search import extremal_grid
@@ -151,6 +152,13 @@ def test_one_membership_test_per_ordered_pair_and_cone(monkeypatch, pts):
     cert = chain_certificate(linf(len(pts[0])), PointSet.of(pts), family)
     assert ordered == list(family) and tests == [0]
     assert cert.ok
+
+
+def test_certificate_with_a_height_above_k_is_not_ok():
+    cert = HeightCertificate(heights={vec(0): (0,), vec(1): (1,), vec(2): (2,)}, h=2,
+                             bound=3, injective=True, k=1, claimed=2)
+    assert not cert.violations and not cert.ok
+    assert replace(cert, k=2, claimed=3).ok
 
 
 def test_heights_of_a_chain_deeper_than_the_recursion_limit():

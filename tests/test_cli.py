@@ -168,7 +168,7 @@ def test_bound_planar_heights_are_keyed_by_input_points(files, capsys):
     T = max_area_normalization(polygon_vertices_2d(spec)).matrix
     assert {apply_matrix(T, p) for p in pts.points} != set(pts.points)
     cert = planar_bound_certificate(spec, pts, 2)
-    assert heights == {f"{x},{y}": list(hv) for (x, y), hv in cert.chain.heights.items()}
+    assert heights == {f"{x},{y}": list(hv) for (x, y), hv in cert.heights.items()}
 
 
 @pytest.mark.parametrize("spec", [hexagon_gauge(), polygon_gauge(
@@ -335,6 +335,50 @@ def test_conecover_halfwidth_failure_is_alarm(files, capsys, monkeypatch):
     assert "falsification alarm" in out.err
 
 
+def test_normalize2d_failed_cone_conditions_are_an_alarm(files, capsys, monkeypatch):
+    real = cli.quadrant_cones
+
+    def violated(vertices):
+        qc = real(vertices)
+        qc.condition_report.equal_norm_violations.append((0, vec(1, 0), vec(0, 1)))
+        return qc
+
+    monkeypatch.setattr(cli, "quadrant_cones", violated)
+    norm = files("norm.json", norm_to_json(hexagon_gauge()))
+    assert run_command(["normalize2d", "--norm", norm]) == 2
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert not report["conditions_ok"] and report["equal_norm_violations"] == 1
+    assert out.err.startswith("falsification alarm: ")
+
+
+# Closed quadrants: on the points below, (-1, 0) and (-1, 1) are differences
+# of norm 1 in the second quadrant, and their difference (0, 1) lies in it too.
+CLOSED_QUADRANTS = (PolyhedralCone(facets=(vec(1, 0), vec(0, 1))),
+                    PolyhedralCone(facets=(vec(-1, 0), vec(0, 1))))
+
+
+@pytest.mark.parametrize("command, norm, route", [
+    ("chains", linf(2), None),
+    ("bound", linf(2), "parallelotope-chain"),
+    ("bound", polytopal([(1, 0), (0, 1)]), "planar-two-cones"),
+], ids=["chains", "bound-parallelotope", "bound-planar"])
+def test_failed_chain_certificate_is_an_alarm(files, capsys, monkeypatch, command, norm, route):
+    monkeypatch.setattr(cli, "parallelotope_cones", lambda spec: CLOSED_QUADRANTS)
+    monkeypatch.setattr(cli, "planar_cones", lambda spec: CLOSED_QUADRANTS)
+    pts = PointSet.of([vec(-1, 0), vec(-1, 1), vec(0, 0)])
+    argv = [command, "--norm", files("norm.json", norm_to_json(norm)),
+            "--points", files("pts.json", pointset_to_json(pts))]
+    assert run_command(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("falsification alarm: ")
+    if route:
+        assert out.out == "" and f"the {route} route" in out.err
+    else:
+        cert = json.loads(out.out)
+        assert (cert["k"], cert["h"], len(cert["violations"])) == (1, 2, 2)
+
+
 def test_search_empty_ground_is_input_error(files, capsys):
     norm = files("norm.json", norm_to_json(linf(1)))
     ground = files("ground.json", {"dim": 1, "points": []})
@@ -459,6 +503,15 @@ def test_seminorm_rejected_without_zero_distance(files, capsys, command, points_
     assert run_command(argv) == 1
     out = capsys.readouterr()
     assert out.out == "" and "seminorm" in out.err
+
+
+def test_bound_rejects_a_planar_seminorm(files, capsys):
+    # The planar cones are built before the table: the unit polygon is unbounded.
+    norm = files("norm.json", {"dim": 2, "kind": "polytopal", "functionals": [[1, 0], [2, 0]]})
+    points = files("pts.json", pointset_to_json(PointSet.of([vec(0, 0), vec(1, 0)])))
+    assert run_command(["bound", "--norm", norm, "--points", points]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "functionals do not span the plane" in out.err
 
 
 @pytest.mark.parametrize("argv", [
