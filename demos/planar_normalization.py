@@ -35,6 +35,6 @@ ground = PointSet(2, tuple(verts) + (vec(0, 0),))
 best = branch_and_bound(SearchProblem(hexa, ground, 1))
 print(f"maximum equilateral subset: {best.size} points (bound is 4)")
 
-cert = planar_bound_certificate(hexa, PointSet(2, best.points), 1)
+cert = planar_bound_certificate(hexa, PointSet(2, best.points))
 print(f"certificate: h = {cert.h} <= k = {cert.k}, "
       f"bound {cert.bound} <= {cert.claimed}, ok = {cert.ok}")

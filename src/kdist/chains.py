@@ -247,20 +247,14 @@ class HeightCertificate:
 def chain_certificate(spec: NormSpec, ps: PointSet, family) -> HeightCertificate:
     """Height-vector certificate for ps under the cone family, on ps's table.
 
+    Coverage, the equal-norm check (on all of D(S) in each cone, grouped by
+    table value) and the heights are all read off the cones' orders.
     Raises CertificateError if some difference of ps is covered by no cone
     (condition (1) fails on S).  Equal-norm violations found on S are
     recorded in the certificate rather than raised, since they invalidate
     the h <= k guarantee but not the height computation.
     """
-    return _chain_certificate(PairTable(spec, ps), family)[0]
-
-
-def _chain_certificate(table: PairTable, family) -> tuple[HeightCertificate, list]:
-    """chain_certificate on the table of the point set, with each cone's order.
-
-    Coverage, the equal-norm check (on all of D(S) in each cone, grouped by
-    table value) and the heights are all read off the orders.
-    """
+    table = PairTable(spec, ps)
     pts, values, n = table.points, table.values, len(table.points)
     orders = [_order(table.ints, cone) for cone in family]
     related = {(x, y) for below in orders for x, ys in enumerate(below) for y in ys}
@@ -283,33 +277,6 @@ def _chain_certificate(table: PairTable, family) -> tuple[HeightCertificate, lis
     heights = {x: tuple(hc[i] for hc in per_cone) for i, x in enumerate(pts)}
     h = max((max(hv) for hv in heights.values()), default=0)
     k = table.spectrum.k
-    cert = HeightCertificate(heights=heights, h=h, bound=(h + 1) ** len(family),
+    return HeightCertificate(heights=heights, h=h, bound=(h + 1) ** len(family),
                              injective=len(set(heights.values())) == n,
                              k=k, claimed=(k + 1) ** len(family), violations=violations)
-    return cert, orders
-
-
-def chain_distinct_distances(spec: NormSpec, ps: PointSet, family):
-    """Longest chain of the family's orders and the distances from its head.
-
-    Returns (chain, distances) where chain = [x_0 > x_1 > ... > x_h] in one
-    cone order and distances[j-1] = ||x_0 - x_j||; the distances are
-    asserted pairwise distinct (the head of a longest chain witnesses that
-    many distinct distances).  The family must cover the differences of ps
-    (see chain_certificate).
-    """
-    table = PairTable(spec, ps)
-    cert, orders = _chain_certificate(table, family)
-    hv = list(cert.heights.values())        # in the order of table.points
-    # The highest head; ties go to the smallest point, then the first cone.
-    _, head, idx = min((-h[c], i, c) for i, h in enumerate(hv) for c in range(len(family)))
-    chain = [head]
-    while hv[chain[-1]][idx] > 0:
-        cur = chain[-1]
-        chain.append(next(j for j in orders[idx][cur] if hv[j][idx] == hv[cur][idx] - 1))
-    dists = [table.values[head][j] for j in chain[1:]]
-    if len(set(dists)) != len(dists):
-        raise CertificateError(
-            "distances along the longest chain are not distinct; "
-            "equal-norm cone condition fails on S")
-    return [table.points[i] for i in chain], [table.distance(v) for v in dists]

@@ -16,15 +16,15 @@ import os
 import sys
 
 from . import __version__
-from .chains import chain_certificate, parallelotope_cones
+from .chains import chain_certificate, check_cone_conditions, parallelotope_cones
 from .cover import (cone_halfwidth_check, cover_assignment, general_bound,
                     generated_cones, greedy_separated_set, packing_bound_check,
                     separated_set_capacity, sphere_samples)
 from .decompose import decompose_recursive_bound
 from .errors import CertificateError, FalsificationError, InputError, KdistError
 from .norms import (NormSpec, norm_from_json, norm_to_json, polygon_vertices_2d,
-                    rat_to_pair, vec_to_json)
-from .planar import max_area_normalization, planar_cones, quadrant_cones
+                    rat_to_pair, vec_to_json, vsub)
+from .planar import apply_matrix, chain_route, max_area_normalization
 from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
 from .spectrum import (PointSet, distance_spectrum, pointset_from_json,
                        pointset_to_json, spectrum_to_json)
@@ -82,19 +82,24 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_normalize2d(args) -> int:
-    nrm = max_area_normalization(polygon_vertices_2d(_load_norm(args.norm)))
-    qc = quadrant_cones(nrm.vertices)
+    spec = _load_norm(args.norm)
+    verts = polygon_vertices_2d(spec)
+    nrm = max_area_normalization(verts)
+    # Checked on the input polygon's differences, reported in the frame of C' by T.
+    report = check_cone_conditions(nrm.cones, spec,
+                                   [vsub(v, u) for u in verts for v in verts if u != v])
     _emit({
         "x0": vec_to_json(nrm.x0),
         "y0": vec_to_json(nrm.y0),
         "matrix": [[rat_to_pair(a) for a in row] for row in nrm.matrix],
         "vertices": [vec_to_json(v) for v in nrm.vertices],
-        "removed_rays": [{"cone": c, "ray": vec_to_json(r)} for c, r in qc.removed],
-        "conditions_ok": qc.condition_report.ok,
-        "uncovered": [vec_to_json(v) for v in qc.condition_report.uncovered],
-        "equal_norm_violations": len(qc.condition_report.equal_norm_violations),
+        "removed_rays": [{"cone": c, "ray": vec_to_json(apply_matrix(nrm.matrix, r))}
+                         for c, r in nrm.removed],
+        "conditions_ok": report.ok,
+        "uncovered": [vec_to_json(apply_matrix(nrm.matrix, v)) for v in report.uncovered],
+        "equal_norm_violations": len(report.equal_norm_violations),
     })
-    if not qc.condition_report.ok:
+    if not report.ok:
         raise FalsificationError("quadrant cone conditions fail on the normalized polygon")
     return 0
 
@@ -162,10 +167,9 @@ def _cmd_bound(args) -> int:
     spec = _load_norm(args.norm)
     ps = _load_points(args.points)
     d, observed = spec.dim, len(ps)
-    # Planar norms but linf take the two-cone route, parallelograms included.
-    planar = d == 2 and spec.exact and spec.kind != "linf"
-    family = planar_cones(spec) if planar else parallelotope_cones(spec)
-    if family is not None:
+    route = chain_route(spec)
+    if route is not None:
+        name, family = route
         cert = chain_certificate(spec, ps, family)
         k = cert.k
     else:
@@ -174,11 +178,10 @@ def _cmd_bound(args) -> int:
     witnesses: dict = {}
     if k == 0:
         name, claimed = "single-point", 1
-    elif family is not None:
-        name = "planar-two-cones" if planar else "parallelotope-chain"
+    elif route is not None:
         claimed = cert.claimed
         witnesses["chain"] = cert.to_json()
-        if planar:      # the rays the cones exclude, in the input's frame
+        if name == "planar-two-cones":      # the rays the cones exclude, in the input's frame
             witnesses["removed_rays"] = [{"cone": c, "ray": vec_to_json(r)}
                                          for c, cone in zip(("p1", "p2"), family)
                                          for r in cone.excluded_rays]

@@ -147,10 +147,7 @@ def planar_bound(full: bool) -> str:
     for spec, k, ps in optima:
         where = f"{spec.kind} gauge, k={k}"
         check(len(ps) <= (k + 1) ** 2, f"{where}: optimum has {len(ps)} points")
-        sk = distance_spectrum(spec, ps).k
-        if sk >= 1:
-            cert = planar_bound_certificate(spec, ps, sk)
-            check(cert.ok, f"{where}: planar certificate fails")
+        check(planar_bound_certificate(spec, ps).ok, f"{where}: planar certificate fails")
     _, k, ps = optima[-1]
     check(k == 1 and len(ps) == 3 < 4, f"hexagon optimum has {len(ps)} points, not 3")
     return "3 gauges x k in {1,2}; hexagon optimum 3 < 4"
@@ -175,11 +172,10 @@ def cluster_equivalence(full: bool) -> str:
         check(len(ps) <= node.bound <= 2 ** (sp.k * d),
               f"clustered set {i}: bound {node.bound} outside [m, 2^kd]")
     for i, (spec, ps) in enumerate(suite):
-        sp = distance_spectrum(spec, ps)
         node = decompose_recursive_bound(ps, spec)
         check(len(ps) <= node.bound, f"suite set {i}: bound {node.bound} < m = {len(ps)}")
-        check(sp.k < 1 or node.bound <= 2 ** (sp.k * spec.dim),
-              f"suite set {i}: bound {node.bound} > 2^kd, k = {sp.k}")
+        check(node.k < 1 or node.bound <= 2 ** (node.k * spec.dim),
+              f"suite set {i}: bound {node.bound} > 2^kd, k = {node.k}")
     return f"{len(clustered)} clustered sets + {len(suite)} suite sets within 2^kd"
 
 

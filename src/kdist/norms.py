@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import inf, lcm
 from operator import mul, truediv
 
 import numpy as np
@@ -121,7 +121,7 @@ class NormSpec:
 
     kind is one of "linf", "l1", "polytopal", "lp".  Polytopal gauges carry
     facet functionals a_i and evaluate as max_i |a_i . x|; "lp" carries the
-    exponent p > 1 and is the only inexact kind.
+    exponent 1 < p < inf and is the only inexact kind.
     """
 
     dim: int
@@ -140,8 +140,8 @@ class NormSpec:
             for a in self.functionals:
                 if len(a) != self.dim:
                     raise InputError("functional length does not match dimension")
-        if self.kind == "lp" and not self.p > 1:
-            raise InputError(f"lp exponent must be > 1, got {self.p}")
+        if self.kind == "lp" and not 1 < self.p < inf:
+            raise InputError(f"lp exponent must be finite and > 1, got {self.p}")
 
     @property
     def exact(self) -> bool:
@@ -304,45 +304,6 @@ def gauge(spec: NormSpec) -> Gauge:
 
 def is_unit(spec: NormSpec, v: Vec) -> bool:
     return abs(norm_eval(spec, v) - 1) <= gauge(spec).tol
-
-
-# ---------------------------------------------------------------------------
-# axiom validation
-
-_HOMOGENEITY_SCALARS = (Fraction(2), Fraction(-3), Fraction(1, 2))
-
-
-def validate_norm(spec: NormSpec, samples) -> list[dict]:
-    """Check norm axioms on a finite sample; returns a list of violations.
-
-    Checks positive definiteness, symmetry, homogeneity (rational scalars)
-    and the triangle inequality on all sample pairs.  Violations are report
-    entries, not errors.
-    """
-    samples = list(samples)
-    if not samples:
-        raise InputError("samples must be nonempty")
-    tol = gauge(spec).tol
-    out: list[dict] = []
-
-    norms = [norm_eval(spec, v) for v in samples]
-    for v, n in zip(samples, norms):
-        if not is_zero(v) and n == 0:
-            out.append({"kind": "positive-definiteness", "vector": v})
-        m = norm_eval(spec, vneg(v))
-        if abs(m - n) > tol * max(abs(n), 1):
-            out.append({"kind": "symmetry", "vector": v})
-        for lam in _HOMOGENEITY_SCALARS:
-            s = norm_eval(spec, vscale(lam, v))
-            expect = abs(lam) * n
-            if abs(s - expect) > tol * max(abs(expect), 1):
-                out.append({"kind": "homogeneity", "vector": v, "scalar": lam})
-    for i, u in enumerate(samples):
-        for v, nv in zip(samples[i + 1:], norms[i + 1:]):
-            s = norm_eval(spec, vadd(u, v))
-            if s > norms[i] + nv + tol * max(abs(s), 1):
-                out.append({"kind": "triangle", "u": u, "v": v})
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import (ConeConditionReport, HeightCertificate, PolyhedralCone,
-                     chain_certificate, check_cone_conditions)
+                     chain_certificate, check_cone_conditions, parallelotope_cones)
 from .errors import GeometryError, InputError
 from .norms import (NormSpec, Vec, cross2, polygon_vertices_2d, polytopal,
                     vec, vneg, vsub)
@@ -116,6 +116,7 @@ class Normalization2D:
     matrix: Matrix2              # T with T x0 = e1, T y0 = e2
     vertices: tuple[Vec, ...]    # image polygon C', counterclockwise
     cones: tuple[PolyhedralCone, PolyhedralCone]    # the quadrant pair of x0, y0
+    removed: tuple[tuple[str, Vec], ...]            # its removed rays (label, ray)
 
 
 def max_area_normalization(polygon) -> Normalization2D:
@@ -152,7 +153,8 @@ def max_area_normalization(polygon) -> Normalization2D:
     # C' is convex (validated), so it holds B1 when it has +-e1, +-e2 as vertices.
     if not {vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)} <= set(image):
         raise GeometryError("cross-polytope vertex outside normalized polygon")
-    return Normalization2D(x0, y0, T, image, _quadrant_pair(verts, x0, y0)[:2])
+    p1, p2, removed = _quadrant_pair(verts, x0, y0)
+    return Normalization2D(x0, y0, T, image, (p1, p2), removed)
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ def planar_cones(spec: NormSpec) -> tuple[PolyhedralCone, PolyhedralCone]:
     return max_area_normalization(polygon_vertices_2d(spec)).cones
 
 
-def planar_bound_certificate(spec: NormSpec, ps: PointSet, k: int) -> HeightCertificate:
+def planar_bound_certificate(spec: NormSpec, ps: PointSet) -> HeightCertificate:
     """The chain certificate of ps under the planar cones, claimed (k+1)^2.
 
     The cones are written in the input frame, so the certificate is taken
@@ -201,7 +203,16 @@ def planar_bound_certificate(spec: NormSpec, ps: PointSet, k: int) -> HeightCert
     """
     if spec.dim != 2 or ps.dim != 2 or not spec.exact:
         raise InputError("planar bound requires a 2-dimensional exact norm and point set")
-    cert = chain_certificate(spec, ps, planar_cones(spec))
-    if cert.k != k:
-        raise InputError(f"point set is not a {k}-distance set under the given norm")
-    return cert
+    return chain_certificate(spec, ps, planar_cones(spec))
+
+
+def chain_route(spec: NormSpec) -> tuple[str, tuple[PolyhedralCone, ...]] | None:
+    """The chain route of a norm, (name, cone family), or None if it has none.
+
+    Planar exact norms but linf take the two planar cones, parallelograms
+    included; parallelotope gauges (linf among them) take the cube's cones.
+    """
+    if spec.dim == 2 and spec.exact and spec.kind != "linf":
+        return "planar-two-cones", planar_cones(spec)
+    family = parallelotope_cones(spec)
+    return None if family is None else ("parallelotope-chain", family)

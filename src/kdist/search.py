@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .chains import parallelotope_cones
 from .cover import general_bound
 from .errors import FalsificationError, InputError
 from .norms import NormSpec, Vec, linf, vec
+from .planar import chain_route
 from .spectrum import DistanceSpectrum, PairTable, PointSet, distance_spectrum
 
 
@@ -90,11 +90,11 @@ def brute_force_oracle(problem: SearchProblem) -> SearchResult:
 
 
 def _bound_cap(problem: SearchProblem) -> int:
-    """The tightest proved bound: (k+1)^d for a planar or a parallelotope norm."""
-    spec, k, d = problem.spec, problem.k, problem.spec.dim
-    if (d == 2 and spec.exact) or parallelotope_cones(spec) is not None:
-        return (k + 1) ** d
-    return general_bound(k, d)
+    """The tightest proved bound: (k+1)^m for a chain route of m cones."""
+    route = chain_route(problem.spec)
+    if route is None:
+        return general_bound(problem.k, problem.spec.dim)
+    return (problem.k + 1) ** len(route[1])
 
 
 def _forward_check(cls: list[list[int]], k: int, cands: list, j: int) -> list:

@@ -1,4 +1,4 @@
-"""Distance spectra, k-distance predicates, and distinct-distance witnesses."""
+"""Distance spectra, the pairwise distance table, and distinct-distance witnesses."""
 
 from __future__ import annotations
 
@@ -140,12 +140,6 @@ def distance_spectrum(spec: NormSpec, ps: PointSet) -> DistanceSpectrum:
     A seminorm, a zero lp distance or a wider lp class raise GeometryError.
     """
     return PairTable(spec, ps).spectrum
-
-
-def is_k_distance_set(spec: NormSpec, ps: PointSet, k: int) -> bool:
-    if k < 0:
-        raise InputError("k must be >= 0")
-    return distance_spectrum(spec, ps).k == k
 
 
 def best_distinct_witness(spec: NormSpec, ps: PointSet) -> tuple[Vec, int]:

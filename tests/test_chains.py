@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdist import (CertificateError, InputError, PointSet, chain_certificate,
-                   chain_distinct_distances, check_cone_conditions, l1, linf,
-                   linf_cone_family, lp, parallelotope_cones, polytopal, vec)
+                   check_cone_conditions, l1, linf, linf_cone_family, lp,
+                   parallelotope_cones, polytopal, vec)
 from kdist import chains
 from kdist.chains import HeightCertificate, PolyhedralCone, cone_heights
 from kdist.gen import random_lattice_subset
@@ -125,8 +125,6 @@ def test_equal_norm_check_sees_both_signs_of_each_difference():
     cert = chain_certificate(linf(2), ps, CLOSED_QUADRANTS)
     assert cert.violations == [(1, vec(-1, 0), vec(-1, 1)), (1, vec(0, 1), vec(-1, 1))]
     assert not cert.ok and cert.h == 2
-    with pytest.raises(CertificateError):
-        chain_distinct_distances(linf(2), ps, CLOSED_QUADRANTS)
 
 
 @pytest.mark.parametrize("pts", [[vec(0, 0), vec(1, 0), vec(3, 1), vec(7, 4)],
@@ -181,31 +179,6 @@ def test_certificate_uncovered_difference_raises():
     ps = PointSet.of([vec(0, 0), vec(0, 1)])
     with pytest.raises(CertificateError):
         chain_certificate(linf(2), ps, family)
-
-
-def test_chain_distinct_distances_grid():
-    chain, dists = chain_distinct_distances(linf(2), GRID33, linf_cone_family(2))
-    assert len(chain) == 3
-    assert sorted(dists) == [1, 2]
-    x0 = chain[0]
-    cone = None
-    for c in linf_cone_family(2):
-        if all(c.contains(vsub(chain[i], chain[i + 1])) for i in range(2)):
-            cone = c
-    assert cone is not None
-
-
-def test_chain_distinct_distances_line():
-    line = PointSet.of([vec(i) for i in range(8)])
-    chain, dists = chain_distinct_distances(linf(1), line, linf_cone_family(1))
-    assert len(chain) == 8
-    assert sorted(dists) == list(range(1, 8))
-
-
-def test_chain_distinct_distances_two_points():
-    ps = PointSet.of([vec(0, 0), vec(5, 0)])
-    chain, dists = chain_distinct_distances(linf(2), ps, linf_cone_family(2))
-    assert len(chain) == 2 and dists == [5]
 
 
 def test_heights_translation_and_scaling_invariant():
@@ -350,12 +323,11 @@ SPACE_PTS = PointSet.of([vec(0, 0, 0), vec(1, 0, 5)])
 
 @pytest.mark.parametrize("run", [
     lambda fam: chain_certificate(linf(3), SPACE_PTS, fam),
-    lambda fam: chain_distinct_distances(linf(3), SPACE_PTS, fam),
     lambda fam: cone_heights(SPACE_PTS, fam[0]),
     lambda fam: check_cone_conditions(fam, linf(2), [vec(1, 2, 3), vec(0, 1)]),
     lambda fam: check_cone_conditions(fam, linf(3), [vec(1, 2, 3)]),
     lambda fam: check_cone_conditions(fam, linf(2), [vec(0, 1), vec(1, 2, 3)]),
-], ids=["chain_certificate", "chain_distinct_distances", "cone_heights",
+], ids=["chain_certificate", "cone_heights",
         "check_cone_conditions", "check_cone_conditions-norm", "check_cone_conditions-late"])
 def test_cones_of_another_dimension_are_rejected(run):
     with pytest.raises(InputError, match="dimension"):

@@ -20,7 +20,7 @@ from kdist import (PolyhedralCone, criteria, hexagon_gauge, l1, linf,
 from kdist import chains, cli, planar
 from kdist.cli import run_command
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import norm_to_json
+from kdist.norms import norm_to_json, vec_to_json
 from kdist.planar import apply_matrix, planar_cones, quadrant_cones
 from kdist.spectrum import PairTable, PointSet, pointset_to_json
 
@@ -167,7 +167,7 @@ def test_bound_planar_heights_are_keyed_by_input_points(files, capsys):
     # The hexagon's normalization moves the points: its image is another set.
     T = max_area_normalization(polygon_vertices_2d(spec)).matrix
     assert {apply_matrix(T, p) for p in pts.points} != set(pts.points)
-    cert = planar_bound_certificate(spec, pts, 2)
+    cert = planar_bound_certificate(spec, pts)
     assert heights == {f"{x},{y}": list(hv) for (x, y), hv in cert.heights.items()}
 
 
@@ -192,7 +192,8 @@ def test_bound_planar_removed_rays_are_in_the_input_frame(files, capsys, spec):
 
 def test_each_planar_command_builds_only_what_it_prints(files, capsys, monkeypatch):
     # bound prints the input-frame cones' certificate and rays; normalize2d
-    # prints C' and its cones' condition report.
+    # prints C' and the condition report of the same cones, checked in the
+    # input frame.
     calls = {"quadrant_cones": 0, "check_cone_conditions": 0, "planar_cones": 0}
 
     def count(module, name):
@@ -213,7 +214,30 @@ def test_each_planar_command_builds_only_what_it_prints(files, capsys, monkeypat
     assert run_command(["bound", "--norm", norm, "--points", points]) == 0
     assert calls == {"quadrant_cones": 0, "check_cone_conditions": 0, "planar_cones": 1}
     assert run_command(["normalize2d", "--norm", norm]) == 0
-    assert calls == {"quadrant_cones": 1, "check_cone_conditions": 1, "planar_cones": 1}
+    assert calls == {"quadrant_cones": 0, "check_cone_conditions": 1, "planar_cones": 1}
+
+
+def test_normalize2d_validates_the_polygon_once(files, capsys, monkeypatch):
+    calls = []
+    for name in ("_validate_polygon", "_check_symmetric"):
+        def counting(*args, f=getattr(planar, name), name=name):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(planar, name, counting)
+    norm = files("norm.json", norm_to_json(hexagon_gauge()))
+    assert run_command(["normalize2d", "--norm", norm]) == 0
+    assert sorted(calls) == ["_check_symmetric", "_validate_polygon"]
+
+
+@pytest.mark.parametrize("spec", [l1(2), hexagon_gauge(), polygon_gauge(
+    [vec(2, 1), vec(1, 2), vec(-1, 1), vec(-2, -1), vec(-1, -2), vec(1, -1)])])
+def test_normalize2d_reports_the_cones_of_the_normalized_polygon(files, capsys, spec):
+    nrm = max_area_normalization(polygon_vertices_2d(spec))
+    qc = quadrant_cones(nrm.vertices)
+    assert run_command(["normalize2d", "--norm", files("norm.json", norm_to_json(spec))]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["removed_rays"] == [{"cone": c, "ray": vec_to_json(r)} for c, r in qc.removed]
+    assert out["conditions_ok"] and out["uncovered"] == [] == qc.condition_report.uncovered
 
 
 # l-infinity with a zero functional, which constrains nothing.
@@ -336,14 +360,14 @@ def test_conecover_halfwidth_failure_is_alarm(files, capsys, monkeypatch):
 
 
 def test_normalize2d_failed_cone_conditions_are_an_alarm(files, capsys, monkeypatch):
-    real = cli.quadrant_cones
+    real = cli.check_cone_conditions
 
-    def violated(vertices):
-        qc = real(vertices)
-        qc.condition_report.equal_norm_violations.append((0, vec(1, 0), vec(0, 1)))
-        return qc
+    def violated(*args):
+        report = real(*args)
+        report.equal_norm_violations.append((0, vec(1, 0), vec(0, 1)))
+        return report
 
-    monkeypatch.setattr(cli, "quadrant_cones", violated)
+    monkeypatch.setattr(cli, "check_cone_conditions", violated)
     norm = files("norm.json", norm_to_json(hexagon_gauge()))
     assert run_command(["normalize2d", "--norm", norm]) == 2
     out = capsys.readouterr()
@@ -364,8 +388,9 @@ CLOSED_QUADRANTS = (PolyhedralCone(facets=(vec(1, 0), vec(0, 1))),
     ("bound", polytopal([(1, 0), (0, 1)]), "planar-two-cones"),
 ], ids=["chains", "bound-parallelotope", "bound-planar"])
 def test_failed_chain_certificate_is_an_alarm(files, capsys, monkeypatch, command, norm, route):
-    monkeypatch.setattr(cli, "parallelotope_cones", lambda spec: CLOSED_QUADRANTS)
-    monkeypatch.setattr(cli, "planar_cones", lambda spec: CLOSED_QUADRANTS)
+    for module, name in ((cli, "parallelotope_cones"), (planar, "parallelotope_cones"),
+                         (planar, "planar_cones")):
+        monkeypatch.setattr(module, name, lambda spec: CLOSED_QUADRANTS)
     pts = PointSet.of([vec(-1, 0), vec(-1, 1), vec(0, 0)])
     argv = [command, "--norm", files("norm.json", norm_to_json(norm)),
             "--points", files("pts.json", pointset_to_json(pts))]
@@ -434,6 +459,18 @@ def test_lp_overflow_is_an_error_not_a_crash(files, capsys):
     points = files("pts.json", {"dim": 1, "points": [[0], [4]]})
     assert run_command(["spectrum", "--norm", norm, "--points", points]) == 1
     assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bound", "conecover"])
+def test_infinite_lp_exponent_is_input_error(files, capsys, command):
+    # Python's JSON reader accepts Infinity; lp with p = inf is 1 on every vector, zero included.
+    norm = files("norm.json", {"dim": 2, "kind": "lp", "p": float("inf")})
+    points = files("pts.json", {"dim": 2, "points": [[0, 0], [1, 0]]})
+    argv = {"bound": ["bound", "--norm", norm, "--points", points],
+            "conecover": ["conecover", "--norm", norm, "--samples", "20"]}[command]
+    assert run_command(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "lp exponent must be finite" in out.err
 
 
 @pytest.mark.parametrize("command", ["decompose", "bound"])

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdist import (GeometryError, InputError, PointSet, PolyhedralCone, hexagon_gauge,
-                   l1, linf, max_area_normalization, norm_eval, planar_bound_certificate,
-                   polygon_gauge, polygon_vertices_2d, quadrant_cones, vec)
+from kdist import (GeometryError, InputError, PointSet, PolyhedralCone, chain_certificate,
+                   criteria, hexagon_gauge, l1, linf, max_area_normalization, norm_eval,
+                   planar_bound_certificate, polygon_gauge, polygon_vertices_2d,
+                   quadrant_cones, vec)
 from kdist import chains
-from kdist.chains import _chain_certificate
 from kdist.gen import random_lattice_subset, random_symmetric_polygon
 from kdist.norms import cross2, dot, vscale, vsub
 from kdist.planar import apply_matrix, planar_cones
@@ -121,38 +121,50 @@ def test_removed_ray_preserves_acuteness_and_convexity():
 
 def test_planar_certificate_grid():
     grid = extremal_grid(2, 2)
-    cert = planar_bound_certificate(linf(2), grid, 2)
-    assert cert.ok and cert.claimed == 9 and len(grid) == 9
+    cert = planar_bound_certificate(linf(2), grid)
+    assert cert.ok and cert.k == 2 and cert.claimed == 9 and len(grid) == 9
 
 
 def test_planar_certificate_two_points():
     ps = PointSet.of([vec(0, 0), vec(4, 1)])
-    cert = planar_bound_certificate(linf(2), ps, 1)
-    assert cert.ok and cert.claimed == 4
+    cert = planar_bound_certificate(linf(2), ps)
+    assert cert.ok and cert.k == 1 and cert.claimed == 4
 
 
 def test_planar_certificate_hexagon_equilateral():
     tri = PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1)])
-    cert = planar_bound_certificate(hexagon_gauge(), tri, 1)
-    assert cert.ok and cert.claimed == 4
+    cert = planar_bound_certificate(hexagon_gauge(), tri)
+    assert cert.ok and cert.k == 1 and cert.claimed == 4
     assert cert.injective
 
 
 def test_planar_certificate_l1():
     ps = PointSet.of([vec(0, 0), vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)])
-    k = 2  # distances 1 and 2 under l1
-    cert = planar_bound_certificate(l1(2), ps, k)
-    assert cert.ok and cert.claimed == 9
+    cert = planar_bound_certificate(l1(2), ps)
+    assert cert.ok and cert.k == 2 and cert.claimed == 9    # distances 1 and 2 under l1
 
 
-@pytest.mark.parametrize("spec, pts, k", [
-    (hexagon_gauge(), [vec(0, 0), vec(1, 0), vec(1, 1)], 2),       # k is 1
-    (linf(2), [vec(0, 0, 0), vec(1, 0, 0)], 1),                    # 3-dimensional points
-    (linf(2), [vec(0), vec(1)], 1),                                # 1-dimensional points
-])
-def test_planar_certificate_rejects_wrong_k_or_dimension(spec, pts, k):
+@pytest.mark.parametrize("pts", [
+    [vec(0, 0, 0), vec(1, 0, 0)],
+    [vec(0), vec(1)],
+], ids=["3-dimensional-points", "1-dimensional-points"])
+def test_planar_certificate_rejects_other_dimensions(pts):
     with pytest.raises(InputError):
-        planar_bound_certificate(spec, PointSet.of(pts), k)
+        planar_bound_certificate(linf(2), PointSet.of(pts))
+
+
+def test_planar_bound_criterion_builds_one_table_per_optimum(monkeypatch):
+    optima = criteria._planar_optima()         # the searches build tables of their own
+    builds = []
+    init = PairTable.__init__
+
+    def counting_init(self, spec, ps):
+        builds.append(ps)
+        init(self, spec, ps)
+
+    monkeypatch.setattr(PairTable, "__init__", counting_init)
+    criteria.planar_bound(full=False)
+    assert builds == [ps for _, _, ps in optima]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +175,8 @@ def _image_frame_certificate(spec, ps):
     nrm = max_area_normalization(polygon_vertices_2d(spec))
     qc = quadrant_cones(nrm.vertices)
     image = PointSet(2, tuple(apply_matrix(nrm.matrix, p) for p in ps.points))
-    table = PairTable(polygon_gauge(list(nrm.vertices)), image)
-    return nrm.matrix, table.spectrum.k, _chain_certificate(table, (qc.p1, qc.p2))[0]
+    return nrm.matrix, chain_certificate(polygon_gauge(list(nrm.vertices)), image,
+                                         (qc.p1, qc.p2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,10 +186,10 @@ def test_input_frame_certificate_matches_image_frame(seed, norm, side, size):
     rng = random.Random(seed)
     spec = polygon_gauge(random_symmetric_polygon(rng, 4, 10)) if norm == "polygon" else norm
     ps = random_lattice_subset(rng, 2, side, size)
-    T, k, ref = _image_frame_certificate(spec, ps)
-    cert = planar_bound_certificate(spec, ps, k)
-    assert (cert.h, cert.bound, cert.injective, len(cert.violations)) == \
-        (ref.h, ref.bound, ref.injective, len(ref.violations))
+    T, ref = _image_frame_certificate(spec, ps)
+    cert = planar_bound_certificate(spec, ps)
+    assert (cert.k, cert.h, cert.bound, cert.injective, len(cert.violations)) == \
+        (ref.k, ref.h, ref.bound, ref.injective, len(ref.violations))
     assert set(cert.heights) == set(ps.points)
     assert all(cert.heights[p] == ref.heights[apply_matrix(T, p)] for p in ps.points)
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdist import (GeometryError, InputError, PointSet, best_distinct_witness,
-                   distance_spectrum, is_k_distance_set, linf, lp, polytopal,
-                   vec)
+                   distance_spectrum, linf, lp, polytopal, vec)
 from kdist.gen import integer_ceil_root
 from kdist.norms import vadd, vscale
 from kdist.search import extremal_grid
@@ -51,12 +50,11 @@ def test_zero_distance_between_distinct_points_rejected(spec, points):
 
 
 def test_is_k_distance_examples():
-    assert is_k_distance_set(linf(2), GRID33, 2)
-    assert not is_k_distance_set(linf(2), GRID33, 1)
-    assert is_k_distance_set(linf(1), PointSet.of([vec(0), vec(5)]), 1)
+    assert distance_spectrum(linf(2), GRID33).k == 2
+    assert distance_spectrum(linf(1), PointSet.of([vec(0), vec(5)])).k == 1
     for d in (1, 2, 3):
         for k in (1, 2, 3):
-            assert is_k_distance_set(linf(d), extremal_grid(k, d), k)
+            assert distance_spectrum(linf(d), extremal_grid(k, d)).k == k
 
 
 def test_lp_float_grouping():
