@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, chain, compress
 from fractions import Fraction
 from math import inf
 
+import numpy as np
+
 from .errors import CertificateError, GeometryError, InputError
-from .norms import (Gauge, NormSpec, Vec, gauge, norm_eval, polygon_vertices_2d,
-                    vadd, vscale, vsub)
+from .norms import (Gauge, LpGauge, NormSpec, Vec, clear_denominators, gauge, norm_eval,
+                    polygon_vertices_2d)
 
 HALF_WIDTH = Fraction(1, 2)
 
@@ -49,16 +51,13 @@ def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
         raise InputError("need at least one sample")
     rng = random.Random(seed)
     if spec.exact and spec.dim == 2:
-        verts = polygon_vertices_2d(spec)
-        m = len(verts)
-        per_edge = max(1, -(-count // m))
-        out = []
-        for i in range(m):
-            u, v = verts[i], verts[(i + 1) % m]
-            step = vsub(v, u)
-            for j in range(per_edge):
-                out.append(vadd(u, vscale(Fraction(j, per_edge), step)))
-        return out[:max(count, m)]
+        # Vertices a / D, b / D: the j-th point of edge ab is (a(P - j) + bj) / (DP).
+        verts, den = clear_denominators(polygon_vertices_2d(spec))
+        per_edge = max(1, -(-count // len(verts)))
+        out = [tuple([Fraction(a * (per_edge - j) + b * j, den * per_edge)
+                      for a, b in zip(u, v)])
+               for u, v in zip(verts, verts[1:] + verts[:1]) for j in range(per_edge)]
+        return out[:max(count, len(verts))]
     if gauge(spec).rank() < spec.dim:
         raise GeometryError("a seminorm: its unit sphere is unbounded in R^d")
     draw = ((lambda: Fraction(rng.randint(-64, 64), 64)) if spec.exact
@@ -82,43 +81,55 @@ class SeparatedSet:
     centers: tuple[Vec, ...]
 
 
-# Every threshold is decided on gauge values: with c = (Y_c, q_c) and
-# x = (Y_x, q_x), ||c - x|| compared with 1/5 is
-# 5 * value(q_x * Y_c - q_c * Y_x) compared with q_c * q_x * scale.  On
-# IntGauge ints that is exact; LpGauge runs the same tests in floats.
+# Every threshold is decided on gauge values: with c = (Y_c, q_c) and x = (Y_x, q_x),
+# ||c - x|| < 1/5 is 5 * value(q_x * Y_c - q_c * Y_x) < q_c * q_x * scale.  Each vector
+# set is split once into arrays Y and q, and each test is one array comparison per
+# center: on int64 when nothing can reach INT64_LIMIT, else on Python ints.  lp keeps
+# Python floats: numpy's float64 power can differ from LpGauge.value's in the last bit.
+INT64_LIMIT = 2 ** 62
+
+
+def _split(g: Gauge, *vector_sets) -> list:
+    """Each vector set as its arrays (Y, q), of one dtype for all the sets."""
+    vector_sets, width = [list(vs) for vs in vector_sets], len(g.image([0] * g.dim))
+    splits = [g.split(v) for vs in vector_sets for v in vs]
+    ys, qs = [y for y, _ in splits], [q for _, q in splits]
+    top, qtop = max(map(abs, chain.from_iterable(ys)), default=0), max(qs, default=1)
+    # 5 * value <= 10 * width * top * qtop for a difference of two rows.
+    fits = max(10 * width * top * qtop, qtop * qtop * g.scale) < INT64_LIMIT
+    dtype = np.int64 if fits and not isinstance(g, LpGauge) else object
+    ys, qs = np.array(ys, dtype).reshape(len(qs), width), np.array(qs, dtype)
+    return [(ys[i - len(vs):i], qs[i - len(vs):i])
+            for vs, i in zip(vector_sets, accumulate(map(len, vector_sets)))]
+
 
 def _distances(g: Gauge, c, xs):
-    """||c - x|| for each split x of xs, lazily, as the pair
-    (value(q_x * Y_c - q_c * Y_x), q_c * q_x * scale)."""
-    yc, qc = c
-    value, den = g.value, qc * g.scale
-    for yx, qx in xs:
-        yield value([qx * a - qc * b for a, b in zip(yc, yx)]), qx * den
+    """||c - x|| for every row x of xs = (Y, q), as the two arrays
+    value(q_x * Y_c - q_c * Y_x) and q_c * q_x * scale."""
+    (yc, qc), (ys, qs) = c, xs
+    return g.reduce(qs[:, None] * yc - qc * ys), qs * (qc * g.scale)
 
 
-def _plus_minus(splits) -> list:
-    """Each split followed by its negative's, (-Y, q): ||c + x|| is ||c - (-x)||."""
-    return [s for y, q in splits for s in ((y, q), (tuple([-a for a in y]), q))]
+def _near(g: Gauge, c, xs, closed: bool = False):
+    """Mask of the rows x with ||c - x|| or ||c + x|| = ||-c - x|| below 1/5
+    (at most 1/5 if closed)."""
+    below, (y, q) = (np.less_equal if closed else np.less), c
+    return np.logical_or(*[below(5 * v, den) for v, den in
+                           (_distances(g, c, xs), _distances(g, (-y, q), xs))])
 
 
-def _unit_splits(g: Gauge, vectors, what: str) -> list:
-    """``g.split`` of each vector, which must be a unit vector."""
-    out = []
-    for v in vectors:
-        y, q = g.split(v)
-        unit = q * g.scale
-        if abs(g.value(y) - unit) > g.tol * unit:
-            raise InputError(f"{what} {v} is not a unit vector")
-        out.append((y, q))
-    return out
+def _check_unit(g: Gauge, split, vectors, what: str) -> None:
+    ys, qs = split
+    bad = abs(g.reduce(ys) - qs * g.scale) > g.tol * qs * g.scale
+    if bad.any():
+        raise InputError(f"{what} {vectors[bad.argmax()]} is not a unit vector")
 
 
-def _check_separated(spec: NormSpec, centers, message: str) -> None:
-    """Raise CertificateError unless the centers are pairwise 1/5-separated."""
-    g = gauge(spec)
-    pts = _plus_minus(g.split(c) for c in centers)
-    for i in range(0, len(pts), 2):
-        if any(5 * v < den for v, den in _distances(g, pts[i], pts[i + 2:])):
+def _check_separated(g: Gauge, split, message: str) -> None:
+    """Raise CertificateError unless the rows are pairwise 1/5-separated."""
+    ys, qs = split
+    for i in range(len(qs) - 1):
+        if _near(g, (ys[i], qs[i]), (ys[i + 1:], qs[i + 1:])).any():
             raise CertificateError(message)
 
 
@@ -133,14 +144,15 @@ def greedy_separated_set(spec: NormSpec, samples) -> SeparatedSet:
     if not samples:
         raise InputError("samples must be nonempty")
     g = gauge(spec)
-    kept: list[Vec] = []
-    kept_splits: list = []          # each kept center and its negative
-    for s, xs in zip(samples, _unit_splits(g, samples, "sample")):
-        if all(5 * v >= den for v, den in _distances(g, xs, kept_splits)):
-            kept.append(s)
-            kept_splits += _plus_minus([xs])
-    _check_separated(spec, kept, "greedy output violates separation")
-    return SeparatedSet(tuple(kept))
+    [(ys, qs)] = _split(g, samples)
+    _check_unit(g, (ys, qs), samples, "sample")
+    blocked, kept = np.zeros(len(samples), bool), []   # within 1/5 of a kept +-center
+    for i in range(len(samples)):
+        if not blocked[i]:
+            kept.append(i)
+            blocked[i + 1:] |= _near(g, (ys[i], qs[i]), (ys[i + 1:], qs[i + 1:]))
+    _check_separated(g, (ys[kept], qs[kept]), "greedy output violates separation")
+    return SeparatedSet(tuple(samples[i] for i in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +178,13 @@ def cover_assignment(sep: SeparatedSet, spec: NormSpec, test_vectors) -> CoverRe
     """
     test_vectors = list(test_vectors)
     g = gauge(spec)
-    centers = _plus_minus(g.split(c) for c in sep.centers)
-    assignments = [next((i // 2 for i, (v, den) in enumerate(_distances(g, x, centers))
-                         if 5 * v <= den), None)
-                   for x in _unit_splits(g, test_vectors, "test vector")]
-    unassigned = [v for v, i in zip(test_vectors, assignments) if i is None]
-    return CoverReport(assignments, unassigned)
+    centers, xs = _split(g, sep.centers, test_vectors)
+    _check_unit(g, xs, test_vectors, "test vector")
+    first = np.full(len(test_vectors), -1)
+    for i, c in enumerate(zip(*centers)):
+        first[(first < 0) & _near(g, c, xs, closed=True)] = i
+    assignments = [i if i >= 0 else None for i in first.tolist()]
+    return CoverReport(assignments, [v for v, i in zip(test_vectors, assignments) if i is None])
 
 
 @dataclass(frozen=True)
@@ -186,12 +199,10 @@ def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[Generate
     """The cones of the construction: generators are samples strictly within 1/5."""
     g = gauge(spec)
     samples = list(samples)
-    xs = [g.split(x) for x in samples]
-    cones = []
-    for c in sep.centers:
-        near = [5 * v < den for v, den in _distances(g, g.split(c), xs)]
-        cones.append(GeneratedCone(c, tuple(compress(samples, near)) or (c,)))
-    return cones
+    centers, xs = _split(g, sep.centers, samples)
+    near = (5 * v < den for v, den in (_distances(g, c, xs) for c in zip(*centers)))
+    return [GeneratedCone(c, tuple(compress(samples, m)) or (c,))
+            for c, m in zip(sep.centers, near)]
 
 
 @dataclass
@@ -228,9 +239,11 @@ def cone_halfwidth_check(cone: GeneratedCone, spec: NormSpec,
     if not cone.generators:
         raise InputError("cone has no generators")
     g = gauge(spec)
-    [cs] = _unit_splits(g, [cone.center], "cone center")
+    center, gens = _split(g, [cone.center], cone.generators)
+    _check_unit(g, center, [cone.center], "cone center")
     # The same ||c - x|| as generated_cones, so the strict 1/5 threshold agrees.
-    dists = list(_distances(g, cs, map(g.split, cone.generators)))
+    v, den = _distances(g, (center[0][0], center[1][0]), gens)
+    dists = list(zip(v.tolist(), den.tolist()))
     far, failures = (0, 1), []
     for dist in dists:
         if dist[0] * far[1] > far[0] * dist[1]:
@@ -253,5 +266,6 @@ def packing_bound_check(sep: SeparatedSet, spec: NormSpec) -> bool:
         raise CertificateError(
             f"separated set of size {m} exceeds the packing cap "
             f"{separated_set_capacity(spec.dim)} in dimension {spec.dim}")
-    _check_separated(spec, sep.centers, "separated-set invariant violated")
+    g = gauge(spec)
+    _check_separated(g, _split(g, sep.centers)[0], "separated-set invariant violated")
     return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import reduce as fold
 from math import inf, lcm
 from operator import mul, truediv
 
@@ -226,13 +226,17 @@ class IntGauge:
         """The gauge of the integer vector whose image is given."""
         return self._reduce(map(abs, image))
 
+    def reduce(self, images: np.ndarray) -> np.ndarray:
+        """``value`` of each row of an image array, column by column, in its own dtype."""
+        return fold(self._reduce_rows, np.abs(images).T)
+
     def values(self, array: np.ndarray) -> np.ndarray:
         """The gauge of each row of a float array, in floats, reduced column by column."""
         if self._rows is not None:
             # int / int rounds correctly: each entry is float(a_i), exactly.
             funcs = np.array([[a / self.scale for a in r] for r in self._rows])
             array = array @ funcs.T
-        return reduce(self._reduce_rows, np.abs(array).T)
+        return self.reduce(array)
 
     @staticmethod
     def at_most(rho, scale: int) -> int:
@@ -283,8 +287,10 @@ class LpGauge:
         except OverflowError as exc:
             raise GeometryError(f"lp norm of {image} overflows a float") from exc
 
-    def values(self, array: np.ndarray) -> np.ndarray:
-        return reduce(np.add, (np.abs(array) ** self.p).T) ** (1.0 / self.p)
+    def reduce(self, images: np.ndarray) -> np.ndarray:
+        return fold(np.add, (np.abs(images) ** self.p).T) ** (1.0 / self.p)
+
+    values = reduce
 
     @staticmethod
     def clear(vectors) -> tuple[list[tuple], int]:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,9 @@ from kdist import (CertificateError, GeometryError, InputError,
                    norm_eval, packing_bound_check, polygon_gauge,
                    polygon_vertices_2d, polytopal, separated_set_capacity,
                    sphere_samples, vec)
+from kdist import cover
 from kdist.cover import GeneratedCone, SeparatedSet
-from kdist.norms import is_unit, vadd, vscale, vsub
+from kdist.norms import gauge, is_unit, vadd, vscale, vsub
 
 
 def test_capacity_values():
@@ -254,25 +256,9 @@ def _edge_points(spec):
     return out
 
 
-@pytest.mark.parametrize("spec", REFERENCE_GAUGES + [l1(3)])
-def test_cover_functions_match_reference(spec):
-    samples = sphere_samples(spec, 150 if spec.dim == 2 else 60, seed=11)
-    sep = greedy_separated_set(spec, samples)
-    assert sep.centers == _ref_greedy(spec, samples)
-    assert packing_bound_check(sep, spec)
-    fresh = sphere_samples(spec, 40, seed=12)
-    report = cover_assignment(sep, spec, fresh)
-    assert report.assignments == _ref_assignments(spec, sep.centers, fresh)
-    cones = generated_cones(sep, spec, samples)
-    assert [c.generators for c in cones] == _ref_generators(spec, sep.centers, samples)
-    for i, cone in enumerate(cones):
-        assert _assert_halfwidth_dominates(spec, cone, trials=30, seed=i).ok
-
-
-@pytest.mark.parametrize("spec", [lp(2, 2.0), lp(3, 3.0)])
-def test_lp_cover_functions_match_float_loops(spec):
-    # lp runs the exact kinds' threshold tests in floats; the references
-    # compare float norm_eval values with 1/5 directly.
+def _assert_cover_matches_reference(spec):
+    """Greedy set, packing check, assignments, cones and half-widths equal
+    the norm_eval loops on seeded samples."""
     samples = sphere_samples(spec, 150 if spec.dim == 2 else 60, seed=11)
     sep = greedy_separated_set(spec, samples)
     assert sep.centers == _ref_greedy(spec, samples)
@@ -287,8 +273,24 @@ def test_lp_cover_functions_match_float_loops(spec):
         assert _assert_halfwidth_dominates(spec, cone, trials=30, seed=i).ok
 
 
+@pytest.mark.parametrize("spec", REFERENCE_GAUGES + [l1(3)])
+def test_cover_functions_match_reference(spec):
+    _assert_cover_matches_reference(spec)
+
+
+@pytest.mark.parametrize("spec", [lp(2, 2.0), lp(3, 3.0)])
+def test_lp_cover_functions_match_float_loops(spec):
+    # lp runs the exact kinds' threshold tests in floats; the references
+    # compare float norm_eval values with 1/5 directly.
+    _assert_cover_matches_reference(spec)
+
+
 @pytest.mark.parametrize("spec", REFERENCE_GAUGES)
 def test_cover_thresholds_match_reference(spec):
+    _assert_thresholds_match_reference(spec)
+
+
+def _assert_thresholds_match_reference(spec):
     cases = _edge_points(spec)
     assert cases
     centers = tuple(v for v, _, _ in cases)
@@ -303,6 +305,46 @@ def test_cover_thresholds_match_reference(spec):
     assert [c.generators for c in cones] == _ref_generators(spec, centers, at + inside)
     for (v, x_at, x_in), cone in zip(cases, cones):
         assert x_at not in cone.generators and x_in in cone.generators
+
+
+#: Functional denominators near 10^12 take 5 * value past 2^62, so the
+#: kernel runs on Python ints in object arrays.
+HUGE_DENOMINATORS = polytopal([[Fraction(10**12 + 39, 10**12 - 11), Fraction(1, 3)],
+                               [Fraction(-7, 10**12 + 3), Fraction(10**12 + 1, 10**12 + 7)],
+                               [Fraction(5, 7), Fraction(-2, 3)]])
+
+
+def _kernel_dtype(spec):
+    [(images, _)] = cover._split(gauge(spec), sphere_samples(spec, 10, seed=11))
+    return images.dtype
+
+
+def test_huge_denominators_stay_exact_on_object_arrays():
+    assert _kernel_dtype(HUGE_DENOMINATORS) == object
+    _assert_cover_matches_reference(HUGE_DENOMINATORS)
+    _assert_thresholds_match_reference(HUGE_DENOMINATORS)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_GAUGES)
+def test_object_arrays_match_reference(spec, monkeypatch):
+    assert _kernel_dtype(spec) == np.int64
+    monkeypatch.setattr(cover, "INT64_LIMIT", 0)
+    assert _kernel_dtype(spec) == object
+    _assert_cover_matches_reference(spec)
+    _assert_thresholds_match_reference(spec)
+
+
+def test_cover_assignment_takes_the_first_center_of_either_sign():
+    spec = linf(2)
+    c0, c1 = vec(1, 0), vec(-1, Fraction(1, 5))     # ||c0 + c1|| = 1/5: separated
+    sep = SeparatedSet((c0, c1))
+    assert packing_bound_check(sep, spec)
+    x = vec(-1, Fraction(1, 10))                    # within 1/10 of -c0 and of +c1
+    boundary = vec(1, Fraction(1, 5))               # exactly 1/5 from c0
+    assert cover_assignment(sep, spec, [x, boundary]).assignments == [0, 0]
+    # The closed cover threshold assigns the boundary vector; the open cone
+    # threshold does not make it a generator.
+    assert generated_cones(sep, spec, [boundary])[0].generators == (c0,)
 
 
 def test_halfwidth_wide_cone_dominates_reference():
