@@ -179,6 +179,7 @@ def cover_assignment(sep: SeparatedSet, spec: NormSpec, test_vectors) -> CoverRe
     test_vectors = list(test_vectors)
     g = gauge(spec)
     centers, xs = _split(g, sep.centers, test_vectors)
+    _check_unit(g, centers, sep.centers, "center")
     _check_unit(g, xs, test_vectors, "test vector")
     first = np.full(len(test_vectors), -1)
     for i, c in enumerate(zip(*centers)):
@@ -200,6 +201,7 @@ def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[Generate
     g = gauge(spec)
     samples = list(samples)
     centers, xs = _split(g, sep.centers, samples)
+    _check_unit(g, centers, sep.centers, "center")
     near = (5 * v < den for v, den in (_distances(g, c, xs) for c in zip(*centers)))
     return [GeneratedCone(c, tuple(compress(samples, m)) or (c,))
             for c, m in zip(sep.centers, near)]
@@ -267,5 +269,7 @@ def packing_bound_check(sep: SeparatedSet, spec: NormSpec) -> bool:
             f"separated set of size {m} exceeds the packing cap "
             f"{separated_set_capacity(spec.dim)} in dimension {spec.dim}")
     g = gauge(spec)
-    _check_separated(g, _split(g, sep.centers)[0], "separated-set invariant violated")
+    [centers] = _split(g, sep.centers)
+    _check_unit(g, centers, sep.centers, "center")
+    _check_separated(g, centers, "separated-set invariant violated")
     return True

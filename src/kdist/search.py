@@ -8,12 +8,24 @@ add, choosing a point drops every candidate past k classes, and `nodes`
 counts the chosen sets so checked.  Both are deterministic: points are
 sorted, candidates keep that order and inclusion is tried first, so the
 reported optimum is the lexicographically smallest one.
+
+The branch-and-bound root branches only on the lowest layer L0 of axis 0
+(the points of least first coordinate, a prefix of the sorted points) when
+an exact ground is closed under the shift by s, the gap to the next first
+coordinate: every point off L0, moved down by s along axis 0, is again a
+ground point.  An optimum S that misses L0 then has the translate S - s*e0,
+with the same distances and lexicographically before S, so the
+lexicographically smallest optimum starts in L0.  lp keeps the full root,
+since its float differences are not exactly translation-invariant, and the
+enumeration, which lists every optimum, keeps the full search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 
 from .cover import general_bound
 from .errors import FalsificationError, InputError
@@ -49,9 +61,30 @@ class SearchResult:
         return len(self.points)
 
 
-def _pair_classes(spec: NormSpec, pts: list[Vec]) -> list[list[int]]:
-    """Distance-class id per pair of the sorted points (see PairTable)."""
-    return PairTable(spec, PointSet(spec.dim, tuple(pts))).classes
+def _pair_classes(spec: NormSpec, pts: list[Vec]) -> tuple[list[list[int]], list[tuple]]:
+    """Distance-class id per pair of the sorted points, and the points
+    cleared over one denominator (see PairTable)."""
+    # Built here: bench/spans.py times this name as search.table_s.
+    table = PairTable(spec, PointSet(spec.dim, tuple(pts)))
+    return table.classes, table.ints
+
+
+def _root_layer(spec: NormSpec, ints: list[tuple]) -> int:
+    """How many of the sorted points the root branches on: |L0| when the
+    ground is exact and closed under the shift along axis 0 (see the module
+    docstring), else all of them."""
+    n = len(ints)
+    if not spec.exact:
+        return n
+    m = bisect_right(ints, ints[0][0], key=itemgetter(0))
+    if m == n:
+        return n
+    s, ground = ints[m][0] - ints[0][0], set(ints)
+    # A loop: all() over a generator takes twice as long on these short lists.
+    for p in ints[m:]:
+        if (p[0] - s, *p[1:]) not in ground:
+            return n
+    return m
 
 
 def brute_force_oracle(problem: SearchProblem) -> SearchResult:
@@ -63,7 +96,7 @@ def brute_force_oracle(problem: SearchProblem) -> SearchResult:
     n = len(pts)
     if n > 20:
         raise InputError("brute-force oracle refuses grounds larger than 20 points")
-    cls = _pair_classes(problem.spec, pts)
+    cls, _ = _pair_classes(problem.spec, pts)
     k = problem.k
     examined = 0
     for size in range(n, 0, -1):
@@ -116,39 +149,42 @@ def branch_and_bound(problem: SearchProblem,
     """Forward-checking DFS over sorted candidates, inclusion first.
 
     A node is pruned, and a child is not expanded, when its chosen points
-    plus its viable candidates cannot exceed the incumbent.  `nodes` counts
-    the root and each chosen set forward-checked.  With use_bound_pruning,
+    plus its viable candidates cannot exceed the incumbent.  The root
+    branches only on the lowest layer of a ground closed under the shift
+    along axis 0 (see the module docstring).  `nodes` counts the root and
+    each chosen set forward-checked.  With use_bound_pruning,
     the search also stops once the incumbent reaches the tightest
     applicable proved bound; keep it off when the bound itself is the
     claim under test.
     """
     pts = sorted(problem.ground.points)
-    cls = _pair_classes(problem.spec, pts)
+    cls, ints = _pair_classes(problem.spec, pts)
     cap = _bound_cap(problem) if use_bound_pruning else len(pts)
     best: list[int] = []
     nodes = 1
     chosen: list[int] = []
 
-    def expand(cands: list[tuple[int, int]]) -> bool:
+    def expand(cands: list[tuple[int, int]], stop: int) -> bool:
+        """Branch on cands[:stop], each with the candidates after it."""
         nonlocal nodes, best
         depth = len(chosen)
         if depth > len(best):
             best = list(chosen)
             if depth >= cap:
                 return True
-        for j in range(len(cands)):
+        for j in range(stop):
             if depth + len(cands) - j <= len(best):
                 return False
             nodes += 1
             viable = _forward_check(cls, problem.k, cands, j)
             if depth + 1 + len(viable) > len(best):
                 chosen.append(cands[j][0])
-                if expand(viable):
+                if expand(viable, len(viable)):
                     return True
                 chosen.pop()
         return False
 
-    expand([(i, 0) for i in range(len(pts))])
+    expand([(i, 0) for i in range(len(pts))], _root_layer(problem.spec, ints))
     chosen_pts = tuple(pts[i] for i in best)
     sub = PointSet(problem.ground.dim, chosen_pts)
     return SearchResult(chosen_pts, distance_spectrum(problem.spec, sub),
@@ -161,7 +197,7 @@ def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[V
     if size < 1:
         raise InputError("enumeration size must be >= 1")
     pts = sorted(problem.ground.points)
-    cls = _pair_classes(problem.spec, pts)
+    cls, _ = _pair_classes(problem.spec, pts)
     out: list[tuple[Vec, ...]] = []
     chosen: list[int] = []
 

@@ -278,6 +278,26 @@ def test_cover_functions_match_reference(spec):
     _assert_cover_matches_reference(spec)
 
 
+def test_cover_functions_reject_non_unit_centers():
+    # The packing argument packs balls around unit vectors, and the cover
+    # and the cones are read off 1/5-neighbourhoods of unit centres.
+    spec, sep = linf(2), SeparatedSet((vec(5, 0), vec(0, 3)))
+    for run in (lambda: packing_bound_check(sep, spec),
+                lambda: cover_assignment(sep, spec, [vec(1, 0)]),
+                lambda: generated_cones(sep, spec, [vec(1, 0)])):
+        with pytest.raises(InputError, match=r"center \(.*\) is not a unit vector"):
+            run()
+
+
+@pytest.mark.parametrize("spec", [linf(2), hexagon_gauge(), l1(3), lp(2, 2.0)])
+def test_greedy_centers_pass_the_unit_check(spec):
+    samples = sphere_samples(spec, 300, seed=4)
+    sep = greedy_separated_set(spec, samples)
+    assert packing_bound_check(sep, spec)
+    assert cover_assignment(sep, spec, samples).ok
+    assert len(generated_cones(sep, spec, samples)) == len(sep.centers)
+
+
 @pytest.mark.parametrize("spec", [lp(2, 2.0), lp(3, 3.0)])
 def test_lp_cover_functions_match_float_loops(spec):
     # lp runs the exact kinds' threshold tests in floats; the references

@@ -161,7 +161,7 @@ def test_spectrum_witness_and_classes_match_reference(case):
     assert best_distinct_witness(spec, ps) == ref_witness(spec, ps.points)
     # The class ids of the search partition the pairs as their distances do.
     pts = sorted(ps.points)
-    cls = _pair_classes(spec, pts)
+    cls, _ = _pair_classes(spec, pts)
     by_class = {}
     for i, j in combinations(range(len(pts)), 2):
         by_class.setdefault(cls[i][j], set()).add(norm_eval(spec, vsub(pts[j], pts[i])))
@@ -251,7 +251,7 @@ def test_lp_float_points_global_classes_and_row_local_witness():
     assert best_distinct_witness(spec, ps) == ref_witness(spec, pts)
     zero = sorted(pts).index((0.0,))
     row = [norm_eval(spec, vsub(y, (0.0,))) for y in pts if y != (0.0,)]
-    cls = _pair_classes(spec, sorted(pts))
+    cls, _ = _pair_classes(spec, sorted(pts))
     assert len(_merge(row)) == len({cls[zero][j] for j in range(len(pts)) if j != zero}) == 3
     # Global single linkage: class ids follow the merged groups.
     groups = _merge([norm_eval(spec, vsub(y, x)) for x, y in combinations(sorted(pts), 2)])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from kdist import (InputError, PointSet, SearchProblem, branch_and_bound,
                    verify_extremal_uniqueness)
 from kdist.gen import random_lattice_subset, random_symmetric_polygon
 from kdist.norms import polygon_vertices_2d
-from kdist.search import _bound_cap, _pair_classes
+from kdist import search
+from kdist.search import _bound_cap, _pair_classes, _root_layer
 from kdist.spectrum import distance_spectrum
 
 
@@ -205,7 +207,7 @@ def test_branch_and_bound_matches_oracle(problem):
 def test_enumeration_matches_combinations_filter(problem, data):
     pts = sorted(problem.ground.points)
     size = data.draw(st.integers(1, len(pts)))
-    cls = _pair_classes(problem.spec, pts)
+    cls, _ = _pair_classes(problem.spec, pts)
     want = [tuple(pts[i] for i in comb)
             for comb in combinations(range(len(pts)), size)
             if len({cls[a][b] for a, b in combinations(comb, 2)}) <= problem.k]
@@ -225,6 +227,9 @@ def _lattice(d: int, m: int) -> PointSet:
 def test_hexagon_on_9x9_grid_stays_below_16():
     result = branch_and_bound(SearchProblem(hexagon_gauge(), _lattice(2, 8), 3))
     assert result.size == 12 < 4 ** 2
+    # The README example: the root branches on the 9 points of x = 0 only
+    # (80,834 nodes on all 81).
+    assert result.nodes <= 40_000
 
 
 @pytest.mark.parametrize("k, size", [(1, 6), (2, 16)])
@@ -237,3 +242,108 @@ def test_linf_on_4x4x4_grid_attains_grid_bound_with_a_homothet():
     result = branch_and_bound(SearchProblem(linf(3), _lattice(3, 3), 1))
     assert result.size == 2 ** 3
     assert is_grid_homothet(result.points, 1)
+
+
+# ---------------------------------------------------------------------------
+# the root cut: on an exact ground closed under the shift along axis 0, the
+# root branches only on the lowest layer L0 of axis 0
+
+#: A sheared square: a polytopal gauge that is no product of intervals.
+SKEWED = polytopal([(1, 1), (0, 1)])
+CUT_SPECS = {1: [linf(1)], 2: [linf(2), l1(2), hexagon_gauge(), SKEWED, lp(2, 2.0)],
+             3: [linf(3), l1(3)]}
+
+
+@st.composite
+def shift_closed_grounds(draw, max_points=20):
+    """(problem, kind): columns x0 + i*s0 (i < m) of axis 0 over the cells of
+    the other axes, column i holding the cells of height above i, so that the
+    ground is closed under the shift by s0 along axis 0.  A "box" gives every
+    cell of a product of ranges the height m, a "staircase" draws the cells
+    and their heights, and "short" drops, from a column of at least two
+    cells, one point whose upward shift is in the ground: L0 and s0 stay as
+    they were, and the ground is one point short of closed.  Offsets and
+    steps are rational; lp gets the points as floats."""
+    kind = draw(st.sampled_from(["box", "staircase", "short"]))
+    d = draw(st.integers(2 if kind == "short" else 1, 3))
+    m = draw(st.integers(2, 8 if d == 1 else 4))
+    room = max_points // m
+    if kind == "box":
+        counts = [draw(st.integers(1, 6)) for _ in range(d - 1)]
+        while prod(counts) > room:
+            counts[counts.index(max(counts))] -= 1
+        height = dict.fromkeys(product(*map(range, counts)), m)
+    else:
+        size = 1 if d == 1 else draw(st.integers(2 if kind == "short" else 1, room))
+        cells = draw(st.lists(st.tuples(*[st.integers(0, 5)] * (d - 1)), unique=True,
+                              min_size=size, max_size=size))
+        height = {c: draw(st.integers(1, m)) for c in cells}
+        if kind == "short":
+            height[cells[0]] = max(height[cells[0]], 2)
+    pts = {(i, *c) for c, h in height.items() for i in range(h)}
+    if kind == "short":
+        column = {i: sum(h > i for h in height.values()) for i in range(m)}
+        i, c = draw(st.sampled_from(sorted((i, c) for c, h in height.items()
+                                           for i in range(h - 1) if column[i] >= 2)))
+        pts.remove((i, *c))
+    rational = st.fractions(-3, 3, max_denominator=4)
+    offset = [draw(rational) for _ in range(d)]
+    step = [draw(st.fractions(Fraction(1, 4), 3, max_denominator=4)) for _ in range(d)]
+    spec = draw(st.sampled_from(CUT_SPECS[d]))
+    ground = [tuple(o + t * a for o, t, a in zip(offset, step, p)) for p in pts]
+    if not spec.exact:
+        ground = [tuple(map(float, p)) for p in ground]
+    return SearchProblem(spec, PointSet(d, tuple(ground)), draw(st.integers(1, 3))), kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=shift_closed_grounds())
+def test_root_cut_matches_oracle(case):
+    problem, kind = case
+    pts = sorted(problem.ground.points)
+    layer, n = sum(p[0] == pts[0][0] for p in pts), len(pts)
+    cut = problem.spec.exact and kind != "short"
+    assert _root_layer(problem.spec, _pair_classes(problem.spec, pts)[1]) == (layer if cut else n)
+    want = brute_force_oracle(problem)
+    for use_bound_pruning in (False, True):
+        got = branch_and_bound(problem, use_bound_pruning=use_bound_pruning)
+        assert got.points == want.points
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=shift_closed_grounds(max_points=36))
+def test_root_cut_matches_enumeration_beyond_the_oracle(case):
+    problem, _ = case
+    got = branch_and_bound(problem)
+    assert enumerate_optimal_subsets(problem, got.size)[0] == got.points
+    assert not enumerate_optimal_subsets(problem, got.size + 1)
+
+
+def _root_branches(problem, monkeypatch) -> int:
+    """The number of root candidates branch_and_bound forward-checks."""
+    calls, check = [], search._forward_check
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_forward_check",
+                      lambda cls, k, cands, j: calls.append(cands) or check(cls, k, cands, j))
+        branch_and_bound(problem)
+    return sum(cands is calls[0] for cands in calls)
+
+
+@pytest.mark.parametrize("spec", [linf(2), l1(2), hexagon_gauge(), SKEWED, linf(3), l1(3),
+                                  polytopal([(1, 0, 0), (0, 1, 0), (1, 1, 1)])])
+def test_root_branches_on_the_lowest_layer_of_a_closed_grid(spec, monkeypatch):
+    side = 4 if spec.dim == 2 else 2
+    problem = SearchProblem(spec, _lattice(spec.dim, side), 1)
+    assert _root_branches(problem, monkeypatch) == (side + 1) ** (spec.dim - 1)
+
+
+def test_root_branches_on_every_point_without_the_cut(monkeypatch):
+    # lp, and an exact grid with one point missing: (2, 2) - e0 is not there.
+    holed = PointSet(2, tuple(p for p in _lattice(2, 4).points if p != vec(1, 2)))
+    floats = PointSet(2, tuple(tuple(map(float, p)) for p in _lattice(2, 4).points))
+    for problem in (SearchProblem(lp(2, 2.0), floats, 1), SearchProblem(linf(2), holed, 1)):
+        pts = sorted(problem.ground.points)
+        assert _root_layer(problem.spec, _pair_classes(problem.spec, pts)[1]) == len(pts)
+        # The root stops only where the points left cannot beat the incumbent.
+        size = branch_and_bound(problem).size
+        assert _root_branches(problem, monkeypatch) == len(pts) - size
