@@ -172,6 +172,14 @@ def unit_ball_volume(spec: NormSpec):
     return (2.0 * math.gamma(1.0 + 1.0 / p)) ** d / math.gamma(1.0 + d / p)
 
 
+def _ball_reach(spec: NormSpec) -> np.ndarray:
+    """Per axis i, the largest |u_i| over the unit ball, in floats."""
+    if spec.kind == "polytopal":
+        # d = 2 only, as unit_ball_volume; float() of a Fraction rounds correctly
+        return np.abs(np.array(polygon_vertices_2d(spec), dtype=float)).max(axis=0)
+    return np.ones(spec.dim)                    # linf, l1 and lp reach +-e_i
+
+
 def exact_box_union_area(centers, half) -> Fraction:
     """Exact area of a union of axis-aligned squares (l-infinity balls, d=2):
     over each x-slab, the merged y-intervals of the squares covering it."""
@@ -213,15 +221,25 @@ class MCVolumeReport:
 def _mc_union_volume(spec: NormSpec, centers: np.ndarray, radius: float,
                      trials: int, rng: np.random.Generator):
     d = centers.shape[1]
-    lo = centers.min(axis=0) - radius
-    hi = centers.max(axis=0) + radius
+    reach = radius * _ball_reach(spec)
+    lo = centers.min(axis=0) - reach
+    hi = centers.max(axis=0) + reach
     boxvol = float(np.prod(hi - lo))
     pts = rng.uniform(lo, hi, size=(trials, d))
+    # A ball B(c, r) holds no point with |x_0 - c_0| > reach_0, so test each
+    # ball only on the samples in that slab of the first coordinate.  The
+    # margin covers rounding: every point gets the same test as with every
+    # ball on every point, so the count is unchanged.  Column-major samples
+    # let the gauge reduce contiguous columns.
+    pts = np.asfortranarray(pts[np.argsort(pts[:, 0])])
+    edge = reach[0] * (1 + 1e-9)
+    starts = np.searchsorted(pts[:, 0], centers[:, 0] - edge, "left")
+    stops = np.searchsorted(pts[:, 0], centers[:, 0] + edge, "right")
+    outside = np.ones(trials, dtype=bool)
     values = gauge(spec).values
-    # Test each ball only on the points still outside the balls before it.
-    for c in centers:
-        pts = pts[values(pts - c) > radius]
-    p = (trials - len(pts)) / trials
+    for c, a, b in zip(centers, starts, stops):
+        outside[a:b] &= values(pts[a:b] - c) > radius
+    p = (trials - int(np.count_nonzero(outside))) / trials
     vol = p * boxvol
     halfwidth = 2.576 * math.sqrt(max(p * (1 - p), 0.0) / trials) * boxvol
     return vol, halfwidth
@@ -241,6 +259,11 @@ def brunn_minkowski_mc_check(spec: NormSpec, ps: PointSet,
     d = spec.dim
     if d not in (2, 3):
         raise InputError("Monte Carlo volume check supports d in {2, 3}")
+    for name, n, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < least:
+            raise InputError(f"{name} must be an integer >= {least}, got {n!r}")
+    if not ps.points:
+        raise InputError("Monte Carlo volume check needs a nonempty point set")
     sp = distance_spectrum(spec, ps)
     m = len(ps)
     volB = float(unit_ball_volume(spec))

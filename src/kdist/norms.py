@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce as fold
+from functools import cached_property, reduce as fold
 from math import inf, lcm
 from operator import mul, truediv
 
@@ -209,6 +209,12 @@ class IntGauge:
             self._rows = tuple(tuple(a.numerator * (self.scale // a.denominator)
                                      for a in f) for f in spec.functionals)
 
+    @cached_property
+    def _funcs(self) -> np.ndarray:
+        """The polytopal functionals as float columns, built on the first ``values``."""
+        # int / int rounds correctly: each entry is float(a_i), exactly.
+        return np.array([[a / self.scale for a in r] for r in self._rows]).T
+
     def image(self, x) -> tuple[int, ...]:
         """The image of an integer vector: x itself, or its functional values."""
         if self._rows is None:
@@ -233,9 +239,7 @@ class IntGauge:
     def values(self, array: np.ndarray) -> np.ndarray:
         """The gauge of each row of a float array, in floats, reduced column by column."""
         if self._rows is not None:
-            # int / int rounds correctly: each entry is float(a_i), exactly.
-            funcs = np.array([[a / self.scale for a in r] for r in self._rows])
-            array = array @ funcs.T
+            array = array @ self._funcs
         return self.reduce(array)
 
     @staticmethod

@@ -11,8 +11,9 @@ from kdist import (DecompositionNode, InputError, PointSet,
                    brunn_minkowski_mc_check, clusters_at,
                    decompose_recursive_bound, exact_box_union_area,
                    find_equivalence_threshold, hexagon_gauge, l1, linf, lp,
-                   unit_ball_volume, vec, volume_ratio_bound)
-from kdist.decompose import _mc_union_volume
+                   polygon_vertices_2d, polytopal, unit_ball_volume, vec,
+                   volume_ratio_bound)
+from kdist.decompose import _ball_reach, _mc_union_volume
 from kdist.gen import clustered_lattice_set
 from kdist.norms import gauge
 from kdist.spectrum import distance_spectrum
@@ -158,8 +159,8 @@ def test_slab_merge_box_union_equals_cell_loop(centers, half):
 def _or_mask_union_volume(spec, centers, radius, trials, rng):
     """The union volume with every ball tested on every point, OR-ed into a mask."""
     d = centers.shape[1]
-    lo = centers.min(axis=0) - radius
-    hi = centers.max(axis=0) + radius
+    reach = radius * _ball_reach(spec)
+    lo, hi = centers.min(axis=0) - reach, centers.max(axis=0) + reach
     boxvol = float(np.prod(hi - lo))
     pts = rng.uniform(lo, hi, size=(trials, d))
     inside = np.zeros(trials, dtype=bool)
@@ -206,6 +207,105 @@ def test_active_set_union_volume_edge_cases():
     for spec in (linf(2), l1(2), hexagon_gauge(), lp(2, 3.0)):
         got = _mc_union_volume(spec, twice, 1.0, 1000, np.random.default_rng(1))
         assert got == _or_mask_union_volume(spec, twice, 1.0, 1000, np.random.default_rng(1))
+
+
+# A square unit ball [-2, 2]^2: it reaches twice as far as the unit vectors.
+WIDE = polytopal([(Fraction(1, 2), 0), (0, Fraction(1, 2))])
+MC_GAUGES_2D = [linf(2), l1(2), lp(2, 3.0), hexagon_gauge(), WIDE]
+MC_GAUGES_3D = [linf(3), l1(3), lp(3, 1.5)]
+
+
+def test_ball_reach():
+    assert _ball_reach(WIDE).tolist() == [2.0, 2.0]
+    for spec in MC_GAUGES_2D[:-1] + MC_GAUGES_3D:
+        assert _ball_reach(spec).tolist() == [1.0] * spec.dim
+    assert _ball_reach(polytopal([(1, 0), (1, 3)])).tolist() == [1.0, 2 / 3]
+
+
+@st.composite
+def mc_instances(draw):
+    spec = draw(st.sampled_from(MC_GAUGES_2D + MC_GAUGES_3D))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    # Few coordinate values, so first coordinates repeat; one centre is allowed.
+    coord = st.sampled_from([-2.0, -0.7, 0.0, 1 / 3, 1.0, 2.5]).map(lambda a: a * scale)
+    centers = draw(st.lists(st.tuples(*[coord] * spec.dim), min_size=1, max_size=12))
+    radius = scale * draw(st.sampled_from([0.1, 1 / 3, 0.5, 1.0, 2.5]))
+    return spec, np.array(centers), radius, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mc_instances())
+def test_slab_union_volume_is_the_or_mask_volume(instance):
+    spec, centers, radius, seed = instance
+    got = _mc_union_volume(spec, centers, radius, 2000, np.random.default_rng(seed))
+    assert got == _or_mask_union_volume(spec, centers, radius, 2000,
+                                        np.random.default_rng(seed))
+
+
+class _FixedDraw:
+    """A generator stand-in whose one uniform draw is a given array."""
+
+    def __init__(self, pts):
+        self.pts = pts
+
+    def uniform(self, lo, hi, size):
+        assert size == self.pts.shape
+        return self.pts.copy()
+
+
+def _boundary_samples(spec, centers, radius):
+    """Points at c_0 +- r w_0 and up to 3 floats past it, and c + r v for unit-ball vertices v."""
+    d, w = centers.shape[1], _ball_reach(spec)
+    if spec.kind == "polytopal":
+        verts = [np.array([float(a) for a in v]) for v in polygon_vertices_2d(spec)]
+    else:
+        verts = [s * e for e in np.eye(d) for s in (1, -1)]
+    pts = []
+    for c in centers:
+        for s in (1, -1):
+            far = max(verts, key=lambda u: s * u[0])     # a vertex with u_0 = s w_0
+            for k in range(-3, 4):
+                x0 = c[0] + s * radius * w[0]
+                for _ in range(abs(k)):
+                    x0 = math.nextafter(x0, math.copysign(math.inf, s * k))
+                pts.append(np.concatenate(([x0], c[1:] + radius * far[1:])))
+        pts.extend(c + radius * v for v in verts)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("spec", MC_GAUGES_2D + MC_GAUGES_3D)
+@pytest.mark.parametrize("offset,radius", [(0.7, 0.5), (1 / 3, 1 / 3), (2.0, 2.5),
+                                           (2.0 ** 30, 1.0)])
+def test_slab_union_volume_on_slab_edges_and_ball_boundaries(spec, offset, radius):
+    # Rounding puts some floats just past c_0 +- r w_0 inside a ball; at the
+    # offset 2^30 the samples at exactly c_0 +- r w_0 are inside, and the
+    # margin rounds away.
+    centers = offset + np.array([[0.0] * spec.dim, [radius] + [0.0] * (spec.dim - 1),
+                                 [-radius / 3] + [radius] * (spec.dim - 1)])
+    pts = _boundary_samples(spec, centers, radius)
+    n = len(pts)
+    assert (_mc_union_volume(spec, centers, radius, n, _FixedDraw(pts))
+            == _or_mask_union_volume(spec, centers, radius, n, _FixedDraw(pts)))
+
+
+def test_mc_uses_the_real_extent_of_a_wide_ball():
+    # The balls of radius rho_1/2 = 1/4 are squares of side 1 that tile
+    # [-1/2, 5/2]^2, so vol(V) is 9 exactly.
+    ps = PointSet.of(_grid(3, 2))
+    report = brunn_minkowski_mc_check(WIDE, ps, trials=200_000)
+    assert report.vol_v_formula == 9.0
+    assert (report.vol_v, report.vol_v_halfwidth) == (9.0, 0.0)
+    assert report.ok
+
+
+@pytest.mark.parametrize("points,kwargs", [
+    ((), {}), (_grid(2, 2), {"trials": 0}), (_grid(2, 2), {"trials": -5}),
+    (_grid(2, 2), {"trials": 2.5}), (_grid(2, 2), {"trials": True}),
+    (_grid(2, 2), {"trials": "100"}), (_grid(2, 2), {"seed": -1}),
+    (_grid(2, 2), {"seed": 1.5})])
+def test_mc_rejects_malformed_input(points, kwargs):
+    with pytest.raises(InputError):
+        brunn_minkowski_mc_check(linf(2), PointSet(2, tuple(points)), **kwargs)
 
 
 def test_mc_matches_exact_box_union():
