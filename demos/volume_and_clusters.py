@@ -32,7 +32,7 @@ print(f"Monte Carlo: vol(V) ~ {mc.vol_v:.3f} (formula {mc.vol_v_formula:.3f}), "
 # Large-ratio regime: two distant clusters on a line.
 far = PointSet.of([vec(0), vec(1), vec(100), vec(101)])
 sp = distance_spectrum(linf(1), far)
-i = find_equivalence_threshold(sp, far, linf(1))
+i = find_equivalence_threshold(far, linf(1))
 print(f"\nclustered line set: k = {sp.k}, ratio = {sp.ratio}, "
       f"equivalence threshold level i = {i}")
 

@@ -30,35 +30,38 @@ def clusters_at(spec: NormSpec, ps: PointSet, rho) -> list[list[Vec]] | None:
     The relation is an equivalence iff related points have equal closed
     balls of radius rho; those balls are then the components.
     """
-    return _clusters(PairTable(spec, ps), rho)
+    table = PairTable(spec, ps)
+    clusters = _clusters(table, range(len(ps)), rho)
+    return None if clusters is None else [[table.points[i] for i in c] for c in clusters]
 
 
-def _clusters(table: PairTable, rho) -> list[list[Vec]] | None:
-    """clusters_at on the table of the point set."""
-    pts, limit = table.points, table.gauge.at_most(rho, table.scale)
-    balls = [frozenset(j for j, v in enumerate(row) if v <= limit or j == i)
-             for i, row in enumerate(table.values)]
-    if any(balls[j] != ball for ball in balls for j in ball):
+def _clusters(table: PairTable, idx, rho) -> list[list[int]] | None:
+    """clusters_at on the points at ascending indices idx of the table,
+    as lists of indices."""
+    rows, limit = table.values, table.gauge.at_most(rho, table.scale)
+    balls = {i: frozenset(j for j in idx if rows[i][j] <= limit or j == i) for i in idx}
+    if any(balls[j] != ball for ball in balls.values() for j in ball):
         return None
-    return [[pts[i] for i in sorted(ball)] for ball in sorted(set(balls), key=min)]
+    return [sorted(ball) for ball in sorted(set(balls.values()), key=min)]
 
 
-def find_equivalence_threshold(sp: DistanceSpectrum, ps: PointSet,
-                               spec: NormSpec) -> int | None:
+def find_equivalence_threshold(ps: PointSet, spec: NormSpec) -> int | None:
     """Smallest i (1-based, 1 <= i <= k-1) whose threshold relation is transitive.
 
     Guaranteed to exist when rho_k / rho_1 > 2^{k-1}.
     """
-    if sp.k < 2:
+    table = PairTable(spec, ps)
+    if table.spectrum.k < 2:
         raise InputError("threshold search requires a k-distance set with k >= 2")
-    found = _threshold(PairTable(spec, ps), sp)
+    found = _threshold(table, range(len(ps)), table.spectrum)
     return found[0] if found else None
 
 
-def _threshold(table: PairTable, sp: DistanceSpectrum) -> tuple[int, list] | None:
-    """The smallest threshold index i with its clusters, or None."""
+def _threshold(table: PairTable, idx, sp: DistanceSpectrum) -> tuple[int, list] | None:
+    """The smallest threshold index i for the points at indices idx, whose
+    spectrum is sp, with its clusters of indices, or None."""
     for i in range(1, sp.k):
-        clusters = _clusters(table, sp.distances[i - 1])
+        clusters = _clusters(table, idx, sp.distances[i - 1])
         if clusters is not None:
             return i, clusters
     return None
@@ -113,10 +116,15 @@ def decompose_recursive_bound(ps: PointSet, spec: NormSpec) -> DecompositionNode
     Raises FalsificationError if any intermediate bound is violated or if
     the ratio condition promises a threshold that does not exist.
     """
-    d = spec.dim
     table = PairTable(spec, ps)
-    sp = table.spectrum
-    k, m = sp.k, len(ps)
+    return _decompose(table, range(len(ps)), table.spectrum)
+
+
+def _decompose(table: PairTable, idx, sp: DistanceSpectrum) -> DecompositionNode:
+    """decompose_recursive_bound on the points at ascending indices idx of
+    the table, whose spectrum is sp."""
+    d = table.gauge.dim
+    k, m = sp.k, len(idx)
     # lp bounds are floats, correct only up to the gauge's relative tolerance.
     slack = 1 + table.gauge.tol
     claim = 2 ** (k * d)
@@ -131,15 +139,14 @@ def decompose_recursive_bound(ps: PointSet, spec: NormSpec) -> DecompositionNode
                 f"{m} points exceed the volume bound {vb} (k={k}, d={d})")
         return DecompositionNode("volume", m, k, vb, claim)
 
-    found = _threshold(table, sp)
+    found = _threshold(table, idx, sp)
     if found is None:
         raise FalsificationError(
             f"distance ratio {ratio} > 2^{k - 1} but no equivalence threshold exists")
     i, clusters = found
-    children = [decompose_recursive_bound(PointSet(d, tuple(c)), spec)
-                for c in clusters]
-    reps = PointSet(d, tuple(c[0] for c in clusters))
-    rep_node = decompose_recursive_bound(reps, spec)
+    children = [_decompose(table, c, table.spectrum_of(c)) for c in clusters]
+    reps = [c[0] for c in clusters]
+    rep_node = _decompose(table, reps, table.spectrum_of(reps))
     bound = rep_node.bound * max((c.bound for c in children), default=1)
     if m > bound * slack or bound > claim:
         raise FalsificationError(

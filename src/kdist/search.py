@@ -31,7 +31,7 @@ from .cover import general_bound
 from .errors import FalsificationError, InputError
 from .norms import NormSpec, Vec, linf, vec
 from .planar import chain_route
-from .spectrum import DistanceSpectrum, PairTable, PointSet, distance_spectrum
+from .spectrum import DistanceSpectrum, PairTable, PointSet
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,12 @@ class SearchResult:
         return len(self.points)
 
 
-def _pair_classes(spec: NormSpec, pts: list[Vec]) -> tuple[list[list[int]], list[tuple]]:
-    """Distance-class id per pair of the sorted points, and the points
-    cleared over one denominator (see PairTable)."""
-    # Built here: bench/spans.py times this name as search.table_s.
+def _pair_classes(spec: NormSpec, pts: list[Vec]) -> PairTable:
+    """The pair table of the sorted points, with its distance-class ids built."""
+    # Built here, ids included: bench/spans.py times this name as search.table_s.
     table = PairTable(spec, PointSet(spec.dim, tuple(pts)))
-    return table.classes, table.ints
+    table.classes
+    return table
 
 
 def _root_layer(spec: NormSpec, ints: list[tuple]) -> int:
@@ -96,8 +96,8 @@ def brute_force_oracle(problem: SearchProblem) -> SearchResult:
     n = len(pts)
     if n > 20:
         raise InputError("brute-force oracle refuses grounds larger than 20 points")
-    cls, _ = _pair_classes(problem.spec, pts)
-    k = problem.k
+    table = _pair_classes(problem.spec, pts)
+    cls, k = table.classes, problem.k
     examined = 0
     for size in range(n, 0, -1):
         for comb in combinations(range(n), size):
@@ -115,9 +115,7 @@ def brute_force_oracle(problem: SearchProblem) -> SearchResult:
                 if not ok:
                     break
             if ok:
-                chosen = tuple(pts[i] for i in comb)
-                sub = PointSet(problem.ground.dim, chosen)
-                return SearchResult(chosen, distance_spectrum(problem.spec, sub),
+                return SearchResult(tuple(pts[i] for i in comb), table.spectrum_of(comb),
                                     examined, True)
     raise InputError("empty ground")
 
@@ -158,7 +156,8 @@ def branch_and_bound(problem: SearchProblem,
     claim under test.
     """
     pts = sorted(problem.ground.points)
-    cls, ints = _pair_classes(problem.spec, pts)
+    table = _pair_classes(problem.spec, pts)
+    cls = table.classes
     cap = _bound_cap(problem) if use_bound_pruning else len(pts)
     best: list[int] = []
     nodes = 1
@@ -184,11 +183,8 @@ def branch_and_bound(problem: SearchProblem,
                 chosen.pop()
         return False
 
-    expand([(i, 0) for i in range(len(pts))], _root_layer(problem.spec, ints))
-    chosen_pts = tuple(pts[i] for i in best)
-    sub = PointSet(problem.ground.dim, chosen_pts)
-    return SearchResult(chosen_pts, distance_spectrum(problem.spec, sub),
-                        nodes, True)
+    expand([(i, 0) for i in range(len(pts))], _root_layer(problem.spec, table.ints))
+    return SearchResult(tuple(pts[i] for i in best), table.spectrum_of(best), nodes, True)
 
 
 def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[Vec, ...]]:
@@ -197,7 +193,7 @@ def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[V
     if size < 1:
         raise InputError("enumeration size must be >= 1")
     pts = sorted(problem.ground.points)
-    cls, _ = _pair_classes(problem.spec, pts)
+    cls = _pair_classes(problem.spec, pts).classes
     out: list[tuple[Vec, ...]] = []
     chosen: list[int] = []
 
@@ -241,33 +237,21 @@ def is_grid_homothet(points, k: int) -> bool:
             and set(pts) == set(product(*axes)) and len(pts) == (k + 1) ** len(axes))
 
 
-@dataclass
-class UniquenessReport:
-    optima: list[tuple[Vec, ...]]
-    counterexamples: list[tuple[Vec, ...]]
+def verify_extremal_uniqueness(d: int, k: int, m: int) -> list[tuple[Vec, ...]]:
+    """The subsets of size (k+1)^d of the lattice {0..m}^d with at most k
+    distances, each checked to be a grid homothet.
 
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def verify_extremal_uniqueness(d: int, k: int, m: int) -> UniquenessReport:
-    """Check, on the lattice {0..m}^d, that every maximum k-distance subset
-    of size (k+1)^d is a grid homothet.
-
-    Desk scale only (d = 2, k <= 2, m <= 4).  A counterexample raises
-    FalsificationError.
+    Desk scale only (d = 2, k <= 2, m <= 4).  Any other such subset raises
+    FalsificationError, one with fewer than k distances as well: it would
+    contradict the proved bound for its own number of distances.
     """
     if d != 2 or k > 2 or m > 4 or k < 1 or m < k:
         raise InputError("uniqueness check is desk-scale: d=2, 1<=k<=2, k<=m<=4")
     ground = PointSet(d, tuple(vec(*c) for c in product(range(m + 1), repeat=d)))
     problem = SearchProblem(linf(d), ground, k)
     optima = enumerate_optimal_subsets(problem, (k + 1) ** d)
-    # Keep only genuine k-distance subsets (exactly k classes, not fewer).
-    optima = [s for s in optima
-              if distance_spectrum(problem.spec, PointSet(d, s)).k == k]
     bad = [s for s in optima if not is_grid_homothet(s, k)]
     if bad:
         raise FalsificationError(
             f"non-grid maximum k-distance set found at desk scale: {bad[0]}")
-    return UniquenessReport(optima, bad)
+    return optima

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,18 +111,27 @@ class PairTable:
         for i in range(n):
             for j in range(i + 1, n):
                 values[i][j] = values[j][i] = g.value(map(sub, images[j], images[i]))
-        groups = _value_classes([v for i, row in enumerate(values) for v in row[i + 1:]],
-                                g.tol)
-        if groups and groups[0][0] == 0:
+        self.spectrum = self.spectrum_of(range(n))
+        if self.spectrum.k and not self.spectrum.distances[0]:
             raise GeometryError("distinct points at float distance 0 (underflow)")
-        self._ids = {v: c for c, group in enumerate(groups) for v in group}
-        self.spectrum = DistanceSpectrum(tuple(self.distance(group[0]) for group in groups),
-                                         tuple(map(len, groups)))
+
+    def spectrum_of(self, idx) -> DistanceSpectrum:
+        """The spectrum of the points at ascending indices idx, read off the
+        stored values and grouped on their own, as a table of those points
+        alone would group them."""
+        rows = self.values
+        groups = _value_classes([row[j] for a, i in enumerate(idx)
+                                 for row in [rows[i]] for j in idx[a + 1:]], self.gauge.tol)
+        return DistanceSpectrum(tuple(self.distance(group[0]) for group in groups),
+                                tuple(map(len, groups)))
 
     @cached_property
     def classes(self) -> list[list[int]]:
-        # No pair is at distance 0, so the diagonal alone gets the default 0.
-        return [[self._ids.get(v, 0) for v in row] for row in self.values]
+        # A class holds the values from its least one, the representative,
+        # up to the next class's; the diagonal's 0 gets class 0.
+        reps = [self.gauge.at_most(d, self.scale) for d in self.spectrum.distances]
+        ids = {v: max(bisect_right(reps, v) - 1, 0) for v in set().union(*self.values)}
+        return [list(map(ids.__getitem__, row)) for row in self.values]
 
     def diff(self, i: int, j: int) -> tuple:
         """Point j minus point i, times D."""

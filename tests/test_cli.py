@@ -100,15 +100,25 @@ def test_bound_past_float_range_is_written_exactly(files, capsys, command, norm)
     assert isinstance(node["bound"], int) and 30 <= node["bound"] <= node["claim"]
 
 
-@pytest.mark.parametrize("command, norm, pts, tables", [
-    ("bound", linf(2), _grid_points(), 1),
-    ("chains", linf(2), _grid_points(), 1),
+_LINE = PointSet.of([vec(0), vec(1), vec(100), vec(101)])
+_SPLIT_3D = PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(100, 0, 0), vec(101, 0, 0)])
+
+
+@pytest.mark.parametrize("command, norm, pts", [
+    (["bound"], linf(2), _grid_points()),
+    (["chains"], linf(2), _grid_points()),
     # Planar: the cones are pulled back to the input set's own table.
-    ("bound", hexagon_gauge(), PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)]), 1),
+    (["bound"], hexagon_gauge(), PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)])),
     # General: a volume leaf, k read off the decomposition's root.
-    ("bound", l1(3), PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)]), 1),
-], ids=["bound", "chains", "bound-planar", "bound-general"])
-def test_one_pair_table_per_command(files, capsys, monkeypatch, command, norm, pts, tables):
+    (["bound"], l1(3), PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)])),
+    # Splits: the clusters and representatives are read off the root's table.
+    (["bound"], l1(3), _SPLIT_3D),
+    (["decompose"], linf(1), _LINE),
+    # The optimum's spectrum is read off the ground's table.
+    (["search", "--k", "2"], linf(2), _grid_points()),
+], ids=["bound", "chains", "bound-planar", "bound-general", "bound-general-split",
+        "decompose-split", "search"])
+def test_one_pair_table_per_command(files, capsys, monkeypatch, command, norm, pts):
     builds = []
     init = PairTable.__init__
 
@@ -117,10 +127,12 @@ def test_one_pair_table_per_command(files, capsys, monkeypatch, command, norm, p
         init(self, spec, ps)
 
     monkeypatch.setattr(PairTable, "__init__", counting_init)
-    argv = [command, "--norm", files("norm.json", norm_to_json(norm)),
-            "--points", files("pts.json", pointset_to_json(pts))]
+    flag = "--ground" if command[0] == "search" else "--points"
+    argv = command + ["--norm", files("norm.json", norm_to_json(norm)),
+                      flag, files("pts.json", pointset_to_json(pts))]
     assert run_command(argv) == 0
-    assert len(builds) == tables
+    assert len(builds) == 1
+    assert ('"split"' in capsys.readouterr().out) == (pts in (_LINE, _SPLIT_3D))
 
 
 def test_search_command(files, capsys):

@@ -41,14 +41,13 @@ def test_find_equivalence_threshold_line():
     ps = _two_cluster_line()
     sp = distance_spectrum(linf(1), ps)
     assert sp.k == 4
-    assert find_equivalence_threshold(sp, ps, linf(1)) == 1
+    assert find_equivalence_threshold(ps, linf(1)) == 1
 
 
 def test_find_equivalence_threshold_requires_k_at_least_2():
     ps = PointSet.of([vec(0), vec(1)])
-    sp = distance_spectrum(linf(1), ps)
     with pytest.raises(InputError):
-        find_equivalence_threshold(sp, ps, linf(1))
+        find_equivalence_threshold(ps, linf(1))
 
 
 def test_threshold_none_when_no_transitive_level():
@@ -57,7 +56,7 @@ def test_threshold_none_when_no_transitive_level():
     ps = PointSet.of([vec(0), vec(1), vec(2), vec(4)])
     sp = distance_spectrum(linf(1), ps)
     assert sp.k == 4
-    assert find_equivalence_threshold(sp, ps, linf(1)) is None
+    assert find_equivalence_threshold(ps, linf(1)) is None
 
 
 def test_threshold_exists_when_ratio_large():
@@ -68,7 +67,7 @@ def test_threshold_exists_when_ratio_large():
         sp = distance_spectrum(linf(d), ps)
         if sp.k < 2 or sp.ratio <= 2 ** (sp.k - 1):
             continue
-        assert find_equivalence_threshold(sp, ps, linf(d)) is not None
+        assert find_equivalence_threshold(ps, linf(d)) is not None
 
 
 def test_volume_ratio_bound_values():

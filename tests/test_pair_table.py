@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdist import (GeometryError, PointSet, PolyhedralCone,
-                   best_distinct_witness, chain_certificate, check_cone_conditions, clusters_at,
-                   distance_spectrum, hexagon_gauge, l1, linf,
+from kdist import (GeometryError, PointSet, PolyhedralCone, SearchProblem,
+                   best_distinct_witness, branch_and_bound, brute_force_oracle,
+                   chain_certificate, check_cone_conditions, clusters_at,
+                   decompose_recursive_bound, distance_spectrum, hexagon_gauge, l1, linf,
                    linf_cone_family, lp, norm_eval, polytopal, vec)
 from kdist.norms import FLOAT_EPS, dot, vneg, vsub
 from kdist.search import _pair_classes
@@ -161,7 +162,7 @@ def test_spectrum_witness_and_classes_match_reference(case):
     assert best_distinct_witness(spec, ps) == ref_witness(spec, ps.points)
     # The class ids of the search partition the pairs as their distances do.
     pts = sorted(ps.points)
-    cls, _ = _pair_classes(spec, pts)
+    cls = _pair_classes(spec, pts).classes
     by_class = {}
     for i, j in combinations(range(len(pts)), 2):
         by_class.setdefault(cls[i][j], set()).add(norm_eval(spec, vsub(pts[j], pts[i])))
@@ -237,6 +238,40 @@ def test_table_values_are_scaled_distances():
         assert exact == Fraction(table.values[i][j], table.scale)
 
 
+@st.composite
+def lp_cases(draw):
+    """Up to 7 float points under an lp norm."""
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[rationals.map(float)] * d), min_size=2, max_size=7,
+                        unique=True))
+    return lp(d, draw(st.sampled_from([1.5, 2.0, 3.0]))), PointSet(d, tuple(pts))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(cases(), lp_cases()), data=st.data())
+def test_spectrum_of_a_subset_is_the_spectrum_of_its_own_table(case, data):
+    spec, ps = case
+    table = PairTable(spec, ps)
+    idx = sorted(data.draw(st.sets(st.integers(0, len(ps) - 1), min_size=1)))
+    sub = PointSet(ps.dim, tuple(table.points[i] for i in idx))
+    assert table.spectrum_of(idx) == distance_spectrum(spec, sub)
+
+
+def test_searches_and_the_recursion_build_one_table(monkeypatch):
+    builds = []
+    init = PairTable.__init__
+    monkeypatch.setattr(PairTable, "__init__",
+                        lambda self, spec, ps: builds.append(ps) or init(self, spec, ps))
+    line = PointSet.of([vec(0), vec(1), vec(100), vec(101)])
+    problem = SearchProblem(linf(1), line, 1)
+    for run in (lambda: brute_force_oracle(problem), lambda: branch_and_bound(problem),
+                lambda: decompose_recursive_bound(line, linf(1))):
+        builds.clear()
+        result = run()
+        assert builds == [line]
+    assert result.kind == "split" and len(result.children) == 2
+
+
 # ---------------------------------------------------------------------------
 # lp: one float branch
 
@@ -251,7 +286,7 @@ def test_lp_float_points_global_classes_and_row_local_witness():
     assert best_distinct_witness(spec, ps) == ref_witness(spec, pts)
     zero = sorted(pts).index((0.0,))
     row = [norm_eval(spec, vsub(y, (0.0,))) for y in pts if y != (0.0,)]
-    cls, _ = _pair_classes(spec, sorted(pts))
+    cls = _pair_classes(spec, sorted(pts)).classes
     assert len(_merge(row)) == len({cls[zero][j] for j in range(len(pts)) if j != zero}) == 3
     # Global single linkage: class ids follow the merged groups.
     groups = _merge([norm_eval(spec, vsub(y, x)) for x, y in combinations(sorted(pts), 2)])
@@ -261,6 +296,13 @@ def test_lp_float_points_global_classes_and_row_local_witness():
                for i, j in combinations(range(len(s)), 2))
     for rho in list(sp.distances) + [1.0 + 0.6e-9, 0.5]:
         assert clusters_at(spec, ps, rho) == ref_clusters(spec, pts, rho)
+    # A subset without the pair at 1 takes its class's least value left, as
+    # a table of its own points does.
+    table = PairTable(spec, ps)
+    idx = [i for i, p in enumerate(table.points) if p != (1.0,)]
+    sub = table.spectrum_of(idx)
+    assert sub == distance_spectrum(spec, PointSet(1, tuple(table.points[i] for i in idx)))
+    assert sub.distances[0] > sp.distances[0] == 1.0
 
 
 def test_lp_chain_wider_than_the_tolerance_is_an_error():

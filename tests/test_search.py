@@ -12,6 +12,7 @@ from kdist import (InputError, PointSet, SearchProblem, branch_and_bound,
                    extremal_grid, general_bound, hexagon_gauge, is_grid_homothet,
                    l1, linf, lp, polygon_gauge, polytopal, vec,
                    verify_extremal_uniqueness)
+from kdist.errors import FalsificationError
 from kdist.gen import random_lattice_subset, random_symmetric_polygon
 from kdist.norms import polygon_vertices_2d
 from kdist import search
@@ -141,11 +142,20 @@ def test_extremal_grid_and_homothets():
 
 
 def test_verify_extremal_uniqueness_small():
-    report = verify_extremal_uniqueness(2, 1, 2)
-    assert report.ok
-    assert all(is_grid_homothet(s, 1) for s in report.optima)
+    optima = verify_extremal_uniqueness(2, 1, 2)
+    assert all(is_grid_homothet(s, 1) for s in optima)
     # 4 unit squares + the doubled square on {0,1,2}^2.
-    assert len(report.optima) == 5
+    assert len(optima) == 5
+
+
+def test_verify_extremal_uniqueness_raises_on_any_other_optimum(monkeypatch):
+    # Four points with two distances, neither a 1-distance set nor a grid:
+    # any enumerated (k+1)^d-point set that is not a grid raises, whatever
+    # its number of distances.
+    odd = (vec(0, 0), vec(0, 1), vec(1, 0), vec(2, 0))
+    monkeypatch.setattr(search, "enumerate_optimal_subsets", lambda problem, size: [odd])
+    with pytest.raises(FalsificationError, match="non-grid"):
+        verify_extremal_uniqueness(2, 1, 2)
 
 
 def test_verify_extremal_uniqueness_rejects_large():
@@ -207,7 +217,7 @@ def test_branch_and_bound_matches_oracle(problem):
 def test_enumeration_matches_combinations_filter(problem, data):
     pts = sorted(problem.ground.points)
     size = data.draw(st.integers(1, len(pts)))
-    cls, _ = _pair_classes(problem.spec, pts)
+    cls = _pair_classes(problem.spec, pts).classes
     want = [tuple(pts[i] for i in comb)
             for comb in combinations(range(len(pts)), size)
             if len({cls[a][b] for a, b in combinations(comb, 2)}) <= problem.k]
@@ -303,7 +313,7 @@ def test_root_cut_matches_oracle(case):
     pts = sorted(problem.ground.points)
     layer, n = sum(p[0] == pts[0][0] for p in pts), len(pts)
     cut = problem.spec.exact and kind != "short"
-    assert _root_layer(problem.spec, _pair_classes(problem.spec, pts)[1]) == (layer if cut else n)
+    assert _root_layer(problem.spec, _pair_classes(problem.spec, pts).ints) == (layer if cut else n)
     want = brute_force_oracle(problem)
     for use_bound_pruning in (False, True):
         got = branch_and_bound(problem, use_bound_pruning=use_bound_pruning)
@@ -343,7 +353,7 @@ def test_root_branches_on_every_point_without_the_cut(monkeypatch):
     floats = PointSet(2, tuple(tuple(map(float, p)) for p in _lattice(2, 4).points))
     for problem in (SearchProblem(lp(2, 2.0), floats, 1), SearchProblem(linf(2), holed, 1)):
         pts = sorted(problem.ground.points)
-        assert _root_layer(problem.spec, _pair_classes(problem.spec, pts)[1]) == len(pts)
+        assert _root_layer(problem.spec, _pair_classes(problem.spec, pts).ints) == len(pts)
         # The root stops only where the points left cannot beat the incumbent.
         size = branch_and_bound(problem).size
         assert _root_branches(problem, monkeypatch) == len(pts) - size
