@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import accumulate, compress
 from fractions import Fraction
 from math import inf
 
 import numpy as np
 
 from .errors import CertificateError, GeometryError, InputError
-from .norms import (Gauge, LpGauge, NormSpec, Vec, clear_denominators, gauge, norm_eval,
-                    polygon_vertices_2d)
+from .norms import (Gauge, NormSpec, Vec, clear_denominators, gauge, image_array,
+                    norm_eval, polygon_vertices_2d)
 
 HALF_WIDTH = Fraction(1, 2)
 
@@ -83,22 +83,19 @@ class SeparatedSet:
 
 # Every threshold is decided on gauge values: with c = (Y_c, q_c) and x = (Y_x, q_x),
 # ||c - x|| < 1/5 is 5 * value(q_x * Y_c - q_c * Y_x) < q_c * q_x * scale.  Each vector
-# set is split once into arrays Y and q, and each test is one array comparison per
-# center: on int64 when nothing can reach INT64_LIMIT, else on Python ints.  lp keeps
-# Python floats: numpy's float64 power can differ from LpGauge.value's in the last bit.
-INT64_LIMIT = 2 ** 62
+# set is split once into arrays Y and q (see norms.image_array for their dtype), and
+# each test is one array comparison per center.
 
 
 def _split(g: Gauge, *vector_sets) -> list:
     """Each vector set as its arrays (Y, q), of one dtype for all the sets."""
-    vector_sets, width = [list(vs) for vs in vector_sets], len(g.image([0] * g.dim))
+    vector_sets = [list(vs) for vs in vector_sets]
     splits = [g.split(v) for vs in vector_sets for v in vs]
     ys, qs = [y for y, _ in splits], [q for _, q in splits]
-    top, qtop = max(map(abs, chain.from_iterable(ys)), default=0), max(qs, default=1)
-    # 5 * value <= 10 * width * top * qtop for a difference of two rows.
-    fits = max(10 * width * top * qtop, qtop * qtop * g.scale) < INT64_LIMIT
-    dtype = np.int64 if fits and not isinstance(g, LpGauge) else object
-    ys, qs = np.array(ys, dtype).reshape(len(qs), width), np.array(qs, dtype)
+    # 5 * value(q_x * Y_c - q_c * Y_x) <= 5 * max q * (2 * width * max|Y|).
+    qtop = max(qs, default=1)
+    ys = image_array(g, ys, 5 * qtop, qtop * qtop * g.scale)
+    qs = np.array(qs, ys.dtype)
     return [(ys[i - len(vs):i], qs[i - len(vs):i])
             for vs, i in zip(vector_sets, accumulate(map(len, vector_sets)))]
 

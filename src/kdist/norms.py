@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce as fold
+from itertools import chain
 from math import inf, lcm
 from operator import mul, truediv
 
@@ -292,7 +293,13 @@ class LpGauge:
             raise GeometryError(f"lp norm of {image} overflows a float") from exc
 
     def reduce(self, images: np.ndarray) -> np.ndarray:
-        return fold(np.add, (np.abs(images) ** self.p).T) ** (1.0 / self.p)
+        """As :meth:`IntGauge.reduce`, in float64: bit for bit ``value`` on object arrays."""
+        try:
+            return np.asarray(fold(np.add, (np.abs(images) ** self.p).T) ** (1.0 / self.p), float)
+        except OverflowError:               # value's GeometryError, naming the first such image
+            for image in images.reshape(-1, images.shape[-1]):
+                self.value(image)
+            raise
 
     values = reduce
 
@@ -310,6 +317,20 @@ Gauge = IntGauge | LpGauge
 def gauge(spec: NormSpec) -> Gauge:
     """The evaluator of the norm: exact on ints, or lp in floats."""
     return IntGauge(spec) if spec.exact else LpGauge(spec)
+
+
+#: Image arrays hold int64 while every number computed on them stays below this.
+INT64_LIMIT = 2 ** 62
+
+
+def image_array(g: Gauge, images: list, factor=1, floor=0) -> np.ndarray:
+    """The images as one array, int64 on an exact gauge while the caller's numbers,
+    at most factor times the value of a difference of two images or floor, stay
+    below INT64_LIMIT; else ``object``: Python ints, or lp's own numbers, whose
+    powers are then Python's (numpy's float64 ``pow`` can differ in the last bit)."""
+    width, top = len(g.image([0] * g.dim)), max(map(abs, chain.from_iterable(images)), default=0)
+    fits = isinstance(g, IntGauge) and max(2 * width * top * factor, floor) < INT64_LIMIT
+    return np.array(images, np.int64 if fits else object).reshape(len(images), width)
 
 
 def is_unit(spec: NormSpec, v: Vec) -> bool:

@@ -61,10 +61,10 @@ class SearchResult:
         return len(self.points)
 
 
-def _pair_classes(spec: NormSpec, pts: list[Vec]) -> PairTable:
-    """The pair table of the sorted points, with its distance-class ids built."""
+def _pair_classes(spec: NormSpec, ground: PointSet) -> PairTable:
+    """The pair table of the ground, its points sorted, with its distance-class ids built."""
     # Built here, ids included: bench/spans.py times this name as search.table_s.
-    table = PairTable(spec, PointSet(spec.dim, tuple(pts)))
+    table = PairTable(spec, ground)
     table.classes
     return table
 
@@ -92,12 +92,11 @@ def brute_force_oracle(problem: SearchProblem) -> SearchResult:
 
     Refuses grounds larger than 20 points; use branch_and_bound there.
     """
-    pts = sorted(problem.ground.points)
-    n = len(pts)
+    n = len(problem.ground)
     if n > 20:
         raise InputError("brute-force oracle refuses grounds larger than 20 points")
-    table = _pair_classes(problem.spec, pts)
-    cls, k = table.classes, problem.k
+    table = _pair_classes(problem.spec, problem.ground)
+    pts, cls, k = table.points, table.classes, problem.k
     examined = 0
     for size in range(n, 0, -1):
         for comb in combinations(range(n), size):
@@ -155,9 +154,8 @@ def branch_and_bound(problem: SearchProblem,
     applicable proved bound; keep it off when the bound itself is the
     claim under test.
     """
-    pts = sorted(problem.ground.points)
-    table = _pair_classes(problem.spec, pts)
-    cls = table.classes
+    table = _pair_classes(problem.spec, problem.ground)
+    pts, cls = table.points, table.classes
     cap = _bound_cap(problem) if use_bound_pruning else len(pts)
     best: list[int] = []
     nodes = 1
@@ -192,8 +190,8 @@ def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[V
     in lexicographic order, by the forward-checking DFS of branch_and_bound."""
     if size < 1:
         raise InputError("enumeration size must be >= 1")
-    pts = sorted(problem.ground.points)
-    cls = _pair_classes(problem.spec, pts).classes
+    table = _pair_classes(problem.spec, problem.ground)
+    pts, cls = table.points, table.classes
     out: list[tuple[Vec, ...]] = []
     chosen: list[int] = []
 

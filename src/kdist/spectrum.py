@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import sub
 
+import numpy as np
+
 from .errors import GeometryError, InputError
-from .norms import (NormSpec, Vec, gauge, int_from_json, vec_from_json,
+from .norms import (NormSpec, Vec, gauge, image_array, int_from_json, vec_from_json,
                     vec_to_json)
 
 
@@ -86,32 +87,34 @@ class PairTable:
     mapped to gauge images, so a value is the distance times ``scale`` =
     D * gauge scale: a plain int for the exact kinds, where equality and
     order stay exact, and the float distance for lp (D = scale = 1, ``ints``
-    are the points).  ``spectrum`` holds the distance classes and
-    ``classes[i][j]`` numbers the class of a pair, in increasing order of
-    distance; lp merges distances within the gauge's relative tolerance by
-    single linkage over all pairs.  A seminorm, two distinct points at lp
-    distance 0 (underflow) or an lp class wider than tol raises GeometryError.
+    are the points).  The images form one array (int64, or Python objects:
+    see :func:`~kdist.norms.image_array`), reduced over all n x n pairs at
+    once.  ``spectrum`` holds the distance classes and ``classes[i][j]``
+    numbers the class of a pair, in increasing order of distance; lp merges
+    distances within the gauge's relative tolerance by single linkage over
+    all pairs.  A seminorm, two distinct points at lp distance 0 (underflow)
+    or an lp class wider than tol raises GeometryError.
     """
 
     def __init__(self, spec: NormSpec, ps: PointSet):
         if ps.dim != spec.dim:
             raise InputError(
                 f"point set dimension {ps.dim} does not match norm dimension {spec.dim}")
-        self.points = pts = sorted(ps.points)
         self.gauge = g = gauge(spec)
         if g.rank() < spec.dim:
             raise GeometryError(
                 f"a seminorm: its functionals do not span R^{spec.dim}, "
                 "so distinct points can be at distance 0")
-        self.ints, den = g.clear(pts)
+        # D > 0, so the cleared points sort as the points do, and sort faster.
+        ints, den = g.clear(ps.points)
+        order = sorted(range(len(ints)), key=ints.__getitem__)
+        self.ints, self.points = [ints[i] for i in order], [ps.points[i] for i in order]
         self.scale = den * g.scale
-        images = [g.image(x) for x in self.ints]
-        n = len(pts)
-        self.values = values = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                values[i][j] = values[j][i] = g.value(map(sub, images[j], images[i]))
-        self.spectrum = self.spectrum_of(range(n))
+        array = image_array(g, [g.image(x) for x in self.ints])
+        # reduce folds the columns of the transpose: [i, j] is the value of Y_j - Y_i.
+        self._values = g.reduce(array[:, None] - array[None])
+        self.values = self._values.tolist()
+        self.spectrum = self.spectrum_of(range(len(array)))
         if self.spectrum.k and not self.spectrum.distances[0]:
             raise GeometryError("distinct points at float distance 0 (underflow)")
 
@@ -129,9 +132,9 @@ class PairTable:
     def classes(self) -> list[list[int]]:
         # A class holds the values from its least one, the representative,
         # up to the next class's; the diagonal's 0 gets class 0.
-        reps = [self.gauge.at_most(d, self.scale) for d in self.spectrum.distances]
-        ids = {v: max(bisect_right(reps, v) - 1, 0) for v in set().union(*self.values)}
-        return [list(map(ids.__getitem__, row)) for row in self.values]
+        reps = np.array([self.gauge.at_most(d, self.scale) for d in self.spectrum.distances],
+                        self._values.dtype)
+        return np.maximum(np.searchsorted(reps, self._values, side="right") - 1, 0).tolist()
 
     def diff(self, i: int, j: int) -> tuple:
         """Point j minus point i, times D."""

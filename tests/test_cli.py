@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from kdist import (PolyhedralCone, criteria, hexagon_gauge, l1, linf,
+from kdist import (PolyhedralCone, __version__, criteria, hexagon_gauge, l1, linf, lp,
                    max_area_normalization, planar_bound_certificate, polygon_gauge,
                    polygon_vertices_2d, polytopal, vec)
 from kdist import chains, cli, planar
@@ -423,6 +423,29 @@ def test_search_empty_ground_is_input_error(files, capsys):
                         "--k", "1"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and "empty ground" in out.err
+
+
+@pytest.mark.parametrize("norm, digests", [
+    (linf(2), ("240535fbc8fbc389", "259718c93c2d1021")),
+    (hexagon_gauge(), ("d1392aca6ae5a24b", "689c8c26e836ad89")),
+    (l1(3), ("46e07539cbbfcd0f", "b13cf8cfe5bd5dd6")),
+    (lp(2, 2.0), ("b69ff336480c0f19", "efe01b5a526e41e0")),
+], ids=["linf", "hexagon", "l1-3", "lp"])
+@pytest.mark.parametrize("size", [0, 1])
+def test_empty_and_one_point_sets_have_no_distances(files, capsys, norm, digests, size):
+    pts = [[[1, 2]] + [3] * (norm.dim - 1)][:size]
+    argv = ["--norm", files("norm.json", norm_to_json(norm)),
+            "--points", files("pts.json", {"dim": norm.dim, "points": pts})]
+    want = {
+        "spectrum": {"k": 0, "distances": [], "multiplicities": []},
+        "bound": {"bound": "single-point", "version": __version__,
+                  "inputs_digest": digests[size], "k": 0, "dim": norm.dim, "claimed": 1,
+                  "observed": size, "pass": True, "witnesses": {}},
+        "decompose": {"kind": "leaf", "size": size, "k": 0, "bound": 1.0, "claim": 1},
+    }
+    for command, out in want.items():
+        assert run_command([command] + argv) == 0
+        assert json.loads(capsys.readouterr().out) == out
 
 
 def test_missing_file_is_input_error(files, capsys):

@@ -14,7 +14,7 @@ from kdist import (CertificateError, GeometryError, InputError,
                    norm_eval, packing_bound_check, polygon_gauge,
                    polygon_vertices_2d, polytopal, separated_set_capacity,
                    sphere_samples, vec)
-from kdist import cover
+from kdist import cover, norms
 from kdist.cover import GeneratedCone, SeparatedSet
 from kdist.norms import gauge, is_unit, vadd, vscale, vsub
 
@@ -348,7 +348,7 @@ def test_huge_denominators_stay_exact_on_object_arrays():
 @pytest.mark.parametrize("spec", REFERENCE_GAUGES)
 def test_object_arrays_match_reference(spec, monkeypatch):
     assert _kernel_dtype(spec) == np.int64
-    monkeypatch.setattr(cover, "INT64_LIMIT", 0)
+    monkeypatch.setattr(norms, "INT64_LIMIT", 0)
     assert _kernel_dtype(spec) == object
     _assert_cover_matches_reference(spec)
     _assert_thresholds_match_reference(spec)

@@ -253,6 +253,19 @@ def test_column_reduced_values_equal_row_reductions(data):
     assert np.array_equal(gauge(spec).values(array), _row_reduced_values(spec, array))
 
 
+def test_lp_reduce_is_value_bit_for_bit_and_overflow_is_a_geometry_error():
+    g = gauge(lp(2, 3.0))
+    rows = [(Fraction(1, 3), Fraction(-2, 7)), (0.1, -2.5), (5, Fraction(1, 9))]
+    got = g.reduce(np.array(rows, object))
+    assert got.dtype == float and got.tolist() == [g.value(r) for r in rows]
+    # The first row that overflows is named, as value names it.
+    for p, row in ((2000.0, (4,)), (2.0, (Fraction(10 ** 400, 3),))):
+        g = gauge(lp(1, p))
+        with pytest.raises(GeometryError, match="overflows a float") as exc:
+            g.reduce(np.array([(0,), row, row], object))
+        assert str(exc.value) == f"lp norm of {row} overflows a float"
+
+
 def test_gauge_kinds_and_tolerances():
     assert isinstance(gauge(hexagon_gauge()), IntGauge) and IntGauge.tol == 0
     g = gauge(lp(2, 2.0))

@@ -5,10 +5,14 @@ Each reference below evaluates every pair with ``norm_eval`` on the
 they shared one integer table.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +22,10 @@ from kdist import (GeometryError, PointSet, PolyhedralCone, SearchProblem,
                    chain_certificate, check_cone_conditions, clusters_at,
                    decompose_recursive_bound, distance_spectrum, hexagon_gauge, l1, linf,
                    linf_cone_family, lp, norm_eval, polytopal, vec)
-from kdist.norms import FLOAT_EPS, dot, vneg, vsub
+from kdist import norms
+from kdist.norms import FLOAT_EPS, dot, gauge, vneg, vsub
 from kdist.search import _pair_classes
-from kdist.spectrum import PairTable, _value_classes
+from kdist.spectrum import DistanceSpectrum, PairTable, _value_classes
 
 # ---------------------------------------------------------------------------
 # references
@@ -162,7 +167,7 @@ def test_spectrum_witness_and_classes_match_reference(case):
     assert best_distinct_witness(spec, ps) == ref_witness(spec, ps.points)
     # The class ids of the search partition the pairs as their distances do.
     pts = sorted(ps.points)
-    cls = _pair_classes(spec, pts).classes
+    cls = _pair_classes(spec, PointSet(ps.dim, tuple(pts))).classes
     by_class = {}
     for i, j in combinations(range(len(pts)), 2):
         by_class.setdefault(cls[i][j], set()).add(norm_eval(spec, vsub(pts[j], pts[i])))
@@ -257,6 +262,64 @@ def test_spectrum_of_a_subset_is_the_spectrum_of_its_own_table(case, data):
     assert table.spectrum_of(idx) == distance_spectrum(spec, sub)
 
 
+class LoopTable:
+    """The pair table as one Python loop over the pairs: the points sorted,
+    cleared and mapped to images, one ``gauge.value`` per pair, and each
+    value's class looked up by bisection among the representatives."""
+
+    def __init__(self, spec, ps):
+        g = gauge(spec)
+        self.points = pts = sorted(ps.points)
+        ints, den = g.clear(pts)
+        self.scale, self.gauge = den * g.scale, g
+        images = [g.image(x) for x in ints]
+        n = len(pts)
+        self.values = values = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                values[i][j] = values[j][i] = g.value(map(sub, images[j], images[i]))
+        self.spectrum = self.spectrum_of(range(n))
+        reps = [g.at_most(d, self.scale) for d in self.spectrum.distances]
+        self.classes = [[max(bisect_right(reps, v) - 1, 0) for v in row] for row in values]
+
+    def spectrum_of(self, idx):
+        pairs = [self.values[i][j] for i, j in combinations(idx, 2)]
+        groups = _merge(pairs) if self.gauge.tol else [[v] * m for v, m in
+                                                       sorted(Counter(pairs).items())]
+        return DistanceSpectrum(tuple(self.gauge.quotient(grp[0], self.scale) for grp in groups),
+                                tuple(map(len, groups)))
+
+
+@st.composite
+def lp_rational_cases(draw):
+    """Up to 7 rational points under an lp norm: differences taken as Fractions."""
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[rationals] * d), max_size=7, unique=True))
+    return lp(d, draw(st.sampled_from([1.5, 2.0, 3.0]))), PointSet(d, tuple(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(cases(min_size=0), lp_cases(), lp_rational_cases()),
+       force_objects=st.booleans(), data=st.data())
+def test_array_table_equals_the_pair_loop(case, force_objects, data):
+    spec, ps = case
+    limit = 0 if force_objects else norms.INT64_LIMIT
+    with mock.patch.object(norms, "INT64_LIMIT", limit):
+        table = PairTable(spec, ps)
+    want = LoopTable(spec, ps)
+    # Exact kinds on int64 unless forced onto Python ints; lp values are floats.
+    assert table._values.dtype == (float if not spec.exact else
+                                   object if force_objects else np.int64)
+    assert table.points == want.points
+    assert table.values == want.values
+    assert all(type(v) is type(w) for row, wrow in zip(table.values, want.values)
+               for v, w in zip(row, wrow) if v)
+    assert table.classes == want.classes
+    assert table.spectrum == want.spectrum
+    idx = sorted(data.draw(st.sets(st.integers(0, max(len(ps) - 1, 0)), max_size=len(ps))))
+    assert table.spectrum_of(idx) == want.spectrum_of(idx)
+
+
 def test_searches_and_the_recursion_build_one_table(monkeypatch):
     builds = []
     init = PairTable.__init__
@@ -286,7 +349,7 @@ def test_lp_float_points_global_classes_and_row_local_witness():
     assert best_distinct_witness(spec, ps) == ref_witness(spec, pts)
     zero = sorted(pts).index((0.0,))
     row = [norm_eval(spec, vsub(y, (0.0,))) for y in pts if y != (0.0,)]
-    cls = _pair_classes(spec, sorted(pts)).classes
+    cls = _pair_classes(spec, PointSet(1, tuple(sorted(pts)))).classes
     assert len(_merge(row)) == len({cls[zero][j] for j in range(len(pts)) if j != zero}) == 3
     # Global single linkage: class ids follow the merged groups.
     groups = _merge([norm_eval(spec, vsub(y, x)) for x, y in combinations(sorted(pts), 2)])
@@ -311,7 +374,7 @@ def test_lp_chain_wider_than_the_tolerance_is_an_error():
     spec = lp(1, 2.0)
     ps = PointSet(1, ((0.0,), (1.0,), (-1.0 - 1.6e-9,), (5.0,), (6.0 + 0.8e-9,)))
     for run in (distance_spectrum, best_distinct_witness,
-                lambda spec, ps: _pair_classes(spec, sorted(ps.points))):
+                lambda spec, ps: _pair_classes(spec, PointSet(1, tuple(sorted(ps.points))))):
         with pytest.raises(GeometryError, match="span 1.6e-09"):
             run(spec, ps)
     # 2,000 values 0.9e-9 apart used to collapse into one class 1.8e-6 wide.

@@ -217,7 +217,7 @@ def test_branch_and_bound_matches_oracle(problem):
 def test_enumeration_matches_combinations_filter(problem, data):
     pts = sorted(problem.ground.points)
     size = data.draw(st.integers(1, len(pts)))
-    cls = _pair_classes(problem.spec, pts).classes
+    cls = _pair_classes(problem.spec, PointSet(problem.ground.dim, tuple(pts))).classes
     want = [tuple(pts[i] for i in comb)
             for comb in combinations(range(len(pts)), size)
             if len({cls[a][b] for a, b in combinations(comb, 2)}) <= problem.k]
@@ -313,7 +313,8 @@ def test_root_cut_matches_oracle(case):
     pts = sorted(problem.ground.points)
     layer, n = sum(p[0] == pts[0][0] for p in pts), len(pts)
     cut = problem.spec.exact and kind != "short"
-    assert _root_layer(problem.spec, _pair_classes(problem.spec, pts).ints) == (layer if cut else n)
+    table = _pair_classes(problem.spec, PointSet(problem.ground.dim, tuple(pts)))
+    assert _root_layer(problem.spec, table.ints) == (layer if cut else n)
     want = brute_force_oracle(problem)
     for use_bound_pruning in (False, True):
         got = branch_and_bound(problem, use_bound_pruning=use_bound_pruning)
@@ -353,7 +354,8 @@ def test_root_branches_on_every_point_without_the_cut(monkeypatch):
     floats = PointSet(2, tuple(tuple(map(float, p)) for p in _lattice(2, 4).points))
     for problem in (SearchProblem(lp(2, 2.0), floats, 1), SearchProblem(linf(2), holed, 1)):
         pts = sorted(problem.ground.points)
-        assert _root_layer(problem.spec, _pair_classes(problem.spec, pts).ints) == len(pts)
+        table = _pair_classes(problem.spec, PointSet(problem.ground.dim, tuple(pts)))
+        assert _root_layer(problem.spec, table.ints) == len(pts)
         # The root stops only where the points left cannot beat the incumbent.
         size = branch_and_bound(problem).size
         assert _root_branches(problem, monkeypatch) == len(pts) - size
