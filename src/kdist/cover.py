@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 import numpy as np
 
 from .errors import CertificateError, GeometryError, InputError
-from .norms import (Gauge, NormSpec, Vec, clear_denominators, gauge, image_array,
-                    norm_eval, polygon_vertices_2d)
+from .norms import (Gauge, IntGauge, NormSpec, Vec, clear_denominators, gauge,
+                    image_array, norm_eval, polygon_vertices_2d)
 
 HALF_WIDTH = Fraction(1, 2)
 
@@ -83,18 +83,28 @@ class SeparatedSet:
 
 # Every threshold is decided on gauge values: with c = (Y_c, q_c) and x = (Y_x, q_x),
 # ||c - x|| < 1/5 is 5 * value(q_x * Y_c - q_c * Y_x) < q_c * q_x * scale.  Each vector
-# set is split once into arrays Y and q (see norms.image_array for their dtype), and
-# each test is one array comparison per center.
+# set is split once: one Python pass clears each vector v to q, the lcm of its
+# denominators, and the integer vector q * v, and norms.image_array forms all their
+# images at once as the arrays Y and q (see it for their dtype).  Each test is one
+# array comparison per center.  generated_cones hands each cone slices of its split,
+# the rows of its center and generators, so cone_halfwidth_check splits no vector again.
 
 
 def _split(g: Gauge, *vector_sets) -> list:
     """Each vector set as its arrays (Y, q), of one dtype for all the sets."""
     vector_sets = [list(vs) for vs in vector_sets]
-    splits = [g.split(v) for vs in vector_sets for v in vs]
-    ys, qs = [y for y, _ in splits], [q for _, q in splits]
+    vectors = list(chain.from_iterable(vector_sets))
+    if set(map(len, vectors)) - {g.dim}:
+        v = next(v for v in vectors if len(v) != g.dim)
+        raise InputError(f"vector has dimension {len(v)}, expected {g.dim}")
+    if isinstance(g, IntGauge):
+        qs = [lcm(*[a.denominator for a in v]) for v in vectors]
+        rows = [[a.numerator * (q // a.denominator) for a in v] for v, q in zip(vectors, qs)]
+    else:
+        rows, qs = vectors, [1] * len(vectors)
     # 5 * value(q_x * Y_c - q_c * Y_x) <= 5 * max q * (2 * width * max|Y|).
     qtop = max(qs, default=1)
-    ys = image_array(g, ys, 5 * qtop, qtop * qtop * g.scale)
+    ys = image_array(g, rows, 5 * qtop, qtop * qtop * g.scale)
     qs = np.array(qs, ys.dtype)
     return [(ys[i - len(vs):i], qs[i - len(vs):i])
             for vs, i in zip(vector_sets, accumulate(map(len, vector_sets)))]
@@ -191,17 +201,24 @@ class GeneratedCone:
 
     center: Vec
     generators: tuple[Vec, ...]
+    # (spec, (Y, q) of the center, (Y, q) of the generators) as generated_cones split them.
+    _rows: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[GeneratedCone]:
     """The cones of the construction: generators are samples strictly within 1/5."""
     g = gauge(spec)
     samples = list(samples)
-    centers, xs = _split(g, sep.centers, samples)
-    _check_unit(g, centers, sep.centers, "center")
-    near = (5 * v < den for v, den in (_distances(g, c, xs) for c in zip(*centers)))
-    return [GeneratedCone(c, tuple(compress(samples, m)) or (c,))
-            for c, m in zip(sep.centers, near)]
+    (yc, qc), xs = _split(g, sep.centers, samples)
+    _check_unit(g, (yc, qc), sep.centers, "center")
+    cones = []
+    for i, c in enumerate(sep.centers):
+        v, den = _distances(g, (yc[i], qc[i]), xs)
+        near, center = 5 * v < den, (yc[i:i + 1], qc[i:i + 1])
+        gens, rows = ((tuple(compress(samples, near)), (xs[0][near], xs[1][near]))
+                      if near.any() else ((c,), center))
+        cones.append(GeneratedCone(c, gens, (spec, center, rows)))
+    return cones
 
 
 @dataclass
@@ -233,12 +250,18 @@ def cone_halfwidth_check(cone: GeneratedCone, spec: NormSpec,
     ||y - s*c|| <= s*r, so ||y|| >= s*(1 - r) and y/||y|| lies within 2r of
     c with coefficient sum s/||y|| <= 1/(1 - r).  With r < 1/5 these are
     below 1/2 and 5/4.  r is exact on the exact kinds and a float for lp.
+    A cone from :func:`generated_cones` carries the rows (Y, q) of its center
+    and generators, split for its spec: under that spec they are read, not
+    split again; a cone built by hand, or checked under another spec, is split.
     ``trials`` and ``seed`` are accepted and ignored: nothing is sampled.
     """
     if not cone.generators:
         raise InputError("cone has no generators")
     g = gauge(spec)
-    center, gens = _split(g, [cone.center], cone.generators)
+    if cone._rows and cone._rows[0] == spec:
+        _, center, gens = cone._rows
+    else:
+        center, gens = _split(g, [cone.center], cone.generators)
     _check_unit(g, center, [cone.center], "cone center")
     # The same ||c - x|| as generated_cones, so the strict 1/5 threshold agrees.
     v, den = _distances(g, (center[0][0], center[1][0]), gens)

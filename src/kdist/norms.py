@@ -323,14 +323,29 @@ def gauge(spec: NormSpec) -> Gauge:
 INT64_LIMIT = 2 ** 62
 
 
-def image_array(g: Gauge, images: list, factor=1, floor=0) -> np.ndarray:
-    """The images as one array, int64 on an exact gauge while the caller's numbers,
-    at most factor times the value of a difference of two images or floor, stay
-    below INT64_LIMIT; else ``object``: Python ints, or lp's own numbers, whose
-    powers are then Python's (numpy's float64 ``pow`` can differ in the last bit)."""
-    width, top = len(g.image([0] * g.dim)), max(map(abs, chain.from_iterable(images)), default=0)
-    fits = isinstance(g, IntGauge) and max(2 * width * top * factor, floor) < INT64_LIMIT
-    return np.array(images, np.int64 if fits else object).reshape(len(images), width)
+def image_array(g: Gauge, rows: list, factor=1, floor=0) -> np.ndarray:
+    """The images of cleared rows (integer vectors, or lp's points) as one array,
+    formed at once: the rows themselves for linf, l1 and lp, and for polytopal
+    the product ``X @ A.T`` with the cleared functionals, taken in Python ints
+    when a partial sum could reach INT64_LIMIT.  The array is int64 on an exact
+    gauge while the caller's numbers, at most factor times the value of a
+    difference of two images or floor, stay below INT64_LIMIT; else ``object``:
+    Python ints, or lp's own numbers, whose powers are then Python's (numpy's
+    float64 ``pow`` can differ in the last bit)."""
+    shape = (len(rows), g.dim)
+    if not isinstance(g, IntGauge):
+        return np.array(rows, object).reshape(shape)
+    top, images = max(map(abs, chain.from_iterable(rows)), default=0), rows
+    if g._rows is not None:
+        # The entries of X and A, and each |a_i . x| with its partial sums, are
+        # at most max(1, max_i sum_j |a_ij|) * max(1, top).
+        weight = max(sum(map(abs, a)) for a in g._rows)
+        wide = max(weight, 1) * max(top, 1) >= INT64_LIMIT
+        dtype = object if wide else np.int64
+        images = np.array(rows, dtype).reshape(shape) @ np.array(g._rows, dtype).T
+        shape, top = images.shape, int(np.abs(images).max(initial=0))
+    fits = max(2 * shape[1] * top * factor, floor) < INT64_LIMIT
+    return np.asarray(images, np.int64 if fits else object).reshape(shape)
 
 
 def is_unit(spec: NormSpec, v: Vec) -> bool:

@@ -110,7 +110,7 @@ class PairTable:
         order = sorted(range(len(ints)), key=ints.__getitem__)
         self.ints, self.points = [ints[i] for i in order], [ps.points[i] for i in order]
         self.scale = den * g.scale
-        array = image_array(g, [g.image(x) for x in self.ints])
+        array = image_array(g, self.ints)
         # reduce folds the columns of the transpose: [i, j] is the value of Y_j - Y_i.
         self._values = g.reduce(array[:, None] - array[None])
         self.values = self._values.tolist()

@@ -330,6 +330,16 @@ def test_conecover_command(files, capsys):
     assert out["max_halfwidth"] < 0.5
 
 
+@pytest.mark.parametrize("spec, m, max_halfwidth", [(linf(2), 20, 8 / 25),
+                                                    (hexagon_gauge(), 14, 6 / 17)])
+def test_conecover_output_is_pinned(files, capsys, spec, m, max_halfwidth):
+    norm = files("norm.json", norm_to_json(spec))
+    assert run_command(["conecover", "--norm", norm, "--samples", "200"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert ({k: out[k] for k in ("m", "unassigned", "halfwidth_ok", "max_halfwidth")}
+            == {"m": m, "unassigned": 0, "halfwidth_ok": True, "max_halfwidth": max_halfwidth})
+
+
 def test_conecover_rejects_seminorm(files, capsys):
     # Two functionals cannot span R^3: the unit sphere is an unbounded cylinder.
     norm = files("norm.json", {"dim": 3, "kind": "polytopal",

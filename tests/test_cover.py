@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from kdist import (CertificateError, GeometryError, InputError,
                    polygon_vertices_2d, polytopal, separated_set_capacity,
                    sphere_samples, vec)
 from kdist import cover, norms
+from kdist.gen import random_symmetric_polygon
 from kdist.cover import GeneratedCone, SeparatedSet
 from kdist.norms import gauge, is_unit, vadd, vscale, vsub
 
@@ -407,3 +409,94 @@ def test_halfwidth_bounds_dominate_rational_combinations(data):
     assume(n > 0)
     assert norm_eval(spec, vsub(center, vscale(1 / n, y))) <= report.max_distance
     assert sum(coeffs) / n <= report.max_coeff_sum
+
+
+# ---------------------------------------------------------------------------
+# cones carry the rows generated_cones split for them
+
+CARRY_GAUGES = [linf(2), l1(2), hexagon_gauge(), l1(3), lp(2, 3.0), HUGE_DENOMINATORS] + [
+    polygon_gauge(random_symmetric_polygon(random.Random(seed), 8, 8)) for seed in range(2)]
+
+
+def _cones_and_rebuilt(spec, samples, lonely):
+    """generated_cones on the samples, and the same cones built by hand.  If
+    lonely, the samples near the first center are dropped first, so its cone
+    falls back to the center."""
+    sep = greedy_separated_set(spec, samples)
+    if lonely:
+        near = set(generated_cones(SeparatedSet(sep.centers[:1]), spec, samples)[0].generators)
+        samples = [x for x in samples if x not in near]
+    cones = generated_cones(sep, spec, samples)
+    if lonely:
+        assert cones[0].generators == (sep.centers[0],)
+    return cones, [GeneratedCone(c.center, c.generators) for c in cones]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(CARRY_GAUGES), count=st.integers(1, 120), seed=st.integers(0, 50),
+       lonely=st.booleans(), force_objects=st.booleans())
+def test_carried_rows_give_the_reports_of_rebuilt_cones(spec, count, seed, lonely,
+                                                         force_objects):
+    samples = sphere_samples(spec, count if spec.dim == 2 else count // 2 + 1, seed=seed)
+    with mock.patch.object(norms, "INT64_LIMIT", 0 if force_objects else norms.INT64_LIMIT):
+        cones, rebuilt = _cones_and_rebuilt(spec, samples, lonely)
+        for cone, hand in zip(cones, rebuilt):
+            got, want = cone_halfwidth_check(cone, spec), cone_halfwidth_check(hand, spec)
+            assert got == want and type(got.radius) is type(want.radius)
+
+
+def _count_split_rows(monkeypatch):
+    """Patch cover._split to record how many rows each call splits."""
+    counts, split = [], cover._split
+
+    def counted(g, *vector_sets):
+        vector_sets = [list(vs) for vs in vector_sets]
+        counts.append(sum(map(len, vector_sets)))
+        return split(g, *vector_sets)
+
+    monkeypatch.setattr(cover, "_split", counted)
+    return counts
+
+
+def test_cone_cover_splits_each_generator_once(monkeypatch):
+    # The criterion-8 pipeline on the hexagon at 1,000 samples.
+    spec, counts = hexagon_gauge(), _count_split_rows(monkeypatch)
+    samples, fresh = sphere_samples(spec, 1000, seed=8), sphere_samples(spec, 100, seed=9)
+    sep = greedy_separated_set(spec, samples)
+    assert packing_bound_check(sep, spec)
+    assert cover_assignment(sep, spec, fresh).ok
+    cones = generated_cones(sep, spec, samples)
+    m = len(sep.centers)
+    assert counts == [1000, m, m + 100, m + 1000]
+    assert all(cone_halfwidth_check(cone, spec).ok for cone in cones)
+    assert len(counts) == 4
+    # Checked by hand-built cones, the same reports split every cone again.
+    assert [cone_halfwidth_check(GeneratedCone(c.center, c.generators), spec)
+            for c in cones] == [cone_halfwidth_check(c, spec) for c in cones]
+    assert counts[4:] == [1 + len(c.generators) for c in cones]
+
+
+def test_rows_made_for_another_norm_are_not_read(monkeypatch):
+    counts = _count_split_rows(monkeypatch)
+    c, inside = vec(1, 0), [vec(1, Fraction(1, 10)), vec(1, Fraction(-1, 8))]
+    [cone] = generated_cones(SeparatedSet((c,)), linf(2), inside)
+    assert cone.generators == tuple(inside) and counts == [3]
+    assert cone_halfwidth_check(cone, l1(2)) == cone_halfwidth_check(
+        GeneratedCone(c, cone.generators), l1(2))
+    assert counts == [3, 3, 3]
+    # (1, 1/10) is a unit vector of linf(2) but not of l1(2): its linf rows would pass.
+    [cone] = generated_cones(SeparatedSet((inside[0],)), linf(2), [c])
+    for run in (cone, GeneratedCone(cone.center, cone.generators)):
+        with pytest.raises(InputError, match="cone center .* is not a unit vector"):
+            cone_halfwidth_check(run, l1(2))
+
+
+@pytest.mark.parametrize("spec", [hexagon_gauge(), lp(2, 3.0)])
+def test_carried_rows_do_not_change_equality_hash_or_repr(spec):
+    samples = sphere_samples(spec, 200, seed=3)
+    cones = generated_cones(greedy_separated_set(spec, samples), spec, samples)
+    rebuilt = [GeneratedCone(c.center, c.generators) for c in cones]
+    assert all(c._rows is not None for c in cones)
+    assert cones == rebuilt
+    assert list(map(hash, cones)) == list(map(hash, rebuilt))
+    assert list(map(repr, cones)) == list(map(repr, rebuilt))

@@ -1,15 +1,17 @@
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from kdist import norms
 from kdist import (GeometryError, InputError, hexagon_gauge, l1, linf, lp,
                    norm_eval, polygon_gauge, polygon_vertices_2d, polytopal, vec)
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import (IntGauge, LpGauge, convex_hull, cross2, dot, gauge, is_zero,
-                         norm_from_json, norm_to_json, vadd, vneg, vscale, vsub)
+from kdist.norms import (IntGauge, LpGauge, convex_hull, cross2, dot, gauge, image_array,
+                         is_zero, norm_from_json, norm_to_json, vadd, vneg, vscale, vsub)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 
@@ -274,3 +276,65 @@ def test_gauge_kinds_and_tolerances():
     assert g.value((3.0, 4.0)) == pytest.approx(5.0) and g.rank() == 2
     with pytest.raises(InputError):
         g.split((1.0, 2.0, 3.0))
+
+
+# ---------------------------------------------------------------------------
+# image arrays formed at once against the per-vector images
+
+def _reference_image_array(g, rows, factor=1, floor=0):
+    """One ``g.image`` per row, and the dtype rule decided on those images."""
+    images = [g.image(x) for x in rows]
+    width, top = len(g.image([0] * g.dim)), max(map(abs, chain.from_iterable(images)), default=0)
+    fits = isinstance(g, IntGauge) and max(2 * width * top * factor, floor) < norms.INT64_LIMIT
+    return np.array(images, np.int64 if fits else object).reshape(len(images), width)
+
+
+def _assert_same_array(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tolist() == want.tolist()
+    assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+
+
+#: Functional entries with denominators: the cleared functionals are not the given ones.
+FRACTIONAL = polytopal([("1/2", "1/3"), ("-3/4", 1), ("2/5", "-7/6")])
+magnitudes = st.sampled_from([2 ** 4, 2 ** 30, 2 ** 58, 2 ** 61, 2 ** 62, 2 ** 70])
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from([linf(2), l1(3), hexagon_gauge(), FRACTIONAL]),
+       data=st.data())
+def test_image_array_equals_per_vector_images(spec, data):
+    big = data.draw(magnitudes)
+    rows = data.draw(st.lists(st.lists(st.integers(-big, big), min_size=spec.dim,
+                                       max_size=spec.dim), max_size=6))
+    factor, floor = data.draw(st.sampled_from([(1, 0), (5 * 64, 64 * 64), (1, 2 ** 62)]))
+    g = gauge(spec)
+    _assert_same_array(image_array(g, rows, factor, floor),
+                       _reference_image_array(g, rows, factor, floor))
+
+
+@pytest.mark.parametrize("points", [[(3.0, -4.5), (0.1, 2.0)],
+                                    [(Fraction(1, 3), Fraction(-2, 7)), (5, Fraction(1, 9))]])
+def test_lp_image_array_is_the_points(points):
+    g = gauge(lp(2, 3.0))
+    _assert_same_array(image_array(g, points), _reference_image_array(g, points))
+
+
+def test_image_array_takes_python_ints_where_int64_products_overflow():
+    # Both entries fit int64, but x - y = 2^63 does not.
+    g, row = gauge(hexagon_gauge()), [2 ** 62, -2 ** 62]
+    got = image_array(g, [row])
+    assert got.dtype == object and got.tolist() == [[2 ** 62, -2 ** 62, 2 ** 63]]
+    _assert_same_array(got, _reference_image_array(g, [row]))
+    # A zero functional maps a row beyond int64 to 0, which fits.
+    g, row = gauge(polytopal([[0, 0]])), [2 ** 70, 1]
+    _assert_same_array(image_array(g, [row]), _reference_image_array(g, [row]))
+
+
+@pytest.mark.parametrize("spec", [linf(2), hexagon_gauge(), FRACTIONAL])
+def test_image_array_reads_the_limit_when_called(spec, monkeypatch):
+    g, rows = gauge(spec), [[1, -2], [3, 4]]
+    assert image_array(g, rows).dtype == np.int64
+    monkeypatch.setattr(norms, "INT64_LIMIT", 0)
+    _assert_same_array(image_array(g, rows), _reference_image_array(g, rows))
+    assert image_array(g, rows).dtype == object
