@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 from fractions import Fraction
 from math import inf, lcm
 
 import numpy as np
 
+from . import norms
 from .errors import CertificateError, GeometryError, InputError
 from .norms import (Gauge, IntGauge, NormSpec, Vec, clear_denominators, gauge,
                     image_array, norm_eval, polygon_vertices_2d)
@@ -40,6 +41,13 @@ def general_bound(k: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 # sphere sampling
 
+class SampleList(list):
+    """The list of :func:`sphere_samples`, carrying its split ``(spec, snapshot, (Y, q))``:
+    read only under that spec while the list still holds the snapshot's vectors."""
+
+    __slots__ = ("_rows",)
+
+
 def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
     """Unit vectors of the norm's sphere.
 
@@ -49,25 +57,42 @@ def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
     """
     if count < 1:
         raise InputError("need at least one sample")
-    rng = random.Random(seed)
+    rng, g = random.Random(seed), gauge(spec)
     if spec.exact and spec.dim == 2:
         # Vertices a / D, b / D: the j-th point of edge ab is (a(P - j) + bj) / (DP).
         verts, den = clear_denominators(polygon_vertices_2d(spec))
         per_edge = max(1, -(-count // len(verts)))
-        out = [tuple([Fraction(a * (per_edge - j) + b * j, den * per_edge)
-                      for a, b in zip(u, v)])
-               for u, v in zip(verts, verts[1:] + verts[:1]) for j in range(per_edge)]
-        return out[:max(count, len(verts))]
-    if gauge(spec).rank() < spec.dim:
+        rows = [[a * (per_edge - j) + b * j for a, b in zip(u, v)]
+                for u, v in zip(verts, verts[1:] + verts[:1]) for j in range(per_edge)]
+        rows, q = rows[:max(count, len(verts))], den * per_edge
+        qs = [q] * len(rows)
+        # One Fraction per distinct numerator: the rows share their denominator.
+        fractions = {a: Fraction(a, q) for a in set(chain.from_iterable(rows))}
+        vectors = [tuple([fractions[a] for a in r]) for r in rows]
+    elif g.rank() < spec.dim:
         raise GeometryError("a seminorm: its unit sphere is unbounded in R^d")
-    draw = ((lambda: Fraction(rng.randint(-64, 64), 64)) if spec.exact
-            else (lambda: rng.gauss(0.0, 1.0)))
-    out = []
-    while len(out) < count:
-        v = tuple(draw() for _ in range(spec.dim))
-        n = norm_eval(spec, v)
-        if n:
-            out.append(tuple(a / n for a in v))
+    elif spec.exact:
+        # The direction w / 64 has norm n / (64 * scale) with n = value(image(w)),
+        # so its unit vector is the row w * scale over n.
+        rows, qs = [], []
+        while len(rows) < count:
+            w = [rng.randint(-64, 64) for _ in range(spec.dim)]
+            n = g.value(g.image(w))
+            if n:
+                rows.append([a * g.scale for a in w])
+                qs.append(n)
+        vectors = [tuple([Fraction(a, q) for a in r]) for r, q in zip(rows, qs)]
+    else:
+        rows = []
+        while len(rows) < count:
+            v = tuple(rng.gauss(0.0, 1.0) for _ in range(spec.dim))
+            n = norm_eval(spec, v)
+            if n:
+                rows.append(tuple(a / n for a in v))
+        vectors, qs = rows, [1] * len(rows)
+    out = SampleList(vectors)
+    ys = image_array(g, rows)
+    out._rows = (spec, tuple(out), (ys, np.array(qs, ys.dtype)))
     return out
 
 
@@ -79,21 +104,34 @@ class SeparatedSet:
     """Unit vectors pairwise 1/5-separated in both +- combinations."""
 
     centers: tuple[Vec, ...]
+    # (spec, centers, (Y, q)) as greedy_separated_set split them, as in SampleList.
+    _rows: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+
+def _carry(obj, rows: tuple):
+    """The frozen obj with its carried split set to rows."""
+    object.__setattr__(obj, "_rows", rows)
+    return obj
+
+
+def _listed(vectors) -> list:
+    """A list of the vectors: a list itself, so that a SampleList keeps its split."""
+    return vectors if isinstance(vectors, list) else list(vectors)
 
 
 # Every threshold is decided on gauge values: with c = (Y_c, q_c) and x = (Y_x, q_x),
-# ||c - x|| < 1/5 is 5 * value(q_x * Y_c - q_c * Y_x) < q_c * q_x * scale.  Each vector
-# set is split once: one Python pass clears each vector v to q, the lcm of its
-# denominators, and the integer vector q * v, and norms.image_array forms all their
-# images at once as the arrays Y and q (see it for their dtype).  Each test is one
-# array comparison per center.  generated_cones hands each cone slices of its split,
-# the rows of its center and generators, so cone_halfwidth_check splits no vector again.
+# ||c - x|| < 1/5 is 5 * value(q_x * Y_c - q_c * Y_x) < q_c * q_x * scale, homogeneous
+# in (Y, q), so q need not be least.  sphere_samples draws each vector as an integer row
+# over q and hands its image on (SampleList), the greedy set hands on its kept rows, and
+# each cone gets its center's and generators' rows: no stage splits a vector again.
+# Any other set is split by clearing each v to q, the lcm of its denominators, and
+# q * v, whose images norms.image_array forms at once.  The sets of one call then take
+# one dtype by image_array's rule over their union.  Each test is one array comparison
+# per center.
 
 
-def _split(g: Gauge, *vector_sets) -> list:
-    """Each vector set as its arrays (Y, q), of one dtype for all the sets."""
-    vector_sets = [list(vs) for vs in vector_sets]
-    vectors = list(chain.from_iterable(vector_sets))
+def _split_set(g: Gauge, vectors: list) -> tuple:
+    """The arrays (Y, q) of a vector set that carries no split."""
     if set(map(len, vectors)) - {g.dim}:
         v = next(v for v in vectors if len(v) != g.dim)
         raise InputError(f"vector has dimension {len(v)}, expected {g.dim}")
@@ -102,12 +140,29 @@ def _split(g: Gauge, *vector_sets) -> list:
         rows = [[a.numerator * (q // a.denominator) for a in v] for v, q in zip(vectors, qs)]
     else:
         rows, qs = vectors, [1] * len(vectors)
-    # 5 * value(q_x * Y_c - q_c * Y_x) <= 5 * max q * (2 * width * max|Y|).
-    qtop = max(qs, default=1)
-    ys = image_array(g, rows, 5 * qtop, qtop * qtop * g.scale)
-    qs = np.array(qs, ys.dtype)
-    return [(ys[i - len(vs):i], qs[i - len(vs):i])
-            for vs, i in zip(vector_sets, accumulate(map(len, vector_sets)))]
+    ys = image_array(g, rows)
+    return ys, np.array(qs, ys.dtype)
+
+
+def _split(g: Gauge, spec: NormSpec, *vector_sets) -> list:
+    """Each vector set (a list of vectors, or a SeparatedSet's centers) as its
+    arrays (Y, q), of one dtype for all the sets.  A set's carried split is read
+    if it was made under spec for exactly these vectors, else the set is split."""
+    splits = []
+    for vs in vector_sets:
+        rows = getattr(vs, "_rows", None)
+        vectors = vs.centers if isinstance(vs, SeparatedSet) else vs
+        carried = rows is not None and rows[0] == spec and tuple(vectors) == rows[1]
+        splits.append(rows[2] if carried else _split_set(g, vectors))
+    if not isinstance(g, IntGauge):
+        return splits                       # lp: the points' own numbers, always object
+    # image_array's dtype rule over the union: 5 * value(q_x * Y_c - q_c * Y_x) is at
+    # most 5 * max q * (2 * width * max|Y|), and q_c * q_x * scale at most max q^2 * scale.
+    qtop = max((int(qs.max()) for _, qs in splits if len(qs)), default=1)
+    top = max((int(abs(ys).max()) for ys, _ in splits if ys.size), default=0)
+    bound = max(10 * splits[0][0].shape[1] * top * qtop, qtop * qtop * g.scale)
+    dtype = np.int64 if bound < norms.INT64_LIMIT else object
+    return [(ys.astype(dtype, copy=False), qs.astype(dtype, copy=False)) for ys, qs in splits]
 
 
 def _distances(g: Gauge, c, xs):
@@ -147,19 +202,21 @@ def greedy_separated_set(spec: NormSpec, samples) -> SeparatedSet:
     test is decided on gauge values (exactly on integers for the exact
     kinds, in floats for lp), and the kept centers are re-checked afterwards.
     """
-    samples = list(samples)
+    samples = _listed(samples)
     if not samples:
         raise InputError("samples must be nonempty")
     g = gauge(spec)
-    [(ys, qs)] = _split(g, samples)
+    [(ys, qs)] = _split(g, spec, samples)
     _check_unit(g, (ys, qs), samples, "sample")
     blocked, kept = np.zeros(len(samples), bool), []   # within 1/5 of a kept +-center
     for i in range(len(samples)):
         if not blocked[i]:
             kept.append(i)
             blocked[i + 1:] |= _near(g, (ys[i], qs[i]), (ys[i + 1:], qs[i + 1:]))
-    _check_separated(g, (ys[kept], qs[kept]), "greedy output violates separation")
-    return SeparatedSet(tuple(samples[i] for i in kept))
+    rows = (ys[kept], qs[kept])
+    _check_separated(g, rows, "greedy output violates separation")
+    centers = tuple(samples[i] for i in kept)
+    return _carry(SeparatedSet(centers), (spec, centers, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +240,9 @@ def cover_assignment(sep: SeparatedSet, spec: NormSpec, test_vectors) -> CoverRe
     The non-strict threshold follows the maximality clause: a vector at
     distance exactly 1/5 from every center could not extend the set.
     """
-    test_vectors = list(test_vectors)
+    test_vectors = _listed(test_vectors)
     g = gauge(spec)
-    centers, xs = _split(g, sep.centers, test_vectors)
+    centers, xs = _split(g, spec, sep, test_vectors)
     _check_unit(g, centers, sep.centers, "center")
     _check_unit(g, xs, test_vectors, "test vector")
     first = np.full(len(test_vectors), -1)
@@ -202,14 +259,14 @@ class GeneratedCone:
     center: Vec
     generators: tuple[Vec, ...]
     # (spec, (Y, q) of the center, (Y, q) of the generators) as generated_cones split them.
-    _rows: tuple | None = field(default=None, compare=False, repr=False)
+    _rows: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[GeneratedCone]:
     """The cones of the construction: generators are samples strictly within 1/5."""
     g = gauge(spec)
-    samples = list(samples)
-    (yc, qc), xs = _split(g, sep.centers, samples)
+    samples = _listed(samples)
+    (yc, qc), xs = _split(g, spec, sep, samples)
     _check_unit(g, (yc, qc), sep.centers, "center")
     cones = []
     for i, c in enumerate(sep.centers):
@@ -217,7 +274,7 @@ def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[Generate
         near, center = 5 * v < den, (yc[i:i + 1], qc[i:i + 1])
         gens, rows = ((tuple(compress(samples, near)), (xs[0][near], xs[1][near]))
                       if near.any() else ((c,), center))
-        cones.append(GeneratedCone(c, gens, (spec, center, rows)))
+        cones.append(_carry(GeneratedCone(c, gens), (spec, center, rows)))
     return cones
 
 
@@ -261,7 +318,7 @@ def cone_halfwidth_check(cone: GeneratedCone, spec: NormSpec,
     if cone._rows and cone._rows[0] == spec:
         _, center, gens = cone._rows
     else:
-        center, gens = _split(g, [cone.center], cone.generators)
+        center, gens = _split(g, spec, [cone.center], cone.generators)
     _check_unit(g, center, [cone.center], "cone center")
     # The same ||c - x|| as generated_cones, so the strict 1/5 threshold agrees.
     v, den = _distances(g, (center[0][0], center[1][0]), gens)
@@ -289,7 +346,7 @@ def packing_bound_check(sep: SeparatedSet, spec: NormSpec) -> bool:
             f"separated set of size {m} exceeds the packing cap "
             f"{separated_set_capacity(spec.dim)} in dimension {spec.dim}")
     g = gauge(spec)
-    [centers] = _split(g, sep.centers)
+    [centers] = _split(g, spec, sep)
     _check_unit(g, centers, sep.centers, "center")
     _check_separated(g, centers, "separated-set invariant violated")
     return True

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from functools import cache
@@ -337,7 +338,7 @@ HUGE_DENOMINATORS = polytopal([[Fraction(10**12 + 39, 10**12 - 11), Fraction(1, 
 
 
 def _kernel_dtype(spec):
-    [(images, _)] = cover._split(gauge(spec), sphere_samples(spec, 10, seed=11))
+    [(images, _)] = cover._split(gauge(spec), spec, sphere_samples(spec, 10, seed=11))
     return images.dtype
 
 
@@ -446,44 +447,47 @@ def test_carried_rows_give_the_reports_of_rebuilt_cones(spec, count, seed, lonel
 
 
 def _count_split_rows(monkeypatch):
-    """Patch cover._split to record how many rows each call splits."""
-    counts, split = [], cover._split
+    """Patch cover._split_set to record how many vectors each call clears."""
+    counts, split_set = [], cover._split_set
 
-    def counted(g, *vector_sets):
-        vector_sets = [list(vs) for vs in vector_sets]
-        counts.append(sum(map(len, vector_sets)))
-        return split(g, *vector_sets)
+    def counted(g, vectors):
+        counts.append(len(vectors))
+        return split_set(g, vectors)
 
-    monkeypatch.setattr(cover, "_split", counted)
+    monkeypatch.setattr(cover, "_split_set", counted)
     return counts
 
 
 def test_cone_cover_splits_each_generator_once(monkeypatch):
-    # The criterion-8 pipeline on the hexagon at 1,000 samples.
+    # The criterion-8 pipeline on the hexagon at 1,000 samples: after sphere_samples
+    # no sample, fresh vector or center is cleared again.
     spec, counts = hexagon_gauge(), _count_split_rows(monkeypatch)
     samples, fresh = sphere_samples(spec, 1000, seed=8), sphere_samples(spec, 100, seed=9)
     sep = greedy_separated_set(spec, samples)
     assert packing_bound_check(sep, spec)
     assert cover_assignment(sep, spec, fresh).ok
     cones = generated_cones(sep, spec, samples)
-    m = len(sep.centers)
-    assert counts == [1000, m, m + 100, m + 1000]
     assert all(cone_halfwidth_check(cone, spec).ok for cone in cones)
-    assert len(counts) == 4
-    # Checked by hand-built cones, the same reports split every cone again.
+    assert counts == []
+    # Hand-built cones clear their center and generators, to the same reports.
     assert [cone_halfwidth_check(GeneratedCone(c.center, c.generators), spec)
             for c in cones] == [cone_halfwidth_check(c, spec) for c in cones]
-    assert counts[4:] == [1 + len(c.generators) for c in cones]
+    assert counts == [n for c in cones for n in (1, len(c.generators))]
+    # Plain copies carry nothing: each is cleared once per call.
+    del counts[:]
+    assert greedy_separated_set(spec, list(samples)) == sep
+    assert cover_assignment(SeparatedSet(sep.centers), spec, tuple(fresh)).ok
+    assert counts == [1000, len(sep.centers), 100]
 
 
 def test_rows_made_for_another_norm_are_not_read(monkeypatch):
     counts = _count_split_rows(monkeypatch)
     c, inside = vec(1, 0), [vec(1, Fraction(1, 10)), vec(1, Fraction(-1, 8))]
     [cone] = generated_cones(SeparatedSet((c,)), linf(2), inside)
-    assert cone.generators == tuple(inside) and counts == [3]
+    assert cone.generators == tuple(inside) and counts == [1, 2]
     assert cone_halfwidth_check(cone, l1(2)) == cone_halfwidth_check(
         GeneratedCone(c, cone.generators), l1(2))
-    assert counts == [3, 3, 3]
+    assert counts == [1, 2] * 3
     # (1, 1/10) is a unit vector of linf(2) but not of l1(2): its linf rows would pass.
     [cone] = generated_cones(SeparatedSet((inside[0],)), linf(2), [c])
     for run in (cone, GeneratedCone(cone.center, cone.generators)):
@@ -500,3 +504,159 @@ def test_carried_rows_do_not_change_equality_hash_or_repr(spec):
     assert cones == rebuilt
     assert list(map(hash, cones)) == list(map(hash, rebuilt))
     assert list(map(repr, cones)) == list(map(repr, rebuilt))
+
+
+# ---------------------------------------------------------------------------
+# sphere_samples hands its split on: the samples, the greedy set and its centers
+
+def _fraction_sphere_samples(spec, count, seed=0):
+    """sphere_samples built on Fractions alone, each vector normalized by
+    norm_eval in d >= 3, with nothing carried: the reference for the sampler."""
+    rng = random.Random(seed)
+    if spec.exact and spec.dim == 2:
+        verts, den = norms.clear_denominators(polygon_vertices_2d(spec))
+        per_edge = max(1, -(-count // len(verts)))
+        out = [tuple([Fraction(a * (per_edge - j) + b * j, den * per_edge)
+                      for a, b in zip(u, v)])
+               for u, v in zip(verts, verts[1:] + verts[:1]) for j in range(per_edge)]
+        return out[:max(count, len(verts))]
+    draw = ((lambda: Fraction(rng.randint(-64, 64), 64)) if spec.exact
+            else (lambda: rng.gauss(0.0, 1.0)))
+    out = []
+    while len(out) < count:
+        v = tuple(draw() for _ in range(spec.dim))
+        n = norm_eval(spec, v)
+        if n:
+            out.append(tuple(a / n for a in v))
+    return out
+
+
+#: Its functionals have denominators 2, 3 and 5: scale 30.
+FRACTIONAL_3D = polytopal([[Fraction(1, 2), 0, Fraction(1, 3)], [0, 1, 0],
+                           [Fraction(2, 3), Fraction(-1, 5), 1]])
+SAMPLER_GAUGES = [linf(2), l1(2), hexagon_gauge(), OCTAGON,
+                  polygon_gauge(random_symmetric_polygon(random.Random(5), 6, 10)),
+                  linf(3), l1(3), FRACTIONAL_3D, HUGE_DENOMINATORS, lp(2, 3.0), lp(3, 2.5)]
+
+
+def test_sampler_gauges_cover_fractional_vertices_and_functionals():
+    assert any(a.denominator > 1 for v in polygon_vertices_2d(SAMPLER_GAUGES[4]) for a in v)
+    assert gauge(FRACTIONAL_3D).scale == 30
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=st.sampled_from(SAMPLER_GAUGES), count=st.integers(1, 150),
+       seed=st.integers(0, 10 ** 6))
+def test_sphere_samples_equal_the_fraction_sampler(spec, count, seed):
+    got = sphere_samples(spec, count if spec.dim == 2 else count // 3 + 1, seed=seed)
+    want = _fraction_sphere_samples(spec, count if spec.dim == 2 else count // 3 + 1, seed)
+    assert isinstance(got, list) and got == want
+    assert [tuple(map(type, v)) for v in got] == [tuple(map(type, v)) for v in want]
+    # The carried (Y, q) stand for the same vectors as a fresh split: Y / q agree.
+    g = gauge(spec)
+    [(ys, qs)] = cover._split(g, spec, got)
+    [(fresh_ys, fresh_qs)] = cover._split(g, spec, list(got))
+    assert (ys.astype(object) * fresh_qs.astype(object)[:, None]
+            == fresh_ys.astype(object) * qs.astype(object)[:, None]).all()
+
+
+def test_replace_drops_the_carried_split():
+    # A cone whose generator is swapped by replace() is checked as the equal hand-built cone.
+    spec = linf(2)
+    samples = sphere_samples(spec, 100, seed=0)
+    sep = greedy_separated_set(spec, samples)
+    cone = generated_cones(sep, spec, samples)[0]
+    swapped = dataclasses.replace(cone, generators=(vec(-1, 0),))
+    report = cone_halfwidth_check(swapped, spec)
+    assert report == cone_halfwidth_check(GeneratedCone(cone.center, (vec(-1, 0),)), spec)
+    assert not report.ok and report.radius == 2
+    # A greedy set whose centers are replaced is split anew, and checked.
+    moved = dataclasses.replace(sep, centers=(vec(5, 0),) + sep.centers[1:])
+    assert moved._rows is None and swapped._rows is None
+    with pytest.raises(InputError, match=r"center \(.*\) is not a unit vector"):
+        packing_bound_check(moved, spec)
+
+
+def test_a_changed_sample_list_is_split_anew(monkeypatch):
+    counts = _count_split_rows(monkeypatch)
+    spec = hexagon_gauge()
+    samples = sphere_samples(spec, 200, seed=1)
+    samples[3] = vec(2, 0)
+    with pytest.raises(InputError, match=r"sample \(.*\) is not a unit vector"):
+        greedy_separated_set(spec, samples)
+    samples[3] = vec(1, 0)
+    samples.append(vec(0, 1))
+    assert greedy_separated_set(spec, samples) == greedy_separated_set(spec, list(samples))
+    assert counts == [200, 201, 201]
+
+
+def test_samples_handed_to_another_spec_are_split_again(monkeypatch):
+    counts = _count_split_rows(monkeypatch)
+    samples = sphere_samples(linf(2), 100, seed=2)
+    sep = greedy_separated_set(linf(2), samples)     # an equal spec reads the carried split
+    assert counts == []
+    # The same unit ball under another spec: the linf split is not read.
+    square = polytopal([(1, 0), (0, 1)])
+    assert greedy_separated_set(square, samples).centers == sep.centers
+    assert cover_assignment(sep, square, samples).ok
+    assert counts == [100, len(sep.centers), 100]
+    with pytest.raises(InputError, match=r"sample \(.*\) is not a unit vector"):
+        greedy_separated_set(l1(2), samples)
+
+
+#: linf unit vectors over denominators near 10^12, given by hand.
+HUGE_UNIT_VECTORS = [vec(1, Fraction(10 ** 12 - k, 10 ** 12 + 7)) for k in (0, 3)] + [
+    vec(Fraction(-(10 ** 12 + 1), 10 ** 12 + 9), 1), vec(1, Fraction(1, 10 ** 12 + 3))]
+
+
+def _split_dtypes(spec, *vector_sets):
+    return {a.dtype for split in cover._split(gauge(spec), spec, *vector_sets) for a in split}
+
+
+def test_carried_int64_rows_meet_a_hand_given_set_on_object_arrays():
+    spec = linf(2)
+    samples = sphere_samples(spec, 200, seed=3)
+    sep = greedy_separated_set(spec, samples)
+    assert _split_dtypes(spec, samples) == _split_dtypes(spec, sep) == {np.dtype(np.int64)}
+    # Over the union, max q^2 passes 2^62: every array of the call holds Python ints.
+    assert _split_dtypes(spec, sep, HUGE_UNIT_VECTORS) == {np.dtype(object)}
+    assert _split_dtypes(spec, SeparatedSet(tuple(HUGE_UNIT_VECTORS)), samples) == {
+        np.dtype(object)}
+    report = cover_assignment(sep, spec, HUGE_UNIT_VECTORS)
+    assert report.assignments == _ref_assignments(spec, sep.centers, HUGE_UNIT_VECTORS)
+    for centers in (HUGE_UNIT_VECTORS, HUGE_UNIT_VECTORS[:1]):
+        hand = SeparatedSet(tuple(centers))
+        cones = generated_cones(hand, spec, samples + HUGE_UNIT_VECTORS)
+        assert [c.generators for c in cones] == _ref_generators(
+            spec, hand.centers, samples + HUGE_UNIT_VECTORS)
+        for i, cone in enumerate(cones):
+            _assert_halfwidth_dominates(spec, cone, trials=20, seed=i)
+
+
+def test_huge_denominator_samples_meet_a_hand_given_set():
+    spec = HUGE_DENOMINATORS
+    samples = sphere_samples(spec, 150, seed=11)
+    fresh = list(sphere_samples(spec, 40, seed=12))        # a plain list: split here
+    sep = greedy_separated_set(spec, samples)
+    assert sep.centers == _ref_greedy(spec, samples)
+    assert _split_dtypes(spec, sep, fresh) == {np.dtype(object)}
+    report = cover_assignment(sep, spec, fresh)
+    assert report.assignments == _ref_assignments(spec, sep.centers, fresh)
+    cones = generated_cones(SeparatedSet(sep.centers), spec, samples)
+    assert [c.generators for c in cones] == _ref_generators(spec, sep.centers, samples)
+
+
+def test_carried_int64_rows_follow_a_lowered_limit(monkeypatch):
+    # Drawn while int64 fits, then used under a limit of 0: every array is promoted.
+    spec = hexagon_gauge()
+    samples, fresh = sphere_samples(spec, 150, seed=11), sphere_samples(spec, 40, seed=12)
+    sep = greedy_separated_set(spec, samples)
+    assert _split_dtypes(spec, sep, fresh) == {np.dtype(np.int64)}
+    monkeypatch.setattr(norms, "INT64_LIMIT", 0)
+    assert _split_dtypes(spec, samples) == _split_dtypes(spec, sep, fresh) == {np.dtype(object)}
+    assert greedy_separated_set(spec, samples) == sep and packing_bound_check(sep, spec)
+    report = cover_assignment(sep, spec, fresh)
+    assert report.assignments == _ref_assignments(spec, sep.centers, fresh)
+    cones = generated_cones(sep, spec, samples)
+    assert [c.generators for c in cones] == _ref_generators(spec, sep.centers, samples)
+    assert all(c._rows[2][0].dtype == object for c in cones)
