@@ -32,10 +32,14 @@ def separated_set_capacity(d: int) -> int:
 
 
 def general_bound(k: int, d: int) -> int:
-    """min(2^{kd}, (k+1)^{(11^d-9^d)/2}) in exact integer arithmetic."""
+    """min(2^{kd}, (k+1)^{(11^d-9^d)/2}) in exact integer arithmetic.
+
+    With C = (11^d-9^d)/2 >= kd, (k+1)^C >= 2^C >= 2^{kd}, so the power is
+    formed only when C < kd, where it is small."""
     if k < 1 or d < 1:
         raise InputError("general_bound requires k >= 1 and d >= 1")
-    return min(2 ** (k * d), (k + 1) ** separated_set_capacity(d))
+    cap = separated_set_capacity(d)
+    return 2 ** (k * d) if cap >= k * d else min(2 ** (k * d), (k + 1) ** cap)
 
 
 # ---------------------------------------------------------------------------

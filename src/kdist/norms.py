@@ -26,6 +26,10 @@ Vec = tuple[Fraction, ...]
 #: Relative tolerance for the float lp path (distance grouping, unit checks).
 FLOAT_EPS = 1e-9
 
+#: The largest norm dimension a JSON norm may declare: samplers and searches
+#: build dim coordinates per vector, and every bound here is tested at d <= 4.
+MAX_JSON_DIM = 64
+
 EXACT_KINDS = ("linf", "l1", "polytopal")
 KINDS = EXACT_KINDS + ("lp",)
 
@@ -431,6 +435,8 @@ def norm_from_json(obj) -> NormSpec:
     except KeyError as exc:
         raise InputError(f"norm spec missing dim/kind: {exc}") from exc
     dim = int_from_json(dim, "norm dim")
+    if dim > MAX_JSON_DIM:
+        raise InputError(f"norm dim {dim} exceeds the limit {MAX_JSON_DIM}")
     if kind == "polytopal":
         funcs = obj.get("functionals", [])
         if not isinstance(funcs, list):

@@ -16,8 +16,17 @@ coordinate: every point off L0, moved down by s along axis 0, is again a
 ground point.  An optimum S that misses L0 then has the translate S - s*e0,
 with the same distances and lexicographically before S, so the
 lexicographically smallest optimum starts in L0.  lp keeps the full root,
-since its float differences are not exactly translation-invariant, and the
-enumeration, which lists every optimum, keeps the full search.
+since its float differences are not exactly translation-invariant.
+
+The enumeration takes the same cut and recovers the rest by translation.
+On a closed ground, a valid subset S that misses L0 moved down by s stays
+in the ground (each of its points is off L0), with the same distances;
+repeating this reaches exactly one translate T = S - j*s*e0 that meets L0,
+and T's first point lies in L0, so the root cut lists T.  Going up from T,
+once a translate T + i*s*e0 leaves the ground no later one is in it: were
+T + (i+1)*s*e0 in the ground, moving it down would put T + i*s*e0 back in.
+So listing the subsets that meet L0 and then each one's translates up to
+the first that leaves the ground yields every valid subset exactly once.
 """
 
 from __future__ import annotations
@@ -187,25 +196,45 @@ def branch_and_bound(problem: SearchProblem,
 
 def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[Vec, ...]]:
     """All subsets of exactly the given size with at most k distance classes,
-    in lexicographic order, by the forward-checking DFS of branch_and_bound."""
+    in lexicographic order, by the forward-checking DFS of branch_and_bound.
+
+    On a ground closed under the shift by s along axis 0 the root branches
+    only on L0, and each subset found is followed by its translates by
+    j*s*e0, j = 1, 2, ..., up to the first that leaves the ground: by the
+    module docstring this lists every subset exactly once.
+    """
     if size < 1:
         raise InputError("enumeration size must be >= 1")
     table = _pair_classes(problem.spec, problem.ground)
-    pts, cls = table.points, table.classes
-    out: list[tuple[Vec, ...]] = []
+    pts, cls, ints = table.points, table.classes, table.ints
+    found: list[list[int]] = []
     chosen: list[int] = []
 
-    def expand(cands: list[tuple[int, int]]) -> None:
+    def expand(cands: list[tuple[int, int]], stop: int) -> None:
         if len(chosen) == size:
-            out.append(tuple(pts[i] for i in chosen))
+            found.append(list(chosen))
             return
-        for j in range(len(cands) - (size - len(chosen)) + 1):
+        for j in range(min(stop, len(cands) - (size - len(chosen)) + 1)):
             chosen.append(cands[j][0])
-            expand(_forward_check(cls, problem.k, cands, j))
+            viable = _forward_check(cls, problem.k, cands, j)
+            expand(viable, len(viable))
             chosen.pop()
 
-    expand([(i, 0) for i in range(len(pts))])
-    return out
+    n = len(pts)
+    stop = _root_layer(problem.spec, ints)
+    expand([(i, 0) for i in range(n)], stop)
+    if stop < n:
+        # up[i]: the index of point i + s*e0, None off the ground.  up is
+        # increasing, so a shifted index list stays ascending, and the lists
+        # come out sorted: the translates are appended by generation, those
+        # of generation j start in layer j, and each keeps its base's order.
+        s, index = ints[stop][0] - ints[0][0], {p: i for i, p in enumerate(ints)}
+        up = [index.get((p[0] + s, *p[1:])) for p in ints]
+        for idx in found:  # the translates appended here are shifted in turn
+            shifted = [up[i] for i in idx]
+            if None not in shifted:
+                found.append(shifted)
+    return [tuple(pts[i] for i in idx) for idx in found]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +258,8 @@ def extremal_grid(k: int, d: int, offset=None, scale=1) -> PointSet:
 def is_grid_homothet(points, k: int) -> bool:
     """True iff the points are exactly some a + lambda {0..k}^d."""
     pts = list(points)
+    if not pts:
+        return False
     axes = [sorted({p[i] for p in pts}) for i in range(len(pts[0]))]
     steps = {b - a for vals in axes for a, b in zip(vals, vals[1:])}
     return (all(len(vals) == k + 1 for vals in axes) and len(steps) == 1

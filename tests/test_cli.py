@@ -20,7 +20,7 @@ from kdist import (PolyhedralCone, __version__, criteria, hexagon_gauge, l1, lin
 from kdist import chains, cli, planar
 from kdist.cli import run_command
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import norm_to_json, vec_to_json
+from kdist.norms import MAX_JSON_DIM, norm_to_json, vec_to_json
 from kdist.planar import apply_matrix, planar_cones, quadrant_cones
 from kdist.spectrum import PairTable, PointSet, pointset_to_json
 
@@ -487,6 +487,21 @@ def test_malformed_json_is_input_error(files, capsys, norm, points):
                       "--points", files("pts.json", points)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "chains", "normalize2d", "conecover",
+                                     "decompose", "search", "bound"])
+@pytest.mark.parametrize("dim", [MAX_JSON_DIM + 1, 5_000_000, 10 ** 30])
+def test_norm_dim_above_the_limit_is_input_error(files, capsys, command, dim):
+    # conecover draws dim coordinates per sample: a huge dim would run for minutes.
+    norm = files("norm.json", {"dim": dim, "kind": "l1"})
+    points = files("pts.json", {"dim": 2, "points": [[0, 0], [1, 0]]})
+    argv = [command, "--norm", norm] + {
+        "normalize2d": [], "conecover": ["--samples", "40"],
+        "search": ["--ground", points, "--k", "1"]}.get(command, ["--points", points])
+    assert run_command(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and f"norm dim {dim} exceeds the limit {MAX_JSON_DIM}" in out.err
 
 
 def test_seminorm_is_rejected_not_a_crash(files, capsys):

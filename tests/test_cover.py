@@ -37,6 +37,17 @@ def test_general_bound_values():
     assert general_bound(1, 3) == 8
 
 
+def test_general_bound_equals_the_eager_formula():
+    for d in range(1, 6):
+        for k in range(1, 41):
+            assert general_bound(k, d) == min(2 ** (k * d), (k + 1) ** separated_set_capacity(d))
+
+
+def test_general_bound_skips_a_power_it_cannot_need():
+    # (11^12 - 9^12)/2 is about 4.3e12: the eager power would not fit in memory.
+    assert general_bound(3, 12) == 2 ** 36
+
+
 def test_general_bound_rejects_bad_input():
     with pytest.raises(InputError):
         general_bound(0, 2)

@@ -10,8 +10,9 @@ from kdist import norms
 from kdist import (GeometryError, InputError, hexagon_gauge, l1, linf, lp,
                    norm_eval, polygon_gauge, polygon_vertices_2d, polytopal, vec)
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import (IntGauge, LpGauge, convex_hull, cross2, dot, gauge, image_array,
-                         is_zero, norm_from_json, norm_to_json, vadd, vneg, vscale, vsub)
+from kdist.norms import (MAX_JSON_DIM, IntGauge, LpGauge, convex_hull, cross2, dot, gauge,
+                         image_array, is_zero, norm_from_json, norm_to_json, vadd, vneg,
+                         vscale, vsub)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 
@@ -143,6 +144,15 @@ def test_norm_axioms(spec, data):
 @pytest.mark.parametrize("spec", [linf(2), l1(3), hexagon_gauge(), lp(2, 2.5)])
 def test_norm_json_round_trip(spec):
     assert norm_from_json(norm_to_json(spec)) == spec
+
+
+@pytest.mark.parametrize("kind", ["linf", "l1", "lp"])
+def test_norm_json_dim_is_capped(kind):
+    obj = {"kind": kind, "p": 2.0}
+    assert norm_from_json({**obj, "dim": MAX_JSON_DIM}).dim == MAX_JSON_DIM
+    for dim in (MAX_JSON_DIM + 1, 10 ** 30):
+        with pytest.raises(InputError, match=f"norm dim {dim} exceeds"):
+            norm_from_json({**obj, "dim": dim})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,11 @@ def test_verify_extremal_uniqueness_raises_on_any_other_optimum(monkeypatch):
         verify_extremal_uniqueness(2, 1, 2)
 
 
+def test_is_grid_homothet_of_no_points_is_false():
+    assert not is_grid_homothet([], 1)
+    assert not is_grid_homothet((), 2)
+
+
 def test_verify_extremal_uniqueness_rejects_large():
     with pytest.raises(InputError):
         verify_extremal_uniqueness(3, 1, 2)
@@ -212,16 +218,20 @@ def test_branch_and_bound_matches_oracle(problem):
         assert got.points == want.points
 
 
+def _combinations_filter(problem, size):
+    """The subsets of the given size with at most k classes, by combinations of the sorted points."""
+    pts = sorted(problem.ground.points)
+    cls = _pair_classes(problem.spec, PointSet(problem.ground.dim, tuple(pts))).classes
+    return [tuple(pts[i] for i in comb)
+            for comb in combinations(range(len(pts)), size)
+            if len({cls[a][b] for a, b in combinations(comb, 2)}) <= problem.k]
+
+
 @settings(max_examples=100, deadline=None)
 @given(problem=search_problems(), data=st.data())
 def test_enumeration_matches_combinations_filter(problem, data):
-    pts = sorted(problem.ground.points)
-    size = data.draw(st.integers(1, len(pts)))
-    cls = _pair_classes(problem.spec, PointSet(problem.ground.dim, tuple(pts))).classes
-    want = [tuple(pts[i] for i in comb)
-            for comb in combinations(range(len(pts)), size)
-            if len({cls[a][b] for a, b in combinations(comb, 2)}) <= problem.k]
-    assert enumerate_optimal_subsets(problem, size) == want
+    size = data.draw(st.integers(1, len(problem.ground)))
+    assert enumerate_optimal_subsets(problem, size) == _combinations_filter(problem, size)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +340,36 @@ def test_root_cut_matches_enumeration_beyond_the_oracle(case):
     assert not enumerate_optimal_subsets(problem, got.size + 1)
 
 
-def _root_branches(problem, monkeypatch) -> int:
-    """The number of root candidates branch_and_bound forward-checks."""
+def _uncut_enumeration(problem, size):
+    """enumerate_optimal_subsets with its root on every point and no translates."""
+    with mock.patch.object(search, "_root_layer", lambda spec, ints: len(ints)):
+        return enumerate_optimal_subsets(problem, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shift_closed_grounds(max_points=20))
+def test_enumeration_cut_matches_the_uncut_enumeration(case):
+    problem, _ = case
+    best = branch_and_bound(problem).size
+    for size in range(1, best + 2):
+        assert enumerate_optimal_subsets(problem, size) == _uncut_enumeration(problem, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shift_closed_grounds(max_points=14), data=st.data())
+def test_enumeration_cut_matches_combinations_filter(case, data):
+    problem, _ = case
+    size = data.draw(st.integers(1, len(problem.ground)))
+    assert enumerate_optimal_subsets(problem, size) == _combinations_filter(problem, size)
+
+
+def _root_branches(monkeypatch, run, *args) -> int:
+    """The number of root candidates the search run(*args) forward-checks."""
     calls, check = [], search._forward_check
     with monkeypatch.context() as patch:
         patch.setattr(search, "_forward_check",
                       lambda cls, k, cands, j: calls.append(cands) or check(cls, k, cands, j))
-        branch_and_bound(problem)
+        run(*args)
     return sum(cands is calls[0] for cands in calls)
 
 
@@ -345,7 +378,11 @@ def _root_branches(problem, monkeypatch) -> int:
 def test_root_branches_on_the_lowest_layer_of_a_closed_grid(spec, monkeypatch):
     side = 4 if spec.dim == 2 else 2
     problem = SearchProblem(spec, _lattice(spec.dim, side), 1)
-    assert _root_branches(problem, monkeypatch) == (side + 1) ** (spec.dim - 1)
+    layer = (side + 1) ** (spec.dim - 1)
+    assert _root_branches(monkeypatch, branch_and_bound, problem) == layer
+    # The enumeration as well, at sizes that leave more than L0 to the root.
+    for size in (2, 4):
+        assert _root_branches(monkeypatch, enumerate_optimal_subsets, problem, size) == layer
 
 
 def test_root_branches_on_every_point_without_the_cut(monkeypatch):
@@ -356,6 +393,9 @@ def test_root_branches_on_every_point_without_the_cut(monkeypatch):
         pts = sorted(problem.ground.points)
         table = _pair_classes(problem.spec, PointSet(problem.ground.dim, tuple(pts)))
         assert _root_layer(problem.spec, table.ints) == len(pts)
-        # The root stops only where the points left cannot beat the incumbent.
+        # The root stops only where the points left cannot beat the incumbent,
+        # and the enumeration's where too few points are left to fill the size.
         size = branch_and_bound(problem).size
-        assert _root_branches(problem, monkeypatch) == len(pts) - size
+        assert _root_branches(monkeypatch, branch_and_bound, problem) == len(pts) - size
+        assert (_root_branches(monkeypatch, enumerate_optimal_subsets, problem, size)
+                == len(pts) - size + 1)
