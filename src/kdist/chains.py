@@ -17,8 +17,8 @@ from fractions import Fraction
 from operator import ge, mul, neg, sub
 
 from .errors import CertificateError, InputError
-from .norms import (NormSpec, Vec, clear_denominators, gauge, is_zero, linf, vadd,
-                    vec, vec_to_json, vneg, vsub)
+from .norms import (NormSpec, Vec, clear_denominators, gauge, image_array, is_zero, linf,
+                    vadd, vec, vec_to_json, vneg, vsub)
 from .spectrum import PairTable, PointSet
 
 
@@ -195,7 +195,8 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
         raise InputError("the cones, the vectors and the norm differ in dimension")
     g = gauge(spec)
     scaled, _ = g.clear(vectors)
-    members = [(v, x, g.value(g.image(x))) for v, x in zip(vectors, scaled)]
+    values = g.reduce(image_array(g, scaled)).tolist()
+    members = list(zip(vectors, scaled, values))
     inside = [[cone.contains(x) for cone in family] for _, x, _ in members]
     report = ConeConditionReport()
     for (v, x, _), hits in zip(members, inside):

@@ -149,16 +149,14 @@ def _cmd_search(args) -> int:
     result = branch_and_bound(problem, use_bound_pruning=args.use_bound_pruning)
     out = {
         "size": result.size,
-        "points": [vec_to_json(p) if spec.exact else list(p)
-                   for p in result.points],
+        "points": [vec_to_json(p) for p in result.points],
         "spectrum": spectrum_to_json(spec, result.spectrum),
         "nodes": result.nodes,
         "optimal": result.optimal,
     }
     if args.enumerate_optima:
         optima = enumerate_optimal_subsets(problem, result.size)
-        out["optima"] = [[vec_to_json(p) for p in s] for s in optima] \
-            if spec.exact else [[list(p) for p in s] for s in optima]
+        out["optima"] = [[vec_to_json(p) for p in s] for s in optima]
     _emit(out)
     return 0
 
@@ -168,29 +166,22 @@ def _cmd_bound(args) -> int:
     ps = _load_points(args.points)
     d, observed = spec.dim, len(ps)
     route = chain_route(spec)
-    if route is not None:
+    if route is None:
+        node = decompose_recursive_bound(ps, spec)
+        name, k, witnesses = "general-minkowski", node.k, {"decomposition": node.to_json()}
+        claimed = general_bound(k, d) if k else 1
+    else:
         name, family = route
         cert = chain_certificate(spec, ps, family)
-        k = cert.k
-    else:
-        node = decompose_recursive_bound(ps, spec)
-        k = node.k
-    witnesses: dict = {}
-    if k == 0:
-        name, claimed = "single-point", 1
-    elif route is not None:
-        claimed = cert.claimed
-        witnesses["chain"] = cert.to_json()
+        k, claimed, witnesses = cert.k, cert.claimed, {"chain": cert.to_json()}
         if name == "planar-two-cones":      # the rays the cones exclude, in the input's frame
             witnesses["removed_rays"] = [{"cone": c, "ray": vec_to_json(r)}
                                          for c, cone in zip(("p1", "p2"), family)
                                          for r in cone.excluded_rays]
-        if not cert.ok:
+        if k and not cert.ok:
             raise FalsificationError(f"chain certificate failed on the {name} route")
-    else:
-        name = "general-minkowski"
-        claimed = general_bound(k, d)
-        witnesses = {"decomposition": node.to_json()}
+    if k == 0:
+        name, claimed, witnesses = "single-point", 1, {}
     passed = observed <= claimed
     _emit({
         "bound": name,

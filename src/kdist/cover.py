@@ -25,6 +25,9 @@ from .norms import (Gauge, IntGauge, NormSpec, Vec, clear_denominators, gauge,
 
 HALF_WIDTH = Fraction(1, 2)
 
+#: The most samples sphere_samples draws: 100 times the CLI default.
+MAX_SAMPLES = 10 ** 6
+
 
 def separated_set_capacity(d: int) -> int:
     """Packing cap (11^d - 9^d)/2 on the size of a 1/5-separated set."""
@@ -59,8 +62,8 @@ def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
     unit vectors).  Higher dimensions: random rational directions scaled by
     the exact reciprocal norm.  lp: normalized random float directions.
     """
-    if count < 1:
-        raise InputError("need at least one sample")
+    if not 1 <= count <= MAX_SAMPLES:
+        raise InputError(f"the sample count must be in 1..{MAX_SAMPLES}, got {count}")
     rng, g = random.Random(seed), gauge(spec)
     if spec.exact and spec.dim == 2:
         # Vertices a / D, b / D: the j-th point of edge ab is (a(P - j) + bj) / (DP).
@@ -69,22 +72,22 @@ def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
         rows = [[a * (per_edge - j) + b * j for a, b in zip(u, v)]
                 for u, v in zip(verts, verts[1:] + verts[:1]) for j in range(per_edge)]
         rows, q = rows[:max(count, len(verts))], den * per_edge
-        qs = [q] * len(rows)
+        ys, qs = image_array(g, rows), [q] * len(rows)
         # One Fraction per distinct numerator: the rows share their denominator.
         fractions = {a: Fraction(a, q) for a in set(chain.from_iterable(rows))}
         vectors = [tuple([fractions[a] for a in r]) for r in rows]
     elif g.rank() < spec.dim:
         raise GeometryError("a seminorm: its unit sphere is unbounded in R^d")
     elif spec.exact:
-        # The direction w / 64 has norm n / (64 * scale) with n = value(image(w)),
-        # so its unit vector is the row w * scale over n.
-        rows, qs = [], []
+        # The direction w / 64 has norm n / (64 * scale), n the value of w's image, and
+        # the row w * scale has the value n * scale: its unit vector is that row over n.
+        rows = []
         while len(rows) < count:
             w = [rng.randint(-64, 64) for _ in range(spec.dim)]
-            n = g.value(g.image(w))
-            if n:
+            if any(w):                      # full rank: only w = 0 has norm 0
                 rows.append([a * g.scale for a in w])
-                qs.append(n)
+        ys = image_array(g, rows)
+        qs = (g.reduce(ys) // g.scale).tolist()
         vectors = [tuple([Fraction(a, q) for a in r]) for r, q in zip(rows, qs)]
     else:
         rows = []
@@ -93,9 +96,8 @@ def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
             n = norm_eval(spec, v)
             if n:
                 rows.append(tuple(a / n for a in v))
-        vectors, qs = rows, [1] * len(rows)
+        vectors, ys, qs = rows, image_array(g, rows), [1] * len(rows)
     out = SampleList(vectors)
-    ys = image_array(g, rows)
     out._rows = (spec, tuple(out), (ys, np.array(qs, ys.dtype)))
     return out
 
@@ -130,7 +132,7 @@ def _listed(vectors) -> list:
 # each cone gets its center's and generators' rows: no stage splits a vector again.
 # Any other set is split by clearing each v to q, the lcm of its denominators, and
 # q * v, whose images norms.image_array forms at once.  The sets of one call then take
-# one dtype by image_array's rule over their union.  Each test is one array comparison
+# one dtype by the cover's own bound over their union.  Each test is one array comparison
 # per center.
 
 
@@ -160,7 +162,7 @@ def _split(g: Gauge, spec: NormSpec, *vector_sets) -> list:
         splits.append(rows[2] if carried else _split_set(g, vectors))
     if not isinstance(g, IntGauge):
         return splits                       # lp: the points' own numbers, always object
-    # image_array's dtype rule over the union: 5 * value(q_x * Y_c - q_c * Y_x) is at
+    # The thresholds' dtype rule over the union: 5 * value(q_x * Y_c - q_c * Y_x) is at
     # most 5 * max q * (2 * width * max|Y|), and q_c * q_x * scale at most max q^2 * scale.
     qtop = max((int(qs.max()) for _, qs in splits if len(qs)), default=1)
     top = max((int(abs(ys).max()) for ys, _ in splits if ys.size), default=0)

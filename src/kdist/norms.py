@@ -327,15 +327,15 @@ def gauge(spec: NormSpec) -> Gauge:
 INT64_LIMIT = 2 ** 62
 
 
-def image_array(g: Gauge, rows: list, factor=1, floor=0) -> np.ndarray:
+def image_array(g: Gauge, rows: list) -> np.ndarray:
     """The images of cleared rows (integer vectors, or lp's points) as one array,
     formed at once: the rows themselves for linf, l1 and lp, and for polytopal
     the product ``X @ A.T`` with the cleared functionals, taken in Python ints
     when a partial sum could reach INT64_LIMIT.  The array is int64 on an exact
-    gauge while the caller's numbers, at most factor times the value of a
-    difference of two images or floor, stay below INT64_LIMIT; else ``object``:
-    Python ints, or lp's own numbers, whose powers are then Python's (numpy's
-    float64 ``pow`` can differ in the last bit)."""
+    gauge while 2 * width * top < INT64_LIMIT, top the largest |entry|, so the
+    value of a difference of two images fits; else ``object``: Python ints, or
+    lp's own numbers, whose powers are then Python's (numpy's float64 ``pow``
+    can differ in the last bit)."""
     shape = (len(rows), g.dim)
     if not isinstance(g, IntGauge):
         return np.array(rows, object).reshape(shape)
@@ -348,7 +348,7 @@ def image_array(g: Gauge, rows: list, factor=1, floor=0) -> np.ndarray:
         dtype = object if wide else np.int64
         images = np.array(rows, dtype).reshape(shape) @ np.array(g._rows, dtype).T
         shape, top = images.shape, int(np.abs(images).max(initial=0))
-    fits = max(2 * shape[1] * top * factor, floor) < INT64_LIMIT
+    fits = 2 * shape[1] * top < INT64_LIMIT
     return np.asarray(images, np.int64 if fits else object).reshape(shape)
 
 

@@ -164,8 +164,9 @@ def branch_and_bound(problem: SearchProblem,
     claim under test.
     """
     table = _pair_classes(problem.spec, problem.ground)
-    pts, cls = table.points, table.classes
-    cap = _bound_cap(problem) if use_bound_pruning else len(pts)
+    pts, cls, n = table.points, table.classes, len(table.points)
+    # With k >= n(n-1)/2 every subset qualifies: the cap is n, and no bound is formed.
+    cap = _bound_cap(problem) if use_bound_pruning and problem.k < n * (n - 1) // 2 else n
     best: list[int] = []
     nodes = 1
     chosen: list[int] = []
@@ -190,7 +191,7 @@ def branch_and_bound(problem: SearchProblem,
                 chosen.pop()
         return False
 
-    expand([(i, 0) for i in range(len(pts))], _root_layer(problem.spec, table.ints))
+    expand([(i, 0) for i in range(n)], _root_layer(problem.spec, table.ints))
     return SearchResult(tuple(pts[i] for i in best), table.spectrum_of(best), nodes, True)
 
 

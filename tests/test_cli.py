@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from kdist import (PolyhedralCone, __version__, criteria, hexagon_gauge, l1, linf, lp,
                    max_area_normalization, planar_bound_certificate, polygon_gauge,
                    polygon_vertices_2d, polytopal, vec)
-from kdist import chains, cli, planar
+from kdist import chains, cli, planar, search
 from kdist.cli import run_command
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import MAX_JSON_DIM, norm_to_json, vec_to_json
+from kdist.cover import (MAX_SAMPLES, cone_halfwidth_check, cover_assignment, generated_cones,
+                         greedy_separated_set, packing_bound_check, sphere_samples)
+from kdist.norms import MAX_JSON_DIM, IntGauge, norm_to_json, vec_to_json
 from kdist.planar import apply_matrix, planar_cones, quadrant_cones
-from kdist.spectrum import PairTable, PointSet, pointset_to_json
+from kdist.spectrum import PairTable, PointSet, pointset_from_json, pointset_to_json
 
 
 @pytest.fixture
@@ -144,6 +146,35 @@ def test_search_command(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["size"] == 4
     assert len(out["optima"]) == 5
+
+
+def test_search_prints_lp_points_as_rational_pairs(files, capsys):
+    ground = PointSet.of([vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1), vec("1/2", 1)])
+    argv = ["search", "--norm", files("norm.json", norm_to_json(lp(2, 3.0))),
+            "--ground", files("ground.json", pointset_to_json(ground)),
+            "--k", "2", "--enumerate-optima"]
+    assert run_command(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    want = [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1)]
+    assert pointset_from_json({"dim": 2, "points": out["points"]}).points == tuple(want)
+    assert [pointset_from_json({"dim": 2, "points": s}).points
+            for s in out["optima"]] == [tuple(want)]
+
+
+def test_pruned_search_with_k_past_every_pair_forms_no_bound(files, capsys, monkeypatch):
+    # Two points have one pair: every k >= 1 admits both, and 2^{kd} is never formed.
+    argv = ["search", "--norm", files("norm.json", norm_to_json(l1(3))),
+            "--ground", files("ground.json", {"dim": 3, "points": [[0, 0, 0], [1, 0, 0]]}),
+            "--use-bound-pruning", "--k"]
+    assert run_command(argv + ["1"]) == 0
+    want = capsys.readouterr().out
+
+    def no_cap(problem):
+        raise AssertionError("the bound cap is formed for a k past every pair")
+
+    monkeypatch.setattr(search, "_bound_cap", no_cap)
+    assert run_command(argv + [str(10 ** 18)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_bound_command_linf(files, capsys):
@@ -350,6 +381,16 @@ def test_conecover_rejects_seminorm(files, capsys):
     assert out.out == "" and "seminorm" in out.err
 
 
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10 ** 20])
+def test_conecover_samples_above_the_ceiling_is_input_error(files, capsys, monkeypatch,
+                                                            samples):
+    monkeypatch.setattr(random, "Random", None)     # nothing may be sampled
+    norm = files("norm.json", norm_to_json(l1(3)))
+    assert run_command(["conecover", "--norm", norm, "--samples", str(samples)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and f"must be in 1..{MAX_SAMPLES}, got {samples}" in out.err
+
+
 def test_conecover_undersampled_is_inconclusive(files, capsys):
     # A one-sample greedy set is maximal only on that sample, so unassigned
     # fresh directions say the sampling was too coarse, not that a bound failed.
@@ -433,6 +474,33 @@ def test_search_empty_ground_is_input_error(files, capsys):
                         "--k", "1"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and "empty ground" in out.err
+
+
+#: A planar gauge with eight vertices: the square cut at its corners by |x +- y| <= 3/2.
+_OCTAGON = polytopal([(1, 0), (0, 1), ("2/3", "2/3"), ("2/3", "-2/3")])
+
+
+def test_library_paths_evaluate_exact_norms_only_on_image_arrays(files, monkeypatch):
+    def scalar(*args):
+        raise AssertionError("an exact norm was evaluated vector by vector")
+
+    for name in ("image", "value", "split"):
+        monkeypatch.setattr(IntGauge, name, scalar)
+    for spec in (hexagon_gauge(), l1(3)):           # the criterion-8 pipeline, small
+        samples = sphere_samples(spec, 200, seed=8)
+        sep = greedy_separated_set(spec, samples)
+        assert packing_bound_check(sep, spec)
+        cover_assignment(sep, spec, sphere_samples(spec, 20, seed=9))
+        assert all(cone_halfwidth_check(c, spec).ok for c in generated_cones(sep, spec, samples))
+    for spec, vertices in ((hexagon_gauge(), 6), (_OCTAGON, 8)):
+        assert len(polygon_vertices_2d(spec)) == vertices
+        assert run_command(["normalize2d", "--norm", files("norm.json", norm_to_json(spec))]) == 0
+    pts = [[0, 0, 0], [1, 0, 0], [0, 2, 1], [3, 1, 1], [[1, 2], 1, 0]]
+    for spec in (hexagon_gauge(), l1(3)):
+        argv = ["--norm", files("norm.json", norm_to_json(spec)), "--points",
+                files("pts.json", {"dim": spec.dim, "points": [p[:spec.dim] for p in pts]})]
+        for command in ("bound", "decompose", "spectrum"):
+            assert run_command([command] + argv) == 0
 
 
 @pytest.mark.parametrize("norm, digests", [
