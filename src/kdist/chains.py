@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import ge, mul, neg, sub
 
 from .errors import CertificateError, InputError
@@ -39,6 +38,8 @@ class PolyhedralCone:
     dim: int | None = field(init=False, compare=False)
     # The facets times one common denominator: the same halfspaces.
     _rows: tuple = field(init=False, repr=False, compare=False)
+    # The rays likewise, each as (its first nonzero index, the integer ray).
+    _rays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(is_zero(r) for r in self.excluded_rays):
@@ -48,21 +49,21 @@ class PolyhedralCone:
             raise InputError("cone facets and excluded rays differ in length")
         object.__setattr__(self, "dim", dims.pop() if dims else None)
         object.__setattr__(self, "_rows", tuple(clear_denominators(self.facets)[0]))
+        object.__setattr__(self, "_rays", tuple(
+            (next(i for i, b in enumerate(r) if b), r)
+            for r in clear_denominators(self.excluded_rays)[0]))
 
     def contains(self, v: Vec) -> bool:
         for c in self._rows:
             if sum(map(mul, c, v)) < 0:
                 return False
-        return not self.excluded_rays or not self.on_excluded_ray(v)
+        return not self.on_excluded_ray(v)
 
     def on_excluded_ray(self, v: Vec) -> bool:
-        """True iff v = t r for some t > 0 and excluded ray r."""
-        for r in self.excluded_rays:
-            i = next(i for i, b in enumerate(r) if b != 0)
-            t = Fraction(v[i], r[i])
-            if t > 0 and all(a == t * b for a, b in zip(v, r)):
-                return True
-        return False
+        """True iff v = t r for some t > 0 and excluded ray r: v is parallel
+        to r (v_j r_i = v_i r_j) and has r's sign at r's first nonzero index i."""
+        return any(v[i] * r[i] > 0 and all(a * r[i] == v[i] * b for a, b in zip(v, r))
+                   for i, r in self._rays)
 
 
 @functools.cache       # once per norm: the rank test and the facets run on Fractions
@@ -96,15 +97,19 @@ def linf_cone_family(dim: int) -> tuple[PolyhedralCone, ...]:
 # ---------------------------------------------------------------------------
 # orders and heights
 
-def _order(ints, cone) -> list[list[int]]:
-    """The cone's order on the points: for each x, the ascending indices y
-    with ints[x] - ints[y] in the cone.  Each facet row r is evaluated once
-    per point: x - y lies in the closed cone iff r.x >= r.y for every r, and
-    only the pairs that pass are tested against the excluded rays.  Points
-    of another dimension than the cone's raise InputError."""
+def _facet_values(cone, ints) -> list[tuple]:
+    """Each point's values on the cone's facet rows, taken once per point.
+    Points of another dimension than the cone's raise InputError."""
     if cone.dim is not None and any(len(x) != cone.dim for x in ints):
         raise InputError(f"a cone of dimension {cone.dim} on points of another dimension")
-    vals = [tuple([sum(map(mul, r, x)) for r in cone._rows]) for x in ints]
+    return [tuple([sum(map(mul, r, x)) for r in cone._rows]) for x in ints]
+
+
+def _order(cone, ints, vals) -> list[list[int]]:
+    """The cone's order on the points: for each x, the ascending indices y
+    with ints[x] - ints[y] in the cone, read off the facet values vals.  By
+    linearity x - y lies in the closed cone iff vals[x] >= vals[y] termwise,
+    and only the pairs that pass are tested against the excluded rays."""
     below = [[j for j, vy in enumerate(vals) if j != i and all(map(ge, vx, vy))]
              for i, vx in enumerate(vals)]
     if cone.excluded_rays:
@@ -145,7 +150,8 @@ def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
     D > 0 leaves unchanged; a cycle raises CertificateError.
     """
     pts = sorted(ps.points)
-    return dict(zip(pts, _heights(_order(clear_denominators(pts)[0], cone), pts)))
+    ints = clear_denominators(pts)[0]
+    return dict(zip(pts, _heights(_order(cone, ints, _facet_values(cone, ints)), pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +170,19 @@ class ConeConditionReport:
 
 
 def _equal_norm_violations(idx: int, cone, members) -> list[tuple[int, Vec, Vec]]:
-    """(idx, u, v) for the labels u before v of two members (label, scaled
-    vector, norm) of one norm, related in the cone's order on those members."""
+    """(idx, u, v) for the labels u before v of two members (label, integer
+    vector, facet values, norm) of one norm whose difference lies in the
+    cone, either way: the facet values of a difference are the difference
+    of the members' facet values."""
     by_norm: dict = {}
-    for v, x, n in members:
-        by_norm.setdefault(n, []).append((v, x))
+    for v, x, f, n in members:
+        by_norm.setdefault(n, []).append((v, x, f))
     out = []
     for group in (g for g in by_norm.values() if len(g) > 1):
-        below = [set(ys) for ys in _order([x for _, x in group], cone)]
-        out += [(idx, u, v) for i, (u, _) in enumerate(group)
-                for j, (v, _) in enumerate(group[i + 1:], i + 1)
-                if j in below[i] or i in below[j]]
+        labels, ints, vals = zip(*group)
+        related = {(min(i, j), max(i, j)) for i, ys in enumerate(_order(cone, ints, vals))
+                   for j in ys}
+        out += [(idx, labels[i], labels[j]) for i, j in sorted(related)]
     return out
 
 
@@ -196,13 +204,13 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
     g = gauge(spec)
     scaled, _ = g.clear(vectors)
     values = g.reduce(image_array(g, scaled)).tolist()
-    members = list(zip(vectors, scaled, values))
-    inside = [[cone.contains(x) for cone in family] for _, x, _ in members]
+    inside = [[cone.contains(x) for cone in family] for x in scaled]
     report = ConeConditionReport()
-    for (v, x, _), hits in zip(members, inside):
+    for v, x, hits in zip(vectors, scaled, inside):
         if not any(hits) and not any(c.contains(tuple(map(neg, x))) for c in family):
             report.uncovered.append(v)
     for idx, cone in enumerate(family):
+        members = zip(vectors, scaled, _facet_values(cone, scaled), values)
         report.equal_norm_violations += _equal_norm_violations(
             idx, cone, [m for m, hits in zip(members, inside) if hits[idx]])
     return report
@@ -249,28 +257,36 @@ def chain_certificate(spec: NormSpec, ps: PointSet, family) -> HeightCertificate
     """Height-vector certificate for ps under the cone family, on ps's table.
 
     Coverage, the equal-norm check (on all of D(S) in each cone, grouped by
-    table value) and the heights are all read off the cones' orders.
+    table value) and the heights are all read off the cones' orders and
+    the facet values they are built from, taken once per point.
     Raises CertificateError if some difference of ps is covered by no cone
     (condition (1) fails on S).  Equal-norm violations found on S are
     recorded in the certificate rather than raised, since they invalidate
     the h <= k guarantee but not the height computation.
     """
     table = PairTable(spec, ps)
-    pts, values, n = table.points, table.values, len(table.points)
-    orders = [_order(table.ints, cone) for cone in family]
+    pts, ints, values, n = table.points, table.ints, table.values, len(table.points)
+    facets = [_facet_values(cone, ints) for cone in family]
+    orders = [_order(cone, ints, vals) for cone, vals in zip(family, facets)]
     related = {(x, y) for below in orders for x, ys in enumerate(below) for y in ys}
     for x in range(n):
         for y in range(x + 1, n):
             if (x, y) not in related and (y, x) not in related:
                 raise CertificateError(
                     f"no cone of the family covers the difference of {pts[x]} and {pts[y]}")
+    # One int key per point, one-to-one on differences of the points cleared to ints:
+    # a difference's coordinates (within +-span) are its key's digits in base 2 span + 1.
+    cleared = clear_denominators(ints)[0]
+    base = 2 * max((max(c) - min(c) for c in zip(*cleared)), default=0) + 1
+    keys = [sum(a * base ** j for j, a in enumerate(x)) for x in cleared]
     violations = []
-    for idx, (cone, below) in enumerate(zip(family, orders)):
-        pairs: dict = {}        # integer difference -> the first pair (x, y) with it
+    for idx, (cone, vals, below) in enumerate(zip(family, facets, orders)):
+        first: dict = {}        # difference (by key) -> the first pair (x, y) with it
         for x, ys in enumerate(below):
             for y in ys:
-                pairs.setdefault(table.diff(y, x), (x, y))
-        members = [(xy, d, values[xy[0]][xy[1]]) for d, xy in pairs.items()]
+                first.setdefault(keys[x] - keys[y], (x, y))
+        members = [((x, y), table.diff(y, x), tuple(map(sub, vals[x], vals[y])), values[x][y])
+                   for x, y in first.values()]
         violations += [(i, vsub(pts[x], pts[y]), vsub(pts[z], pts[w]))
                        for i, (x, y), (z, w) in _equal_norm_violations(idx, cone, members)]
 

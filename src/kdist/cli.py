@@ -22,9 +22,8 @@ from .cover import (cone_halfwidth_check, cover_assignment, general_bound,
                     separated_set_capacity, sphere_samples)
 from .decompose import decompose_recursive_bound
 from .errors import CertificateError, FalsificationError, InputError, KdistError
-from .norms import (NormSpec, norm_from_json, norm_to_json, polygon_vertices_2d,
-                    rat_to_pair, vec_to_json, vsub)
-from .planar import apply_matrix, chain_route, max_area_normalization
+from .norms import NormSpec, norm_from_json, norm_to_json, rat_to_pair, vec_to_json, vsub
+from .planar import apply_matrix, chain_route, planar_normalization
 from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
 from .spectrum import (PointSet, distance_spectrum, pointset_from_json,
                        pointset_to_json, spectrum_to_json)
@@ -83,11 +82,10 @@ def _cmd_chains(args) -> int:
 
 def _cmd_normalize2d(args) -> int:
     spec = _load_norm(args.norm)
-    verts = polygon_vertices_2d(spec)
-    nrm = max_area_normalization(verts)
+    nrm = planar_normalization(spec)
     # Checked on the input polygon's differences, reported in the frame of C' by T.
-    report = check_cone_conditions(nrm.cones, spec,
-                                   [vsub(v, u) for u in verts for v in verts if u != v])
+    report = check_cone_conditions(nrm.cones, spec, [vsub(v, u) for u in nrm.polygon
+                                                     for v in nrm.polygon if u != v])
     _emit({
         "x0": vec_to_json(nrm.x0),
         "y0": vec_to_json(nrm.y0),

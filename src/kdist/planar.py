@@ -12,6 +12,7 @@ certify the input points under the original norm.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,6 +118,7 @@ class Normalization2D:
     vertices: tuple[Vec, ...]    # image polygon C', counterclockwise
     cones: tuple[PolyhedralCone, PolyhedralCone]    # the quadrant pair of x0, y0
     removed: tuple[tuple[str, Vec], ...]            # its removed rays (label, ray)
+    polygon: tuple[Vec, ...]     # the input polygon, counterclockwise
 
 
 def max_area_normalization(polygon) -> Normalization2D:
@@ -154,7 +156,7 @@ def max_area_normalization(polygon) -> Normalization2D:
     if not {vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)} <= set(image):
         raise GeometryError("cross-polytope vertex outside normalized polygon")
     p1, p2, removed = _quadrant_pair(verts, x0, y0)
-    return Normalization2D(x0, y0, T, image, (p1, p2), removed)
+    return Normalization2D(x0, y0, T, image, (p1, p2), removed, tuple(verts))
 
 
 @dataclass(frozen=True)
@@ -186,12 +188,18 @@ def quadrant_cones(vertices) -> QuadrantCones:
     return QuadrantCones(p1, p2, removed, report)
 
 
+@functools.cache       # once per norm, as parallelotope_cones
+def planar_normalization(spec: NormSpec) -> Normalization2D:
+    """The max-area normalization of a planar exact norm's unit polygon."""
+    return max_area_normalization(polygon_vertices_2d(spec))
+
+
 def planar_cones(spec: NormSpec) -> tuple[PolyhedralCone, PolyhedralCone]:
     """The two cones of the planar certificate in the input frame: the
     quadrant pair of the normalization's basis x0, y0 on the unit polygon.
     x lies in one iff T x lies in the matching cone of quadrant_cones(C'),
     and the removed rays are T^-1 r = r_1 x0 + r_2 y0."""
-    return max_area_normalization(polygon_vertices_2d(spec)).cones
+    return planar_normalization(spec).cones
 
 
 def planar_bound_certificate(spec: NormSpec, ps: PointSet) -> HeightCertificate:

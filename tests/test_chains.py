@@ -136,9 +136,9 @@ def test_one_membership_test_per_ordered_pair_and_cone(monkeypatch, pts):
     ordered, tests = [], [0]
     order, contains = chains._order, PolyhedralCone.contains
 
-    def counting_order(ints, cone):
+    def counting_order(cone, ints, vals):
         ordered.append(cone)
-        return order(ints, cone)
+        return order(cone, ints, vals)
 
     def counting_contains(self, v):
         tests[0] += 1

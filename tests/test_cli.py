@@ -261,6 +261,7 @@ def test_each_planar_command_builds_only_what_it_prints(files, capsys, monkeypat
 
 
 def test_normalize2d_validates_the_polygon_once(files, capsys, monkeypatch):
+    planar.planar_normalization.cache_clear()
     calls = []
     for name in ("_validate_polygon", "_check_symmetric"):
         def counting(*args, f=getattr(planar, name), name=name):
@@ -270,6 +271,57 @@ def test_normalize2d_validates_the_polygon_once(files, capsys, monkeypatch):
     norm = files("norm.json", norm_to_json(hexagon_gauge()))
     assert run_command(["normalize2d", "--norm", norm]) == 0
     assert sorted(calls) == ["_check_symmetric", "_validate_polygon"]
+
+
+_OCTAGONS = [polygon_gauge(random_symmetric_polygon(random.Random(seed), 8, 8))
+             for seed in (3, 4)]
+
+
+@pytest.mark.parametrize("spec", [l1(2), hexagon_gauge(), *_OCTAGONS, linf(3)],
+                         ids=["l1", "hexagon", "octagon3", "octagon4", "linf3"])
+def test_planar_commands_print_the_same_from_a_cold_and_a_warm_cache(files, capsys, spec):
+    pts = PointSet.of([vec(*p[:spec.dim]) for p in
+                       [(0, 0, 0), (1, 0, 1), (1, 1, 0), (0, 2, 1), (3, 1, 2)]])
+    norm = files("norm.json", norm_to_json(spec))
+    points = files("pts.json", pointset_to_json(pts))
+    outputs = []
+    planar.planar_normalization.cache_clear()
+    for _ in range(2):                  # from a cold cache, then from a warm one
+        for cmd in ("bound", "chains", "normalize2d"):
+            argv = [cmd, "--norm", norm] + (["--points", points] if cmd != "normalize2d" else [])
+            rc = run_command(argv)
+            outputs.append((cmd, rc, *capsys.readouterr()))
+    assert outputs[:3] == outputs[3:]
+    # chains takes only parallelotopes, normalize2d only planar norms.
+    assert [rc for _, rc, _, _ in outputs[:3]] == ([0, 0, 1] if spec.dim == 3 else [0, 1, 0])
+
+
+def test_one_normalization_per_norm_across_commands_and_files(files, capsys, monkeypatch):
+    planar.planar_normalization.cache_clear()
+    calls = []
+    build = planar.max_area_normalization
+    monkeypatch.setattr(planar, "max_area_normalization",
+                        lambda polygon: calls.append(polygon) or build(polygon))
+    spec = _OCTAGONS[0]
+    first = files("norm.json", norm_to_json(spec))
+    again = files("same.json", norm_to_json(spec))
+    points = files("pts.json", pointset_to_json(PointSet.of([vec(0, 0), vec(1, 1)])))
+    for argv in (["bound", "--norm", first, "--points", points],
+                 ["normalize2d", "--norm", first],
+                 ["bound", "--norm", again, "--points", points],
+                 ["normalize2d", "--norm", again]):
+        assert run_command(argv) == 0
+    assert len(calls) == 1
+
+
+def test_distinct_octagons_keep_distinct_normalizations():
+    planar.planar_normalization.cache_clear()
+    a, b = (planar.planar_normalization(spec) for spec in _OCTAGONS)
+    assert planar.planar_normalization.cache_info().currsize == 2
+    assert a.polygon != b.polygon and a.cones != b.cones
+    for spec, nrm in zip(_OCTAGONS, (a, b)):
+        assert nrm == max_area_normalization(polygon_vertices_2d(spec))
+        assert planar_cones(spec) is nrm.cones
 
 
 @pytest.mark.parametrize("spec", [l1(2), hexagon_gauge(), polygon_gauge(

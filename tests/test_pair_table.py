@@ -5,6 +5,8 @@ Each reference below evaluates every pair with ``norm_eval`` on the
 they shared one integer table.
 """
 
+import functools
+import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -21,9 +23,11 @@ from kdist import (GeometryError, PointSet, PolyhedralCone, SearchProblem,
                    best_distinct_witness, branch_and_bound, brute_force_oracle,
                    chain_certificate, check_cone_conditions, clusters_at,
                    decompose_recursive_bound, distance_spectrum, hexagon_gauge, l1, linf,
-                   linf_cone_family, lp, norm_eval, polytopal, vec)
+                   linf_cone_family, lp, norm_eval, polygon_gauge, polytopal, vec)
 from kdist import norms
-from kdist.norms import FLOAT_EPS, dot, gauge, vneg, vsub
+from kdist.gen import random_symmetric_polygon
+from kdist.norms import FLOAT_EPS, dot, gauge, vadd, vneg, vscale, vsub
+from kdist.planar import planar_cones
 from kdist.search import _pair_classes
 from kdist.spectrum import DistanceSpectrum, PairTable, _value_classes
 
@@ -116,6 +120,7 @@ def ref_certificate(spec, pts, family):
     diffs = [vsub(x, y) for x in pts for y in pts if x != y]
     violations = ref_conditions(family, spec, diffs)[1]
 
+    @functools.cache
     def height(cone, x):
         return max((1 + height(cone, y) for y in pts
                     if y != x and ref_contains(cone, vsub(x, y))), default=0)
@@ -221,6 +226,45 @@ def test_chain_certificate_matches_reference(case, data):
 def test_cone_conditions_match_reference(spec, family, vectors):
     if not any(any(v) for v in vectors):
         vectors.append(vec(1, 0))
+    report = check_cone_conditions(family, spec, vectors)
+    assert (report.uncovered, report.equal_norm_violations) == \
+        ref_conditions(family, spec, vectors)
+
+
+@st.composite
+def planar_cases(draw, max_size=12):
+    """The planar cones of l1, the hexagon or a random polygon; a gauge, their
+    own or another; and up to max_size points, some of them a multiple of an
+    excluded ray apart, so that differences fall on the removed rays."""
+    kind = draw(st.sampled_from(["l1", "hexagon", "polygon"]))
+    own = (l1(2) if kind == "l1" else hexagon_gauge() if kind == "hexagon" else
+           polygon_gauge(random_symmetric_polygon(random.Random(draw(st.integers(0, 2 ** 32))))))
+    family = planar_cones(own)
+    rays = [r for cone in family for r in cone.excluded_rays] or [vec(1, 1)]
+    pts = draw(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=max_size // 2,
+                        unique=True))
+    steps = draw(st.lists(st.tuples(st.integers(0, len(pts) - 1), st.sampled_from(rays),
+                                    rationals), max_size=max_size - len(pts)))
+    pts += [vadd(pts[i], vscale(t, r)) for i, r, t in steps]
+    return draw(st.one_of(st.just(own), gauges(2))), family, list(dict.fromkeys(pts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planar_cases())
+def test_chain_certificate_matches_reference_on_planar_cones(case):
+    spec, family, pts = case
+    cert = chain_certificate(spec, PointSet(2, tuple(pts)), family)
+    heights, violations = ref_certificate(spec, pts, family)
+    assert cert.heights == heights
+    assert cert.injective == (len(set(heights.values())) == len(pts))
+    assert cert.violations == violations
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planar_cases())
+def test_cone_conditions_match_reference_on_planar_cones(case):
+    spec, family, pts = case
+    vectors = [vsub(x, y) for x in pts for y in pts if x != y] or [vec(1, 0)]
     report = check_cone_conditions(family, spec, vectors)
     assert (report.uncovered, report.equal_norm_violations) == \
         ref_conditions(family, spec, vectors)
