@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from fractions import Fraction
 from math import inf, lcm
 
@@ -46,13 +46,75 @@ def general_bound(k: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sphere sampling
+# unit vectors and sphere sampling
+
+# Every threshold is decided on gauge values: with c = (Y_c, q_c) and x = (Y_x, q_x),
+# ||c - x|| < 1/5 is 5 * value(q_x * Y_c - q_c * Y_x) < q_c * q_x * scale, homogeneous
+# in (Y, q), so q need not be least.  sphere_samples draws each sample as an integer row
+# over q, the greedy set keeps its centers' rows and each cone its center's and
+# generators'; any other set is split on use, each v cleared to q, the lcm of its
+# denominators, and q * v.  Each test is one array comparison per center.
+
+class UnitVectors(tuple):
+    """Unit vectors of one norm, vector i the row ``ys[i]`` over ``qs[i]``.  A tuple,
+    so the rows cannot go stale; it compares, hashes, prints, copies and pickles as the
+    plain tuple.  Its arrays are int64 only while the bound of :func:`_cast` over the
+    set is below INT64_LIMIT, and a subset keeps that."""
+
+    def __new__(cls, vectors, spec: NormSpec, ys: np.ndarray, qs: np.ndarray):
+        self = super().__new__(cls, vectors)
+        self.spec, self.ys, self.qs = spec, ys, qs
+        return self
+
+    def take(self, idx: np.ndarray) -> UnitVectors:
+        """The vectors at the indices idx, with their rows."""
+        return UnitVectors([self[i] for i in idx.tolist()], self.spec, self.ys[idx], self.qs[idx])
+
+    def __reduce__(self):                   # copies drop the rows
+        return tuple, (tuple(self),)
+
+
+def _cast(g: Gauge, *sets: UnitVectors) -> list[UnitVectors]:
+    """The sets in one dtype: int64 while max(10 * width * max|Y| * max q, max q^2 * scale)
+    over their union, which bounds 5 * value(q_x * Y_c - q_c * Y_x) and q_c * q_x * scale,
+    is below INT64_LIMIT.  lp's arrays hold the points' own numbers, always object."""
+    if not isinstance(g, IntGauge):
+        return list(sets)
+    qtop = max((int(s.qs.max()) for s in sets if len(s)), default=1)
+    top = max((int(abs(s.ys).max()) for s in sets if len(s)), default=0)
+    bound = max(10 * sets[0].ys.shape[1] * top * qtop, qtop * qtop * g.scale)
+    dtype = np.int64 if bound < norms.INT64_LIMIT else object
+    return [s if s.ys.dtype == dtype else
+            UnitVectors(s, s.spec, s.ys.astype(dtype), s.qs.astype(dtype)) for s in sets]
+
+
+def _units(g: Gauge, spec: NormSpec, vectors, carried=None) -> UnitVectors:
+    """The vectors as UnitVectors of spec.  The carried value (by default a
+    SampleList's units, or the vectors themselves) is returned if it was made
+    under spec for exactly these vectors; else each vector is split once."""
+    if carried is None:
+        carried = getattr(vectors, "units", vectors)
+    if (isinstance(carried, UnitVectors) and (carried.spec is spec or carried.spec == spec)
+            and (carried is vectors or carried == tuple(vectors))):
+        return carried
+    vectors = tuple(vectors)
+    if bad := [v for v in vectors if len(v) != g.dim]:
+        raise InputError(f"vector has dimension {len(bad[0])}, expected {g.dim}")
+    if isinstance(g, IntGauge):
+        qs = [lcm(*[a.denominator for a in v]) for v in vectors]
+        rows = [[a.numerator * (q // a.denominator) for a in v] for v, q in zip(vectors, qs)]
+    else:
+        rows, qs = vectors, [1] * len(vectors)
+    ys = image_array(g, rows)
+    # A non-unit v can have a q past int64 while its row fits.
+    fits = ys.dtype != object and max(qs, default=1) < norms.INT64_LIMIT
+    return _cast(g, UnitVectors(vectors, spec, ys, np.array(qs, np.int64 if fits else object)))[0]
+
 
 class SampleList(list):
-    """The list of :func:`sphere_samples`, carrying its split ``(spec, snapshot, (Y, q))``:
-    read only under that spec while the list still holds the snapshot's vectors."""
+    """The list of :func:`sphere_samples`, its UnitVectors in ``units``."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("units",)
 
 
 def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
@@ -98,7 +160,7 @@ def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
                 rows.append(tuple(a / n for a in v))
         vectors, ys, qs = rows, image_array(g, rows), [1] * len(rows)
     out = SampleList(vectors)
-    out._rows = (spec, tuple(out), (ys, np.array(qs, ys.dtype)))
+    [out.units] = _cast(g, UnitVectors(vectors, spec, ys, np.array(qs, ys.dtype)))
     return out
 
 
@@ -107,68 +169,10 @@ def sphere_samples(spec: NormSpec, count: int, seed: int = 0) -> list[Vec]:
 
 @dataclass(frozen=True)
 class SeparatedSet:
-    """Unit vectors pairwise 1/5-separated in both +- combinations."""
+    """Unit vectors pairwise 1/5-separated in both +- combinations.  The greedy
+    set's centers are UnitVectors; a hand-built set's are split on use."""
 
     centers: tuple[Vec, ...]
-    # (spec, centers, (Y, q)) as greedy_separated_set split them, as in SampleList.
-    _rows: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-
-def _carry(obj, rows: tuple):
-    """The frozen obj with its carried split set to rows."""
-    object.__setattr__(obj, "_rows", rows)
-    return obj
-
-
-def _listed(vectors) -> list:
-    """A list of the vectors: a list itself, so that a SampleList keeps its split."""
-    return vectors if isinstance(vectors, list) else list(vectors)
-
-
-# Every threshold is decided on gauge values: with c = (Y_c, q_c) and x = (Y_x, q_x),
-# ||c - x|| < 1/5 is 5 * value(q_x * Y_c - q_c * Y_x) < q_c * q_x * scale, homogeneous
-# in (Y, q), so q need not be least.  sphere_samples draws each vector as an integer row
-# over q and hands its image on (SampleList), the greedy set hands on its kept rows, and
-# each cone gets its center's and generators' rows: no stage splits a vector again.
-# Any other set is split by clearing each v to q, the lcm of its denominators, and
-# q * v, whose images norms.image_array forms at once.  The sets of one call then take
-# one dtype by the cover's own bound over their union.  Each test is one array comparison
-# per center.
-
-
-def _split_set(g: Gauge, vectors: list) -> tuple:
-    """The arrays (Y, q) of a vector set that carries no split."""
-    if set(map(len, vectors)) - {g.dim}:
-        v = next(v for v in vectors if len(v) != g.dim)
-        raise InputError(f"vector has dimension {len(v)}, expected {g.dim}")
-    if isinstance(g, IntGauge):
-        qs = [lcm(*[a.denominator for a in v]) for v in vectors]
-        rows = [[a.numerator * (q // a.denominator) for a in v] for v, q in zip(vectors, qs)]
-    else:
-        rows, qs = vectors, [1] * len(vectors)
-    ys = image_array(g, rows)
-    return ys, np.array(qs, ys.dtype)
-
-
-def _split(g: Gauge, spec: NormSpec, *vector_sets) -> list:
-    """Each vector set (a list of vectors, or a SeparatedSet's centers) as its
-    arrays (Y, q), of one dtype for all the sets.  A set's carried split is read
-    if it was made under spec for exactly these vectors, else the set is split."""
-    splits = []
-    for vs in vector_sets:
-        rows = getattr(vs, "_rows", None)
-        vectors = vs.centers if isinstance(vs, SeparatedSet) else vs
-        carried = rows is not None and rows[0] == spec and tuple(vectors) == rows[1]
-        splits.append(rows[2] if carried else _split_set(g, vectors))
-    if not isinstance(g, IntGauge):
-        return splits                       # lp: the points' own numbers, always object
-    # The thresholds' dtype rule over the union: 5 * value(q_x * Y_c - q_c * Y_x) is at
-    # most 5 * max q * (2 * width * max|Y|), and q_c * q_x * scale at most max q^2 * scale.
-    qtop = max((int(qs.max()) for _, qs in splits if len(qs)), default=1)
-    top = max((int(abs(ys).max()) for ys, _ in splits if ys.size), default=0)
-    bound = max(10 * splits[0][0].shape[1] * top * qtop, qtop * qtop * g.scale)
-    dtype = np.int64 if bound < norms.INT64_LIMIT else object
-    return [(ys.astype(dtype, copy=False), qs.astype(dtype, copy=False)) for ys, qs in splits]
 
 
 def _distances(g: Gauge, c, xs):
@@ -186,16 +190,17 @@ def _near(g: Gauge, c, xs, closed: bool = False):
                            (_distances(g, c, xs), _distances(g, (-y, q), xs))])
 
 
-def _check_unit(g: Gauge, split, vectors, what: str) -> None:
-    ys, qs = split
-    bad = abs(g.reduce(ys) - qs * g.scale) > g.tol * qs * g.scale
+def _check_unit(g: Gauge, units: UnitVectors, what: str, n: int | None = None) -> None:
+    """Raise InputError unless the first n vectors (all by default) are unit vectors."""
+    den = units.qs[:n] * g.scale
+    bad = abs(g.reduce(units.ys[:n]) - den) > g.tol * den
     if bad.any():
-        raise InputError(f"{what} {vectors[bad.argmax()]} is not a unit vector")
+        raise InputError(f"{what} {units[bad.argmax()]} is not a unit vector")
 
 
-def _check_separated(g: Gauge, split, message: str) -> None:
-    """Raise CertificateError unless the rows are pairwise 1/5-separated."""
-    ys, qs = split
+def _check_separated(g: Gauge, units: UnitVectors, message: str) -> None:
+    """Raise CertificateError unless the vectors are pairwise 1/5-separated."""
+    ys, qs = units.ys, units.qs
     for i in range(len(qs) - 1):
         if _near(g, (ys[i], qs[i]), (ys[i + 1:], qs[i + 1:])).any():
             raise CertificateError(message)
@@ -208,21 +213,19 @@ def greedy_separated_set(spec: NormSpec, samples) -> SeparatedSet:
     test is decided on gauge values (exactly on integers for the exact
     kinds, in floats for lp), and the kept centers are re-checked afterwards.
     """
-    samples = _listed(samples)
+    g = gauge(spec)
+    samples = _units(g, spec, samples)
     if not samples:
         raise InputError("samples must be nonempty")
-    g = gauge(spec)
-    [(ys, qs)] = _split(g, spec, samples)
-    _check_unit(g, (ys, qs), samples, "sample")
-    blocked, kept = np.zeros(len(samples), bool), []   # within 1/5 of a kept +-center
+    _check_unit(g, samples, "sample")
+    ys, qs = samples.ys, samples.qs
+    blocked = np.zeros(len(samples), bool)      # within 1/5 of a kept +-center
     for i in range(len(samples)):
         if not blocked[i]:
-            kept.append(i)
             blocked[i + 1:] |= _near(g, (ys[i], qs[i]), (ys[i + 1:], qs[i + 1:]))
-    rows = (ys[kept], qs[kept])
-    _check_separated(g, rows, "greedy output violates separation")
-    centers = tuple(samples[i] for i in kept)
-    return _carry(SeparatedSet(centers), (spec, centers, rows))
+    centers = samples.take(np.flatnonzero(~blocked))
+    _check_separated(g, centers, "greedy output violates separation")
+    return SeparatedSet(centers)
 
 
 # ---------------------------------------------------------------------------
@@ -246,41 +249,42 @@ def cover_assignment(sep: SeparatedSet, spec: NormSpec, test_vectors) -> CoverRe
     The non-strict threshold follows the maximality clause: a vector at
     distance exactly 1/5 from every center could not extend the set.
     """
-    test_vectors = _listed(test_vectors)
     g = gauge(spec)
-    centers, xs = _split(g, spec, sep, test_vectors)
-    _check_unit(g, centers, sep.centers, "center")
-    _check_unit(g, xs, test_vectors, "test vector")
-    first = np.full(len(test_vectors), -1)
-    for i, c in enumerate(zip(*centers)):
-        first[(first < 0) & _near(g, c, xs, closed=True)] = i
+    centers, xs = _cast(g, _units(g, spec, sep.centers), _units(g, spec, test_vectors))
+    _check_unit(g, centers, "center")
+    _check_unit(g, xs, "test vector")
+    first = np.full(len(xs), -1)
+    for i, c in enumerate(zip(centers.ys, centers.qs)):
+        first[(first < 0) & _near(g, c, (xs.ys, xs.qs), closed=True)] = i
     assignments = [i if i >= 0 else None for i in first.tolist()]
-    return CoverReport(assignments, [v for v, i in zip(test_vectors, assignments) if i is None])
+    return CoverReport(assignments, [v for v, i in zip(xs, assignments) if i is None])
 
 
 @dataclass(frozen=True)
 class GeneratedCone:
-    """Cone generated by the unit vectors within 1/5 of a center."""
+    """Cone generated by the unit vectors within 1/5 of a center.  ``rows``, set by
+    :func:`generated_cones`, holds the center and then the generators as one
+    UnitVectors: read only while it is ``(center, *generators)`` under its spec."""
 
     center: Vec
     generators: tuple[Vec, ...]
-    # (spec, (Y, q) of the center, (Y, q) of the generators) as generated_cones split them.
-    _rows: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    rows: UnitVectors | None = field(default=None, compare=False, repr=False)
 
 
 def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[GeneratedCone]:
     """The cones of the construction: generators are samples strictly within 1/5."""
     g = gauge(spec)
-    samples = _listed(samples)
-    (yc, qc), xs = _split(g, spec, sep, samples)
-    _check_unit(g, (yc, qc), sep.centers, "center")
+    centers, xs = _cast(g, _units(g, spec, sep.centers), _units(g, spec, samples))
+    _check_unit(g, centers, "center")
+    # Cone i holds center i and then its generators, or center i again if it has none.
+    both = UnitVectors(centers + xs, spec, np.concatenate([centers.ys, xs.ys]),
+                       np.concatenate([centers.qs, xs.qs]))
     cones = []
-    for i, c in enumerate(sep.centers):
-        v, den = _distances(g, (yc[i], qc[i]), xs)
-        near, center = 5 * v < den, (yc[i:i + 1], qc[i:i + 1])
-        gens, rows = ((tuple(compress(samples, near)), (xs[0][near], xs[1][near]))
-                      if near.any() else ((c,), center))
-        cones.append(_carry(GeneratedCone(c, gens), (spec, center, rows)))
+    for i, c in enumerate(centers):
+        v, den = _distances(g, (centers.ys[i], centers.qs[i]), (xs.ys, xs.qs))
+        near = np.flatnonzero(5 * v < den) + len(centers)
+        rows = both.take(np.concatenate(([i], near if near.size else [i])))
+        cones.append(GeneratedCone(c, rows[1:], rows))
     return cones
 
 
@@ -313,21 +317,16 @@ def cone_halfwidth_check(cone: GeneratedCone, spec: NormSpec,
     ||y - s*c|| <= s*r, so ||y|| >= s*(1 - r) and y/||y|| lies within 2r of
     c with coefficient sum s/||y|| <= 1/(1 - r).  With r < 1/5 these are
     below 1/2 and 5/4.  r is exact on the exact kinds and a float for lp.
-    A cone from :func:`generated_cones` carries the rows (Y, q) of its center
-    and generators, split for its spec: under that spec they are read, not
-    split again; a cone built by hand, or checked under another spec, is split.
     ``trials`` and ``seed`` are accepted and ignored: nothing is sampled.
     """
     if not cone.generators:
         raise InputError("cone has no generators")
     g = gauge(spec)
-    if cone._rows and cone._rows[0] == spec:
-        _, center, gens = cone._rows
-    else:
-        center, gens = _split(g, spec, [cone.center], cone.generators)
-    _check_unit(g, center, [cone.center], "cone center")
-    # The same ||c - x|| as generated_cones, so the strict 1/5 threshold agrees.
-    v, den = _distances(g, (center[0][0], center[1][0]), gens)
+    rows = _units(g, spec, (cone.center, *cone.generators), cone.rows)
+    _check_unit(g, rows, "cone center", 1)
+    # The same ||c - x|| as generated_cones, so the strict 1/5 threshold agrees.  Row 0
+    # is c itself, at distance 0: it changes neither the radius nor the failures.
+    v, den = _distances(g, (rows.ys[0], rows.qs[0]), (rows.ys, rows.qs))
     dists = list(zip(v.tolist(), den.tolist()))
     far, failures = (0, 1), []
     for dist in dists:
@@ -335,7 +334,7 @@ def cone_halfwidth_check(cone: GeneratedCone, spec: NormSpec,
             far = dist
     if 5 * far[0] >= far[1]:                # else no generator is that far
         failures = [{"generator": x, "distance": g.quotient(*d)}
-                    for x, d in zip(cone.generators, dists) if 5 * d[0] >= d[1]]
+                    for x, d in zip(rows, dists) if 5 * d[0] >= d[1]]
     r = g.quotient(*far)
     return HalfwidthReport(r, 2 * r, 1 / (1 - r) if r < 1 else inf, failures)
 
@@ -352,7 +351,7 @@ def packing_bound_check(sep: SeparatedSet, spec: NormSpec) -> bool:
             f"separated set of size {m} exceeds the packing cap "
             f"{separated_set_capacity(spec.dim)} in dimension {spec.dim}")
     g = gauge(spec)
-    [centers] = _split(g, spec, sep)
-    _check_unit(g, centers, sep.centers, "center")
+    centers = _units(g, spec, sep.centers)
+    _check_unit(g, centers, "center")
     _check_separated(g, centers, "separated-set invariant violated")
     return True

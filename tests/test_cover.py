@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from functools import cache
@@ -107,9 +109,11 @@ def test_greedy_separated_set_lp():
     assert len(sep.centers) <= separated_set_capacity(2)
 
 
-def test_greedy_rejects_non_unit_sample():
-    with pytest.raises(InputError):
-        greedy_separated_set(linf(2), [vec(2, 0)])
+@pytest.mark.parametrize("v", [vec(2, 0), vec(Fraction(1, 10 ** 30), 0)])
+def test_greedy_rejects_non_unit_sample(v):
+    # (1/10^30, 0): its row (1, 0) fits int64, its q does not.
+    with pytest.raises(InputError, match="is not a unit vector"):
+        greedy_separated_set(linf(2), [v])
 
 
 def test_greedy_is_maximal_over_samples():
@@ -349,8 +353,7 @@ HUGE_DENOMINATORS = polytopal([[Fraction(10**12 + 39, 10**12 - 11), Fraction(1, 
 
 
 def _kernel_dtype(spec):
-    [(images, _)] = cover._split(gauge(spec), spec, sphere_samples(spec, 10, seed=11))
-    return images.dtype
+    return sphere_samples(spec, 10, seed=11).units.ys.dtype
 
 
 def test_huge_denominators_stay_exact_on_object_arrays():
@@ -423,71 +426,99 @@ def test_halfwidth_bounds_dominate_rational_combinations(data):
     assert sum(coeffs) / n <= report.max_coeff_sum
 
 
+
+
 # ---------------------------------------------------------------------------
-# cones carry the rows generated_cones split for them
+# every input form gives the same cover: a SampleList, a copy, a tuple, UnitVectors
 
 CARRY_GAUGES = [linf(2), l1(2), hexagon_gauge(), l1(3), lp(2, 3.0), HUGE_DENOMINATORS] + [
     polygon_gauge(random_symmetric_polygon(random.Random(seed), 8, 8)) for seed in range(2)]
+INPUT_FORMS = ("samples", "list", "tuple", "units")
 
 
-def _cones_and_rebuilt(spec, samples, lonely):
-    """generated_cones on the samples, and the same cones built by hand.  If
-    lonely, the samples near the first center are dropped first, so its cone
-    falls back to the center."""
+def _as(form, samples):
+    """The vectors of a SampleList in one input form."""
+    return {"samples": samples, "list": list(samples), "tuple": tuple(samples),
+            "units": samples.units}[form]
+
+
+def _cover_run(spec, samples, fresh, hand_set, lonely):
+    """Centers, assignments, generators and half-width reports of the pipeline;
+    the cones also checked as built by hand and after replace().  If hand_set,
+    the greedy centers are handed on as a plain tuple.  If lonely, the samples
+    near the first center are dropped, so its cone falls back to the center."""
     sep = greedy_separated_set(spec, samples)
+    given = SeparatedSet(tuple(sep.centers)) if hand_set else sep
     if lonely:
         near = set(generated_cones(SeparatedSet(sep.centers[:1]), spec, samples)[0].generators)
         samples = [x for x in samples if x not in near]
-    cones = generated_cones(sep, spec, samples)
+    report = cover_assignment(given, spec, fresh)
+    cones = generated_cones(given, spec, samples)
     if lonely:
         assert cones[0].generators == (sep.centers[0],)
-    return cones, [GeneratedCone(c.center, c.generators) for c in cones]
+    reports = [cone_halfwidth_check(c, spec) for c in cones]
+    for cone, want in zip(cones, reports):
+        got = cone_halfwidth_check(GeneratedCone(cone.center, cone.generators), spec)
+        assert got == want and type(got.radius) is type(want.radius)
+    for cone, other in zip(cones, cones[1:] + cones[:1]):
+        for changes in ({"generators": other.generators}, {"center": other.center}):
+            moved = dataclasses.replace(cone, **changes)
+            assert cone_halfwidth_check(moved, spec) == cone_halfwidth_check(
+                GeneratedCone(moved.center, moved.generators), spec)
+    return sep.centers, report, [c.generators for c in cones], reports
 
 
 @settings(max_examples=60, deadline=None)
 @given(spec=st.sampled_from(CARRY_GAUGES), count=st.integers(1, 120), seed=st.integers(0, 50),
-       lonely=st.booleans(), force_objects=st.booleans())
-def test_carried_rows_give_the_reports_of_rebuilt_cones(spec, count, seed, lonely,
-                                                         force_objects):
-    samples = sphere_samples(spec, count if spec.dim == 2 else count // 2 + 1, seed=seed)
+       forms=st.lists(st.sampled_from(INPUT_FORMS), min_size=3, max_size=3),
+       hand_set=st.booleans(), lonely=st.booleans(), force_objects=st.booleans())
+def test_every_input_form_gives_the_same_cover(spec, count, seed, forms, hand_set, lonely,
+                                               force_objects):
+    n = count if spec.dim == 2 else count // 2 + 1
+    samples, fresh = sphere_samples(spec, n, seed=seed), sphere_samples(spec, 20, seed=seed + 1)
     with mock.patch.object(norms, "INT64_LIMIT", 0 if force_objects else norms.INT64_LIMIT):
-        cones, rebuilt = _cones_and_rebuilt(spec, samples, lonely)
-        for cone, hand in zip(cones, rebuilt):
-            got, want = cone_halfwidth_check(cone, spec), cone_halfwidth_check(hand, spec)
-            assert got == want and type(got.radius) is type(want.radius)
+        want = _cover_run(spec, tuple(samples), tuple(fresh), True, lonely)
+        greedy_in, fresh_in, cones_in = [_as(f, xs) for f, xs in
+                                          zip(forms, (samples, fresh, samples))]
+        sep = greedy_separated_set(spec, greedy_in)
+        assert sep.centers == want[0]
+        got = _cover_run(spec, cones_in, fresh_in, hand_set, lonely)
+        assert got == want and cover_assignment(sep, spec, fresh_in) == want[1]
 
 
 def _count_split_rows(monkeypatch):
-    """Patch cover._split_set to record how many vectors each call clears."""
-    counts, split_set = [], cover._split_set
+    """Patch the cover's image formation to record how many vectors each split
+    clears.  Draw the samples first: sphere_samples forms its images there too."""
+    counts, image_array = [], cover.image_array
 
-    def counted(g, vectors):
-        counts.append(len(vectors))
-        return split_set(g, vectors)
+    def counted(g, rows):
+        counts.append(len(rows))
+        return image_array(g, rows)
 
-    monkeypatch.setattr(cover, "_split_set", counted)
+    monkeypatch.setattr(cover, "image_array", counted)
     return counts
 
 
 def test_cone_cover_splits_each_generator_once(monkeypatch):
     # The criterion-8 pipeline on the hexagon at 1,000 samples: after sphere_samples
     # no sample, fresh vector or center is cleared again.
-    spec, counts = hexagon_gauge(), _count_split_rows(monkeypatch)
+    spec = hexagon_gauge()
     samples, fresh = sphere_samples(spec, 1000, seed=8), sphere_samples(spec, 100, seed=9)
+    counts = _count_split_rows(monkeypatch)
     sep = greedy_separated_set(spec, samples)
     assert packing_bound_check(sep, spec)
     assert cover_assignment(sep, spec, fresh).ok
     cones = generated_cones(sep, spec, samples)
     assert all(cone_halfwidth_check(cone, spec).ok for cone in cones)
     assert counts == []
-    # Hand-built cones clear their center and generators, to the same reports.
+    # Hand-built cones clear their center and generators together, to the same reports.
     assert [cone_halfwidth_check(GeneratedCone(c.center, c.generators), spec)
             for c in cones] == [cone_halfwidth_check(c, spec) for c in cones]
-    assert counts == [n for c in cones for n in (1, len(c.generators))]
+    assert counts == [1 + len(c.generators) for c in cones]
     # Plain copies carry nothing: each is cleared once per call.
     del counts[:]
     assert greedy_separated_set(spec, list(samples)) == sep
-    assert cover_assignment(SeparatedSet(sep.centers), spec, tuple(fresh)).ok
+    assert cover_assignment(SeparatedSet(tuple(sep.centers)), spec, tuple(fresh)).ok
     assert counts == [1000, len(sep.centers), 100]
 
 
@@ -496,9 +527,10 @@ def test_rows_made_for_another_norm_are_not_read(monkeypatch):
     c, inside = vec(1, 0), [vec(1, Fraction(1, 10)), vec(1, Fraction(-1, 8))]
     [cone] = generated_cones(SeparatedSet((c,)), linf(2), inside)
     assert cone.generators == tuple(inside) and counts == [1, 2]
+    assert cone_halfwidth_check(cone, linf(2)).ok and counts == [1, 2]
     assert cone_halfwidth_check(cone, l1(2)) == cone_halfwidth_check(
         GeneratedCone(c, cone.generators), l1(2))
-    assert counts == [1, 2] * 3
+    assert counts == [1, 2, 3, 3]
     # (1, 1/10) is a unit vector of linf(2) but not of l1(2): its linf rows would pass.
     [cone] = generated_cones(SeparatedSet((inside[0],)), linf(2), [c])
     for run in (cone, GeneratedCone(cone.center, cone.generators)):
@@ -509,12 +541,73 @@ def test_rows_made_for_another_norm_are_not_read(monkeypatch):
 @pytest.mark.parametrize("spec", [hexagon_gauge(), lp(2, 3.0)])
 def test_carried_rows_do_not_change_equality_hash_or_repr(spec):
     samples = sphere_samples(spec, 200, seed=3)
-    cones = generated_cones(greedy_separated_set(spec, samples), spec, samples)
+    sep = greedy_separated_set(spec, samples)
+    cones = generated_cones(sep, spec, samples)
     rebuilt = [GeneratedCone(c.center, c.generators) for c in cones]
-    assert all(c._rows is not None for c in cones)
-    assert cones == rebuilt
-    assert list(map(hash, cones)) == list(map(hash, rebuilt))
-    assert list(map(repr, cones)) == list(map(repr, rebuilt))
+    assert all(isinstance(c.rows, cover.UnitVectors) for c in cones)
+    assert isinstance(sep.centers, cover.UnitVectors)
+    for got, want in ((cones, rebuilt), ([sep], [SeparatedSet(tuple(sep.centers))]),
+                      ([samples.units], [tuple(samples)])):
+        assert got == want
+        assert list(map(hash, got)) == list(map(hash, want))
+        assert list(map(repr, got)) == list(map(repr, want))
+
+
+def _bound(spec, units):
+    """The cover's bound over a set, on Python ints."""
+    ys, qs = units.ys.astype(object), units.qs.astype(object)
+    top, qtop = max(map(abs, ys.flat), default=0), max(qs, default=1)
+    return max(10 * ys.shape[1] * top * qtop, qtop * qtop * gauge(spec).scale)
+
+
+def _assert_rows_stand_for_their_vectors(spec, units):
+    """The units' dtype keeps the bound, and each row over q is its vector."""
+    assert isinstance(units, cover.UnitVectors) and units.spec == spec
+    assert units.ys.dtype == units.qs.dtype
+    if units.ys.dtype == np.int64:
+        assert _bound(spec, units) < norms.INT64_LIMIT
+    fresh = cover._units(gauge(spec), spec, list(units))
+    assert fresh == units and fresh is not units
+    assert (units.ys.astype(object) * fresh.qs.astype(object)[:, None]
+            == fresh.ys.astype(object) * units.qs.astype(object)[:, None]).all()
+    return units.ys.dtype
+
+
+#: linf unit vectors over denominators near 10^12, given by hand.
+HUGE_UNIT_VECTORS = [vec(1, Fraction(10 ** 12 - k, 10 ** 12 + 7)) for k in (0, 3)] + [
+    vec(Fraction(-(10 ** 12 + 1), 10 ** 12 + 9), 1), vec(1, Fraction(1, 10 ** 12 + 3))]
+
+
+def test_pipeline_rows_are_int64_only_below_the_bound():
+    dtypes = []
+    for spec, extra, hand in ((HUGE_DENOMINATORS, [], False), (linf(2), [], False),
+                              (linf(2), HUGE_UNIT_VECTORS, False),
+                              (linf(2), HUGE_UNIT_VECTORS, True)):
+        samples = sphere_samples(spec, 150, seed=11)
+        sep = greedy_separated_set(spec, samples)
+        given = SeparatedSet(tuple(HUGE_UNIT_VECTORS)) if hand else sep
+        cones = generated_cones(given, spec, samples + extra)
+        for units in [samples.units, sep.centers] + [c.rows for c in cones]:
+            dtypes.append(_assert_rows_stand_for_their_vectors(spec, units))
+        if extra:
+            assert {c.rows.ys.dtype for c in cones} == {np.dtype(object)}
+    assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("spec", [hexagon_gauge(), l1(3), lp(2, 3.0)])
+def test_copies_and_pickles_give_equal_values_and_reports(spec):
+    samples, fresh = sphere_samples(spec, 200, seed=3), sphere_samples(spec, 40, seed=4)
+    sep = greedy_separated_set(spec, samples)
+    cones = generated_cones(sep, spec, samples)
+    reports = [cone_halfwidth_check(c, spec) for c in cones]
+    for copied in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        samples2, fresh2, sep2, cones2 = copied((samples, fresh, sep, cones))
+        assert (samples2, fresh2, sep2, cones2) == (samples, fresh, sep, cones)
+        assert list(map(hash, (sep2, *cones2))) == list(map(hash, (sep, *cones)))
+        assert greedy_separated_set(spec, samples2) == sep and packing_bound_check(sep2, spec)
+        assert cover_assignment(sep2, spec, fresh2) == cover_assignment(sep, spec, fresh)
+        assert generated_cones(sep2, spec, samples2) == cones
+        assert [cone_halfwidth_check(c, spec) for c in cones2] == reports
 
 
 # ---------------------------------------------------------------------------
@@ -564,11 +657,8 @@ def test_sphere_samples_equal_the_fraction_sampler(spec, count, seed):
     assert isinstance(got, list) and got == want
     assert [tuple(map(type, v)) for v in got] == [tuple(map(type, v)) for v in want]
     # The carried (Y, q) stand for the same vectors as a fresh split: Y / q agree.
-    g = gauge(spec)
-    [(ys, qs)] = cover._split(g, spec, got)
-    [(fresh_ys, fresh_qs)] = cover._split(g, spec, list(got))
-    assert (ys.astype(object) * fresh_qs.astype(object)[:, None]
-            == fresh_ys.astype(object) * qs.astype(object)[:, None]).all()
+    assert got.units == tuple(got)
+    _assert_rows_stand_for_their_vectors(spec, got.units)
 
 
 def test_replace_drops_the_carried_split():
@@ -581,17 +671,22 @@ def test_replace_drops_the_carried_split():
     report = cone_halfwidth_check(swapped, spec)
     assert report == cone_halfwidth_check(GeneratedCone(cone.center, (vec(-1, 0),)), spec)
     assert not report.ok and report.radius == 2
+    # The center too: the stale rows would pass the unit check and give radius 0.
+    moved_cone = dataclasses.replace(cone, center=vec(2, 0))
+    assert moved_cone.rows is cone.rows
+    with pytest.raises(InputError, match=r"cone center \(.*\) is not a unit vector"):
+        cone_halfwidth_check(moved_cone, spec)
     # A greedy set whose centers are replaced is split anew, and checked.
     moved = dataclasses.replace(sep, centers=(vec(5, 0),) + sep.centers[1:])
-    assert moved._rows is None and swapped._rows is None
+    assert type(moved.centers) is tuple
     with pytest.raises(InputError, match=r"center \(.*\) is not a unit vector"):
         packing_bound_check(moved, spec)
 
 
 def test_a_changed_sample_list_is_split_anew(monkeypatch):
-    counts = _count_split_rows(monkeypatch)
     spec = hexagon_gauge()
     samples = sphere_samples(spec, 200, seed=1)
+    counts = _count_split_rows(monkeypatch)
     samples[3] = vec(2, 0)
     with pytest.raises(InputError, match=r"sample \(.*\) is not a unit vector"):
         greedy_separated_set(spec, samples)
@@ -602,11 +697,11 @@ def test_a_changed_sample_list_is_split_anew(monkeypatch):
 
 
 def test_samples_handed_to_another_spec_are_split_again(monkeypatch):
-    counts = _count_split_rows(monkeypatch)
     samples = sphere_samples(linf(2), 100, seed=2)
-    sep = greedy_separated_set(linf(2), samples)     # an equal spec reads the carried split
+    counts = _count_split_rows(monkeypatch)
+    sep = greedy_separated_set(linf(2), samples)     # an equal spec reads the carried rows
     assert counts == []
-    # The same unit ball under another spec: the linf split is not read.
+    # The same unit ball under another spec: the linf rows are not read.
     square = polytopal([(1, 0), (0, 1)])
     assert greedy_separated_set(square, samples).centers == sep.centers
     assert cover_assignment(sep, square, samples).ok
@@ -615,24 +710,21 @@ def test_samples_handed_to_another_spec_are_split_again(monkeypatch):
         greedy_separated_set(l1(2), samples)
 
 
-#: linf unit vectors over denominators near 10^12, given by hand.
-HUGE_UNIT_VECTORS = [vec(1, Fraction(10 ** 12 - k, 10 ** 12 + 7)) for k in (0, 3)] + [
-    vec(Fraction(-(10 ** 12 + 1), 10 ** 12 + 9), 1), vec(1, Fraction(1, 10 ** 12 + 3))]
-
-
-def _split_dtypes(spec, *vector_sets):
-    return {a.dtype for split in cover._split(gauge(spec), spec, *vector_sets) for a in split}
+def _cast_dtypes(spec, *vector_sets):
+    """The dtypes of the vector sets' arrays as one call of the cover meets them."""
+    g = gauge(spec)
+    sets = cover._cast(g, *[cover._units(g, spec, vs) for vs in vector_sets])
+    return {a.dtype for s in sets for a in (s.ys, s.qs)}
 
 
 def test_carried_int64_rows_meet_a_hand_given_set_on_object_arrays():
     spec = linf(2)
     samples = sphere_samples(spec, 200, seed=3)
     sep = greedy_separated_set(spec, samples)
-    assert _split_dtypes(spec, samples) == _split_dtypes(spec, sep) == {np.dtype(np.int64)}
+    assert _cast_dtypes(spec, samples) == _cast_dtypes(spec, sep.centers) == {np.dtype(np.int64)}
     # Over the union, max q^2 passes 2^62: every array of the call holds Python ints.
-    assert _split_dtypes(spec, sep, HUGE_UNIT_VECTORS) == {np.dtype(object)}
-    assert _split_dtypes(spec, SeparatedSet(tuple(HUGE_UNIT_VECTORS)), samples) == {
-        np.dtype(object)}
+    assert _cast_dtypes(spec, sep.centers, HUGE_UNIT_VECTORS) == {np.dtype(object)}
+    assert _cast_dtypes(spec, tuple(HUGE_UNIT_VECTORS), samples) == {np.dtype(object)}
     report = cover_assignment(sep, spec, HUGE_UNIT_VECTORS)
     assert report.assignments == _ref_assignments(spec, sep.centers, HUGE_UNIT_VECTORS)
     for centers in (HUGE_UNIT_VECTORS, HUGE_UNIT_VECTORS[:1]):
@@ -644,30 +736,41 @@ def test_carried_int64_rows_meet_a_hand_given_set_on_object_arrays():
             _assert_halfwidth_dominates(spec, cone, trials=20, seed=i)
 
 
+def test_sets_meeting_in_one_call_are_cast_over_their_union():
+    # Each set alone fits int64, but q_c * Y_x = 2^28 * (2^36 + 1) = 2^64 + 2^28 does not:
+    # in int64 the difference q_x * Y_c - q_c * Y_x would wrap to (0, 1), within 1/5.
+    c, far = vec(1, Fraction(1, 2 ** 28)), vec(2 ** 36 + 1, 0)
+    assert _cast_dtypes(linf(2), [c]) == _cast_dtypes(linf(2), [far]) == {np.dtype(np.int64)}
+    assert _cast_dtypes(linf(2), [c], [far]) == {np.dtype(object)}
+    assert generated_cones(SeparatedSet((c,)), linf(2), [far])[0].generators == (c,)
+
+
 def test_huge_denominator_samples_meet_a_hand_given_set():
     spec = HUGE_DENOMINATORS
     samples = sphere_samples(spec, 150, seed=11)
     fresh = list(sphere_samples(spec, 40, seed=12))        # a plain list: split here
     sep = greedy_separated_set(spec, samples)
     assert sep.centers == _ref_greedy(spec, samples)
-    assert _split_dtypes(spec, sep, fresh) == {np.dtype(object)}
+    assert _cast_dtypes(spec, sep.centers, fresh) == {np.dtype(object)}
     report = cover_assignment(sep, spec, fresh)
     assert report.assignments == _ref_assignments(spec, sep.centers, fresh)
-    cones = generated_cones(SeparatedSet(sep.centers), spec, samples)
+    cones = generated_cones(SeparatedSet(tuple(sep.centers)), spec, samples)
     assert [c.generators for c in cones] == _ref_generators(spec, sep.centers, samples)
 
 
 def test_carried_int64_rows_follow_a_lowered_limit(monkeypatch):
-    # Drawn while int64 fits, then used under a limit of 0: every array is promoted.
+    # Rows are cast once, when they are made: drawn under a limit of 0, every array
+    # the pipeline builds holds Python ints, to the reference results.
     spec = hexagon_gauge()
+    monkeypatch.setattr(norms, "INT64_LIMIT", 0)
     samples, fresh = sphere_samples(spec, 150, seed=11), sphere_samples(spec, 40, seed=12)
     sep = greedy_separated_set(spec, samples)
-    assert _split_dtypes(spec, sep, fresh) == {np.dtype(np.int64)}
-    monkeypatch.setattr(norms, "INT64_LIMIT", 0)
-    assert _split_dtypes(spec, samples) == _split_dtypes(spec, sep, fresh) == {np.dtype(object)}
-    assert greedy_separated_set(spec, samples) == sep and packing_bound_check(sep, spec)
+    cones = generated_cones(sep, spec, samples)
+    built = [samples.units, fresh.units, sep.centers] + [c.rows for c in cones]
+    assert {a.dtype for u in built for a in (u.ys, u.qs)} == {np.dtype(object)}
+    assert _cast_dtypes(spec, sep.centers, fresh) == {np.dtype(object)}
+    assert sep.centers == _ref_greedy(spec, samples) and packing_bound_check(sep, spec)
     report = cover_assignment(sep, spec, fresh)
     assert report.assignments == _ref_assignments(spec, sep.centers, fresh)
-    cones = generated_cones(sep, spec, samples)
     assert [c.generators for c in cones] == _ref_generators(spec, sep.centers, samples)
-    assert all(c._rows[2][0].dtype == object for c in cones)
+    assert all(cone_halfwidth_check(c, spec).ok for c in cones)
