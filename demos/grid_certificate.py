@@ -11,7 +11,7 @@ the cube.
 
 from itertools import product
 
-from kdist import (PointSet, SearchProblem, branch_and_bound,
+from kdist import (PairTable, PointSet, SearchProblem, branch_and_bound,
                    chain_certificate, distance_spectrum, linf,
                    linf_cone_family, parallelotope_cones, polytopal, vec)
 from kdist.search import extremal_grid
@@ -24,7 +24,7 @@ sp = distance_spectrum(spec, grid)
 print(f"grid {{0..{k}}}^{d}: {len(grid)} points, "
       f"distances {[str(x) for x in sp.distances]}")
 
-cert = chain_certificate(spec, grid, linf_cone_family(d))
+cert = chain_certificate(PairTable(spec, grid), linf_cone_family(d))
 print(f"chain certificate: h = {cert.h}, bound (h+1)^{d} = {cert.bound}, "
       f"injective = {cert.injective}")
 
@@ -43,6 +43,6 @@ cube = extremal_grid(k, 3)
 skewed = polytopal([(1, 1, 0), (0, 1, 0), (0, 0, 1)])
 skewed_grid = PointSet.of([vec(a - b, b, c) for a, b, c in product(range(k + 1), repeat=3)])
 for name, norm, pts in (("cube", linf(3), cube), ("skewed cube", skewed, skewed_grid)):
-    cert = chain_certificate(norm, pts, parallelotope_cones(norm))
+    cert = chain_certificate(PairTable(norm, pts), parallelotope_cones(norm))
     print(f"{name}: {len(pts)} points, k = {distance_spectrum(norm, pts).k}, "
           f"h = {cert.h}, bound (h+1)^3 = {cert.bound}, injective = {cert.injective}")

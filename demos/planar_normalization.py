@@ -11,9 +11,9 @@ at most 3 points, strictly below the bound 4 attained by parallelogram
 norms.
 """
 
-from kdist import (PointSet, SearchProblem, branch_and_bound, hexagon_gauge,
+from kdist import (PointSet, SearchProblem, best_route, branch_and_bound, hexagon_gauge,
                    max_area_normalization, planar_bound_certificate,
-                   polygon_vertices_2d, quadrant_cones, vec)
+                   polygon_vertices_2d, quadrant_cones, routes, vec)
 
 hexa = hexagon_gauge()
 verts = polygon_vertices_2d(hexa)
@@ -35,6 +35,8 @@ ground = PointSet(2, tuple(verts) + (vec(0, 0),))
 best = branch_and_bound(SearchProblem(hexa, ground, 1))
 print(f"maximum equilateral subset: {best.size} points (bound is 4)")
 
+# The route table picks the planar route for the hexagon; its claim is (k+1)^2.
 cert = planar_bound_certificate(hexa, PointSet(2, best.points))
+route = best_route(routes(hexa), cert.k, 2)
 print(f"certificate: h = {cert.h} <= k = {cert.k}, "
-      f"bound {cert.bound} <= {cert.claimed}, ok = {cert.ok}")
+      f"bound {cert.bound} <= {route.claim(cert.k, 2)} ({route.name}), ok = {cert.ok}")

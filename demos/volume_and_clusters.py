@@ -8,7 +8,7 @@ m <= 2^{kd}.  A Monte Carlo Brunn-Minkowski check validates the volume
 reasoning numerically.
 """
 
-from kdist import (PointSet, brunn_minkowski_mc_check,
+from kdist import (PairTable, PointSet, brunn_minkowski_mc_check,
                    decompose_recursive_bound, distance_spectrum,
                    exact_box_union_area, find_equivalence_threshold, linf,
                    vec, volume_ratio_bound)
@@ -36,6 +36,6 @@ i = find_equivalence_threshold(far, linf(1))
 print(f"\nclustered line set: k = {sp.k}, ratio = {sp.ratio}, "
       f"equivalence threshold level i = {i}")
 
-node = decompose_recursive_bound(far, linf(1))
+node = decompose_recursive_bound(PairTable(linf(1), far))
 print(f"recursive bound: {node.kind} node, |S| = {node.size} <= "
       f"{node.bound} <= 2^k = {node.claim}")

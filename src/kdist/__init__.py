@@ -21,9 +21,9 @@ from .decompose import (DecompositionNode, brunn_minkowski_mc_check,
 from .errors import CertificateError, GeometryError, InputError
 from .norms import (hexagon_gauge, l1, linf, lp, norm_eval,
                     polygon_vertices_2d, polytopal, vec)
-from .planar import (max_area_normalization, planar_bound_certificate,
-                     polygon_gauge, quadrant_cones)
+from .planar import (Route, best_route, max_area_normalization, planar_bound_certificate,
+                     polygon_gauge, quadrant_cones, routes)
 from .search import (SearchProblem, branch_and_bound, brute_force_oracle,
                      enumerate_optimal_subsets, extremal_grid,
                      is_grid_homothet, verify_extremal_uniqueness)
-from .spectrum import PointSet, best_distinct_witness, distance_spectrum
+from .spectrum import PairTable, PointSet, best_distinct_witness, distance_spectrum

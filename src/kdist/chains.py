@@ -223,9 +223,9 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
 class HeightCertificate:
     """Record of the height map on S and the cardinality bound it implies.
 
-    k is the number of distances of S and claimed = (k+1)^m for m cones.
-    ok is the height lemma's conclusion on S: the height map is injective,
-    no equal-norm violation was found, and h <= k, so |S| <= bound <= claimed.
+    k is the number of distances of S.  ok is the height lemma's conclusion
+    on S: the height map is injective, no equal-norm violation was found,
+    and h <= k, so |S| <= bound <= (k+1)^m for m cones, the route's claim.
     """
 
     heights: dict[Vec, tuple[int, ...]]
@@ -233,7 +233,6 @@ class HeightCertificate:
     bound: int
     injective: bool
     k: int
-    claimed: int
     violations: list[tuple[int, Vec, Vec]] = field(default_factory=list)
 
     @property
@@ -253,18 +252,17 @@ class HeightCertificate:
         }
 
 
-def chain_certificate(spec: NormSpec, ps: PointSet, family) -> HeightCertificate:
-    """Height-vector certificate for ps under the cone family, on ps's table.
+def chain_certificate(table: PairTable, family) -> HeightCertificate:
+    """Height-vector certificate for the table's points S under the cone family.
 
     Coverage, the equal-norm check (on all of D(S) in each cone, grouped by
     table value) and the heights are all read off the cones' orders and
     the facet values they are built from, taken once per point.
-    Raises CertificateError if some difference of ps is covered by no cone
+    Raises CertificateError if some difference of S is covered by no cone
     (condition (1) fails on S).  Equal-norm violations found on S are
     recorded in the certificate rather than raised, since they invalidate
     the h <= k guarantee but not the height computation.
     """
-    table = PairTable(spec, ps)
     pts, ints, values, n = table.points, table.ints, table.values, len(table.points)
     facets = [_facet_values(cone, ints) for cone in family]
     orders = [_order(cone, ints, vals) for cone, vals in zip(family, facets)]
@@ -293,7 +291,6 @@ def chain_certificate(spec: NormSpec, ps: PointSet, family) -> HeightCertificate
     per_cone = [_heights(below, pts) for below in orders]
     heights = {x: tuple(hc[i] for hc in per_cone) for i, x in enumerate(pts)}
     h = max((max(hv) for hv in heights.values()), default=0)
-    k = table.spectrum.k
     return HeightCertificate(heights=heights, h=h, bound=(h + 1) ** len(family),
                              injective=len(set(heights.values())) == n,
-                             k=k, claimed=(k + 1) ** len(family), violations=violations)
+                             k=table.spectrum.k, violations=violations)

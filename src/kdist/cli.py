@@ -17,15 +17,15 @@ import sys
 
 from . import __version__
 from .chains import chain_certificate, check_cone_conditions, parallelotope_cones
-from .cover import (cone_halfwidth_check, cover_assignment, general_bound,
-                    generated_cones, greedy_separated_set, packing_bound_check,
-                    separated_set_capacity, sphere_samples)
+from .cover import (cone_halfwidth_check, cover_assignment, generated_cones,
+                    greedy_separated_set, packing_bound_check, separated_set_capacity,
+                    sphere_samples)
 from .decompose import decompose_recursive_bound
 from .errors import CertificateError, FalsificationError, InputError, KdistError
 from .norms import NormSpec, norm_from_json, norm_to_json, rat_to_pair, vec_to_json, vsub
-from .planar import apply_matrix, chain_route, planar_normalization
+from .planar import apply_matrix, best_route, planar_normalization, routes
 from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
-from .spectrum import (PointSet, distance_spectrum, pointset_from_json,
+from .spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_json,
                        pointset_to_json, spectrum_to_json)
 
 
@@ -73,7 +73,7 @@ def _cmd_chains(args) -> int:
         raise InputError("chains needs a parallelotope gauge: linf, or d polytopal "
                          "functionals of rank d")
     ps = _load_points(args.points)
-    cert = chain_certificate(spec, ps, family)
+    cert = chain_certificate(PairTable(spec, ps), family)
     _emit({**cert.to_json(), "k": cert.k, "observed": len(ps)})
     if not cert.ok:
         raise FalsificationError("chain certificate failed on a k-distance set")
@@ -135,7 +135,7 @@ def _cmd_conecover(args) -> int:
 def _cmd_decompose(args) -> int:
     spec = _load_norm(args.norm)
     ps = _load_points(args.points)
-    node = decompose_recursive_bound(ps, spec)
+    node = decompose_recursive_bound(PairTable(spec, ps))
     _emit(node.to_json())
     return 0
 
@@ -162,24 +162,25 @@ def _cmd_search(args) -> int:
 def _cmd_bound(args) -> int:
     spec = _load_norm(args.norm)
     ps = _load_points(args.points)
-    d, observed = spec.dim, len(ps)
-    route = chain_route(spec)
-    if route is None:
-        node = decompose_recursive_bound(ps, spec)
-        name, k, witnesses = "general-minkowski", node.k, {"decomposition": node.to_json()}
-        claimed = general_bound(k, d) if k else 1
-    else:
-        name, family = route
-        cert = chain_certificate(spec, ps, family)
-        k, claimed, witnesses = cert.k, cert.claimed, {"chain": cert.to_json()}
-        if name == "planar-two-cones":      # the rays the cones exclude, in the input's frame
-            witnesses["removed_rays"] = [{"cone": c, "ray": vec_to_json(r)}
-                                         for c, cone in zip(("p1", "p2"), family)
-                                         for r in cone.excluded_rays]
-        if k and not cert.ok:
-            raise FalsificationError(f"chain certificate failed on the {name} route")
+    found = routes(spec)            # before the table: a planar seminorm fails here
+    table = PairTable(spec, ps)
+    d, k, observed = spec.dim, table.spectrum.k, len(ps)
     if k == 0:
         name, claimed, witnesses = "single-point", 1, {}
+    else:
+        route = best_route(found, k, d)
+        name, claimed = route.name, route.claim(k, d)
+        if route.family is None:
+            witnesses = {"decomposition": decompose_recursive_bound(table).to_json()}
+        else:
+            cert = chain_certificate(table, route.family)
+            witnesses = {"chain": cert.to_json()}
+            if name == "planar-two-cones":  # the rays the cones exclude, in the input's frame
+                witnesses["removed_rays"] = [{"cone": c, "ray": vec_to_json(r)}
+                                             for c, cone in zip(("p1", "p2"), route.family)
+                                             for r in cone.excluded_rays]
+            if not cert.ok:
+                raise FalsificationError(f"chain certificate failed on the {name} route")
     passed = observed <= claimed
     _emit({
         "bound": name,

@@ -276,6 +276,7 @@ def generated_cones(sep: SeparatedSet, spec: NormSpec, samples) -> list[Generate
     g = gauge(spec)
     centers, xs = _cast(g, _units(g, spec, sep.centers), _units(g, spec, samples))
     _check_unit(g, centers, "center")
+    _check_unit(g, xs, "sample")
     # Cone i holds center i and then its generators, or center i again if it has none.
     both = UnitVectors(centers + xs, spec, np.concatenate([centers.ys, xs.ys]),
                        np.concatenate([centers.qs, xs.qs]))

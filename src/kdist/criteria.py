@@ -32,7 +32,7 @@ from .planar import max_area_normalization, planar_bound_certificate
 from .search import (SearchProblem, branch_and_bound, brute_force_oracle,
                      extremal_grid, is_grid_homothet,
                      verify_extremal_uniqueness)
-from .spectrum import PointSet, best_distinct_witness, distance_spectrum
+from .spectrum import PairTable, PointSet, best_distinct_witness, distance_spectrum
 
 PLANAR_GAUGES = (linf(2), l1(2), hexagon_gauge())
 
@@ -123,7 +123,7 @@ def grid_extremality(full: bool) -> str:
 def height_certificates(full: bool) -> str:
     sets = _height_sets(full)
     for d, ps in sets:
-        cert = chain_certificate(linf(d), ps, linf_cone_family(d))
+        cert = chain_certificate(PairTable(linf(d), ps), linf_cone_family(d))
         where = f"d={d}, {len(ps)} points, k={cert.k}, h={cert.h}"
         check(cert.ok, f"{where}: height certificate fails")
     return f"{len(sets)} random lattice subsets, injective with h <= k"
@@ -168,11 +168,11 @@ def cluster_equivalence(full: bool) -> str:
     for i, (d, ps, sp) in enumerate(clustered):
         check(find_equivalence_threshold(ps, linf(d)) is not None,
               f"clustered set {i}: no equivalence threshold")
-        node = decompose_recursive_bound(ps, linf(d))
+        node = decompose_recursive_bound(PairTable(linf(d), ps))
         check(len(ps) <= node.bound <= 2 ** (sp.k * d),
               f"clustered set {i}: bound {node.bound} outside [m, 2^kd]")
     for i, (spec, ps) in enumerate(suite):
-        node = decompose_recursive_bound(ps, spec)
+        node = decompose_recursive_bound(PairTable(spec, ps))
         check(len(ps) <= node.bound, f"suite set {i}: bound {node.bound} < m = {len(ps)}")
         check(node.k < 1 or node.bound <= 2 ** (node.k * spec.dim),
               f"suite set {i}: bound {node.bound} > 2^kd, k = {node.k}")

@@ -110,14 +110,13 @@ def volume_ratio_bound(sp: DistanceSpectrum, d: int):
     return (1 + sp.ratio) ** d
 
 
-def decompose_recursive_bound(ps: PointSet, spec: NormSpec) -> DecompositionNode:
-    """Certify |S| <= 2^{kd} by the volume bound or the cluster recursion.
+def decompose_recursive_bound(table: PairTable) -> DecompositionNode:
+    """Certify |S| <= 2^{kd} on the table's points: volume bound or cluster recursion.
 
     Raises FalsificationError if any intermediate bound is violated or if
     the ratio condition promises a threshold that does not exist.
     """
-    table = PairTable(spec, ps)
-    return _decompose(table, range(len(ps)), table.spectrum)
+    return _decompose(table, range(len(table.points)), table.spectrum)
 
 
 def _decompose(table: PairTable, idx, sp: DistanceSpectrum) -> DecompositionNode:

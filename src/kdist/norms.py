@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce as fold
+from functools import cache, cached_property, reduce as fold
 from itertools import chain
 from math import inf, lcm
 from operator import mul, truediv
@@ -318,6 +318,7 @@ class LpGauge:
 Gauge = IntGauge | LpGauge
 
 
+@cache       # once per norm: a gauge holds no state but its cached float functionals
 def gauge(spec: NormSpec) -> Gauge:
     """The evaluator of the norm: exact on ints, or lp in floats."""
     return IntGauge(spec) if spec.exact else LpGauge(spec)

@@ -7,7 +7,8 @@ first and second quadrants, with some open boundary rays removed, then
 form a two-cone family valid for the gauge of C', which yields the
 (k+1)^2 bound for planar k-distance sets.  Written in the input frame,
 through the vertices x0, y0 that the map sends to e1, e2, the two cones
-certify the input points under the original norm.
+certify the input points under the original norm.  The route table at
+the end, routes and best_route, is the one place that picks a bound.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from fractions import Fraction
 
 from .chains import (ConeConditionReport, HeightCertificate, PolyhedralCone,
                      chain_certificate, check_cone_conditions, parallelotope_cones)
+from .cover import general_bound
 from .errors import GeometryError, InputError
 from .norms import (NormSpec, Vec, cross2, polygon_vertices_2d, polytopal,
                     vec, vneg, vsub)
-from .spectrum import PointSet
+from .spectrum import PairTable, PointSet
 
 Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -211,16 +213,33 @@ def planar_bound_certificate(spec: NormSpec, ps: PointSet) -> HeightCertificate:
     """
     if spec.dim != 2 or ps.dim != 2 or not spec.exact:
         raise InputError("planar bound requires a 2-dimensional exact norm and point set")
-    return chain_certificate(spec, ps, planar_cones(spec))
+    cones = planar_cones(spec)
+    return chain_certificate(PairTable(spec, ps), cones)
 
 
-def chain_route(spec: NormSpec) -> tuple[str, tuple[PolyhedralCone, ...]] | None:
-    """The chain route of a norm, (name, cone family), or None if it has none.
+@dataclass(frozen=True)
+class Route:
+    """A proved bound: (k+1)^m from m cones, or the general bound when family is None."""
 
-    Planar exact norms but linf take the two planar cones, parallelograms
-    included; parallelotope gauges (linf among them) take the cube's cones.
-    """
+    name: str
+    family: tuple[PolyhedralCone, ...] | None = None
+
+    def claim(self, k: int, d: int) -> int:
+        return general_bound(k, d) if self.family is None else (k + 1) ** len(self.family)
+
+
+def routes(spec: NormSpec) -> list[Route]:
+    """A norm's routes in tie order: the planar cones on exact planar norms but linf,
+    parallelograms too; the cube's on parallelotope gauges; the general bound always."""
+    found = []
     if spec.dim == 2 and spec.exact and spec.kind != "linf":
-        return "planar-two-cones", planar_cones(spec)
+        found.append(Route("planar-two-cones", planar_cones(spec)))
     family = parallelotope_cones(spec)
-    return None if family is None else ("parallelotope-chain", family)
+    if family is not None:
+        found.append(Route("parallelotope-chain", family))
+    return found + [Route("general-minkowski")]
+
+
+def best_route(found: list[Route], k: int, d: int) -> Route:
+    """The route with the least claim at k in dimension d; the first on a tie."""
+    return min(found, key=lambda route: route.claim(k, d))

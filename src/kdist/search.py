@@ -36,10 +36,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from operator import itemgetter
 
-from .cover import general_bound
 from .errors import FalsificationError, InputError
 from .norms import NormSpec, Vec, linf, vec
-from .planar import chain_route
+from .planar import best_route, routes
 from .spectrum import DistanceSpectrum, PairTable, PointSet
 
 
@@ -129,11 +128,9 @@ def brute_force_oracle(problem: SearchProblem) -> SearchResult:
 
 
 def _bound_cap(problem: SearchProblem) -> int:
-    """The tightest proved bound: (k+1)^m for a chain route of m cones."""
-    route = chain_route(problem.spec)
-    if route is None:
-        return general_bound(problem.k, problem.spec.dim)
-    return (problem.k + 1) ** len(route[1])
+    """The tightest proved bound: the claim of the norm's best route at k."""
+    k, d = problem.k, problem.spec.dim
+    return best_route(routes(problem.spec), k, d).claim(k, d)
 
 
 def _forward_check(cls: list[list[int]], k: int, cands: list, j: int) -> list:

@@ -14,6 +14,7 @@ from kdist.chains import HeightCertificate, PolyhedralCone, cone_heights
 from kdist.gen import random_lattice_subset
 from kdist.norms import dot, vadd, vneg, vsub
 from kdist.search import extremal_grid
+from kdist.spectrum import PairTable
 
 GRID33 = extremal_grid(2, 2)
 
@@ -61,7 +62,7 @@ def test_heights_match_brute_force_on_grids(d, m):
 
 def _heights(ps):
     """Height vector of every point under the linf coordinate cones."""
-    return chain_certificate(linf(ps.dim), ps, linf_cone_family(ps.dim)).heights
+    return chain_certificate(PairTable(linf(ps.dim), ps), linf_cone_family(ps.dim)).heights
 
 
 def test_height_vector_examples():
@@ -76,19 +77,19 @@ def test_grid_heights_equal_coordinates():
 
 
 def test_chain_certificate_grid():
-    cert = chain_certificate(linf(2), GRID33, linf_cone_family(2))
+    cert = chain_certificate(PairTable(linf(2), GRID33), linf_cone_family(2))
     assert cert.h == 2 and cert.bound == 9 and cert.injective and cert.ok
 
 
 def test_chain_certificate_two_points():
     ps = PointSet.of([vec(0, 0), vec(1, 1)])
-    cert = chain_certificate(linf(2), ps, linf_cone_family(2))
+    cert = chain_certificate(PairTable(linf(2), ps), linf_cone_family(2))
     assert cert.h == 1 and cert.bound == 4 and cert.injective
 
 
 def test_chain_certificate_grid4():
     grid = extremal_grid(3, 2)
-    cert = chain_certificate(linf(2), grid, linf_cone_family(2))
+    cert = chain_certificate(PairTable(linf(2), grid), linf_cone_family(2))
     assert cert.h == 3 and cert.bound == 16
 
 
@@ -122,7 +123,7 @@ def test_equal_norm_check_sees_both_signs_of_each_difference():
     # (-1, 0) - (0, 0) = (-1, 0) lies in the second quadrant; the pair's other
     # difference, (1, 0), does not.  The check must see both.
     ps = PointSet.of([vec(-1, 0), vec(-1, 1), vec(0, 0)])
-    cert = chain_certificate(linf(2), ps, CLOSED_QUADRANTS)
+    cert = chain_certificate(PairTable(linf(2), ps), CLOSED_QUADRANTS)
     assert cert.violations == [(1, vec(-1, 0), vec(-1, 1)), (1, vec(0, 1), vec(-1, 1))]
     assert not cert.ok and cert.h == 2
 
@@ -147,16 +148,16 @@ def test_one_membership_test_per_ordered_pair_and_cone(monkeypatch, pts):
     monkeypatch.setattr(chains, "_order", counting_order)
     monkeypatch.setattr(PolyhedralCone, "contains", counting_contains)
     family = linf_cone_family(len(pts[0]))
-    cert = chain_certificate(linf(len(pts[0])), PointSet.of(pts), family)
+    cert = chain_certificate(PairTable(linf(len(pts[0])), PointSet.of(pts)), family)
     assert ordered == list(family) and tests == [0]
     assert cert.ok
 
 
 def test_certificate_with_a_height_above_k_is_not_ok():
     cert = HeightCertificate(heights={vec(0): (0,), vec(1): (1,), vec(2): (2,)}, h=2,
-                             bound=3, injective=True, k=1, claimed=2)
+                             bound=3, injective=True, k=1)
     assert not cert.violations and not cert.ok
-    assert replace(cert, k=2, claimed=3).ok
+    assert replace(cert, k=2).ok
 
 
 def test_heights_of_a_chain_deeper_than_the_recursion_limit():
@@ -178,7 +179,7 @@ def test_certificate_uncovered_difference_raises():
     family = linf_cone_family(2)[:1]
     ps = PointSet.of([vec(0, 0), vec(0, 1)])
     with pytest.raises(CertificateError):
-        chain_certificate(linf(2), ps, family)
+        chain_certificate(PairTable(linf(2), ps), family)
 
 
 def test_heights_translation_and_scaling_invariant():
@@ -264,9 +265,9 @@ def test_parallelotope_certificate_is_the_linf_certificate_of_the_image(A, data)
     coords = st.fractions(min_value=-4, max_value=4, max_denominator=4)
     pts = data.draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=8, unique=True))
     ps = PointSet(d, tuple(vec(*p) for p in pts))
-    cert = chain_certificate(polytopal(A), ps, parallelotope_cones(polytopal(A)))
+    cert = chain_certificate(PairTable(polytopal(A), ps), parallelotope_cones(polytopal(A)))
     image = PointSet(d, tuple(_mat_vec(A, p) for p in ps.points))
-    ref = chain_certificate(linf(d), image, linf_cone_family(d))
+    ref = chain_certificate(PairTable(linf(d), image), linf_cone_family(d))
     assert (cert.h, cert.bound, cert.injective) == (ref.h, ref.bound, ref.injective)
     assert cert.heights == {p: ref.heights[_mat_vec(A, p)] for p in ps.points}
     assert cert.violations == ref.violations == []
@@ -322,7 +323,7 @@ SPACE_PTS = PointSet.of([vec(0, 0, 0), vec(1, 0, 5)])
 
 
 @pytest.mark.parametrize("run", [
-    lambda fam: chain_certificate(linf(3), SPACE_PTS, fam),
+    lambda fam: chain_certificate(PairTable(linf(3), SPACE_PTS), fam),
     lambda fam: cone_heights(SPACE_PTS, fam[0]),
     lambda fam: check_cone_conditions(fam, linf(2), [vec(1, 2, 3), vec(0, 1)]),
     lambda fam: check_cone_conditions(fam, linf(3), [vec(1, 2, 3)]),

@@ -11,7 +11,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from kdist import (PolyhedralCone, __version__, criteria, hexagon_gauge, l1, linf, lp,
@@ -22,9 +22,10 @@ from kdist.cli import run_command
 from kdist.gen import random_symmetric_polygon
 from kdist.cover import (MAX_SAMPLES, cone_halfwidth_check, cover_assignment, generated_cones,
                          greedy_separated_set, packing_bound_check, sphere_samples)
-from kdist.norms import MAX_JSON_DIM, IntGauge, norm_to_json, vec_to_json
+from kdist.norms import MAX_JSON_DIM, IntGauge, gauge, norm_to_json, vec_to_json
 from kdist.planar import apply_matrix, planar_cones, quadrant_cones
-from kdist.spectrum import PairTable, PointSet, pointset_from_json, pointset_to_json
+from kdist.spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_json,
+                            pointset_to_json)
 
 
 @pytest.fixture
@@ -118,8 +119,13 @@ _SPLIT_3D = PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(100, 0, 0), vec(101, 0,
     (["decompose"], linf(1), _LINE),
     # The optimum's spectrum is read off the ground's table.
     (["search", "--k", "2"], linf(2), _grid_points()),
+    # k = 0: the table gives k, and no route is taken.
+    (["bound"], linf(2), PointSet.of([vec(1, 2)])),
+    (["bound"], lp(2, 3.0), PointSet.of([vec(0, 0), vec(1, 0), vec(0, 1)])),
+    (["chains"], polytopal([(1, 1, 0), (0, 1, 0), (0, 0, 1)]),
+     PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0), vec(-1, 1, 1)])),
 ], ids=["bound", "chains", "bound-planar", "bound-general", "bound-general-split",
-        "decompose-split", "search"])
+        "decompose-split", "search", "bound-single-point", "bound-lp", "chains-skewed"])
 def test_one_pair_table_per_command(files, capsys, monkeypatch, command, norm, pts):
     builds = []
     init = PairTable.__init__
@@ -135,6 +141,42 @@ def test_one_pair_table_per_command(files, capsys, monkeypatch, command, norm, p
     assert run_command(argv) == 0
     assert len(builds) == 1
     assert ('"split"' in capsys.readouterr().out) == (pts in (_LINE, _SPLIT_3D))
+
+
+@st.composite
+def _route_cases(draw):
+    """A norm (linf, l1, lp, or polytopal of full rank) in d <= 3 and 2 to 5 lattice points."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["linf", "l1", "lp", "polytopal"]))
+    if kind == "polytopal":
+        rows = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        spec = polytopal(draw(st.lists(rows, min_size=d, max_size=d + 2)))
+    else:
+        spec = {"linf": linf, "l1": l1, "lp": lambda d: lp(d, 3.0)}[kind](d)
+    coords = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(lambda c: vec(*c))
+    pts = draw(st.lists(coords, min_size=2, max_size=5, unique=True))
+    return spec, PointSet.of(pts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_route_cases())
+def test_bound_and_the_search_cap_claim_the_least_route(tmp_path_factory, case):
+    spec, ps = case
+    assume(gauge(spec).rank() == spec.dim)
+    k = distance_spectrum(spec, ps).k
+    assume(k <= 6)
+    least = min(r.claim(k, spec.dim) for r in planar.routes(spec))
+    assert search._bound_cap(search.SearchProblem(spec, ps, k)) == least
+    tmp = tmp_path_factory.mktemp("route")
+    (tmp / "norm.json").write_text(json.dumps(norm_to_json(spec)))
+    (tmp / "pts.json").write_text(json.dumps(pointset_to_json(ps)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_command(["bound", "--norm", str(tmp / "norm.json"),
+                            "--points", str(tmp / "pts.json")]) == 0
+    got = json.loads(out.getvalue())
+    event(got["bound"])
+    assert got["claimed"] == least
 
 
 def test_search_command(files, capsys):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from unittest import mock
@@ -305,6 +306,16 @@ def test_cover_functions_reject_non_unit_centers():
                 lambda: generated_cones(sep, spec, [vec(1, 0)])):
         with pytest.raises(InputError, match=r"center \(.*\) is not a unit vector"):
             run()
+
+
+@pytest.mark.parametrize("samples, named", [
+    ([vec(1, 0), vec(5, 0), vec("11/10", 0)], vec(5, 0)),
+    # Within 1/5 of the center: accepted, it would become the cone's one generator.
+    ([vec("11/10", 0)], vec("11/10", 0)),
+])
+def test_generated_cones_reject_non_unit_samples(samples, named):
+    with pytest.raises(InputError, match=re.escape(f"sample {named!r} is not a unit vector")):
+        generated_cones(SeparatedSet((vec(1, 0),)), linf(2), samples)
 
 
 @pytest.mark.parametrize("spec", [linf(2), hexagon_gauge(), l1(3), lp(2, 2.0)])
@@ -742,7 +753,9 @@ def test_sets_meeting_in_one_call_are_cast_over_their_union():
     c, far = vec(1, Fraction(1, 2 ** 28)), vec(2 ** 36 + 1, 0)
     assert _cast_dtypes(linf(2), [c]) == _cast_dtypes(linf(2), [far]) == {np.dtype(np.int64)}
     assert _cast_dtypes(linf(2), [c], [far]) == {np.dtype(object)}
-    assert generated_cones(SeparatedSet((c,)), linf(2), [far])[0].generators == (c,)
+    # far is no unit vector: generated_cones names it before it forms any difference.
+    with pytest.raises(InputError, match=r"sample \(.*\) is not a unit vector"):
+        generated_cones(SeparatedSet((c,)), linf(2), [far])
 
 
 def test_huge_denominator_samples_meet_a_hand_given_set():

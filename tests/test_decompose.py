@@ -16,7 +16,7 @@ from kdist import (DecompositionNode, InputError, PointSet,
 from kdist.decompose import _ball_reach, _mc_union_volume
 from kdist.gen import clustered_lattice_set
 from kdist.norms import gauge
-from kdist.spectrum import distance_spectrum
+from kdist.spectrum import PairTable, distance_spectrum
 
 
 def _two_cluster_line():
@@ -79,14 +79,14 @@ def test_volume_ratio_bound_values():
 
 def test_decompose_volume_branch():
     grid = PointSet.of([vec(x, y) for x in range(3) for y in range(3)])
-    node = decompose_recursive_bound(grid, linf(2))
+    node = decompose_recursive_bound(PairTable(linf(2), grid))
     assert node.kind == "volume"
     assert 9 <= node.bound <= node.claim == 16
 
 
 def test_decompose_split_branch():
     ps = _two_cluster_line()
-    node = decompose_recursive_bound(ps, linf(1))
+    node = decompose_recursive_bound(PairTable(linf(1), ps))
     assert node.kind == "split" and node.threshold == 1
     assert len(node.children) == 2
     assert 4 <= node.bound <= node.claim == 16
@@ -103,7 +103,7 @@ def test_decompose_clustered_sets():
         sp = distance_spectrum(linf(d), ps)
         if sp.k < 1:
             continue
-        node = decompose_recursive_bound(ps, linf(d))
+        node = decompose_recursive_bound(PairTable(linf(d), ps))
         assert len(ps) <= node.bound <= 2 ** (sp.k * d)
         done += 1
 

@@ -195,6 +195,12 @@ def test_int_gauge_clears_functional_denominators():
     assert Fraction(111, 5 * 12) == norm_eval(spec, vec("1/5", 2))
 
 
+@pytest.mark.parametrize("build", [hexagon_gauge, lambda: l1(3), lambda: lp(2, 3.0)])
+def test_gauge_is_built_once_per_norm(build):
+    # Equal specs built apart share one evaluator.
+    assert gauge(build()) is gauge(build())
+
+
 def test_int_gauge_rank():
     assert IntGauge(linf(3)).rank() == 3 and IntGauge(l1(2)).rank() == 2
     assert IntGauge(hexagon_gauge()).rank() == 2

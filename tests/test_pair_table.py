@@ -212,7 +212,7 @@ def test_chain_certificate_matches_reference(case, data):
         # comparable pairs (violations) are common.
         families += [QUADRANTS, HALF_OPEN]
     family = data.draw(st.sampled_from(families))
-    cert = chain_certificate(spec, ps, family)
+    cert = chain_certificate(PairTable(spec, ps), family)
     heights, violations = ref_certificate(spec, ps.points, family)
     assert cert.heights == heights
     assert cert.h == max(max(hv) for hv in heights.values())
@@ -253,7 +253,7 @@ def planar_cases(draw, max_size=12):
 @given(case=planar_cases())
 def test_chain_certificate_matches_reference_on_planar_cones(case):
     spec, family, pts = case
-    cert = chain_certificate(spec, PointSet(2, tuple(pts)), family)
+    cert = chain_certificate(PairTable(spec, PointSet(2, tuple(pts))), family)
     heights, violations = ref_certificate(spec, pts, family)
     assert cert.heights == heights
     assert cert.injective == (len(set(heights.values())) == len(pts))
@@ -272,7 +272,7 @@ def test_cone_conditions_match_reference_on_planar_cones(case):
 
 def test_violations_come_back_in_the_scale_of_the_points():
     ps = PointSet.of([vec(0, 0), vec("1/2", "1/3"), vec("1/2", 0)])
-    cert = chain_certificate(linf(2), ps, QUADRANTS)
+    cert = chain_certificate(PairTable(linf(2), ps), QUADRANTS)
     assert cert.violations == ref_certificate(linf(2), ps.points, QUADRANTS)[1]
     assert cert.violations == [(0, vec("1/2", 0), vec("1/2", "1/3"))]
 
@@ -372,7 +372,7 @@ def test_searches_and_the_recursion_build_one_table(monkeypatch):
     line = PointSet.of([vec(0), vec(1), vec(100), vec(101)])
     problem = SearchProblem(linf(1), line, 1)
     for run in (lambda: brute_force_oracle(problem), lambda: branch_and_bound(problem),
-                lambda: decompose_recursive_bound(line, linf(1))):
+                lambda: decompose_recursive_bound(PairTable(linf(1), line))):
         builds.clear()
         result = run()
         assert builds == [line]

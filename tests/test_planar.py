@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdist import (GeometryError, InputError, PointSet, PolyhedralCone, chain_certificate,
-                   criteria, hexagon_gauge, l1, linf, max_area_normalization, norm_eval,
-                   planar_bound_certificate, polygon_gauge, polygon_vertices_2d,
+                   criteria, hexagon_gauge, l1, linf, lp, max_area_normalization, norm_eval,
+                   planar_bound_certificate, polygon_gauge, polygon_vertices_2d, polytopal,
                    quadrant_cones, vec)
 from kdist import chains
 from kdist.gen import random_lattice_subset, random_symmetric_polygon
 from kdist.norms import cross2, dot, vscale, vsub
-from kdist.planar import apply_matrix, planar_cones
+from kdist.planar import Route, apply_matrix, best_route, planar_cones, routes
 from kdist.search import extremal_grid
 from kdist.spectrum import PairTable
 
@@ -119,29 +119,34 @@ def test_removed_ray_preserves_acuteness_and_convexity():
             assert qc.p1.contains(vec(3 * u[0], 3 * u[1]))
 
 
+def _claim(spec, k):
+    """The claim of the planar route at k, read off its two cones."""
+    return Route("planar-two-cones", planar_cones(spec)).claim(k, 2)
+
+
 def test_planar_certificate_grid():
     grid = extremal_grid(2, 2)
     cert = planar_bound_certificate(linf(2), grid)
-    assert cert.ok and cert.k == 2 and cert.claimed == 9 and len(grid) == 9
+    assert cert.ok and cert.k == 2 and _claim(linf(2), cert.k) == 9 and len(grid) == 9
 
 
 def test_planar_certificate_two_points():
     ps = PointSet.of([vec(0, 0), vec(4, 1)])
     cert = planar_bound_certificate(linf(2), ps)
-    assert cert.ok and cert.k == 1 and cert.claimed == 4
+    assert cert.ok and cert.k == 1 and _claim(linf(2), cert.k) == 4
 
 
 def test_planar_certificate_hexagon_equilateral():
     tri = PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1)])
     cert = planar_bound_certificate(hexagon_gauge(), tri)
-    assert cert.ok and cert.k == 1 and cert.claimed == 4
+    assert cert.ok and cert.k == 1 and _claim(hexagon_gauge(), cert.k) == 4
     assert cert.injective
 
 
 def test_planar_certificate_l1():
     ps = PointSet.of([vec(0, 0), vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)])
     cert = planar_bound_certificate(l1(2), ps)
-    assert cert.ok and cert.k == 2 and cert.claimed == 9    # distances 1 and 2 under l1
+    assert cert.ok and cert.k == 2 and _claim(l1(2), cert.k) == 9    # distances 1 and 2 under l1
 
 
 @pytest.mark.parametrize("pts", [
@@ -175,7 +180,7 @@ def _image_frame_certificate(spec, ps):
     nrm = max_area_normalization(polygon_vertices_2d(spec))
     qc = quadrant_cones(nrm.vertices)
     image = PointSet(2, tuple(apply_matrix(nrm.matrix, p) for p in ps.points))
-    return nrm.matrix, chain_certificate(polygon_gauge(list(nrm.vertices)), image,
+    return nrm.matrix, chain_certificate(PairTable(polygon_gauge(list(nrm.vertices)), image),
                                          (qc.p1, qc.p2))
 
 
@@ -314,3 +319,45 @@ def test_polygon_winding_more_than_once_rejected(build):
     build(OCTAGON)                      # in order, it winds once
     with pytest.raises(GeometryError, match="wind exactly once"):
         build([OCTAGON[3 * i % 8] for i in range(8)])
+
+
+# ---------------------------------------------------------------------------
+# the route table
+
+SQUARE_GAUGE = polytopal([(1, 0), (0, 1)])
+SKEWED_CUBE = polytopal([(1, 1, 0), (0, 1, 0), (0, 0, 1)])
+PLANAR, CUBE, GENERAL = "planar-two-cones", "parallelotope-chain", "general-minkowski"
+
+
+@pytest.mark.parametrize("spec, k, claims, best", [
+    # At k = 1 a chain route ties the general route, listed last, in every dimension.
+    (linf(1), 1, {CUBE: 2, GENERAL: 2}, CUBE),
+    (linf(2), 1, {CUBE: 4, GENERAL: 4}, CUBE),
+    (linf(3), 1, {CUBE: 8, GENERAL: 8}, CUBE),
+    (l1(2), 1, {PLANAR: 4, GENERAL: 4}, PLANAR),
+    (l1(3), 1, {GENERAL: 8}, GENERAL),
+    (hexagon_gauge(), 1, {PLANAR: 4, GENERAL: 4}, PLANAR),
+    # A parallelogram has both chain routes: the planar one, listed first, wins the tie.
+    (SQUARE_GAUGE, 1, {PLANAR: 4, CUBE: 4, GENERAL: 4}, PLANAR),
+    (SKEWED_CUBE, 1, {CUBE: 8, GENERAL: 8}, CUBE),
+    (lp(2, 3.0), 1, {GENERAL: 4}, GENERAL),
+    (lp(3, 3.0), 1, {GENERAL: 8}, GENERAL),
+    # At k = 3 the chain routes win outright, except in d = 1, where (k+1)^C = k+1.
+    (linf(1), 3, {CUBE: 4, GENERAL: 4}, CUBE),
+    (linf(3), 3, {CUBE: 64, GENERAL: 512}, CUBE),
+    (l1(3), 3, {GENERAL: 512}, GENERAL),
+    (hexagon_gauge(), 3, {PLANAR: 16, GENERAL: 64}, PLANAR),
+    (SQUARE_GAUGE, 3, {PLANAR: 16, CUBE: 16, GENERAL: 64}, PLANAR),
+    (lp(2, 3.0), 3, {GENERAL: 64}, GENERAL),
+])
+def test_route_table_maps_each_kind_to_its_route_and_claim(spec, k, claims, best):
+    found = routes(spec)
+    assert [(r.name, r.claim(k, spec.dim)) for r in found] == list(claims.items())
+    assert best_route(found, k, spec.dim) == found[list(claims).index(best)]
+
+
+def test_route_families_are_the_norms_cones():
+    planar, cube, general = routes(SQUARE_GAUGE)
+    assert planar.family == planar_cones(SQUARE_GAUGE)
+    assert cube.family == chains.parallelotope_cones(SQUARE_GAUGE)
+    assert general.family is None
