@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from operator import ge, mul, neg, sub
+from itertools import accumulate
+from operator import and_, mul, neg, or_, sub
 
 from .errors import CertificateError, InputError
 from .norms import (NormSpec, Vec, clear_denominators, gauge, image_array, is_zero, linf,
@@ -54,16 +55,13 @@ class PolyhedralCone:
             for r in clear_denominators(self.excluded_rays)[0]))
 
     def contains(self, v: Vec) -> bool:
+        """True iff v meets every facet and is no t r, t > 0, for an excluded ray
+        r: v parallel to r (v_j r_i = v_i r_j) with r's sign at r's first nonzero i."""
         for c in self._rows:
             if sum(map(mul, c, v)) < 0:
                 return False
-        return not self.on_excluded_ray(v)
-
-    def on_excluded_ray(self, v: Vec) -> bool:
-        """True iff v = t r for some t > 0 and excluded ray r: v is parallel
-        to r (v_j r_i = v_i r_j) and has r's sign at r's first nonzero index i."""
-        return any(v[i] * r[i] > 0 and all(a * r[i] == v[i] * b for a, b in zip(v, r))
-                   for i, r in self._rays)
+        return not any(v[i] * r[i] > 0 and all(a * r[i] == v[i] * b for a, b in zip(v, r))
+                       for i, r in self._rays)
 
 
 @functools.cache       # once per norm: the rank test and the facets run on Fractions
@@ -105,40 +103,63 @@ def _facet_values(cone, ints) -> list[tuple]:
     return [tuple([sum(map(mul, r, x)) for r in cone._rows]) for x in ints]
 
 
-def _order(cone, ints, vals) -> list[list[int]]:
-    """The cone's order on the points: for each x, the ascending indices y
-    with ints[x] - ints[y] in the cone, read off the facet values vals.  By
-    linearity x - y lies in the closed cone iff vals[x] >= vals[y] termwise,
-    and only the pairs that pass are tested against the excluded rays."""
-    below = [[j for j, vy in enumerate(vals) if j != i and all(map(ge, vx, vy))]
-             for i, vx in enumerate(vals)]
-    if cone.excluded_rays:
-        below = [[j for j in ys if not cone.on_excluded_ray(tuple(map(sub, ints[i], ints[j])))]
-                 for i, ys in enumerate(below)]
-    return below
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1                # clear the lowest set bit
+    return out
 
 
-def _heights(below: list[list[int]], pts) -> list[int]:
-    """Longest descending chain length from each point of the order, over a
-    topological order; points left over lie on or above a cycle (the cone is
-    not acute here), and CertificateError names a point on one."""
-    above: list[list[int]] = [[] for _ in below]
-    for x, ys in enumerate(below):
-        for y in ys:
-            above[y].append(x)
-    left = [len(ys) for ys in below]        # points below x not yet resolved
+def _order_masks(cone, ints, vals) -> tuple[list[int], list[int]]:
+    """The cone's order as bitmasks: bit y of below[x] and bit x of above[y]
+    are set iff ints[x] - ints[y] (y != x) lies in the cone, that is iff
+    vals[x] >= vals[y] termwise and, per excluded ray r, x - y is no t r,
+    t > 0.  Per facet, the points valued at most x's are a prefix of the
+    sorted values; per r, the points on each line along r drop in order."""
+    n = len(vals)
+    bits = [1 << x for x in range(n)]
+    below = [((1 << n) - 1) ^ b for b in bits]
+    above = below[:]
+    for col in zip(*vals):
+        up = sorted(range(n), key=col.__getitem__)
+        for masks, run in ((below, up), (above, up[::-1])):
+            upto, seen = {}, 0          # facet value -> the points valued at most (least) it
+            for x in run:
+                seen |= bits[x]
+                upto[col[x]] = seen     # a tie's last point holds all of them
+            masks[:] = map(and_, masks, map(upto.__getitem__, col))
+    for i, r in cone._rays:
+        lines: dict = {}                # x - y is parallel to r iff their keys agree
+        for x, p in enumerate(ints):
+            lines.setdefault(tuple([a * r[i] - p[i] * b for a, b in zip(p, r)]), []).append(x)
+        for line in lines.values():     # distinct points: no ties along r
+            line.sort(key=lambda x: ints[x][i] * r[i])
+            for masks, run in ((below, line), (above, line[::-1])):
+                for x, passed in zip(run, accumulate(map(bits.__getitem__, run), or_, initial=0)):
+                    masks[x] &= ~passed
+    return below, above
+
+
+def _heights(below: list[int], above: list[int], pts) -> list[int]:
+    """Longest descending chain length from each point of the order, level
+    by level: a point, looked at only once a point below it joins a level
+    (linear in the pairs), joins the next once all points below it have.
+    Points that never join lie on or above a cycle (the cone is not acute
+    here), and CertificateError names a point on one."""
     height = [0] * len(below)
-    ready = [x for x, c in enumerate(left) if not c]
-    for y in ready:                         # grows while it is read
-        for x in above[y]:
-            height[x] = max(height[x], height[y] + 1)
-            left[x] -= 1
-            if not left[x]:
-                ready.append(x)
-    if len(ready) < len(below):
-        x = next(x for x, c in enumerate(left) if c)
+    level, done, h = [x for x, m in enumerate(below) if not m], 0, 0
+    while level:
+        for x in level:
+            height[x] = h
+            done |= 1 << x
+        near = functools.reduce(or_, [above[y] for y in level]) & ~done
+        level, h = [x for x in _bits(near) if not below[x] & ~done], h + 1
+    if done != (1 << len(below)) - 1:
+        x = _bits((1 << len(below)) - 1 & ~done)[0]
         for _ in below:                     # walk down into the cycle
-            x = next(y for y in below[x] if left[y])
+            x = _bits(below[x] & ~done)[0]
         raise CertificateError(f"cycle in cone order at {pts[x]}; cone is not acute")
     return height
 
@@ -151,7 +172,7 @@ def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
     """
     pts = sorted(ps.points)
     ints = clear_denominators(pts)[0]
-    return dict(zip(pts, _heights(_order(cone, ints, _facet_values(cone, ints)), pts)))
+    return dict(zip(pts, _heights(*_order_masks(cone, ints, _facet_values(cone, ints)), pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +201,9 @@ def _equal_norm_violations(idx: int, cone, members) -> list[tuple[int, Vec, Vec]
     out = []
     for group in (g for g in by_norm.values() if len(g) > 1):
         labels, ints, vals = zip(*group)
-        related = {(min(i, j), max(i, j)) for i, ys in enumerate(_order(cone, ints, vals))
-                   for j in ys}
-        out += [(idx, labels[i], labels[j]) for i, j in sorted(related)]
+        below, above = _order_masks(cone, ints, vals)
+        out += [(idx, labels[i], labels[j]) for i in range(len(labels))
+                for j in _bits((below[i] | above[i]) >> (i + 1) << (i + 1))]
     return out
 
 
@@ -265,30 +286,30 @@ def chain_certificate(table: PairTable, family) -> HeightCertificate:
     """
     pts, ints, values, n = table.points, table.ints, table.values, len(table.points)
     facets = [_facet_values(cone, ints) for cone in family]
-    orders = [_order(cone, ints, vals) for cone, vals in zip(family, facets)]
-    related = {(x, y) for below in orders for x, ys in enumerate(below) for y in ys}
-    for x in range(n):
-        for y in range(x + 1, n):
-            if (x, y) not in related and (y, x) not in related:
-                raise CertificateError(
-                    f"no cone of the family covers the difference of {pts[x]} and {pts[y]}")
+    orders = [_order_masks(cone, ints, vals) for cone, vals in zip(family, facets)]
+    for x in range(n):          # the first y > x that no order relates to x
+        missing = ~functools.reduce(or_, (b[x] | a[x] for b, a in orders), 0) >> (x + 1)
+        y = x + (missing & -missing).bit_length()
+        if y < n:
+            raise CertificateError(
+                f"no cone of the family covers the difference of {pts[x]} and {pts[y]}")
     # One int key per point, one-to-one on differences of the points cleared to ints:
     # a difference's coordinates (within +-span) are its key's digits in base 2 span + 1.
     cleared = clear_denominators(ints)[0]
     base = 2 * max((max(c) - min(c) for c in zip(*cleared)), default=0) + 1
     keys = [sum(a * base ** j for j, a in enumerate(x)) for x in cleared]
     violations = []
-    for idx, (cone, vals, below) in enumerate(zip(family, facets, orders)):
+    for idx, (cone, vals, (below, _)) in enumerate(zip(family, facets, orders)):
         first: dict = {}        # difference (by key) -> the first pair (x, y) with it
-        for x, ys in enumerate(below):
-            for y in ys:
+        for x, mask in enumerate(below):
+            for y in _bits(mask):
                 first.setdefault(keys[x] - keys[y], (x, y))
         members = [((x, y), table.diff(y, x), tuple(map(sub, vals[x], vals[y])), values[x][y])
                    for x, y in first.values()]
         violations += [(i, vsub(pts[x], pts[y]), vsub(pts[z], pts[w]))
                        for i, (x, y), (z, w) in _equal_norm_violations(idx, cone, members)]
 
-    per_cone = [_heights(below, pts) for below in orders]
+    per_cone = [_heights(below, above, pts) for below, above in orders]
     heights = {x: tuple(hc[i] for hc in per_cone) for i, x in enumerate(pts)}
     h = max((max(hv) for hv in heights.values()), default=0)
     return HeightCertificate(heights=heights, h=h, bound=(h + 1) ** len(family),

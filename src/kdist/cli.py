@@ -16,14 +16,14 @@ import os
 import sys
 
 from . import __version__
-from .chains import chain_certificate, check_cone_conditions, parallelotope_cones
+from .chains import chain_certificate, parallelotope_cones
 from .cover import (cone_halfwidth_check, cover_assignment, generated_cones,
                     greedy_separated_set, packing_bound_check, separated_set_capacity,
                     sphere_samples)
 from .decompose import decompose_recursive_bound
 from .errors import CertificateError, FalsificationError, InputError, KdistError
-from .norms import NormSpec, norm_from_json, norm_to_json, rat_to_pair, vec_to_json, vsub
-from .planar import apply_matrix, best_route, planar_normalization, routes
+from .norms import NormSpec, norm_from_json, norm_to_json, rat_to_pair, vec_to_json
+from .planar import apply_matrix, best_route, planar_conditions, planar_normalization, routes
 from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
 from .spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_json,
                        pointset_to_json, spectrum_to_json)
@@ -82,10 +82,8 @@ def _cmd_chains(args) -> int:
 
 def _cmd_normalize2d(args) -> int:
     spec = _load_norm(args.norm)
-    nrm = planar_normalization(spec)
     # Checked on the input polygon's differences, reported in the frame of C' by T.
-    report = check_cone_conditions(nrm.cones, spec, [vsub(v, u) for u in nrm.polygon
-                                                     for v in nrm.polygon if u != v])
+    nrm, report = planar_normalization(spec), planar_conditions(spec)
     _emit({
         "x0": vec_to_json(nrm.x0),
         "y0": vec_to_json(nrm.y0),

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FalsificationError, InputError
-from .norms import NormSpec, Vec, cross2, gauge, polygon_vertices_2d
+from .norms import NormSpec, Vec, clear_denominators, cross2, gauge, polygon_vertices_2d
 from .spectrum import DistanceSpectrum, PairTable, PointSet, distance_spectrum
 
 
@@ -188,17 +188,17 @@ def _ball_reach(spec: NormSpec) -> np.ndarray:
 
 def exact_box_union_area(centers, half) -> Fraction:
     """Exact area of a union of axis-aligned squares (l-infinity balls, d=2):
-    over each x-slab, the merged y-intervals of the squares covering it."""
-    half = Fraction(half)
-    boxes = [(c[0] - half, c[0] + half, c[1]) for c in centers]
+    over each x-slab, the merged y-intervals of the squares covering it,
+    summed in ints on the centres and half cleared over one denominator D."""
+    ((h,), *rows), den = clear_denominators([(Fraction(half),), *centers])
+    boxes = [(c[0] - h, c[0] + h, c[1]) for c in rows]
     xs = sorted({x for b in boxes for x in b[:2]})
-    area = Fraction(0)
-    for x0, x1 in zip(xs, xs[1:]):
-        mx = (x0 + x1) / 2
-        ys = sorted(b[2] for b in boxes if b[0] <= mx <= b[1])
-        if ys:  # intervals of one length: each adds its gap to the last, at most 2*half
-            area += (x1 - x0) * (2 * half + sum(min(b - a, 2 * half) for a, b in zip(ys, ys[1:])))
-    return area
+    area = 0
+    for x0, x1 in zip(xs, xs[1:]):     # a box covers all of the slab or none of it
+        ys = sorted(y for a, b, y in boxes if a <= x0 and x1 <= b)
+        if ys:  # intervals of one length: each adds its gap to the last, at most 2*h
+            area += (x1 - x0) * (2 * h + sum(min(b - a, 2 * h) for a, b in zip(ys, ys[1:])))
+    return Fraction(area, den * den)
 
 
 # ---------------------------------------------------------------------------

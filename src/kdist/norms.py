@@ -81,8 +81,8 @@ def clear_denominators(vectors) -> tuple[list[tuple[int, ...]], int]:
 
 
 def rat_to_pair(q: Fraction) -> list[int]:
-    q = Fraction(q)
-    return [q.numerator, q.denominator]
+    # A Fraction or an int is in lowest terms already; anything else is made one.
+    return list((q if type(q) in (Fraction, int) else Fraction(q)).as_integer_ratio())
 
 
 def _is_json_int(obj) -> bool:

@@ -183,10 +183,8 @@ def quadrant_cones(vertices) -> QuadrantCones:
     verts = [vec(*v) for v in vertices]
     _validate_polygon(verts)
     p1, p2, removed = _quadrant_pair(verts, vec(1, 0), vec(0, 1))
-    n = len(verts)
-    diffs = [vsub(verts[b], verts[a])
-             for a in range(n) for b in range(n) if a != b]
-    report = check_cone_conditions((p1, p2), polygon_gauge(verts), diffs)
+    report = check_cone_conditions((p1, p2), polygon_gauge(verts),
+                                   [vsub(v, u) for u in verts for v in verts if u != v])
     return QuadrantCones(p1, p2, removed, report)
 
 
@@ -194,6 +192,15 @@ def quadrant_cones(vertices) -> QuadrantCones:
 def planar_normalization(spec: NormSpec) -> Normalization2D:
     """The max-area normalization of a planar exact norm's unit polygon."""
     return max_area_normalization(polygon_vertices_2d(spec))
+
+
+@functools.cache       # once per norm, as planar_normalization
+def planar_conditions(spec: NormSpec) -> ConeConditionReport:
+    """The planar cones' conditions on the unit polygon's vertex differences.
+    One report per norm, shared by every caller: read it, do not change it."""
+    nrm = planar_normalization(spec)
+    return check_cone_conditions(nrm.cones, spec, [vsub(v, u) for u in nrm.polygon
+                                                   for v in nrm.polygon if u != v])
 
 
 def planar_cones(spec: NormSpec) -> tuple[PolyhedralCone, PolyhedralCone]:

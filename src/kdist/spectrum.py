@@ -26,7 +26,11 @@ class PointSet:
             if len(p) != self.dim:
                 raise InputError(
                     f"point {p} has dimension {len(p)}, expected {self.dim}")
-        if len(set(self.points)) != len(self.points):
+        try:        # lowest-terms int pairs hash faster than Fractions, equal iff they do
+            rows = {tuple([a.as_integer_ratio() for a in p]) for p in self.points}
+        except (AttributeError, OverflowError, ValueError):
+            raise InputError("point coordinates must be finite ints, Fractions or floats") from None
+        if len(rows) != len(self.points):
             raise InputError("point set contains duplicate points")
 
     def __len__(self) -> int:
@@ -158,18 +162,18 @@ def distance_spectrum(spec: NormSpec, ps: PointSet) -> DistanceSpectrum:
 def best_distinct_witness(spec: NormSpec, ps: PointSet) -> tuple[Vec, int]:
     """Point of ps seeing the most distinct nonzero distances, with its count.
 
-    Ties are broken by the lexicographically smallest point.  For lp the
+    Ties are broken by the lexicographically smallest point.  An exact row's
+    distinct values are its distances and the diagonal's 0; for lp the
     distances from each point are grouped on their own, by single linkage.
     """
     if len(ps) < 2:
         raise InputError("witness needs at least two points")
     table = PairTable(spec, ps)
-    best_point, best_count = None, -1
-    for i, row in enumerate(table.values):
-        c = len(_value_classes(row[:i] + row[i + 1:], table.gauge.tol))
-        if c > best_count:
-            best_point, best_count = table.points[i], c
-    return best_point, best_count
+    tol = table.gauge.tol
+    counts = [len(_value_classes(row[:i] + row[i + 1:], tol)) if tol else len(set(row)) - 1
+              for i, row in enumerate(table.values)]
+    best = max(range(len(counts)), key=counts.__getitem__)     # the first of the largest
+    return table.points[best], counts[best]
 
 
 # ---------------------------------------------------------------------------

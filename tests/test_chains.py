@@ -131,11 +131,12 @@ def test_equal_norm_check_sees_both_signs_of_each_difference():
 @pytest.mark.parametrize("pts", [[vec(0, 0), vec(1, 0), vec(3, 1), vec(7, 4)],
                                  [vec(0), vec(1), vec(3)]])
 def test_one_membership_test_per_ordered_pair_and_cone(monkeypatch, pts):
-    # Each cone's order is built once per certificate, from facet values
-    # taken once per point: no per-pair membership test.  All differences
-    # have distinct norms, so the equal-norm check tests nothing either.
+    # Each cone's order is built once per certificate, as bitmasks from
+    # facet values taken once per point: no per-pair membership test.  All
+    # differences have distinct norms, so the equal-norm check builds no
+    # order either.
     ordered, tests = [], [0]
-    order, contains = chains._order, PolyhedralCone.contains
+    order, contains = chains._order_masks, PolyhedralCone.contains
 
     def counting_order(cone, ints, vals):
         ordered.append(cone)
@@ -145,7 +146,7 @@ def test_one_membership_test_per_ordered_pair_and_cone(monkeypatch, pts):
         tests[0] += 1
         return contains(self, v)
 
-    monkeypatch.setattr(chains, "_order", counting_order)
+    monkeypatch.setattr(chains, "_order_masks", counting_order)
     monkeypatch.setattr(PolyhedralCone, "contains", counting_contains)
     family = linf_cone_family(len(pts[0]))
     cert = chain_certificate(PairTable(linf(len(pts[0])), PointSet.of(pts)), family)
@@ -160,19 +161,29 @@ def test_certificate_with_a_height_above_k_is_not_ok():
     assert replace(cert, k=2).ok
 
 
+def _masks(below):
+    """An order given as lists of the points below each point, as the
+    (below, above) bitmasks of chains._heights."""
+    above = [0] * len(below)
+    for x, ys in enumerate(below):
+        for y in ys:
+            above[y] |= 1 << x
+    return [sum(1 << y for y in ys) for ys in below], above
+
+
 def test_heights_of_a_chain_deeper_than_the_recursion_limit():
     n = 5000
     up = [[x - 1] if x else [] for x in range(n)]
     down = [[x + 1] if x < n - 1 else [] for x in range(n)]
-    assert chains._heights(up, range(n)) == list(range(n))
-    assert chains._heights(down, range(n)) == list(range(n))[::-1]
+    assert chains._heights(*_masks(up), range(n)) == list(range(n))
+    assert chains._heights(*_masks(down), range(n)) == list(range(n))[::-1]
 
 
 def test_heights_cycle_names_a_point_on_the_cycle():
     # 0 lies above the cycle 1 > 2 > 3 > 1, and 4 below it.
     below = [[1], [2, 4], [3], [1], []]
     with pytest.raises(CertificateError, match="cycle in cone order at [123];"):
-        chains._heights(below, range(5))
+        chains._heights(*_masks(below), range(5))
 
 
 def test_certificate_uncovered_difference_raises():

@@ -278,7 +278,8 @@ def test_bound_planar_removed_rays_are_in_the_input_frame(files, capsys, spec):
 def test_each_planar_command_builds_only_what_it_prints(files, capsys, monkeypatch):
     # bound prints the input-frame cones' certificate and rays; normalize2d
     # prints C' and the condition report of the same cones, checked in the
-    # input frame.
+    # input frame, once per norm.
+    planar.planar_conditions.cache_clear()
     calls = {"quadrant_cones": 0, "check_cone_conditions": 0, "planar_cones": 0}
 
     def count(module, name):
@@ -298,6 +299,8 @@ def test_each_planar_command_builds_only_what_it_prints(files, capsys, monkeypat
         PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)])))
     assert run_command(["bound", "--norm", norm, "--points", points]) == 0
     assert calls == {"quadrant_cones": 0, "check_cone_conditions": 0, "planar_cones": 1}
+    assert run_command(["normalize2d", "--norm", norm]) == 0
+    assert calls == {"quadrant_cones": 0, "check_cone_conditions": 1, "planar_cones": 1}
     assert run_command(["normalize2d", "--norm", norm]) == 0
     assert calls == {"quadrant_cones": 0, "check_cone_conditions": 1, "planar_cones": 1}
 
@@ -517,14 +520,14 @@ def test_conecover_halfwidth_failure_is_alarm(files, capsys, monkeypatch):
 
 
 def test_normalize2d_failed_cone_conditions_are_an_alarm(files, capsys, monkeypatch):
-    real = cli.check_cone_conditions
+    real = cli.planar_conditions
 
-    def violated(*args):
-        report = real(*args)
-        report.equal_norm_violations.append((0, vec(1, 0), vec(0, 1)))
-        return report
+    def violated(spec):     # a new report: the norm's own stays cached as it was
+        report = real(spec)
+        return chains.ConeConditionReport(
+            report.uncovered, report.equal_norm_violations + [(0, vec(1, 0), vec(0, 1))])
 
-    monkeypatch.setattr(cli, "check_cone_conditions", violated)
+    monkeypatch.setattr(cli, "planar_conditions", violated)
     norm = files("norm.json", norm_to_json(hexagon_gauge()))
     assert run_command(["normalize2d", "--norm", norm]) == 2
     out = capsys.readouterr()

@@ -155,6 +155,20 @@ def test_slab_merge_box_union_equals_cell_loop(centers, half):
     assert exact_box_union_area(centers, half) == _cell_box_union_area(centers, half)
 
 
+# Denominators up to 7 in the centres and the half-width: pairwise coprime ones
+# (5 and 7 against 6) clear to a common denominator above any single one.
+sevenths = st.fractions(-3, 3, max_denominator=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(centers=st.lists(st.tuples(sevenths, sevenths), min_size=1, max_size=10),
+       half=st.fractions(0, 2, max_denominator=7))
+def test_int_box_union_equals_cell_loop_over_mixed_denominators(centers, half):
+    area = exact_box_union_area(centers, half)
+    assert type(area) is Fraction
+    assert area == _cell_box_union_area(centers, half)
+
+
 def _or_mask_union_volume(spec, centers, radius, trials, rng):
     """The union volume with every ball tested on every point, OR-ed into a mask."""
     d = centers.shape[1]

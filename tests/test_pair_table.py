@@ -7,6 +7,7 @@ they shared one integer table.
 
 import functools
 import random
+import re
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -19,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdist import (GeometryError, PointSet, PolyhedralCone, SearchProblem,
+from kdist import (CertificateError, GeometryError, PointSet, PolyhedralCone, SearchProblem,
                    best_distinct_witness, branch_and_bound, brute_force_oracle,
                    chain_certificate, check_cone_conditions, clusters_at,
                    decompose_recursive_bound, distance_spectrum, hexagon_gauge, l1, linf,
-                   linf_cone_family, lp, norm_eval, polygon_gauge, polytopal, vec)
+                   linf_cone_family, lp, norm_eval, parallelotope_cones, polygon_gauge,
+                   polytopal, vec)
 from kdist import norms
 from kdist.gen import random_symmetric_polygon
 from kdist.norms import FLOAT_EPS, dot, gauge, vadd, vneg, vscale, vsub
@@ -427,3 +429,98 @@ def test_lp_chain_wider_than_the_tolerance_is_an_error():
     # Near-equal values, as rounding leaves them, still make one class.
     near = [1.0 + i * 2e-12 for i in range(400)] + [3.0, 3.0 + 4e-16]
     assert list(map(len, _value_classes(near, FLOAT_EPS))) == [400, 2]
+
+
+# ---------------------------------------------------------------------------
+# the bitmask orders against the reference, on every outcome
+
+
+def ref_cycle_points(cone, pts):
+    """The points of pts on a cycle of the cone's order (x above y iff x - y
+    lies in the cone), by transitive closure."""
+    above = {(x, y) for x in pts for y in pts if x != y and ref_contains(cone, vsub(x, y))}
+    for z in pts:
+        above |= {(x, y) for x, w in above if w == z for v, y in above if v == z}
+    return {x for x in pts if (x, x) in above}
+
+
+@st.composite
+def family_cases(draw, max_size=10):
+    """A norm among linf(1..3), l1(2), the hexagon and a random octagon, with
+    its own cone family, that family with its excluded rays put back (too
+    wide), that family less one cone (pairs go uncovered), or
+    plus a half-space (the whole line in d = 1), which is not acute: points
+    a multiple of a boundary direction apart are a cycle of its order,
+    unless that direction is an excluded ray; and points, some of them a
+    multiple of an excluded ray or the boundary direction apart."""
+    kind = draw(st.sampled_from(["linf1", "linf2", "linf3", "l1", "hexagon", "octagon"]))
+    if kind.startswith("linf"):
+        spec = linf(int(kind[-1]))
+        family = list(parallelotope_cones(spec))
+    else:
+        spec = (l1(2) if kind == "l1" else hexagon_gauge() if kind == "hexagon" else
+                polygon_gauge(random_symmetric_polygon(
+                    random.Random(draw(st.integers(0, 2 ** 32))), 8, 8)))
+        family = list(planar_cones(spec))
+    d = spec.dim
+    change = draw(st.sampled_from(["own", "closed", "drop", "half-space"]))
+    if change == "closed":      # too wide: equal-norm violations are common
+        family = [PolyhedralCone(cone.facets) for cone in family]
+    if change == "drop" and len(family) > 1:
+        family.pop(draw(st.integers(0, len(family) - 1)))
+    side = ()
+    if change == "half-space":
+        a = draw(st.tuples(*[rationals] * d).filter(lambda a: a[0]))
+        side = (vec(-a[1], a[0], *[0] * (d - 2)),) if d > 1 else ()
+        ray = side if d == 2 and draw(st.booleans()) else ()
+        facets = (a,) if d > 1 else ()
+        family.insert(draw(st.integers(0, len(family))), PolyhedralCone(facets, ray))
+    rays = [r for cone in family for r in cone.excluded_rays] + list(side) or [vec(*[1] * d)]
+    # Small lattice points repeat norms, and so give equal-norm violations.
+    coords = draw(st.sampled_from([rationals, st.integers(-2, 2).map(Fraction)]))
+    pts = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=max_size // 2,
+                        unique=True))
+    steps = draw(st.lists(st.tuples(st.integers(0, len(pts) - 1), st.sampled_from(rays),
+                                    rationals), max_size=max_size - len(pts)))
+    pts += [vadd(pts[i], vscale(t, r)) for i, r, t in steps]
+    return spec, tuple(family), sorted(dict.fromkeys(pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=family_cases())
+def test_bitmask_certificate_matches_reference_on_every_outcome(case):
+    spec, family, pts = case
+    diffs = [vsub(x, y) for x in pts for y in pts if x != y] or [vec(*[1] * spec.dim)]
+    report = check_cone_conditions(family, spec, diffs)
+    assert (report.uncovered, report.equal_norm_violations) == \
+        ref_conditions(family, spec, diffs)
+    uncovered = [(x, y) for x, y in combinations(pts, 2)
+                 if not any(ref_contains(c, vsub(x, y)) or ref_contains(c, vsub(y, x))
+                            for c in family)]
+    cycles = [on for on in (ref_cycle_points(c, pts) for c in family) if on]
+    table = PairTable(spec, PointSet(spec.dim, tuple(pts)))
+    if uncovered:
+        x, y = uncovered[0]
+        with pytest.raises(CertificateError, match="no cone of the family covers the "
+                           f"difference of {re.escape(str(x))} and {re.escape(str(y))}$"):
+            chain_certificate(table, family)
+    elif cycles:
+        with pytest.raises(CertificateError, match="cycle in cone order at") as err:
+            chain_certificate(table, family)
+        assert any(f"at {p};" in str(err.value) for p in cycles[0])
+    else:
+        cert = chain_certificate(table, family)
+        heights, violations = ref_certificate(spec, pts, family)
+        assert cert.heights == heights
+        assert cert.h == max(max(hv) for hv in heights.values())
+        assert cert.injective == (len(set(heights.values())) == len(pts))
+        assert cert.violations == violations
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(lp_cases(), lp_rational_cases().filter(lambda c: len(c[1]) > 1)))
+def test_lp_witness_matches_the_single_linkage_reference(case):
+    # The exact kinds' witness is checked against the Fraction classes in
+    # test_spectrum_witness_and_classes_match_reference.
+    spec, ps = case
+    assert best_distinct_witness(spec, ps) == ref_witness(spec, ps.points)

@@ -1,6 +1,9 @@
+import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from kdist import (GeometryError, InputError, PointSet, best_distinct_witness,
                    distance_spectrum, linf, lp, polytopal, vec)
 from kdist.gen import integer_ceil_root
-from kdist.norms import vadd, vscale
+from kdist.norms import rat_from_pair, rat_to_pair, vadd, vscale
 from kdist.search import extremal_grid
 from kdist.spectrum import pointset_from_json, pointset_to_json
 
@@ -116,3 +119,63 @@ def test_spectrum_translation_and_scaling(pts, shift, scale):
 def test_pointset_json_round_trip():
     ps = PointSet.of([vec(0, "1/2"), vec(-3, 4)])
     assert pointset_from_json(pointset_to_json(ps)) == ps
+
+
+# ---------------------------------------------------------------------------
+# rationals in and out of JSON
+
+
+@pytest.mark.parametrize("q, pair", [
+    (Fraction(2, 4), [1, 2]), (Fraction(-3, 6), [-1, 2]), (7, [7, 1]), (-7, [-7, 1]),
+    (True, [1, 1]), (False, [0, 1]), (np.int64(-3), [-3, 1]), (0.5, [1, 2]), ("2/4", [1, 2]),
+])
+def test_rat_to_pair_writes_lowest_terms_as_ints(q, pair):
+    out = rat_to_pair(q)
+    assert out == pair and type(out) is list
+    assert all(type(a) is int for a in out) or type(q) is np.int64
+
+
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_rat_to_pair_refuses_a_non_finite_float(q):
+    with pytest.raises((OverflowError, ValueError)):
+        rat_to_pair(q)
+
+
+@pytest.mark.parametrize("obj, q", [
+    (3, Fraction(3)), ([2, 4], Fraction(1, 2)), ([3, -6], Fraction(-1, 2)),
+    ((-2, -4), Fraction(1, 2)), ([0, 5], Fraction(0)),
+])
+def test_rat_from_pair_reads_ints_and_int_pairs(obj, q):
+    out = rat_from_pair(obj)
+    assert out == q and type(out) is Fraction
+    assert out.denominator > 0 and math.gcd(out.numerator, out.denominator) == 1
+
+
+@pytest.mark.parametrize("obj", [
+    True, [True, 2], [1, False], np.int64(3), [np.int64(1), 2], 0.5, [1.0, 2], "1/2",
+    [1, 0], [1, 2, 3], math.inf, math.nan, [math.inf, 1], None,
+])
+def test_rat_from_pair_rejects_what_is_not_an_int_or_int_pair(obj):
+    with pytest.raises(InputError, match="not a rational"):
+        rat_from_pair(obj)
+
+
+def test_point_set_duplicates_are_equal_values_of_any_type():
+    for pts in ([(True, 0), (1, 0)], [(0.5,), (Fraction(1, 2),)], [(Fraction(2, 4), 3), (0.5, 3.0)],
+                [(-0.0,), (0,)]):
+        with pytest.raises(InputError, match="duplicate"):
+            PointSet.of(pts)
+    assert len(PointSet.of([(0.5, 1.0), (0.25, 1.0), (Fraction(1, 3), 1)])) == 3
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.int64(1), "1/2"])
+def test_point_set_rejects_coordinates_without_an_exact_ratio(bad):
+    with pytest.raises(InputError, match="point coordinates must be finite ints, Fractions "
+                                         "or floats"):
+        PointSet.of([(0.0, 1.0), (bad, 1.0)])
+
+
+def test_point_set_json_round_trip_keeps_types():
+    ps = PointSet.of([vec(0, "1/2"), vec(-3, "-7/3"), vec(True, 0.25)])
+    back = pointset_from_json(json.loads(json.dumps(pointset_to_json(ps))))
+    assert back == ps and all(type(a) is Fraction for p in back.points for a in p)
