@@ -293,9 +293,10 @@ def chain_certificate(table: PairTable, family) -> HeightCertificate:
         if y < n:
             raise CertificateError(
                 f"no cone of the family covers the difference of {pts[x]} and {pts[y]}")
-    # One int key per point, one-to-one on differences of the points cleared to ints:
+    # One int key per point, one-to-one on differences of the points cleared to ints
+    # (an exact table's rows are; lp's are its float or Fraction points):
     # a difference's coordinates (within +-span) are its key's digits in base 2 span + 1.
-    cleared = clear_denominators(ints)[0]
+    cleared = clear_denominators(ints)[0] if table.gauge.tol else ints
     base = 2 * max((max(c) - min(c) for c in zip(*cleared)), default=0) + 1
     keys = [sum(a * base ** j for j, a in enumerate(x)) for x in cleared]
     violations = []

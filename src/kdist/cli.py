@@ -51,8 +51,7 @@ def _digest(*objs) -> str:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2, default=str) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The kdist parser, and each command's own parser by name."""
     parser = _Parser(
         prog="kdist",
         description="Bounds and certificates for k-distance sets in Minkowski spaces")
@@ -260,13 +260,27 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the ten acceptance criteria at small scale")
     p.set_defaults(func=_cmd_selftest)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """One argparse pass: a named command's own parser reads the rest of argv,
+    as the kdist parser would hand it on; the kdist parser takes everything
+    else (no command, -h, an unknown command) and reports leftovers."""
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def run_command(argv: list[str]) -> int:
     try:
         try:
-            args = _parser().parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as exc:   # --help; usage errors raise InputError
             return exc.code
         return args.func(args)

@@ -81,29 +81,28 @@ def clear_denominators(vectors) -> tuple[list[tuple[int, ...]], int]:
 
 
 def rat_to_pair(q: Fraction) -> list[int]:
-    # A Fraction or an int is in lowest terms already; anything else is made one.
-    return list((q if type(q) in (Fraction, int) else Fraction(q)).as_integer_ratio())
-
-
-def _is_json_int(obj) -> bool:
-    # JSON true/false arrive as bool, a subclass of int.
-    return isinstance(obj, int) and not isinstance(obj, bool)
+    # A Fraction or an int is in lowest terms already; anything else is made
+    # one, and its terms made plain ints (a Fraction keeps a numpy numerator).
+    if type(q) in (Fraction, int):
+        return list(q.as_integer_ratio())
+    return list(map(int, Fraction(q).as_integer_ratio()))
 
 
 def int_from_json(obj, what: str) -> int:
     """A JSON integer; floats, strings and booleans are rejected, not coerced."""
-    if not _is_json_int(obj):
+    if type(obj) is not int:        # JSON true/false arrive as bool, a subclass of int
         raise InputError(f"{what} must be an integer, got {obj!r}")
     return obj
 
 
 def rat_from_pair(obj) -> Fraction:
-    if _is_json_int(obj):
+    # json.load yields exactly int and list: a bool, float or string is refused.
+    if type(obj) is int:
         return Fraction(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+    if type(obj) in (list, tuple) and len(obj) == 2:
         num, den = obj
-        if _is_json_int(num) and _is_json_int(den) and den != 0:
-            return Fraction(num, den)
+        if type(num) is int and type(den) is int and den:
+            return Fraction(num) if den == 1 else Fraction(num, den)
     raise InputError(f"not a rational [num, den] pair: {obj!r}")
 
 
@@ -151,6 +150,15 @@ class NormSpec:
     @property
     def exact(self) -> bool:
         return self.kind != "lp"
+
+    def __hash__(self) -> int:
+        # Hashed once, as every cache keyed by a norm looks it up.  Numbers only,
+        # kind by its index, so a pickled spec hashes the same in any process.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.dim, KINDS.index(self.kind), self.functionals, self.p))
+        return h
 
 
 def linf(dim: int) -> NormSpec:
@@ -255,6 +263,10 @@ class IntGauge:
 
     def rank(self) -> int:
         """Rank of the image (exact elimination); below ``dim`` iff a seminorm."""
+        return self._rank
+
+    @cached_property
+    def _rank(self) -> int:
         if self._rows is None:
             return self.dim
         rows, rank = [list(r) for r in self._rows], 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import sub
 
 import numpy as np
@@ -64,11 +65,9 @@ class DistanceSpectrum:
 
 
 def _value_classes(values: list, tol) -> list[list]:
-    """The sorted values in classes: equal values for tol = 0, else runs
-    whose consecutive gaps are within relative tol (single linkage); a run
-    wider than relative tol is a chain of near ties, a GeometryError."""
-    if not tol:
-        return [[v] * m for v, m in sorted(Counter(values).items())]
+    """The sorted values in runs whose consecutive gaps are within relative
+    tol (single linkage); a run wider than relative tol is a chain of near
+    ties, a GeometryError."""
     groups: list[list] = []
     for v in sorted(values):
         if groups and v - groups[-1][-1] <= tol * max(v, 1.0):
@@ -118,19 +117,29 @@ class PairTable:
         # reduce folds the columns of the transpose: [i, j] is the value of Y_j - Y_i.
         self._values = g.reduce(array[:, None] - array[None])
         self.values = self._values.tolist()
-        self.spectrum = self.spectrum_of(range(len(array)))
-        if self.spectrum.k and not self.spectrum.distances[0]:
-            raise GeometryError("distinct points at float distance 0 (underflow)")
+        if g.tol:
+            self.spectrum = self.spectrum_of(range(len(array)))
+            if self.spectrum.k and not self.spectrum.distances[0]:
+                raise GeometryError("distinct points at float distance 0 (underflow)")
+        else:   # each pair's value twice, and the diagonal's zeros: no pair's value is 0
+            counts = Counter(chain.from_iterable(self.values))
+            del counts[0]
+            self.spectrum = self._spectrum([(v, m // 2) for v, m in sorted(counts.items())])
 
     def spectrum_of(self, idx) -> DistanceSpectrum:
         """The spectrum of the points at ascending indices idx, read off the
         stored values and grouped on their own, as a table of those points
         alone would group them."""
         rows = self.values
-        groups = _value_classes([row[j] for a, i in enumerate(idx)
-                                 for row in [rows[i]] for j in idx[a + 1:]], self.gauge.tol)
-        return DistanceSpectrum(tuple(self.distance(group[0]) for group in groups),
-                                tuple(map(len, groups)))
+        values = [row[j] for a, i in enumerate(idx) for row in [rows[i]] for j in idx[a + 1:]]
+        if self.gauge.tol:
+            return self._spectrum([(g[0], len(g)) for g in _value_classes(values, self.gauge.tol)])
+        return self._spectrum(sorted(Counter(values).items()))
+
+    def _spectrum(self, classes: list[tuple]) -> DistanceSpectrum:
+        """The spectrum of (least value, pair count) classes, in increasing order."""
+        return DistanceSpectrum(tuple([self.distance(v) for v, _ in classes]),
+                                tuple([m for _, m in classes]))
 
     @cached_property
     def classes(self) -> list[list[int]]:

@@ -344,3 +344,20 @@ SPACE_PTS = PointSet.of([vec(0, 0, 0), vec(1, 0, 5)])
 def test_cones_of_another_dimension_are_rejected(run):
     with pytest.raises(InputError, match="dimension"):
         run(linf_cone_family(2))
+
+
+def test_lp_certificate_keys_float_points_on_their_exact_differences():
+    # lp rows are the float points themselves, cleared to exact ints before
+    # their differences are keyed: keyed in floats, u's difference would
+    # collide with another's, and the violation would be lost.
+    ps = PointSet.of([(0.1, 0.1), (0.3, 0.3), (0.4, 0.7), (0.7, 0.3), (0.9, 0.1), (1.0, 0.5)])
+    cert = chain_certificate(PairTable(lp(2, 2.0), ps), linf_cone_family(2))
+    assert {**cert.to_json(), "k": cert.k} == {
+        "heights": {"0.1,0.1": [0, 0], "0.3,0.3": [1, 1], "0.4,0.7": [0, 2],
+                    "0.7,0.3": [2, 1], "0.9,0.1": [3, 0], "1.0,0.5": [3, 1]},
+        "h": 3, "bound": 16, "injective": True, "k": 11,
+        "violations": [{"cone": 0,
+                        "u": [[1351079888211149, 2251799813685248],
+                              [-7205759403792793, 36028797018963968]],
+                        "v": [[5404319552844595, 9007199254740992],
+                              [-900719925474099, 4503599627370496]]}]}

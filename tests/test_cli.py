@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -776,14 +777,38 @@ def test_bound_rejects_a_planar_seminorm(files, capsys):
     assert out.out == "" and "functionals do not span the plane" in out.err
 
 
-@pytest.mark.parametrize("argv", [
-    [], ["bound"], ["bound", "--points", "x"], ["nonsense"],
-    ["search", "--norm", "n", "--ground", "g", "--k", "two"],
-    ["spectrum", "--norm", "n", "--points", "p", "--extra"],
+@pytest.mark.parametrize("argv, err", [
+    ([], "kdist: the following arguments are required: command"),
+    (["bound"], "kdist bound: the following arguments are required: --norm, --points"),
+    (["bound", "--points", "x"], "kdist bound: the following arguments are required: --norm"),
+    (["nonsense"], "kdist: argument command: invalid choice: 'nonsense' (choose from "
+                   "'spectrum', 'chains', 'normalize2d', 'conecover', 'decompose', 'search', "
+                   "'bound', 'selftest')"),
+    (["search", "--norm", "n", "--ground", "g", "--k", "two"],
+     "kdist search: argument --k: invalid int value: 'two'"),
+    (["spectrum", "--norm", "n", "--points", "p", "--extra"],
+     "kdist: unrecognized arguments: --extra"),
+    (["bound", "--norm", "a", "--points", "b", "extra"], "kdist: unrecognized arguments: extra"),
 ])
-def test_usage_error_is_input_error(capsys, argv):
+def test_usage_error_is_input_error(capsys, argv, err):
     assert run_command(argv) == 1
-    assert capsys.readouterr().err.startswith("input error: kdist")
+    assert capsys.readouterr() == ("", f"input error: {err}\n")
+
+
+def test_a_command_is_parsed_in_one_argparse_pass(files, capsys, monkeypatch):
+    passes = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    norm = files("norm.json", norm_to_json(linf(2)))
+    points = files("pts.json", pointset_to_json(_grid_points()))
+    assert run_command(["spectrum", "--norm", norm, "--points", points]) == 0
+    assert passes == ["kdist spectrum"]
+    assert json.loads(capsys.readouterr().out)["k"] > 0
 
 
 def test_usage_error_exit_status_of_the_module():

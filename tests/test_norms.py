@@ -1,5 +1,12 @@
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +206,49 @@ def test_int_gauge_clears_functional_denominators():
 def test_gauge_is_built_once_per_norm(build):
     # Equal specs built apart share one evaluator.
     assert gauge(build()) is gauge(build())
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 3), data=st.data())
+def test_equal_norms_hash_equal_and_share_one_gauge(d, data):
+    kind = data.draw(st.sampled_from(["linf", "l1", "polytopal", "lp"]))
+    obj = {"dim": d, "kind": kind}
+    if kind == "polytopal":
+        funcs = data.draw(st.lists(rvec(d), min_size=1, max_size=4))
+        obj["functionals"] = [[[q.numerator, q.denominator] for q in a] for a in funcs]
+    if kind == "lp":
+        obj["p"] = data.draw(st.sampled_from([1.5, 2, 3.0]))
+    # A second spelling of the same norm: every pair scaled by 3 over 3.
+    twin = json.loads(json.dumps(obj))
+    for a in twin.get("functionals", []):
+        a[:] = [[3 * n, 3 * m] for n, m in a]
+    spec, other = norm_from_json(obj), norm_from_json(twin)
+    assert spec == other and spec is not other
+    assert hash(spec) == hash(other) == hash(copy.deepcopy(spec))
+    assert gauge(spec) is gauge(other)
+
+
+def test_norm_hash_is_the_same_under_any_hash_seed():
+    obj = {"dim": 2, "kind": "polytopal", "functionals": [[1, [1, 2]], [[-3, 4], 2]]}
+    specs = [norm_from_json(obj), lp(3, 2.5)]
+    for spec in specs:
+        hash(spec)                              # so the pickle carries the hash
+    blob = pickle.dumps(specs)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("import json, pickle, sys; from kdist.norms import lp, norm_from_json; "
+              "fresh = [norm_from_json(json.loads(sys.argv[1])), lp(3, 2.5)]; "
+              "loaded = pickle.loads(bytes.fromhex(sys.argv[2])); "
+              "print(json.dumps([list(map(hash, fresh)), list(map(hash, loaded))]))")
+    outs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(obj), blob.hex()],
+                              env=env, capture_output=True, text=True, timeout=60, check=True)
+        fresh, loaded = json.loads(proc.stdout)
+        assert fresh == loaded
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def test_int_gauge_rank():

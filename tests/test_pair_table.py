@@ -366,6 +366,32 @@ def test_array_table_equals_the_pair_loop(case, force_objects, data):
     assert table.spectrum_of(idx) == want.spectrum_of(idx)
 
 
+@st.composite
+def counted_cases(draw):
+    """1 to 12 points under linf or l1 (d = 1 to 3), the hexagon or a random octagon."""
+    kind = draw(st.sampled_from(["linf", "l1", "hexagon", "octagon"]))
+    d = 2 if kind in ("hexagon", "octagon") else draw(st.integers(1, 3))
+    spec = (linf(d) if kind == "linf" else l1(d) if kind == "l1" else
+            hexagon_gauge() if kind == "hexagon" else polygon_gauge(random_symmetric_polygon(
+                random.Random(draw(st.integers(0, 2 ** 32))), 8, 8)))
+    pts = draw(st.lists(st.tuples(*[rationals] * d), min_size=1, max_size=12, unique=True))
+    return spec, PointSet(d, tuple(pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=counted_cases(), force_objects=st.booleans())
+def test_exact_spectrum_counts_the_upper_triangle(case, force_objects):
+    # The table counts all n x n values at once; the reference groups the
+    # Fraction distances of the pairs i < j.
+    spec, ps = case
+    with mock.patch.object(norms, "INT64_LIMIT", 0 if force_objects else norms.INT64_LIMIT):
+        table = PairTable(spec, ps)
+    assert table._values.dtype == (object if force_objects else np.int64)
+    sp = table.spectrum
+    assert (sp.distances, sp.multiplicities) == ref_spectrum(spec, ps.points)
+    assert all(type(d) is Fraction for d in sp.distances)
+
+
 def test_searches_and_the_recursion_build_one_table(monkeypatch):
     builds = []
     init = PairTable.__init__

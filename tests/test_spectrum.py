@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from kdist import (GeometryError, InputError, PointSet, best_distinct_witness,
                    distance_spectrum, linf, lp, polytopal, vec)
 from kdist.gen import integer_ceil_root
-from kdist.norms import rat_from_pair, rat_to_pair, vadd, vscale
+from kdist.norms import rat_from_pair, rat_to_pair, vadd, vec_to_json, vscale
 from kdist.search import extremal_grid
 from kdist.spectrum import pointset_from_json, pointset_to_json
 
@@ -132,7 +132,11 @@ def test_pointset_json_round_trip():
 def test_rat_to_pair_writes_lowest_terms_as_ints(q, pair):
     out = rat_to_pair(q)
     assert out == pair and type(out) is list
-    assert all(type(a) is int for a in out) or type(q) is np.int64
+    assert all(type(a) is int for a in out)
+
+
+def test_numpy_ints_write_as_json_ints():
+    assert json.dumps(vec_to_json((np.int64(3), np.int32(-2)))) == "[[3, 1], [-2, 1]]"
 
 
 @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
