@@ -49,7 +49,7 @@ class PolyhedralCone:
         if len(dims) > 1:
             raise InputError("cone facets and excluded rays differ in length")
         object.__setattr__(self, "dim", dims.pop() if dims else None)
-        object.__setattr__(self, "_rows", tuple(clear_denominators(self.facets)[0]))
+        object.__setattr__(self, "_rows", clear_denominators(self.facets)[0])
         object.__setattr__(self, "_rays", tuple(
             (next(i for i, b in enumerate(r) if b), r)
             for r in clear_denominators(self.excluded_rays)[0]))
@@ -167,11 +167,11 @@ def _heights(below: list[int], above: list[int], pts) -> list[int]:
 def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
     """Longest strictly descending chain length from each point, under cone's order.
 
-    The order is built on the points cleared to ints, which scaling by
-    D > 0 leaves unchanged; a cycle raises CertificateError.
+    The order is built on the point set's rows, which scaling by den > 0
+    leaves unchanged; a cycle raises CertificateError.
     """
-    pts = sorted(ps.points)
-    ints = clear_denominators(pts)[0]
+    order = sorted(range(len(ps)), key=ps.rows.__getitem__)
+    pts, ints = [ps.points[i] for i in order], [ps.rows[i] for i in order]
     return dict(zip(pts, _heights(*_order_masks(cone, ints, _facet_values(cone, ints)), pts)))
 
 
@@ -214,8 +214,8 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
     for distinct u, v in a common P_i with ||u|| = ||v||, neither u - v nor
     v - u lies in P_i.  Both are decided on the vectors cleared over one
     common denominator (cone membership and the equal-norm grouping are
-    invariant under that scaling), with the norm's gauge.  Cones or vectors
-    of another dimension than the norm's raise InputError.
+    invariant under that scaling), with the norm's gauge (lp's on the vectors
+    themselves).  Cones or vectors of another dimension than the norm's raise InputError.
     """
     vectors = list(dict.fromkeys(v for v in vectors if not is_zero(v)))
     if not vectors:
@@ -223,8 +223,8 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
     if {len(v) for v in vectors} | ({c.dim for c in family} - {None}) != {spec.dim}:
         raise InputError("the cones, the vectors and the norm differ in dimension")
     g = gauge(spec)
-    scaled, _ = g.clear(vectors)
-    values = g.reduce(image_array(g, scaled)).tolist()
+    scaled = clear_denominators(vectors)[0]
+    values = g.reduce(image_array(g, vectors if g.tol else scaled)).tolist()
     inside = [[cone.contains(x) for cone in family] for x in scaled]
     report = ConeConditionReport()
     for v, x, hits in zip(vectors, scaled, inside):
@@ -293,20 +293,18 @@ def chain_certificate(table: PairTable, family) -> HeightCertificate:
         if y < n:
             raise CertificateError(
                 f"no cone of the family covers the difference of {pts[x]} and {pts[y]}")
-    # One int key per point, one-to-one on differences of the points cleared to ints
-    # (an exact table's rows are; lp's are its float or Fraction points):
-    # a difference's coordinates (within +-span) are its key's digits in base 2 span + 1.
-    cleared = clear_denominators(ints)[0] if table.gauge.tol else ints
-    base = 2 * max((max(c) - min(c) for c in zip(*cleared)), default=0) + 1
-    keys = [sum(a * base ** j for j, a in enumerate(x)) for x in cleared]
+    # One int key per point, one-to-one on differences of the rows: a
+    # difference's coordinates (within +-span) are its key's digits in base 2 span + 1.
+    base = 2 * max((max(c) - min(c) for c in zip(*ints)), default=0) + 1
+    keys = [sum(a * base ** j for j, a in enumerate(x)) for x in ints]
     violations = []
     for idx, (cone, vals, (below, _)) in enumerate(zip(family, facets, orders)):
         first: dict = {}        # difference (by key) -> the first pair (x, y) with it
         for x, mask in enumerate(below):
             for y in _bits(mask):
                 first.setdefault(keys[x] - keys[y], (x, y))
-        members = [((x, y), table.diff(y, x), tuple(map(sub, vals[x], vals[y])), values[x][y])
-                   for x, y in first.values()]
+        members = [((x, y), tuple(map(sub, ints[x], ints[y])), tuple(map(sub, vals[x], vals[y])),
+                    values[x][y]) for x, y in first.values()]
         violations += [(i, vsub(pts[x], pts[y]), vsub(pts[z], pts[w]))
                        for i, (x, y), (z, w) in _equal_norm_violations(idx, cone, members)]
 

@@ -30,10 +30,11 @@ from .spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_jso
 
 
 def _load_json(path: str):
+    # ValueError: bad JSON, non-UTF-8 text or too many digits; RecursionError: deep nesting.
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -190,7 +190,7 @@ def exact_box_union_area(centers, half) -> Fraction:
     """Exact area of a union of axis-aligned squares (l-infinity balls, d=2):
     over each x-slab, the merged y-intervals of the squares covering it,
     summed in ints on the centres and half cleared over one denominator D."""
-    ((h,), *rows), den = clear_denominators([(Fraction(half),), *centers])
+    ((h, _), *rows), den = clear_denominators([(Fraction(half),) * 2, *centers])
     boxes = [(c[0] - h, c[0] + h, c[1]) for c in rows]
     xs = sorted({x for b in boxes for x in b[:2]})
     area = 0

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce as fold
 from itertools import chain
 from math import inf, lcm
-from operator import mul, truediv
+from operator import itemgetter, mul, truediv
 
 import numpy as np
 
@@ -54,14 +54,6 @@ def vneg(v: Vec) -> Vec:
     return tuple(-a for a in v)
 
 
-def vscale(q, v: Vec) -> Vec:
-    return tuple(q * a for a in v)
-
-
-def dot(a: Vec, v: Vec):
-    return sum(x * y for x, y in zip(a, v))
-
-
 def cross2(u: Vec, v: Vec):
     return u[0] * v[1] - u[1] * v[0]
 
@@ -70,14 +62,16 @@ def is_zero(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
-def clear_denominators(vectors) -> tuple[list[tuple[int, ...]], int]:
-    """The vectors times one common denominator D > 0, as int tuples, and D.
-
-    Exact for ints, Fractions and floats alike.
-    """
-    ratios = [[a.as_integer_ratio() for a in v] for v in vectors]
-    den = lcm(*(q for r in ratios for _, q in r))
-    return [tuple([p * (den // q) for p, q in r]) for r in ratios], den
+def clear_denominators(vectors) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A sequence of vectors of one length times their least common denominator
+    D > 0, as int tuples, and D: one flat pass of ``as_integer_ratio()``, exact
+    for ints, Fractions and floats alike, multiplied only when D != 1."""
+    ratios = [a.as_integer_ratio() for v in vectors for a in v]
+    if not ratios:                              # no coordinates: every vector is ()
+        return ((),) * len(vectors), 1
+    den = lcm(*set(map(itemgetter(1), ratios)))
+    nums = iter(map(itemgetter(0), ratios) if den == 1 else [p * (den // q) for p, q in ratios])
+    return tuple(zip(*[nums] * len(vectors[0]))), den
 
 
 def rat_to_pair(q: Fraction) -> list[int]:
@@ -207,7 +201,6 @@ class IntGauge:
     """
 
     tol = 0                                     # values are exact
-    clear = staticmethod(clear_denominators)    # vectors over one denominator D, and D
     quotient = Fraction                         # the distance a value stands for at a scale
 
     def __init__(self, spec: NormSpec):
@@ -319,10 +312,6 @@ class LpGauge:
 
     values = reduce
 
-    @staticmethod
-    def clear(vectors) -> tuple[list[tuple], int]:
-        return [tuple(v) for v in vectors], 1
-
     def rank(self) -> int:
         return self.dim
 
@@ -363,10 +352,6 @@ def image_array(g: Gauge, rows: list) -> np.ndarray:
         shape, top = images.shape, int(np.abs(images).max(initial=0))
     fits = 2 * shape[1] * top < INT64_LIMIT
     return np.asarray(images, np.int64 if fits else object).reshape(shape)
-
-
-def is_unit(spec: NormSpec, v: Vec) -> bool:
-    return abs(norm_eval(spec, v) - 1) <= gauge(spec).tol
 
 
 # ---------------------------------------------------------------------------

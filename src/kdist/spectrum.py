@@ -3,36 +3,40 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import sub
 
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .norms import (NormSpec, Vec, gauge, image_array, int_from_json, vec_from_json,
-                    vec_to_json)
+from .norms import (NormSpec, Vec, clear_denominators, gauge, image_array, int_from_json,
+                    vec_from_json, vec_to_json)
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite set of pairwise-distinct points of one dimension."""
+    """A finite set of pairwise-distinct points of one dimension, cleared once:
+    ``rows[i]`` is ``points[i]`` times ``den``, their least common denominator,
+    as an int tuple.  Duplicates, the pair table and cone orders read the rows."""
 
     dim: int
     points: tuple[Vec, ...]
+    rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    den: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for p in self.points:
             if len(p) != self.dim:
                 raise InputError(
                     f"point {p} has dimension {len(p)}, expected {self.dim}")
-        try:        # lowest-terms int pairs hash faster than Fractions, equal iff they do
-            rows = {tuple([a.as_integer_ratio() for a in p]) for p in self.points}
+        try:
+            rows, den = clear_denominators(self.points)
         except (AttributeError, OverflowError, ValueError):
             raise InputError("point coordinates must be finite ints, Fractions or floats") from None
-        if len(rows) != len(self.points):
+        if len(set(rows)) != len(rows):
             raise InputError("point set contains duplicate points")
+        self.__dict__.update(rows=rows, den=den)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -84,19 +88,19 @@ def _value_classes(values: list, tol) -> list[list]:
 class PairTable:
     """Every pairwise distance of one point set, computed once.
 
-    ``points`` are the points sorted; ``values[i][j]`` is the distance of
-    points i and j as a value of the norm's :func:`~kdist.norms.gauge`.
-    The points are cleared (``ints``) over one common denominator D and
-    mapped to gauge images, so a value is the distance times ``scale`` =
-    D * gauge scale: a plain int for the exact kinds, where equality and
-    order stay exact, and the float distance for lp (D = scale = 1, ``ints``
-    are the points).  The images form one array (int64, or Python objects:
-    see :func:`~kdist.norms.image_array`), reduced over all n x n pairs at
-    once.  ``spectrum`` holds the distance classes and ``classes[i][j]``
-    numbers the class of a pair, in increasing order of distance; lp merges
-    distances within the gauge's relative tolerance by single linkage over
-    all pairs.  A seminorm, two distinct points at lp distance 0 (underflow)
-    or an lp class wider than tol raises GeometryError.
+    ``points`` are the points sorted, ``ints`` their ``PointSet.rows`` in that
+    order; ``values[i][j]`` is the distance of points i and j as a value of
+    the norm's :func:`~kdist.norms.gauge`.  An exact kind maps the rows to
+    gauge images, so a value is the distance times ``scale`` = den * gauge
+    scale, a plain int, where equality and order stay exact; lp maps the
+    points, at scale 1, so a value is the float distance.  The images form
+    one array (int64, or Python objects: see :func:`~kdist.norms.image_array`),
+    reduced over all n x n pairs at once.  ``spectrum`` holds the distance
+    classes and ``classes[i][j]`` numbers the class of a pair, in increasing
+    order of distance; lp merges distances within the gauge's relative
+    tolerance by single linkage over all pairs.  A seminorm, two distinct
+    points at lp distance 0 (underflow) or an lp class wider than tol
+    raises GeometryError.
     """
 
     def __init__(self, spec: NormSpec, ps: PointSet):
@@ -108,12 +112,11 @@ class PairTable:
             raise GeometryError(
                 f"a seminorm: its functionals do not span R^{spec.dim}, "
                 "so distinct points can be at distance 0")
-        # D > 0, so the cleared points sort as the points do, and sort faster.
-        ints, den = g.clear(ps.points)
-        order = sorted(range(len(ints)), key=ints.__getitem__)
-        self.ints, self.points = [ints[i] for i in order], [ps.points[i] for i in order]
-        self.scale = den * g.scale
-        array = image_array(g, self.ints)
+        # den > 0, so the rows sort as the points do, and sort faster.
+        order = sorted(range(len(ps)), key=ps.rows.__getitem__)
+        self.ints, self.points = [ps.rows[i] for i in order], [ps.points[i] for i in order]
+        rows, self.scale = (self.points, 1) if g.tol else (self.ints, ps.den * g.scale)
+        array = image_array(g, rows)
         # reduce folds the columns of the transpose: [i, j] is the value of Y_j - Y_i.
         self._values = g.reduce(array[:, None] - array[None])
         self.values = self._values.tolist()
@@ -148,10 +151,6 @@ class PairTable:
         reps = np.array([self.gauge.at_most(d, self.scale) for d in self.spectrum.distances],
                         self._values.dtype)
         return np.maximum(np.searchsorted(reps, self._values, side="right") - 1, 0).tolist()
-
-    def diff(self, i: int, j: int) -> tuple:
-        """Point j minus point i, times D."""
-        return tuple(map(sub, self.ints[j], self.ints[i]))
 
     def distance(self, value):
         """The distance a table value stands for: a Fraction, or a float for lp."""

@@ -12,9 +12,18 @@ from kdist import (CertificateError, InputError, PointSet, chain_certificate,
 from kdist import chains
 from kdist.chains import HeightCertificate, PolyhedralCone, cone_heights
 from kdist.gen import random_lattice_subset
-from kdist.norms import dot, vadd, vneg, vsub
+from kdist.norms import vadd, vneg, vsub
 from kdist.search import extremal_grid
 from kdist.spectrum import PairTable
+
+
+def dot(a, v):
+    return sum(x * y for x, y in zip(a, v))
+
+
+def vscale(q, v):
+    return tuple(q * a for a in v)
+
 
 GRID33 = extremal_grid(2, 2)
 
@@ -115,6 +124,14 @@ def test_cone_conditions_equal_norm_violation():
     assert report.equal_norm_violations
 
 
+def test_lp_cone_conditions_decide_membership_on_exact_rows():
+    # v's facet sum over (1, 1, 1) is 0.1 + 0.3 - 0.4 = 0.0 in floats, but
+    # exactly -2^-55: v lies outside the cone, and so does -v (its x0 < 0).
+    cone = PolyhedralCone(facets=(vec(1, 1, 1), vec(1, 0, 0)))
+    v = (0.1, 0.3, -0.4)
+    assert check_cone_conditions((cone,), lp(3, 2.0), [v]).uncovered == [v]
+
+
 CLOSED_QUADRANTS = (PolyhedralCone(facets=(vec(1, 0), vec(0, 1))),
                     PolyhedralCone(facets=(vec(-1, 0), vec(0, 1))))
 
@@ -195,7 +212,6 @@ def test_certificate_uncovered_difference_raises():
 
 def test_heights_translation_and_scaling_invariant():
     rng = random.Random(3)
-    from kdist.norms import vadd, vscale
     for _ in range(10):
         ps = random_lattice_subset(rng, 2, 4, rng.randint(2, 8))
         base = _heights(ps)
@@ -347,14 +363,17 @@ def test_cones_of_another_dimension_are_rejected(run):
 
 
 def test_lp_certificate_keys_float_points_on_their_exact_differences():
-    # lp rows are the float points themselves, cleared to exact ints before
-    # their differences are keyed: keyed in floats, u's difference would
-    # collide with another's, and the violation would be lost.
+    # lp orders and keys are taken on the float points' exact rows: keyed in
+    # floats, u's difference would collide with another's, and the violation
+    # would be lost.  Ordered in floats, (0.7, 0.3) - (0.9, 0.1) would lie in
+    # cone 1 {x1 >= |x0|}, as the facet sums 0.3 + 0.7 and 0.1 + 0.9 both
+    # round to 1.0; its exact value (-0.20000000000000007, 0.19999999999999998)
+    # lies outside, so (0.7, 0.3) has height 0 in cone 1, not 1.
     ps = PointSet.of([(0.1, 0.1), (0.3, 0.3), (0.4, 0.7), (0.7, 0.3), (0.9, 0.1), (1.0, 0.5)])
     cert = chain_certificate(PairTable(lp(2, 2.0), ps), linf_cone_family(2))
     assert {**cert.to_json(), "k": cert.k} == {
         "heights": {"0.1,0.1": [0, 0], "0.3,0.3": [1, 1], "0.4,0.7": [0, 2],
-                    "0.7,0.3": [2, 1], "0.9,0.1": [3, 0], "1.0,0.5": [3, 1]},
+                    "0.7,0.3": [2, 0], "0.9,0.1": [3, 0], "1.0,0.5": [3, 1]},
         "h": 3, "bound": 16, "injective": True, "k": 11,
         "violations": [{"cone": 0,
                         "u": [[1351079888211149, 2251799813685248],

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from kdist import (PolyhedralCone, __version__, criteria, hexagon_gauge, l1, linf, lp,
                    max_area_normalization, planar_bound_certificate, polygon_gauge,
                    polygon_vertices_2d, polytopal, vec)
-from kdist import chains, cli, planar, search
+import kdist
+from kdist import chains, cli, norms, planar, search
 from kdist.cli import run_command
 from kdist.gen import random_symmetric_polygon
 from kdist.cover import (MAX_SAMPLES, cone_halfwidth_check, cover_assignment, generated_cones,
@@ -655,6 +656,23 @@ def test_malformed_json_is_input_error(files, capsys, norm, points):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("role", ["--points", "--norm"])
+@pytest.mark.parametrize("data", [
+    b"[" * 100_000,                                 # deeper than the decoder's recursion
+    b'\xff\xfe{"dim": 1, "kind": "linf"}',          # a UTF-16 mark: not UTF-8 text
+    b'{"dim": 1, "points": [[' + b"7" * 5000 + b"]]}",  # past Python's int-string limit
+], ids=["nested", "utf16-bom", "5000-digits"])
+def test_unreadable_json_is_one_input_error_line(files, tmp_path, capsys, role, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    paths = {"--norm": files("norm.json", norm_to_json(linf(1))),
+             "--points": files("pts.json", {"dim": 1, "points": [[0], [1]]}), role: str(bad)}
+    assert run_command(["spectrum", *chain.from_iterable(paths.items())]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"input error: cannot read JSON from {bad}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["spectrum", "chains", "normalize2d", "conecover",
                                      "decompose", "search", "bound"])
 @pytest.mark.parametrize("dim", [MAX_JSON_DIM + 1, 5_000_000, 10 ** 30])
@@ -809,6 +827,27 @@ def test_a_command_is_parsed_in_one_argparse_pass(files, capsys, monkeypatch):
     assert run_command(["spectrum", "--norm", norm, "--points", points]) == 0
     assert passes == ["kdist spectrum"]
     assert json.loads(capsys.readouterr().out)["k"] > 0
+
+
+def test_a_point_set_is_cleared_once_per_command(files, capsys, monkeypatch):
+    # The first run builds the norm's cached cones, whose facets are cleared too.
+    norm = files("norm.json", norm_to_json(linf(2)))
+    points = files("pts.json", pointset_to_json(
+        PointSet.of([vec(x, y) for x in range(6) for y in range(3)])))
+    argv = ["bound", "--norm", norm, "--points", points]
+    assert run_command(argv) == 0 and capsys.readouterr().err == ""
+    calls, clear = [], norms.clear_denominators
+
+    def counted(vectors):
+        calls.append(sys._getframe(1).f_code.co_qualname)
+        return clear(vectors)
+
+    for module in vars(kdist).values():
+        if getattr(module, "clear_denominators", None) is clear:
+            monkeypatch.setattr(module, "clear_denominators", counted)
+    assert run_command(argv) == 0
+    assert calls == ["PointSet.__post_init__"]
+    assert json.loads(capsys.readouterr().out)["observed"] == 18
 
 
 def test_usage_error_exit_status_of_the_module():

@@ -17,9 +17,17 @@ from kdist import norms
 from kdist import (GeometryError, InputError, hexagon_gauge, l1, linf, lp,
                    norm_eval, polygon_gauge, polygon_vertices_2d, polytopal, vec)
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import (MAX_JSON_DIM, IntGauge, LpGauge, convex_hull, cross2, dot, gauge,
-                         image_array, is_zero, norm_from_json, norm_to_json, vadd, vneg,
-                         vscale, vsub)
+from kdist.norms import (MAX_JSON_DIM, IntGauge, LpGauge, convex_hull, cross2, gauge,
+                         image_array, is_zero, norm_from_json, norm_to_json, vadd, vneg, vsub)
+
+
+def dot(a, v):
+    return sum(x * y for x, y in zip(a, v))
+
+
+def vscale(q, v):
+    return tuple(q * a for a in v)
+
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 

@@ -28,10 +28,19 @@ from kdist import (CertificateError, GeometryError, PointSet, PolyhedralCone, Se
                    polytopal, vec)
 from kdist import norms
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import FLOAT_EPS, dot, gauge, vadd, vneg, vscale, vsub
+from kdist.norms import FLOAT_EPS, clear_denominators, gauge, vadd, vneg, vsub
 from kdist.planar import planar_cones
 from kdist.search import _pair_classes
 from kdist.spectrum import DistanceSpectrum, PairTable, _value_classes
+
+
+def dot(a, v):
+    return sum(x * y for x, y in zip(a, v))
+
+
+def vscale(q, v):
+    return tuple(q * a for a in v)
+
 
 # ---------------------------------------------------------------------------
 # references
@@ -310,15 +319,16 @@ def test_spectrum_of_a_subset_is_the_spectrum_of_its_own_table(case, data):
 
 class LoopTable:
     """The pair table as one Python loop over the pairs: the points sorted,
-    cleared and mapped to images, one ``gauge.value`` per pair, and each
-    value's class looked up by bisection among the representatives."""
+    cleared (lp: taken as they are) and mapped to images, one
+    ``gauge.value`` per pair, and each value's class looked up by bisection
+    among the representatives."""
 
     def __init__(self, spec, ps):
         g = gauge(spec)
         self.points = pts = sorted(ps.points)
-        ints, den = g.clear(pts)
-        self.scale, self.gauge = den * g.scale, g
-        images = [g.image(x) for x in ints]
+        ints, den = clear_denominators(pts)
+        self.scale, self.gauge = (1 if g.tol else den * g.scale), g
+        images = [g.image(x) for x in (pts if g.tol else ints)]
         n = len(pts)
         self.values = values = [[0] * n for _ in range(n)]
         for i in range(n):

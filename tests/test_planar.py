@@ -11,10 +11,19 @@ from kdist import (GeometryError, InputError, PointSet, PolyhedralCone, chain_ce
                    quadrant_cones, vec)
 from kdist import chains
 from kdist.gen import random_lattice_subset, random_symmetric_polygon
-from kdist.norms import cross2, dot, vscale, vsub
+from kdist.norms import cross2, vsub
 from kdist.planar import Route, apply_matrix, best_route, planar_cones, routes
 from kdist.search import extremal_grid
 from kdist.spectrum import PairTable
+
+
+def dot(a, v):
+    return sum(x * y for x, y in zip(a, v))
+
+
+def vscale(q, v):
+    return tuple(q * a for a in v)
+
 
 SQUARE = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
 DIAMOND = [vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)]

@@ -11,9 +11,14 @@ from hypothesis import strategies as st
 from kdist import (GeometryError, InputError, PointSet, best_distinct_witness,
                    distance_spectrum, linf, lp, polytopal, vec)
 from kdist.gen import integer_ceil_root
-from kdist.norms import rat_from_pair, rat_to_pair, vadd, vec_to_json, vscale
+from kdist.norms import rat_from_pair, rat_to_pair, vadd, vec_to_json
 from kdist.search import extremal_grid
-from kdist.spectrum import pointset_from_json, pointset_to_json
+from kdist.spectrum import PairTable, pointset_from_json, pointset_to_json
+
+
+def vscale(q, v):
+    return tuple(q * a for a in v)
+
 
 GRID33 = extremal_grid(2, 2)  # {0,1,2}^2
 
@@ -177,6 +182,28 @@ def test_point_set_rejects_coordinates_without_an_exact_ratio(bad):
     with pytest.raises(InputError, match="point coordinates must be finite ints, Fractions "
                                          "or floats"):
         PointSet.of([(0.0, 1.0), (bad, 1.0)])
+
+
+@st.composite
+def mixed_point_sets(draw):
+    """Up to 8 distinct points (d = 1 to 3) mixing ints, Fractions, floats and bools."""
+    d = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(-5, 5), st.booleans(), st.integers(-50, 50).map(lambda n: n / 10),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    pts = draw(st.lists(st.tuples(*[coord] * d), max_size=8,
+                        unique_by=lambda p: tuple(map(Fraction, p))))
+    return PointSet(d, tuple(pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ps=mixed_point_sets())
+def test_point_set_rows_are_its_points_over_their_least_denominator(ps):
+    # The gaps of these coordinates keep lp's distance classes apart: no chain.
+    assert ps.den == math.lcm(*(Fraction(a).denominator for p in ps.points for a in p))
+    assert all(type(a) is int for r in ps.rows for a in r)
+    assert ps.rows == tuple(tuple(Fraction(a) * ps.den for a in p) for p in ps.points)
+    for spec in (linf(ps.dim), lp(ps.dim, 2.0)):
+        assert PairTable(spec, ps).ints == sorted(ps.rows)
 
 
 def test_point_set_json_round_trip_keeps_types():
