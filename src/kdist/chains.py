@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import and_, mul, neg, or_, sub
 
 from .errors import CertificateError, InputError
@@ -142,12 +142,12 @@ def _order_masks(cone, ints, vals) -> tuple[list[int], list[int]]:
     return below, above
 
 
-def _heights(below: list[int], above: list[int], pts) -> list[int]:
+def _heights(below: list[int], above: list[int], point) -> list[int]:
     """Longest descending chain length from each point of the order, level
     by level: a point, looked at only once a point below it joins a level
     (linear in the pairs), joins the next once all points below it have.
     Points that never join lie on or above a cycle (the cone is not acute
-    here), and CertificateError names a point on one."""
+    here), and CertificateError names point(x) for a point x on one."""
     height = [0] * len(below)
     level, done, h = [x for x, m in enumerate(below) if not m], 0, 0
     while level:
@@ -160,7 +160,7 @@ def _heights(below: list[int], above: list[int], pts) -> list[int]:
         x = _bits((1 << len(below)) - 1 & ~done)[0]
         for _ in below:                     # walk down into the cycle
             x = _bits(below[x] & ~done)[0]
-        raise CertificateError(f"cycle in cone order at {pts[x]}; cone is not acute")
+        raise CertificateError(f"cycle in cone order at {point(x)}; cone is not acute")
     return height
 
 
@@ -172,7 +172,8 @@ def cone_heights(ps: PointSet, cone) -> dict[Vec, int]:
     """
     order = sorted(range(len(ps)), key=ps.rows.__getitem__)
     pts, ints = [ps.points[i] for i in order], [ps.rows[i] for i in order]
-    return dict(zip(pts, _heights(*_order_masks(cone, ints, _facet_values(cone, ints)), pts)))
+    return dict(zip(pts, _heights(*_order_masks(cone, ints, _facet_values(cone, ints)),
+                                  pts.__getitem__)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +245,14 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
 class HeightCertificate:
     """Record of the height map on S and the cardinality bound it implies.
 
-    k is the number of distances of S.  ok is the height lemma's conclusion
-    on S: the height map is injective, no equal-norm violation was found,
-    and h <= k, so |S| <= bound <= (k+1)^m for m cones, the route's claim.
+    ``vectors[i]`` is the height vector of ``table.points[i]``.  k is the
+    number of distances of S.  ok is the height lemma's conclusion on S: the
+    height map is injective, no equal-norm violation was found, and h <= k,
+    so |S| <= bound <= (k+1)^m for m cones, the route's claim.
     """
 
-    heights: dict[Vec, tuple[int, ...]]
+    table: PairTable = field(repr=False, compare=False)
+    vectors: list[tuple[int, ...]]
     h: int
     bound: int
     injective: bool
@@ -257,12 +260,16 @@ class HeightCertificate:
     violations: list[tuple[int, Vec, Vec]] = field(default_factory=list)
 
     @property
+    def heights(self) -> dict[Vec, tuple[int, ...]]:
+        return dict(zip(self.table.points, self.vectors))
+
+    @property
     def ok(self) -> bool:
         return self.injective and not self.violations and self.h <= self.k
 
     def to_json(self) -> dict:
         return {
-            "heights": {",".join(map(str, p)): list(hv) for p, hv in self.heights.items()},
+            "heights": dict(zip(self.table.texts(), map(list, self.vectors))),
             "h": self.h,
             "bound": self.bound,
             "injective": self.injective,
@@ -277,22 +284,25 @@ def chain_certificate(table: PairTable, family) -> HeightCertificate:
     """Height-vector certificate for the table's points S under the cone family.
 
     Coverage, the equal-norm check (on all of D(S) in each cone, grouped by
-    table value) and the heights are all read off the cones' orders and
-    the facet values they are built from, taken once per point.
+    the table's distance classes) and the heights are all read off the
+    cones' orders and the facet values they are built from, taken once per
+    point, on the table's rows.
     Raises CertificateError if some difference of S is covered by no cone
     (condition (1) fails on S).  Equal-norm violations found on S are
     recorded in the certificate rather than raised, since they invalidate
     the h <= k guarantee but not the height computation.
     """
-    pts, ints, values, n = table.points, table.ints, table.values, len(table.points)
+    ints, n = table.ints, len(table.ints)
+    # Exact values are equal iff their classes are; lp values within tol share a class.
+    norms = table.classes if table.gauge.tol else table.values
     facets = [_facet_values(cone, ints) for cone in family]
     orders = [_order_masks(cone, ints, vals) for cone, vals in zip(family, facets)]
     for x in range(n):          # the first y > x that no order relates to x
         missing = ~functools.reduce(or_, (b[x] | a[x] for b, a in orders), 0) >> (x + 1)
         y = x + (missing & -missing).bit_length()
         if y < n:
-            raise CertificateError(
-                f"no cone of the family covers the difference of {pts[x]} and {pts[y]}")
+            raise CertificateError(f"no cone of the family covers the difference of "
+                                   f"{table.points[x]} and {table.points[y]}")
     # One int key per point, one-to-one on differences of the rows: a
     # difference's coordinates (within +-span) are its key's digits in base 2 span + 1.
     base = 2 * max((max(c) - min(c) for c in zip(*ints)), default=0) + 1
@@ -304,13 +314,15 @@ def chain_certificate(table: PairTable, family) -> HeightCertificate:
             for y in _bits(mask):
                 first.setdefault(keys[x] - keys[y], (x, y))
         members = [((x, y), tuple(map(sub, ints[x], ints[y])), tuple(map(sub, vals[x], vals[y])),
-                    values[x][y]) for x, y in first.values()]
-        violations += [(i, vsub(pts[x], pts[y]), vsub(pts[z], pts[w]))
+                    norms[x][y]) for x, y in first.values()]
+        # The table's points are read, and built if it has none, only for a violation.
+        violations += [(i, vsub(table.points[x], table.points[y]),
+                        vsub(table.points[z], table.points[w]))
                        for i, (x, y), (z, w) in _equal_norm_violations(idx, cone, members)]
 
-    per_cone = [_heights(below, above, pts) for below, above in orders]
-    heights = {x: tuple(hc[i] for hc in per_cone) for i, x in enumerate(pts)}
-    h = max((max(hv) for hv in heights.values()), default=0)
-    return HeightCertificate(heights=heights, h=h, bound=(h + 1) ** len(family),
-                             injective=len(set(heights.values())) == n,
+    per_cone = [_heights(below, above, lambda x: table.points[x]) for below, above in orders]
+    vectors = list(zip(*per_cone)) if per_cone else [()] * n
+    h = max(chain.from_iterable(per_cone), default=0)
+    return HeightCertificate(table, vectors, h=h, bound=(h + 1) ** len(family),
+                             injective=len(set(vectors)) == n,
                              k=table.spectrum.k, violations=violations)

@@ -116,7 +116,7 @@ def decompose_recursive_bound(table: PairTable) -> DecompositionNode:
     Raises FalsificationError if any intermediate bound is violated or if
     the ratio condition promises a threshold that does not exist.
     """
-    return _decompose(table, range(len(table.points)), table.spectrum)
+    return _decompose(table, range(len(table.ints)), table.spectrum)
 
 
 def _decompose(table: PairTable, idx, sp: DistanceSpectrum) -> DecompositionNode:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce as fold
 from itertools import chain
-from math import inf, lcm
+from math import gcd, inf, lcm
 from operator import itemgetter, mul, truediv
 
 import numpy as np
@@ -29,6 +29,11 @@ FLOAT_EPS = 1e-9
 #: The largest norm dimension a JSON norm may declare: samplers and searches
 #: build dim coordinates per vector, and every bound here is tested at d <= 4.
 MAX_JSON_DIM = 64
+
+#: The largest pair table a point set may ask for, by its estimated peak
+#: n^2 (2d + 2) 8 bytes: the n x n x d difference array, its absolute value,
+#: the values and their list (726 MB measured at n = 3,375, d = 3).
+MAX_TABLE_BYTES = 2 ** 30
 
 EXACT_KINDS = ("linf", "l1", "polytopal")
 KINDS = EXACT_KINDS + ("lp",)
@@ -89,25 +94,33 @@ def int_from_json(obj, what: str) -> int:
     return obj
 
 
-def rat_from_pair(obj) -> Fraction:
+def ratio_from_json(obj) -> tuple[int, int]:
+    """A JSON rational, an int or an int [num, den] pair, as (num, den) in
+    lowest terms with den > 0."""
     # json.load yields exactly int and list: a bool, float or string is refused.
     if type(obj) is int:
-        return Fraction(obj)
+        return obj, 1
     if type(obj) in (list, tuple) and len(obj) == 2:
         num, den = obj
         if type(num) is int and type(den) is int and den:
-            return Fraction(num) if den == 1 else Fraction(num, den)
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            return num // g, den // g
     raise InputError(f"not a rational [num, den] pair: {obj!r}")
+
+
+def rat_from_pair(obj) -> Fraction:
+    return Fraction(*ratio_from_json(obj))
 
 
 def vec_to_json(v: Vec) -> list[list[int]]:
     return [rat_to_pair(a) for a in v]
 
 
-def vec_from_json(obj) -> Vec:
+def vec_from_json(obj, read=rat_from_pair) -> tuple:
+    """A JSON vector, each entry read by ``read``: a Fraction, or a ratio."""
     if not isinstance(obj, (list, tuple)):
         raise InputError(f"not a vector: {obj!r}")
-    return tuple(rat_from_pair(a) for a in obj)
+    return tuple(map(read, obj))
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,23 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import GeometryError, InputError
-from .norms import (NormSpec, Vec, clear_denominators, gauge, image_array, int_from_json,
-                    vec_from_json, vec_to_json)
+from .norms import (MAX_TABLE_BYTES, NormSpec, Vec, clear_denominators, gauge, image_array,
+                    int_from_json, ratio_from_json, vec_from_json)
 
 
 @dataclass(frozen=True)
 class PointSet:
     """A finite set of pairwise-distinct points of one dimension, cleared once:
     ``rows[i]`` is ``points[i]`` times ``den``, their least common denominator,
-    as an int tuple.  Duplicates, the pair table and cone orders read the rows."""
+    as an int tuple.  Duplicates, the pair table and cone orders read the rows.
+    A set built by :meth:`of_rows` builds its Fraction points on first read."""
 
     dim: int
     points: tuple[Vec, ...]
@@ -34,12 +37,33 @@ class PointSet:
             rows, den = clear_denominators(self.points)
         except (AttributeError, OverflowError, ValueError):
             raise InputError("point coordinates must be finite ints, Fractions or floats") from None
+        self._set_rows(rows, den)
+
+    @classmethod
+    def of_rows(cls, dim: int, rows: tuple[tuple[int, ...], ...], den: int) -> "PointSet":
+        """The set of the points rows[i] / den, for int rows and den > 0 the
+        least common denominator of their reduced coordinates."""
+        if any(len(r) != dim for r in rows):
+            return cls(dim, _points_of(rows, den))      # raises, naming the point
+        ps = cls.__new__(cls)
+        ps.__dict__["dim"] = dim
+        ps._set_rows(rows, den)
+        return ps
+
+    def _set_rows(self, rows, den) -> None:
         if len(set(rows)) != len(rows):
             raise InputError("point set contains duplicate points")
         self.__dict__.update(rows=rows, den=den)
 
+    def __getattr__(self, name):
+        # Called only for a missing attribute: the points of a set built from rows.
+        if name != "points" or "rows" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__["points"] = points = _points_of(self.rows, self.den)
+        return points
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
     @classmethod
     def of(cls, points) -> "PointSet":
@@ -47,6 +71,11 @@ class PointSet:
         if not pts:
             raise InputError("point set must be nonempty")
         return cls(len(pts[0]), pts)
+
+
+def _points_of(rows, den) -> tuple[Vec, ...]:
+    """The points rows[i] / den, as Fraction tuples."""
+    return tuple(tuple(Fraction(a, den) for a in r) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -107,16 +136,23 @@ class PairTable:
         if ps.dim != spec.dim:
             raise InputError(
                 f"point set dimension {ps.dim} does not match norm dimension {spec.dim}")
+        n, d = len(ps), spec.dim
+        if (peak := n * n * (2 * d + 2) * 8) > MAX_TABLE_BYTES:
+            raise InputError(f"a pair table of {n} points in dimension {d} needs about "
+                             f"{peak >> 20} MiB, over the limit of {MAX_TABLE_BYTES >> 20} MiB")
         self.gauge = g = gauge(spec)
-        if g.rank() < spec.dim:
+        if g.rank() < d:
             raise GeometryError(
-                f"a seminorm: its functionals do not span R^{spec.dim}, "
+                f"a seminorm: its functionals do not span R^{d}, "
                 "so distinct points can be at distance 0")
         # den > 0, so the rows sort as the points do, and sort faster.
-        order = sorted(range(len(ps)), key=ps.rows.__getitem__)
-        self.ints, self.points = [ps.rows[i] for i in order], [ps.points[i] for i in order]
-        rows, self.scale = (self.points, 1) if g.tol else (self.ints, ps.den * g.scale)
-        array = image_array(g, rows)
+        rows, points = ps.rows, vars(ps).get("points")
+        order = sorted(range(n), key=rows.__getitem__)
+        self.ints, self.den = [rows[i] for i in order], ps.den
+        if points is not None:          # else built from the rows on first read
+            self.points = [points[i] for i in order]
+        images, self.scale = (self.points, 1) if g.tol else (self.ints, ps.den * g.scale)
+        array = image_array(g, images)
         # reduce folds the columns of the transpose: [i, j] is the value of Y_j - Y_i.
         self._values = g.reduce(array[:, None] - array[None])
         self.values = self._values.tolist()
@@ -151,6 +187,19 @@ class PairTable:
         reps = np.array([self.gauge.at_most(d, self.scale) for d in self.spectrum.distances],
                         self._values.dtype)
         return np.maximum(np.searchsorted(reps, self._values, side="right") - 1, 0).tolist()
+
+    @cached_property
+    def points(self) -> list[Vec]:
+        """The sorted points: the point set's own, or built from the rows."""
+        return list(_points_of(self.ints, self.den))
+
+    def texts(self) -> list[str]:
+        """Each point as "x,y,...", as str prints its coordinates."""
+        if "points" in vars(self):      # floats print as floats
+            return [",".join(map(str, p)) for p in self.points]
+        den = self.den                  # else each coordinate as its Fraction prints
+        return [",".join([str(a // g) if g == den else f"{a // g}/{den // g}"
+                          for a in r for g in [gcd(a, den)]]) for r in self.ints]
 
     def distance(self, value):
         """The distance a table value stands for: a Fraction, or a float for lp."""
@@ -188,15 +237,41 @@ def best_distinct_witness(spec: NormSpec, ps: PointSet) -> tuple[Vec, int]:
 # JSON schema
 
 def pointset_to_json(ps: PointSet) -> dict:
-    return {"dim": ps.dim, "points": [vec_to_json(p) for p in ps.points]}
+    """The set's points as [num, den] pairs in lowest terms, read off its rows."""
+    den = ps.den
+    return {"dim": ps.dim, "points": [[[a // g, den // g] for a in r for g in [gcd(a, den)]]
+                                      for r in ps.rows]}
 
 
 def pointset_from_json(obj) -> PointSet:
+    """A JSON point set read straight into integer rows over their least
+    common denominator; its Fraction points are built on first read."""
     if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
         raise InputError("point set must be a JSON object with a 'points' list")
-    pts = tuple(vec_from_json(p) for p in obj["points"])
-    dim = int_from_json(obj.get("dim", len(pts[0]) if pts else 0), "point set dim")
-    return PointSet(dim, pts)
+    pts = obj["points"]
+    rows, den = _integer_rows(pts), 1
+    if rows is None:
+        ratios = [vec_from_json(p, ratio_from_json) for p in pts]
+        den = lcm(*{q for r in ratios for _, q in r})
+        rows = tuple(tuple(a * (den // q) for a, q in r) for r in ratios)
+    dim = int_from_json(obj.get("dim", len(rows[0]) if rows else 0), "point set dim")
+    return PointSet.of_rows(dim, rows, den)
+
+
+def _integer_rows(pts) -> tuple | None:
+    """The rows of JSON points whose coordinates are all ints or [int, 1]
+    pairs, the common case, in one pass; None if any point is not such a list."""
+    rows = []
+    for p in pts:
+        if type(p) is not list:
+            return None
+        row = tuple([c if type(c) is int else c[0] if type(c) is list and len(c) == 2
+                     and type(c[0]) is int and type(c[1]) is int and c[1] == 1 else None
+                     for c in p])
+        if None in row:
+            return None
+        rows.append(row)
+    return tuple(rows)
 
 
 def spectrum_to_json(spec: NormSpec, sp: DistanceSpectrum) -> dict:

@@ -172,8 +172,9 @@ def test_one_membership_test_per_ordered_pair_and_cone(monkeypatch, pts):
 
 
 def test_certificate_with_a_height_above_k_is_not_ok():
-    cert = HeightCertificate(heights={vec(0): (0,), vec(1): (1,), vec(2): (2,)}, h=2,
-                             bound=3, injective=True, k=1)
+    table = PairTable(linf(1), PointSet.of([vec(0), vec(1), vec(2)]))
+    cert = HeightCertificate(table, [(0,), (1,), (2,)], h=2, bound=3, injective=True, k=1)
+    assert cert.heights == {vec(0): (0,), vec(1): (1,), vec(2): (2,)}
     assert not cert.violations and not cert.ok
     assert replace(cert, k=2).ok
 
@@ -192,15 +193,15 @@ def test_heights_of_a_chain_deeper_than_the_recursion_limit():
     n = 5000
     up = [[x - 1] if x else [] for x in range(n)]
     down = [[x + 1] if x < n - 1 else [] for x in range(n)]
-    assert chains._heights(*_masks(up), range(n)) == list(range(n))
-    assert chains._heights(*_masks(down), range(n)) == list(range(n))[::-1]
+    assert chains._heights(*_masks(up), str) == list(range(n))
+    assert chains._heights(*_masks(down), str) == list(range(n))[::-1]
 
 
 def test_heights_cycle_names_a_point_on_the_cycle():
     # 0 lies above the cycle 1 > 2 > 3 > 1, and 4 below it.
     below = [[1], [2, 4], [3], [1], []]
     with pytest.raises(CertificateError, match="cycle in cone order at [123];"):
-        chains._heights(*_masks(below), range(5))
+        chains._heights(*_masks(below), str)
 
 
 def test_certificate_uncovered_difference_raises():
@@ -380,3 +381,17 @@ def test_lp_certificate_keys_float_points_on_their_exact_differences():
                               [-7205759403792793, 36028797018963968]],
                         "v": [[5404319552844595, 9007199254740992],
                               [-900719925474099, 4503599627370496]]}]}
+
+
+def test_lp_equal_norm_check_groups_differences_by_distance_class():
+    # (0.7, 0.3) - (0.4, 0.4) and (0.9, 0.7) - (0.6, 0.8) have the lp values
+    # 0.3162277660168379 and 0.316227766016838: two floats, one class of the
+    # table's k.  Grouped by float value, the pair was never compared.
+    ps = PointSet.of([(0.4, 0.4), (0.9, 0.7), (1.0, 0.3), (0.8, 0.6), (0.7, 0.3), (0.6, 0.8),
+                      (0.9, 0.0)])
+    table = PairTable(lp(2, 2.0), ps)
+    u, v = table.points.index((0.7, 0.3)), table.points.index((0.9, 0.7))
+    assert table.values[u][0] != table.values[v][1] and table.classes[u][0] == table.classes[v][1]
+    cert = chain_certificate(table, linf_cone_family(2))
+    assert cert.violations == [(0, (0.7 - 0.4, 0.3 - 0.4), (0.9 - 0.6, 0.7 - 0.8))]
+    assert cert.injective and cert.h <= cert.k and not cert.ok

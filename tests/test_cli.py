@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -12,19 +13,20 @@ from itertools import chain, product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from kdist import (PolyhedralCone, __version__, criteria, hexagon_gauge, l1, linf, lp,
                    max_area_normalization, planar_bound_certificate, polygon_gauge,
                    polygon_vertices_2d, polytopal, vec)
 import kdist
-from kdist import chains, cli, norms, planar, search
+from kdist import chains, cli, norms, planar, search, spectrum
 from kdist.cli import run_command
 from kdist.gen import random_symmetric_polygon
 from kdist.cover import (MAX_SAMPLES, cone_halfwidth_check, cover_assignment, generated_cones,
                          greedy_separated_set, packing_bound_check, sphere_samples)
-from kdist.norms import MAX_JSON_DIM, IntGauge, gauge, norm_to_json, vec_to_json
+from kdist.errors import InputError
+from kdist.norms import MAX_JSON_DIM, MAX_TABLE_BYTES, IntGauge, gauge, norm_to_json, vec_to_json
 from kdist.planar import apply_matrix, planar_cones, quadrant_cones
 from kdist.spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_json,
                             pointset_to_json)
@@ -829,25 +831,109 @@ def test_a_command_is_parsed_in_one_argparse_pass(files, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["k"] > 0
 
 
-def test_a_point_set_is_cleared_once_per_command(files, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["spectrum", "decompose", "chains", "bound"])
+@pytest.mark.parametrize("encode", [list, vec_to_json], ids=["ints", "pairs"])
+def test_integer_points_are_read_as_rows_and_build_no_fraction_point(
+        files, capsys, monkeypatch, command, encode):
     # The first run builds the norm's cached cones, whose facets are cleared too.
     norm = files("norm.json", norm_to_json(linf(2)))
-    points = files("pts.json", pointset_to_json(
-        PointSet.of([vec(x, y) for x in range(6) for y in range(3)])))
-    argv = ["bound", "--norm", norm, "--points", points]
-    assert run_command(argv) == 0 and capsys.readouterr().err == ""
+    points = files("pts.json", {"points": [encode((x, y)) for x in range(6) for y in range(3)]})
+    argv = [command, "--norm", norm, "--points", points]
+    assert run_command(argv) == 0
+    first = capsys.readouterr()
     calls, clear = [], norms.clear_denominators
 
     def counted(vectors):
         calls.append(sys._getframe(1).f_code.co_qualname)
         return clear(vectors)
 
+    def no_points(rows, den):
+        raise AssertionError("a Fraction point was built")
+
     for module in vars(kdist).values():
         if getattr(module, "clear_denominators", None) is clear:
             monkeypatch.setattr(module, "clear_denominators", counted)
+    monkeypatch.setattr(spectrum, "_points_of", no_points)
     assert run_command(argv) == 0
-    assert calls == ["PointSet.__post_init__"]
-    assert json.loads(capsys.readouterr().out)["observed"] == 18
+    assert calls == [] and capsys.readouterr() == first
+
+
+def _old_rat(obj):
+    if type(obj) is int:
+        return Fraction(obj)
+    if type(obj) in (list, tuple) and len(obj) == 2:
+        num, den = obj
+        if type(num) is int and type(den) is int and den:
+            return Fraction(num, den)
+    raise InputError(f"not a rational [num, den] pair: {obj!r}")
+
+
+def _old_pointset_from_json(obj):
+    """The reader that made every coordinate a Fraction and then the
+    PointSet of those points: the oracle of the row reader."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
+        raise InputError("point set must be a JSON object with a 'points' list")
+    pts = []
+    for p in obj["points"]:
+        if not isinstance(p, (list, tuple)):
+            raise InputError(f"not a vector: {p!r}")
+        pts.append(tuple(_old_rat(a) for a in p))
+    dim = obj.get("dim", len(pts[0]) if pts else 0)
+    if type(dim) is not int:
+        raise InputError(f"point set dim must be an integer, got {dim!r}")
+    return PointSet(dim, tuple(pts))
+
+
+_bad_coordinates = st.sampled_from([True, 0.5, "1/2", None, [1, 0], [1, 2, 3], [True, 1],
+                                    [1, True], [1, False], [1.0, 2], [[1], 2], {}])
+# Ints, pairs out of lowest terms such as [2, 4], negative denominators such
+# as [1, -2], and now and then a coordinate that is no rational at all.
+_json_integer = st.integers(-300, 300) | st.integers(-300, 300).map(lambda n: [n, 1])
+_json_rational = _json_integer | st.builds(
+    lambda num, den, sign: [num, sign * den], st.integers(-300, 300),
+    st.integers(1, 12) | st.integers(1, 2 ** 70), st.sampled_from([1, -1]))
+
+
+@st.composite
+def _json_point_sets(draw):
+    d = draw(st.integers(1, 3))
+    coordinate = draw(st.sampled_from([_json_integer, _json_rational]))
+    if draw(st.integers(0, 3)) == 0:
+        coordinate |= _bad_coordinates
+    point = st.lists(coordinate, min_size=d, max_size=d)
+    if draw(st.integers(0, 4)) == 0:    # a point of another length, or no vector
+        point = point | st.lists(_json_rational, max_size=4) | st.sampled_from([3, None, "ab"])
+    pts = draw(st.lists(point, max_size=8))
+    if pts and draw(st.integers(0, 4)) == 0:
+        pts.append(draw(st.sampled_from(pts)))          # a duplicate, as written
+    obj = {"points": pts}
+    if draw(st.booleans()):
+        obj["dim"] = draw(st.sampled_from([d, d, d, d + 1, 0, True, 2.0, "2"]))
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_point_sets())
+@example(obj={"points": [[0, [1, True]], [2, 3]]})
+def test_json_points_read_as_rows_match_the_fraction_reader(obj):
+    try:
+        want = _old_pointset_from_json(obj)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            pointset_from_json(obj)
+        assert str(got.value) == str(exc)
+        event(f"rejected: {str(exc).split(':')[0][:24]}")
+        return
+    ps = pointset_from_json(obj)
+    event(f"read, den {'> 1' if ps.den > 1 else '1'}")
+    assert "points" not in vars(ps)             # read into rows only
+    assert (ps.rows, ps.den, ps.dim) == (want.rows, want.den, want.dim)
+    assert ps.den == math.lcm(*(a.denominator for p in want.points for a in p))
+    assert pointset_to_json(ps) == {"dim": want.dim,
+                                    "points": [vec_to_json(p) for p in want.points]}
+    assert ps == want and hash(ps) == hash(want) and repr(ps) == repr(want)
+    assert ps.points == want.points
+    assert all(type(a) is Fraction for p in ps.points for a in p)
 
 
 def test_usage_error_exit_status_of_the_module():
@@ -958,3 +1044,50 @@ def test_cli_fuzz_exit_status(tmp_path_factory, command, rest, files):
         rc = run_command(argv)
     event(f"{command} exit {rc}")
     assert rc in (0, 1, 2), (argv, rc)
+
+
+# Valid files of both kinds, written out, and then cut short or run on.
+_json_bytes = st.builds(lambda obj, cut, junk: json.dumps(obj).encode()[:cut] + junk,
+                        _norm_json | _points_json | _json_any, st.integers(0, 200),
+                        st.binary(max_size=3))
+_COMMANDS = {"spectrum": "--points", "chains": "--points", "normalize2d": None,
+             "conecover": None, "decompose": "--points", "search": "--ground",
+             "bound": "--points"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.binary(max_size=64) | _json_bytes)
+def test_any_file_content_exits_0_1_or_2(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("raw")
+    raw, norm, points = tmp / "raw", tmp / "norm.json", tmp / "points.json"
+    raw.write_bytes(data)
+    norm.write_text(json.dumps(norm_to_json(linf(2))))
+    points.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]]}))
+    for command, flag in _COMMANDS.items():
+        roles = [("--norm", raw, flag, points)] + ([(flag, raw, "--norm", norm)] if flag else [])
+        for role, path, other, other_path in roles:
+            argv = [command, role, str(path)] + ([other, str(other_path)] if other else [])
+            argv += {"search": ["--k", "1"], "conecover": ["--samples", "40"]}.get(command, [])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = run_command(argv)
+            assert rc in (0, 1, 2), (argv, rc)
+            assert rc == 0 or err.getvalue().count("\n") == 1
+
+
+def test_a_pair_table_over_the_size_limit_is_refused_before_it_is_built(files, capsys,
+                                                                        monkeypatch):
+    # 6,000 points in d = 1 estimate 6000^2 * 4 * 8 bytes, about 1.1 GB.
+    n = 6_000
+    assert n * n * 4 * 8 > MAX_TABLE_BYTES >= 1_000 * 1_000 * 8 * 8
+    ps = PointSet(1, tuple((i,) for i in range(n)))
+    monkeypatch.setattr(spectrum, "image_array", None)       # no table is built
+    with pytest.raises(InputError, match=r"pair table of 6000 points in dimension 1 needs "
+                                         r"about 1098 MiB, over the limit of 1024 MiB"):
+        PairTable(linf(1), ps)
+    norm = files("norm.json", norm_to_json(linf(1)))
+    points = files("pts.json", {"points": [[i] for i in range(n)]})
+    for argv in (["spectrum", "--points", points], ["search", "--ground", points, "--k", "1"]):
+        assert run_command([argv[0], "--norm", norm, *argv[1:]]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "over the limit of 1024 MiB" in out.err

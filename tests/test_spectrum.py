@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdist import (GeometryError, InputError, PointSet, best_distinct_witness,
@@ -197,13 +197,23 @@ def mixed_point_sets(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(ps=mixed_point_sets())
+@example(ps=PointSet(1, ((-2.6,), (Fraction(-13, 5),))))
 def test_point_set_rows_are_its_points_over_their_least_denominator(ps):
-    # The gaps of these coordinates keep lp's distance classes apart: no chain.
     assert ps.den == math.lcm(*(Fraction(a).denominator for p in ps.points for a in p))
     assert all(type(a) is int for r in ps.rows for a in r)
     assert ps.rows == tuple(tuple(Fraction(a) * ps.den for a in p) for p in ps.points)
-    for spec in (linf(ps.dim), lp(ps.dim, 2.0)):
-        assert PairTable(spec, ps).ints == sorted(ps.rows)
+    assert PairTable(linf(ps.dim), ps).ints == sorted(ps.rows)
+    assert pointset_to_json(ps)["points"] == [vec_to_json(p) for p in ps.points]
+    # lp differences are taken in the points' own arithmetic, and a float
+    # minus a Fraction is a float: two distinct points with one float image,
+    # such as -2.6 and -13/5, are at lp distance 0.  The gaps of the
+    # coordinates otherwise keep lp's distance classes apart: no chain.
+    images = [tuple(map(float, p)) for p in ps.points]
+    if len(set(images)) < len(images):
+        with pytest.raises(GeometryError, match="float distance 0"):
+            PairTable(lp(ps.dim, 2.0), ps)
+    else:
+        assert PairTable(lp(ps.dim, 2.0), ps).ints == sorted(ps.rows)
 
 
 def test_point_set_json_round_trip_keeps_types():
