@@ -248,7 +248,9 @@ class HeightCertificate:
     ``vectors[i]`` is the height vector of ``table.points[i]``.  k is the
     number of distances of S.  ok is the height lemma's conclusion on S: the
     height map is injective, no equal-norm violation was found, and h <= k,
-    so |S| <= bound <= (k+1)^m for m cones, the route's claim.
+    so |S| <= bound <= (k+1)^m for m cones, the route's claim.  Two
+    certificates are equal when their points (the table's rows over its
+    denominator) and all their records are.
     """
 
     table: PairTable = field(repr=False, compare=False)
@@ -258,8 +260,12 @@ class HeightCertificate:
     injective: bool
     k: int
     violations: list[tuple[int, Vec, Vec]] = field(default_factory=list)
+    rows: tuple = field(init=False, repr=False)
 
-    @property
+    def __post_init__(self):
+        self.rows = (tuple(self.table.ints), self.table.den)
+
+    @functools.cached_property
     def heights(self) -> dict[Vec, tuple[int, ...]]:
         return dict(zip(self.table.points, self.vectors))
 

@@ -87,6 +87,12 @@ def rat_to_pair(q: Fraction) -> list[int]:
     return list(map(int, Fraction(q).as_integer_ratio()))
 
 
+def row_pairs(row, den: int) -> list[list[int]]:
+    """The coordinates of row / den, for int row and den > 0, as [num, den]
+    pairs in lowest terms."""
+    return [[a // g, den // g] for a in row for g in [gcd(a, den)]]
+
+
 def int_from_json(obj, what: str) -> int:
     """A JSON integer; floats, strings and booleans are rejected, not coerced."""
     if type(obj) is not int:        # JSON true/false arrive as bool, a subclass of int

@@ -7,13 +7,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from .errors import GeometryError, InputError
 from .norms import (MAX_TABLE_BYTES, NormSpec, Vec, clear_denominators, gauge, image_array,
-                    int_from_json, ratio_from_json, vec_from_json)
+                    int_from_json, ratio_from_json, row_pairs, vec_from_json)
 
 
 @dataclass(frozen=True)
@@ -197,9 +197,9 @@ class PairTable:
         """Each point as "x,y,...", as str prints its coordinates."""
         if "points" in vars(self):      # floats print as floats
             return [",".join(map(str, p)) for p in self.points]
-        den = self.den                  # else each coordinate as its Fraction prints
-        return [",".join([str(a // g) if g == den else f"{a // g}/{den // g}"
-                          for a in r for g in [gcd(a, den)]]) for r in self.ints]
+        # else each coordinate as its Fraction prints
+        return [",".join([str(a) if q == 1 else f"{a}/{q}" for a, q in row_pairs(r, self.den)])
+                for r in self.ints]
 
     def distance(self, value):
         """The distance a table value stands for: a Fraction, or a float for lp."""
@@ -238,9 +238,7 @@ def best_distinct_witness(spec: NormSpec, ps: PointSet) -> tuple[Vec, int]:
 
 def pointset_to_json(ps: PointSet) -> dict:
     """The set's points as [num, den] pairs in lowest terms, read off its rows."""
-    den = ps.den
-    return {"dim": ps.dim, "points": [[[a // g, den // g] for a in r for g in [gcd(a, den)]]
-                                      for r in ps.rows]}
+    return {"dim": ps.dim, "points": [row_pairs(r, ps.den) for r in ps.rows]}
 
 
 def pointset_from_json(obj) -> PointSet:
@@ -260,14 +258,18 @@ def pointset_from_json(obj) -> PointSet:
 
 def _integer_rows(pts) -> tuple | None:
     """The rows of JSON points whose coordinates are all ints or [int, 1]
-    pairs, the common case, in one pass; None if any point is not such a list."""
+    pairs, the form pointset_to_json writes integer points in, read with no
+    call per coordinate; None for any other set, which ratio_from_json reads
+    (and whose errors it raises).  A coordinate is taken here only when
+    ratio_from_json would read it as (n, 1)."""
     rows = []
     for p in pts:
         if type(p) is not list:
             return None
-        row = tuple([c if type(c) is int else c[0] if type(c) is list and len(c) == 2
-                     and type(c[0]) is int and type(c[1]) is int and c[1] == 1 else None
-                     for c in p])
+        row = tuple([c if type(c) is int                            # n (not a bool)
+                     else c[0] if (type(c) is list and len(c) == 2  # [n, 1]
+                                   and type(c[0]) is int and type(c[1]) is int and c[1] == 1)
+                     else None for c in p])
         if None in row:
             return None
         rows.append(row)

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -177,6 +178,16 @@ def test_certificate_with_a_height_above_k_is_not_ok():
     assert cert.heights == {vec(0): (0,), vec(1): (1,), vec(2): (2,)}
     assert not cert.violations and not cert.ok
     assert replace(cert, k=2).ok
+
+
+def test_certificates_compare_their_points_and_cache_their_heights():
+    def cert(xs):
+        table = PairTable(linf(1), PointSet.of([vec(x) for x in xs]))
+        return HeightCertificate(table, [(0,), (1,)], h=1, bound=2, injective=True, k=1)
+
+    a = cert([0, 1])
+    assert a == cert([0, 1]) and a != cert([0, 2]) and a != cert([0, Fraction(1, 2)])
+    assert a.heights is a.heights
 
 
 def _masks(below):

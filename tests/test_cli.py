@@ -936,6 +936,26 @@ def test_json_points_read_as_rows_match_the_fraction_reader(obj):
     assert all(type(a) is Fraction for p in ps.points for a in p)
 
 
+@pytest.mark.parametrize("coord, integer", [
+    (3, True), ([3, 1], True), ([-3, 1], True), (True, False), (3.0, False), ([3, True], False),
+    ([True, 1], False), ([3, 1.0], False), ([6, 2], False), ([-3, -1], False), ([3, 1, 1], False),
+    ((3, 1), False), ("3", False)])
+def test_only_int_and_n_1_coordinates_skip_the_rational_reader(monkeypatch, coord, integer):
+    # The set-wide integer read takes a coordinate only where ratio_from_json
+    # would read (n, 1); any other set goes to ratio_from_json, and its errors.
+    def refuse(obj):
+        raise AssertionError(f"ratio_from_json read {obj!r}")
+
+    obj = {"points": [[0, 0], [1, coord]]}
+    assert (spectrum._integer_rows(obj["points"]) is not None) is integer
+    monkeypatch.setattr(spectrum, "ratio_from_json", refuse)
+    if integer:
+        assert pointset_from_json(obj).rows == ((0, 0), (1, coord if type(coord) is int else coord[0]))
+    else:
+        with pytest.raises(AssertionError, match="ratio_from_json read"):
+            pointset_from_json(obj)
+
+
 def test_usage_error_exit_status_of_the_module():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
