@@ -19,7 +19,7 @@ from operator import and_, mul, neg, or_, sub
 from .errors import CertificateError, InputError
 from .norms import (NormSpec, Vec, clear_denominators, gauge, image_array, is_zero, linf,
                     vadd, vec, vec_to_json, vneg, vsub)
-from .spectrum import PairTable, PointSet
+from .spectrum import PairTable, PointSet, _value_classes
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,8 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
     v - u lies in P_i.  Both are decided on the vectors cleared over one
     common denominator (cone membership and the equal-norm grouping are
     invariant under that scaling), with the norm's gauge (lp's on the vectors
-    themselves).  Cones or vectors of another dimension than the norm's raise InputError.
+    themselves, grouped by the pair table's tolerance classes).  Cones or
+    vectors of another dimension than the norm's raise InputError.
     """
     vectors = list(dict.fromkeys(v for v in vectors if not is_zero(v)))
     if not vectors:
@@ -226,6 +227,9 @@ def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionRepor
     g = gauge(spec)
     scaled = clear_denominators(vectors)[0]
     values = g.reduce(image_array(g, vectors if g.tol else scaled)).tolist()
+    if g.tol:                   # lp norms within tol are one norm: one id per class
+        ids = {v: i for i, c in enumerate(_value_classes(values, g.tol)) for v in c}
+        values = [ids[v] for v in values]
     inside = [[cone.contains(x) for cone in family] for x in scaled]
     report = ConeConditionReport()
     for v, x, hits in zip(vectors, scaled, inside):

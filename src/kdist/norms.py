@@ -199,22 +199,29 @@ def hexagon_gauge() -> NormSpec:
 
 
 def norm_eval(spec: NormSpec, v: Vec):
-    """Evaluate the gauge; Fraction for exact kinds, float for lp."""
+    """Evaluate the gauge on one vector, the reference the image arrays are
+    held to: a Fraction for exact kinds, in plain ints, or lp's float."""
     g = gauge(spec)
-    image, q = g.split(v)
-    return g.quotient(g.value(image), q * g.scale)
+    if len(v) != g.dim:
+        raise InputError(f"vector has dimension {len(v)}, expected {g.dim}")
+    if g.tol:
+        return g.value(v)
+    (x,), q = clear_denominators([v])
+    image = x if g._rows is None else [sum(map(mul, a, x)) for a in g._rows]
+    return Fraction((sum if spec.kind == "l1" else max)(map(abs, image)), q * g.scale)
 
 
 class IntGauge:
-    """An exact gauge evaluated on plain ints.
+    """An exact gauge evaluated on plain ints, on arrays of images only.
 
     Each exact gauge is a reduction of the absolute values of a linear
     image of the vector: the max of the coordinates for linf, their sum
     for l1, the max over the facet functionals for polytopal.  Polytopal
     functionals are cleared of denominators by their lcm, ``scale``
-    (1 for linf and l1).  A rational vector v is carried as ``(Y, q)``
-    (see :meth:`split`), and ``||v|| == value(Y) / (q * scale)``.  Images
-    are linear, so an integer combination of vectors is the same
+    (1 for linf and l1).  A rational vector v is carried as ``(Y, q)``: q
+    the lcm of its denominators, Y the image of q * v, a row of an
+    :func:`image_array` whose :meth:`reduce` is value(Y) = ||v|| * q * scale.
+    Images are linear, so an integer combination of vectors is the same
     combination of their images: a threshold such as ``||c - x|| <= 1/5``
     becomes ``5 * value(q_x * Y_c - q_c * Y_x) <= q_c * q_x * scale``.
     """
@@ -226,13 +233,9 @@ class IntGauge:
         if not spec.exact:
             raise InputError("the integer gauge needs an exact norm kind")
         self.dim = spec.dim
-        self._reduce, self._reduce_rows = (sum, np.add) if spec.kind == "l1" else (max, np.maximum)
-        self._rows = None
-        self.scale = 1
-        if spec.kind == "polytopal":
-            self.scale = lcm(*(a.denominator for f in spec.functionals for a in f))
-            self._rows = tuple(tuple(a.numerator * (self.scale // a.denominator)
-                                     for a in f) for f in spec.functionals)
+        self._reduce_rows = np.add if spec.kind == "l1" else np.maximum
+        self._rows, self.scale = (clear_denominators(spec.functionals)
+                                  if spec.kind == "polytopal" else (None, 1))
 
     @cached_property
     def _funcs(self) -> np.ndarray:
@@ -240,25 +243,8 @@ class IntGauge:
         # int / int rounds correctly: each entry is float(a_i), exactly.
         return np.array([[a / self.scale for a in r] for r in self._rows]).T
 
-    def image(self, x) -> tuple[int, ...]:
-        """The image of an integer vector: x itself, or its functional values."""
-        if self._rows is None:
-            return tuple(x)
-        return tuple([sum(map(mul, r, x)) for r in self._rows])
-
-    def split(self, v: Vec) -> tuple[tuple[int, ...], int]:
-        """``(Y, q)``: q > 0 is the lcm of v's denominators, Y the image of q*v."""
-        if len(v) != self.dim:
-            raise InputError(f"vector has dimension {len(v)}, expected {self.dim}")
-        q = lcm(*(a.denominator for a in v))
-        return self.image([a.numerator * (q // a.denominator) for a in v]), q
-
-    def value(self, image) -> int:
-        """The gauge of the integer vector whose image is given."""
-        return self._reduce(map(abs, image))
-
     def reduce(self, images: np.ndarray) -> np.ndarray:
-        """``value`` of each row of an image array, column by column, in its own dtype."""
+        """The value of each row of an image array, column by column, in its own dtype."""
         return fold(self._reduce_rows, np.abs(images).T)
 
     def values(self, array: np.ndarray) -> np.ndarray:
@@ -295,23 +281,18 @@ class LpGauge:
     """The lp gauge in floats, with the shape of :class:`IntGauge`.
 
     Images are the vectors themselves and q = scale = 1, so the integer
-    gauge's threshold tests run unchanged in floats.  ``value`` converts to
-    float last: a difference of images is taken in the points' own
-    arithmetic.  Values agree only up to the relative tolerance ``tol``.
+    gauge's threshold tests run unchanged in floats.  ``value`` is the lp
+    formula on one vector, converting to float last: a difference of images
+    is taken in the points' own arithmetic.  Values agree only up to the
+    relative tolerance ``tol``.
     """
 
     tol, scale = FLOAT_EPS, 1
-    image = staticmethod(tuple)
     quotient = staticmethod(truediv)
     at_most = staticmethod(mul)                 # rho * scale: floats need no rounding
 
     def __init__(self, spec: NormSpec):
         self.dim, self.p = spec.dim, spec.p
-
-    def split(self, v) -> tuple[tuple, int]:
-        if len(v) != self.dim:
-            raise InputError(f"vector has dimension {len(v)}, expected {self.dim}")
-        return tuple(v), 1
 
     def value(self, image) -> float:
         image = tuple(image)

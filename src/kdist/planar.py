@@ -127,8 +127,8 @@ def max_area_normalization(polygon) -> Normalization2D:
     """Map a symmetric convex polygon onto a normalized polygon C'.
 
     Chooses boundary points x0, y0 among the vertices maximizing the area
-    |cross(x0, y0)| (ties: lexicographically smallest vertex index pair;
-    orientation fixed so that cross(x0, y0) > 0), and applies the inverse
+    |cross(x0, y0)| (ties: lexicographically smallest vertex index pair,
+    which has cross(x0, y0) > 0), and applies the inverse
     of the matrix with columns x0, y0.  The three normalization invariants
     (B1 inside C', C' inside the square, single-quadrant boundary segments)
     are verified exactly and failures raise GeometryError; the last one
@@ -143,9 +143,8 @@ def max_area_normalization(polygon) -> Normalization2D:
             if best is None or area > best[0]:
                 best = (area, i, j)
     _, i, j = best                  # the area is positive: validation winds once
+    # cross(x0, y0) > 0: a counterclockwise symmetric cycle's first best pair has 0 < j - i < n/2.
     x0, y0 = verts[i], verts[j]
-    if cross2(x0, y0) < 0:
-        x0, y0 = y0, x0
     det = cross2(x0, y0)
     T: Matrix2 = ((y0[1] / det, -y0[0] / det),
                   (-x0[1] / det, x0[0] / det))

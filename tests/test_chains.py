@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdist import (CertificateError, InputError, PointSet, chain_certificate,
-                   check_cone_conditions, l1, linf, linf_cone_family, lp,
+                   check_cone_conditions, l1, linf, linf_cone_family, lp, norm_eval,
                    parallelotope_cones, polytopal, vec)
 from kdist import chains
 from kdist.chains import HeightCertificate, PolyhedralCone, cone_heights
@@ -406,3 +406,13 @@ def test_lp_equal_norm_check_groups_differences_by_distance_class():
     cert = chain_certificate(table, linf_cone_family(2))
     assert cert.violations == [(0, (0.7 - 0.4, 0.3 - 0.4), (0.9 - 0.6, 0.7 - 0.8))]
     assert cert.injective and cert.h <= cert.k and not cert.ok
+
+
+def test_lp_cone_conditions_group_norms_by_distance_class():
+    # The two differences above on their own: two float norms, one tolerance
+    # class, so the cone conditions report the violation the certificate does.
+    u, v = (0.7 - 0.4, 0.3 - 0.4), (0.9 - 0.6, 0.7 - 0.8)
+    assert (norm_eval(lp(2, 2.0), u), norm_eval(lp(2, 2.0), v)) == (0.3162277660168379,
+                                                                    0.316227766016838)
+    report = check_cone_conditions(linf_cone_family(2), lp(2, 2.0), [u, v])
+    assert report.equal_norm_violations == [(0, u, v)] and report.uncovered == []

@@ -20,13 +20,13 @@ from kdist import (PolyhedralCone, __version__, criteria, hexagon_gauge, l1, lin
                    max_area_normalization, planar_bound_certificate, polygon_gauge,
                    polygon_vertices_2d, polytopal, vec)
 import kdist
-from kdist import chains, cli, norms, planar, search, spectrum
+from kdist import chains, cli, cover, norms, planar, search, spectrum
 from kdist.cli import run_command
 from kdist.gen import random_symmetric_polygon
 from kdist.cover import (MAX_SAMPLES, cone_halfwidth_check, cover_assignment, generated_cones,
                          greedy_separated_set, packing_bound_check, sphere_samples)
 from kdist.errors import InputError
-from kdist.norms import MAX_JSON_DIM, MAX_TABLE_BYTES, IntGauge, gauge, norm_to_json, vec_to_json
+from kdist.norms import MAX_JSON_DIM, MAX_TABLE_BYTES, gauge, norm_to_json, vec_to_json
 from kdist.planar import apply_matrix, planar_cones, quadrant_cones
 from kdist.spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_json,
                             pointset_to_json)
@@ -582,11 +582,14 @@ _OCTAGON = polytopal([(1, 0), (0, 1), ("2/3", "2/3"), ("2/3", "-2/3")])
 
 
 def test_library_paths_evaluate_exact_norms_only_on_image_arrays(files, monkeypatch):
-    def scalar(*args):
-        raise AssertionError("an exact norm was evaluated vector by vector")
+    def scalar(spec, v):
+        if spec.exact:
+            raise AssertionError("an exact norm was evaluated vector by vector")
+        return reference(spec, v)
 
-    for name in ("image", "value", "split"):
-        monkeypatch.setattr(IntGauge, name, scalar)
+    reference = norms.norm_eval
+    for module in (norms, cover):
+        monkeypatch.setattr(module, "norm_eval", scalar)
     for spec in (hexagon_gauge(), l1(3)):           # the criterion-8 pipeline, small
         samples = sphere_samples(spec, 200, seed=8)
         sep = greedy_separated_set(spec, samples)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,9 @@ from kdist import norms
 from kdist import (GeometryError, InputError, hexagon_gauge, l1, linf, lp,
                    norm_eval, polygon_gauge, polygon_vertices_2d, polytopal, vec)
 from kdist.gen import random_symmetric_polygon
-from kdist.norms import (MAX_JSON_DIM, IntGauge, LpGauge, convex_hull, cross2, gauge,
-                         image_array, is_zero, norm_from_json, norm_to_json, vadd, vneg, vsub)
+from kdist.norms import (MAX_JSON_DIM, IntGauge, LpGauge, clear_denominators, convex_hull,
+                         cross2, gauge, image_array, is_zero, norm_from_json, norm_to_json,
+                         vadd, vneg, vsub)
 
 
 def dot(a, v):
@@ -194,11 +196,12 @@ def test_int_gauge_matches_norm_eval(data):
     u = data.draw(rvec(spec.dim))
     v = data.draw(rvec(spec.dim))
     gauge = IntGauge(spec)
-    (yu, qu), (yv, qv) = gauge.split(u), gauge.split(v)
-    assert Fraction(gauge.value(yu), qu * gauge.scale) == norm_eval(spec, u)
+    ((xu,), qu), ((xv,), qv) = clear_denominators([u]), clear_denominators([v])
+    yu, yv = image_array(gauge, [xu, xv]).tolist()
+    assert Fraction(int(gauge.reduce(np.array([yu]))[0]), qu * gauge.scale) == norm_eval(spec, u)
     # Images are linear: a pair's distance comes from the two images.
     diff = [qv * a - qu * b for a, b in zip(yu, yv)]
-    assert (Fraction(gauge.value(diff), qu * qv * gauge.scale)
+    assert (Fraction(int(gauge.reduce(np.array([diff], object))[0]), qu * qv * gauge.scale)
             == norm_eval(spec, vsub(u, v)))
 
 
@@ -206,7 +209,8 @@ def test_int_gauge_clears_functional_denominators():
     spec = polytopal([("1/2", "1/3"), ("-3/4", 1)])
     gauge = IntGauge(spec)
     assert gauge.scale == 12
-    assert gauge.split(vec("1/5", 2)) == ((46, 111), 5)
+    (x,), q = clear_denominators([vec("1/5", 2)])
+    assert q == 5 and image_array(gauge, [x]).tolist() == [[46, 111]]
     assert Fraction(111, 5 * 12) == norm_eval(spec, vec("1/5", 2))
 
 
@@ -279,8 +283,9 @@ def test_int_gauge_rank_matches_numpy(rows):
 def test_int_gauge_rejects_lp_and_dimension_mismatch():
     with pytest.raises(InputError):
         IntGauge(lp(2, 2.0))
-    with pytest.raises(InputError):
-        IntGauge(linf(2)).split(vec(1, 2, 3))
+    for spec in (linf(2), hexagon_gauge(), lp(2, 2.0)):
+        with pytest.raises(InputError, match="^vector has dimension 3, expected 2$"):
+            norm_eval(spec, vec(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +310,7 @@ def test_batched_values_match_value(data):
     batched = g.values(np.array([[float(a) for a in r] for r in rows]))
     assert batched.shape == (len(rows),)
     for row, got in zip(rows, batched):
-        y, q = g.split(row)
-        assert got == pytest.approx(g.value(y) / (q * g.scale), rel=1e-12)
+        assert got == pytest.approx(float(norm_eval(spec, row)), rel=1e-12)
 
 
 def _row_reduced_values(spec, array):
@@ -346,19 +350,26 @@ def test_gauge_kinds_and_tolerances():
     assert isinstance(gauge(hexagon_gauge()), IntGauge) and IntGauge.tol == 0
     g = gauge(lp(2, 2.0))
     assert isinstance(g, LpGauge) and g.tol == 1e-9 and g.scale == 1
-    assert g.split((3.0, 4.0)) == ((3.0, 4.0), 1)
+    assert image_array(g, [(3.0, 4.0)]).tolist() == [[3.0, 4.0]]
     assert g.value((3.0, 4.0)) == pytest.approx(5.0) and g.rank() == 2
+    assert norm_eval(lp(2, 2.0), (3.0, 4.0)) == g.value((3.0, 4.0))
     with pytest.raises(InputError):
-        g.split((1.0, 2.0, 3.0))
+        norm_eval(lp(2, 2.0), (1.0, 2.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
 # image arrays formed at once against the per-vector images
 
+def _image(g, x):
+    """One row's image: the row itself (lp too), or its cleared functional values."""
+    rows = getattr(g, "_rows", None)
+    return tuple(x) if rows is None else tuple(sum(map(mul, a, x)) for a in rows)
+
+
 def _reference_image_array(g, rows):
-    """One ``g.image`` per row, and the dtype rule decided on those images."""
-    images = [g.image(x) for x in rows]
-    width, top = len(g.image([0] * g.dim)), max(map(abs, chain.from_iterable(images)), default=0)
+    """One image per row, and the dtype rule decided on those images."""
+    images = [_image(g, x) for x in rows]
+    width, top = len(_image(g, [0] * g.dim)), max(map(abs, chain.from_iterable(images)), default=0)
     fits = isinstance(g, IntGauge) and 2 * width * top < norms.INT64_LIMIT
     return np.array(images, np.int64 if fits else object).reshape(len(images), width)
 

@@ -12,7 +12,6 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from operator import sub
 from unittest import mock
 
 import numpy as np
@@ -319,21 +318,21 @@ def test_spectrum_of_a_subset_is_the_spectrum_of_its_own_table(case, data):
 
 class LoopTable:
     """The pair table as one Python loop over the pairs: the points sorted,
-    cleared (lp: taken as they are) and mapped to images, one
-    ``gauge.value`` per pair, and each value's class looked up by bisection
-    among the representatives."""
+    one ``norm_eval`` per pair difference, times the scale of the cleared
+    points (lp: 1, the float distance itself), and each value's class
+    looked up by bisection among the representatives."""
 
     def __init__(self, spec, ps):
         g = gauge(spec)
         self.points = pts = sorted(ps.points)
-        ints, den = clear_denominators(pts)
-        self.scale, self.gauge = (1 if g.tol else den * g.scale), g
-        images = [g.image(x) for x in (pts if g.tol else ints)]
+        self.scale, self.gauge = (1 if g.tol else clear_denominators(pts)[1] * g.scale), g
         n = len(pts)
         self.values = values = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                values[i][j] = values[j][i] = g.value(map(sub, images[j], images[i]))
+                value = norm_eval(spec, vsub(pts[j], pts[i])) * self.scale
+                assert g.tol or value.denominator == 1
+                values[i][j] = values[j][i] = value if g.tol else int(value)
         self.spectrum = self.spectrum_of(range(n))
         reps = [g.at_most(d, self.scale) for d in self.spectrum.distances]
         self.classes = [[max(bisect_right(reps, v) - 1, 0) for v in row] for row in values]

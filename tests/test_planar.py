@@ -78,6 +78,26 @@ def test_random_polygons_normalize_exactly():
         _check_normalization_invariants(nrm)
 
 
+def test_the_first_max_area_pair_is_counterclockwise_in_every_rotation():
+    # On a strictly convex counterclockwise symmetric cycle the first pair i < j
+    # of largest |cross| has 0 < j - i < n/2, so it needs no orientation swap.
+    rng = random.Random(33)
+    for _ in range(30):
+        poly = random_symmetric_polygon(rng, 4, 12)
+        n = len(poly)
+        for r in range(n):
+            verts = poly[r:] + poly[:r]
+            areas = {(i, j): abs(cross2(verts[i], verts[j]))
+                     for i in range(n) for j in range(i + 1, n)}
+            i, j = max(areas, key=areas.get)        # the first pair of the largest area
+            x0, y0 = verts[i], verts[j]
+            if cross2(x0, y0) < 0:                  # a reversed pair would be swapped
+                x0, y0 = y0, x0
+            nrm = max_area_normalization(verts)
+            assert 0 < j - i < n // 2 and cross2(nrm.x0, nrm.y0) > 0
+            assert (nrm.x0, nrm.y0) == (x0, y0)
+
+
 def test_gauge_covariance():
     rng = random.Random(9)
     poly = random_symmetric_polygon(rng)
