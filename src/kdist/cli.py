@@ -29,11 +29,27 @@ from .spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_jso
                        pointset_to_json, spectrum_to_json)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+# One decoder for every file: json.load given a hook builds a new one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(path: str):
-    # ValueError: bad JSON, non-UTF-8 text or too many digits; RecursionError: deep nesting.
+    # The bytes are read as UTF-8, JSON's encoding, whatever the locale.  ValueError:
+    # bad JSON, text that is not UTF-8, too many digits or a repeated key;
+    # RecursionError: deep nesting.
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return _DECODER.decode(fh.read().decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
@@ -52,7 +68,8 @@ def _digest(*objs) -> str:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, default=str) + "\n")
+    # One line: without indent, json.dumps runs CPython's C encoder.
+    sys.stdout.write(json.dumps(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +206,7 @@ def _cmd_bound(args) -> int:
         "claimed": claimed,
         "observed": observed,
         "pass": passed,
+        "tight": observed == claimed,
         "witnesses": witnesses,
     })
     if not passed:

@@ -243,6 +243,20 @@ def test_bound_command_planar(files, capsys):
     assert out["claimed"] == 4 and out["observed"] == 3
 
 
+@pytest.mark.parametrize("spec, turn", [(linf(2), lambda x, y: (x, y)),
+                                         (l1(2), lambda x, y: (x + y, x - y))],
+                         ids=["linf-grid", "l1-rotated-grid"])
+def test_bound_reports_tight_iff_observed_equals_claimed(files, capsys, spec, turn):
+    norm = files("norm.json", norm_to_json(spec))
+    grid = [list(turn(x, y)) for x in range(4) for y in range(4)]
+    for pts, tight in ((grid, True), (grid[1:], False)):   # k = 3 on both
+        points = files("pts.json", {"dim": 2, "points": pts})
+        assert run_command(["bound", "--norm", norm, "--points", points]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["k"], out["claimed"], out["observed"]) == (3, 16, len(pts))
+        assert out["tight"] is tight
+
+
 def test_bound_planar_heights_are_keyed_by_input_points(files, capsys):
     spec = hexagon_gauge()
     pts = PointSet.of([vec(0, 0), vec(1, 0), vec(1, 1), vec(0, 1)])
@@ -622,7 +636,7 @@ def test_empty_and_one_point_sets_have_no_distances(files, capsys, norm, digests
         "spectrum": {"k": 0, "distances": [], "multiplicities": []},
         "bound": {"bound": "single-point", "version": __version__,
                   "inputs_digest": digests[size], "k": 0, "dim": norm.dim, "claimed": 1,
-                  "observed": size, "pass": True, "witnesses": {}},
+                  "observed": size, "pass": True, "tight": size == 1, "witnesses": {}},
         "decompose": {"kind": "leaf", "size": size, "k": 0, "bound": 1.0, "claim": 1},
     }
     for command, out in want.items():
@@ -665,8 +679,9 @@ def test_malformed_json_is_input_error(files, capsys, norm, points):
 @pytest.mark.parametrize("data", [
     b"[" * 100_000,                                 # deeper than the decoder's recursion
     b'\xff\xfe{"dim": 1, "kind": "linf"}',          # a UTF-16 mark: not UTF-8 text
+    b'\xef\xbb\xbf{"dim": 1, "kind": "linf"}',      # a UTF-8 mark: no JSON value
     b'{"dim": 1, "points": [[' + b"7" * 5000 + b"]]}",  # past Python's int-string limit
-], ids=["nested", "utf16-bom", "5000-digits"])
+], ids=["nested", "utf16-bom", "utf8-bom", "5000-digits"])
 def test_unreadable_json_is_one_input_error_line(files, tmp_path, capsys, role, data):
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)
@@ -676,6 +691,22 @@ def test_unreadable_json_is_one_input_error_line(files, tmp_path, capsys, role, 
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"input error: cannot read JSON from {bad}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("role, text, key", [
+    ("--norm", '{"dim": 2, "kind": "linf", "dim": 3}', "dim"),
+    ("--points", '{"dim": 2, "points": [[0, 0]], "points": [[0, 0], [1, 0]]}', "points"),
+], ids=["norm", "points"])
+def test_a_repeated_json_key_is_one_input_error_line(files, tmp_path, capsys, role, text, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    paths = {"--norm": files("norm.json", norm_to_json(linf(2))),
+             "--points": files("pts.json", {"dim": 2, "points": [[0, 0], [1, 0]]}),
+             role: str(bad)}
+    assert run_command(["spectrum", *chain.from_iterable(paths.items())]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"input error: cannot read JSON from {bad}: "
+                                 f"duplicate key {key!r}\n")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "chains", "normalize2d", "conecover",
@@ -989,6 +1020,51 @@ def test_closed_stdout_exits_1_without_traceback(files):
         os.close(write)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "closed" in proc.stderr
+
+
+# One argv per file command, on inputs whose documents hold floats, nested
+# objects, rational pairs and the witnesses of each bound route.
+_OUTPUT_ARGV = {
+    "spectrum": lambda f: ["--norm", f("lp.json", norm_to_json(lp(2, 3.0))),
+                           "--points", f("pts.json", pointset_to_json(_grid_points()))],
+    "chains": lambda f: ["--norm", f("norm.json", norm_to_json(linf(2))),
+                         "--points", f("pts.json", pointset_to_json(_grid_points()))],
+    "normalize2d": lambda f: ["--norm", f("norm.json", norm_to_json(hexagon_gauge()))],
+    "conecover": lambda f: ["--norm", f("norm.json", norm_to_json(hexagon_gauge())),
+                            "--samples", "200"],
+    "decompose": lambda f: ["--norm", f("norm.json", norm_to_json(l1(3))),
+                            "--points", f("pts.json", {"dim": 3, "points": [
+                                [0, 0, 0], [1, 0, 0], [0, 2, 1], [[1, 2], 1, 0]]})],
+    "search": lambda f: ["--norm", f("lp.json", norm_to_json(lp(2, 3.0))),
+                         "--ground", f("pts.json", pointset_to_json(_grid_points())),
+                         "--k", "2", "--enumerate-optima"],
+    "bound": lambda f: ["--norm", f("norm.json", norm_to_json(hexagon_gauge())),
+                        "--points", f("pts.json", pointset_to_json(_grid_points()))],
+}
+
+
+def _plain(obj) -> bool:
+    """True iff obj is built of JSON's own types only: no tuple, Fraction or numpy scalar."""
+    if type(obj) is dict:
+        return all(type(k) is str and _plain(v) for k, v in obj.items())
+    if type(obj) is list:
+        return all(map(_plain, obj))
+    return type(obj) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("command", list(_OUTPUT_ARGV))
+def test_each_document_is_one_line_from_the_c_encoder(files, capsys, monkeypatch, command):
+    # The pure-Python encoder runs only when an indent (or a subclass) asks for it.
+    def no_pure_python_encoder(*args, **kwargs):
+        raise AssertionError("a document took json's pure-Python encoder")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", no_pure_python_encoder)
+    docs, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda obj: (docs.append(obj), emit(obj)))
+    assert run_command([command, *_OUTPUT_ARGV[command](files)]) == 0
+    out = capsys.readouterr().out
+    assert len(docs) == 1 and _plain(docs[0])
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out) == docs[0]
 
 
 def test_help_exits_0(capsys):
