@@ -195,18 +195,17 @@ def _equal_norm_violations(idx: int, cone, members) -> list[tuple[int, Vec, Vec]
     """(idx, u, v) for the labels u before v of two members (label, integer
     vector, facet values, norm) of one norm whose difference lies in the
     cone, either way: the facet values of a difference are the difference
-    of the members' facet values.  One order over all members, masked to
-    each norm's members; norm by norm, in the order of their first members."""
-    groups: dict = {}                   # norm -> the bits of its members
-    for x, (_, _, _, norm) in enumerate(members):
-        groups[norm] = groups.get(norm, 0) | 1 << x
-    groups = [same for same in groups.values() if same & (same - 1)]    # two members or more
-    if not groups:
-        return []
-    labels, ints, vals, _ = zip(*members)
-    below, above = _order_masks(cone, ints, vals)
-    return [(idx, labels[i], labels[j]) for same in groups for i in _bits(same)
-            for j in _bits((below[i] | above[i]) & (same >> (i + 1) << (i + 1)))]
+    of the members' facet values."""
+    by_norm: dict = {}
+    for v, x, f, n in members:
+        by_norm.setdefault(n, []).append((v, x, f))
+    out = []
+    for group in (g for g in by_norm.values() if len(g) > 1):
+        labels, ints, vals = zip(*group)
+        below, above = _order_masks(cone, ints, vals)
+        out += [(idx, labels[i], labels[j]) for i in range(len(labels))
+                for j in _bits((below[i] | above[i]) >> (i + 1) << (i + 1))]
+    return out
 
 
 def check_cone_conditions(family, spec: NormSpec, vectors) -> ConeConditionReport:

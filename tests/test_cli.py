@@ -676,13 +676,16 @@ def test_malformed_json_is_input_error(files, capsys, norm, points):
 
 
 @pytest.mark.parametrize("role", ["--points", "--norm"])
-@pytest.mark.parametrize("data", [
-    b"[" * 100_000,                                 # deeper than the decoder's recursion
-    b'\xff\xfe{"dim": 1, "kind": "linf"}',          # a UTF-16 mark: not UTF-8 text
-    b'\xef\xbb\xbf{"dim": 1, "kind": "linf"}',      # a UTF-8 mark: no JSON value
-    b'{"dim": 1, "points": [[' + b"7" * 5000 + b"]]}",  # past Python's int-string limit
-], ids=["nested", "utf16-bom", "utf8-bom", "5000-digits"])
-def test_unreadable_json_is_one_input_error_line(files, tmp_path, capsys, role, data):
+@pytest.mark.parametrize("data, reason", [
+    (b"[" * 100_000, "maximum recursion depth"),     # deeper than the decoder's recursion
+    (b'\xff\xfe{"dim": 1, "kind": "linf"}',            # a UTF-16 mark: not UTF-8 text
+     "'utf-8' codec can't decode byte 0xff"),
+    (b'\xef\xbb\xbf{"dim": 1, "kind": "linf"}',        # a UTF-8 mark: no JSON value
+     "Expecting value"),
+    (b'{"dim": 1, "points": [[' + b"7" * 5000 + b"]]}", "4300"),  # past Python's int-string limit
+    (b'{"dim": 1, "dim": 1}', "duplicate key 'dim'"),  # the last value used to win
+], ids=["nested", "utf16-bom", "utf8-bom", "5000-digits", "duplicate-key"])
+def test_unreadable_json_is_one_input_error_line(files, tmp_path, capsys, role, data, reason):
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)
     paths = {"--norm": files("norm.json", norm_to_json(linf(1))),
@@ -690,23 +693,7 @@ def test_unreadable_json_is_one_input_error_line(files, tmp_path, capsys, role, 
     assert run_command(["spectrum", *chain.from_iterable(paths.items())]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"input error: cannot read JSON from {bad}: ")
-    assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("role, text, key", [
-    ("--norm", '{"dim": 2, "kind": "linf", "dim": 3}', "dim"),
-    ("--points", '{"dim": 2, "points": [[0, 0]], "points": [[0, 0], [1, 0]]}', "points"),
-], ids=["norm", "points"])
-def test_a_repeated_json_key_is_one_input_error_line(files, tmp_path, capsys, role, text, key):
-    bad = tmp_path / "bad.json"
-    bad.write_text(text)
-    paths = {"--norm": files("norm.json", norm_to_json(linf(2))),
-             "--points": files("pts.json", {"dim": 2, "points": [[0, 0], [1, 0]]}),
-             role: str(bad)}
-    assert run_command(["spectrum", *chain.from_iterable(paths.items())]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == (f"input error: cannot read JSON from {bad}: "
-                                 f"duplicate key {key!r}\n")
+    assert reason in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["spectrum", "chains", "normalize2d", "conecover",
