@@ -14,6 +14,7 @@ norms.
 from kdist import (PointSet, SearchProblem, best_route, branch_and_bound, hexagon_gauge,
                    max_area_normalization, planar_bound_certificate,
                    polygon_vertices_2d, quadrant_cones, routes, vec)
+from kdist.planar import removed_rays
 
 hexa = hexagon_gauge()
 verts = polygon_vertices_2d(hexa)
@@ -27,7 +28,7 @@ print("normalized vertices:", [tuple(str(a) for a in v) for v in nrm.vertices])
 
 qc = quadrant_cones(nrm.vertices)
 print("removed boundary rays:",
-      [(c, tuple(int(a) for a in r)) for c, r in qc.removed])
+      [(c, tuple(int(a) for a in r)) for c, r in removed_rays((qc.p1, qc.p2))])
 print("cone conditions hold:", qc.condition_report.ok)
 
 # Search for a maximum equilateral set among the vertices and the center.

@@ -23,7 +23,8 @@ from .cover import (cone_halfwidth_check, cover_assignment, generated_cones,
 from .decompose import decompose_recursive_bound
 from .errors import CertificateError, FalsificationError, InputError, KdistError
 from .norms import NormSpec, norm_from_json, norm_to_json, rat_to_pair, vec_to_json
-from .planar import apply_matrix, best_route, planar_conditions, planar_normalization, routes
+from .planar import (apply_matrix, best_route, planar_conditions, planar_normalization,
+                     removed_rays, routes)
 from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
 from .spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_json,
                        pointset_to_json, spectrum_to_json)
@@ -54,16 +55,12 @@ def _load_json(path: str):
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _load_norm(path: str) -> NormSpec:
-    return norm_from_json(_load_json(path))
-
-
 def _load_points(path: str) -> PointSet:
     return pointset_from_json(_load_json(path))
 
 
 def _digest(*objs) -> str:
-    blob = json.dumps(objs, sort_keys=True, default=str).encode()
+    blob = json.dumps(objs, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -75,16 +72,14 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_spectrum(args) -> int:
-    spec = _load_norm(args.norm)
+def _cmd_spectrum(spec: NormSpec, args) -> int:
     ps = _load_points(args.points)
     sp = distance_spectrum(spec, ps)
     _emit(spectrum_to_json(spec, sp))
     return 0
 
 
-def _cmd_chains(args) -> int:
-    spec = _load_norm(args.norm)
+def _cmd_chains(spec: NormSpec, args) -> int:
     family = parallelotope_cones(spec)
     if family is None:
         raise InputError("chains needs a parallelotope gauge: linf, or d polytopal "
@@ -97,8 +92,7 @@ def _cmd_chains(args) -> int:
     return 0
 
 
-def _cmd_normalize2d(args) -> int:
-    spec = _load_norm(args.norm)
+def _cmd_normalize2d(spec: NormSpec, args) -> int:
     # Checked on the input polygon's differences, reported in the frame of C' by T.
     nrm, report = planar_normalization(spec), planar_conditions(spec)
     _emit({
@@ -107,7 +101,7 @@ def _cmd_normalize2d(args) -> int:
         "matrix": [[rat_to_pair(a) for a in row] for row in nrm.matrix],
         "vertices": [vec_to_json(v) for v in nrm.vertices],
         "removed_rays": [{"cone": c, "ray": vec_to_json(apply_matrix(nrm.matrix, r))}
-                         for c, r in nrm.removed],
+                         for c, r in removed_rays(nrm.cones)],
         "conditions_ok": report.ok,
         "uncovered": [vec_to_json(apply_matrix(nrm.matrix, v)) for v in report.uncovered],
         "equal_norm_violations": len(report.equal_norm_violations),
@@ -117,8 +111,7 @@ def _cmd_normalize2d(args) -> int:
     return 0
 
 
-def _cmd_conecover(args) -> int:
-    spec = _load_norm(args.norm)
+def _cmd_conecover(spec: NormSpec, args) -> int:
     samples = sphere_samples(spec, args.samples, seed=args.seed)
     sep = greedy_separated_set(spec, samples)
     packing_bound_check(sep, spec)
@@ -147,16 +140,14 @@ def _cmd_conecover(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    spec = _load_norm(args.norm)
+def _cmd_decompose(spec: NormSpec, args) -> int:
     ps = _load_points(args.points)
     node = decompose_recursive_bound(PairTable(spec, ps))
     _emit(node.to_json())
     return 0
 
 
-def _cmd_search(args) -> int:
-    spec = _load_norm(args.norm)
+def _cmd_search(spec: NormSpec, args) -> int:
     ground = _load_points(args.ground)
     problem = SearchProblem(spec, ground, args.k)
     result = branch_and_bound(problem, use_bound_pruning=args.use_bound_pruning)
@@ -174,8 +165,7 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
-    spec = _load_norm(args.norm)
+def _cmd_bound(spec: NormSpec, args) -> int:
     ps = _load_points(args.points)
     found = routes(spec)            # before the table: a planar seminorm fails here
     table = PairTable(spec, ps)
@@ -192,8 +182,7 @@ def _cmd_bound(args) -> int:
             witnesses = {"chain": cert.to_json()}
             if name == "planar-two-cones":  # the rays the cones exclude, in the input's frame
                 witnesses["removed_rays"] = [{"cone": c, "ray": vec_to_json(r)}
-                                             for c, cone in zip(("p1", "p2"), route.family)
-                                             for r in cone.excluded_rays]
+                                             for c, r in removed_rays(route.family)]
             if not cert.ok:
                 raise FalsificationError(f"chain certificate failed on the {name} route")
     passed = observed <= claimed
@@ -212,10 +201,16 @@ def _cmd_bound(args) -> int:
     if not passed:
         raise FalsificationError(
             f"observed cardinality {observed} exceeds the proved bound {claimed}")
+    # The planar theorem's equality clause: only a parallelogram reaches (k+1)^2.
+    if name == "planar-two-cones" and observed == claimed:
+        sides = len(planar_normalization(spec).polygon)
+        if sides > 4:
+            raise FalsificationError(f"{observed} points reach (k+1)^2 under a norm whose "
+                                     f"unit polygon has {sides} vertices, not 4")
     return 0
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(spec: None, args) -> int:
     from .criteria import run_selftest
     return run_selftest()
 
@@ -230,6 +225,26 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+#: Each command once: its name, help, handler and options after --norm, or None
+#: for a command that reads no norm.  run_command reads the norm for the handler.
+_POINTS = ("--points", {"required": True})
+_COMMANDS = (
+    ("spectrum", "distance spectrum of a point set", _cmd_spectrum, [_POINTS]),
+    ("chains", "(k+1)^d chain-height certificate for every parallelotope gauge",
+     _cmd_chains, [_POINTS]),
+    ("normalize2d", "planar max-area normalization", _cmd_normalize2d, []),
+    ("conecover", "greedy separated set and cone cover", _cmd_conecover,
+     [("--samples", {"type": int, "default": 10_000}), ("--seed", {"type": int, "default": 0})]),
+    ("decompose", "cluster decomposition bound trace", _cmd_decompose, [_POINTS]),
+    ("search", "maximum k-distance subset search", _cmd_search,
+     [("--ground", {"required": True}), ("--k", {"type": int, "required": True}),
+      ("--use-bound-pruning", {"action": "store_true"}),
+      ("--enumerate-optima", {"action": "store_true"})]),
+    ("bound", "tightest applicable cardinality certificate", _cmd_bound, [_POINTS]),
+    ("selftest", "run the ten acceptance criteria at small scale", _cmd_selftest, None),
+)
+
+
 @functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The kdist parser, and each command's own parser by name."""
@@ -237,48 +252,13 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         prog="kdist",
         description="Bounds and certificates for k-distance sets in Minkowski spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="distance spectrum of a point set")
-    p.add_argument("--norm", required=True)
-    p.add_argument("--points", required=True)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("chains", help="(k+1)^d chain-height certificate for every "
-                       "parallelotope gauge")
-    p.add_argument("--norm", required=True)
-    p.add_argument("--points", required=True)
-    p.set_defaults(func=_cmd_chains)
-
-    p = sub.add_parser("normalize2d", help="planar max-area normalization")
-    p.add_argument("--norm", required=True)
-    p.set_defaults(func=_cmd_normalize2d)
-
-    p = sub.add_parser("conecover", help="greedy separated set and cone cover")
-    p.add_argument("--norm", required=True)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_conecover)
-
-    p = sub.add_parser("decompose", help="cluster decomposition bound trace")
-    p.add_argument("--norm", required=True)
-    p.add_argument("--points", required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("search", help="maximum k-distance subset search")
-    p.add_argument("--norm", required=True)
-    p.add_argument("--ground", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--use-bound-pruning", action="store_true")
-    p.add_argument("--enumerate-optima", action="store_true")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("bound", help="tightest applicable cardinality certificate")
-    p.add_argument("--norm", required=True)
-    p.add_argument("--points", required=True)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("selftest", help="run the ten acceptance criteria at small scale")
-    p.set_defaults(func=_cmd_selftest)
+    for name, summary, func, options in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, norm=None)        # a --norm below replaces the None
+        if options is not None:
+            p.add_argument("--norm", required=True)
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
     return parser, sub.choices
 
 
@@ -302,7 +282,8 @@ def run_command(argv: list[str]) -> int:
             args = _parse_args(argv)
         except SystemExit as exc:   # --help; usage errors raise InputError
             return exc.code
-        return args.func(args)
+        spec = None if args.norm is None else norm_from_json(_load_json(args.norm))
+        return args.func(spec, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -41,17 +41,19 @@ def random_lattice_subset(rng: random.Random, d: int, side: int,
     return PointSet(d, tuple(vec(*c) for c in chosen))
 
 
-def clustered_lattice_set(rng: random.Random, d: int,
-                          spread: int = 1000) -> PointSet:
+SPREAD = 1000          # the clusters' spacing along axis 0 in clustered_lattice_set
+
+
+def clustered_lattice_set(rng: random.Random, d: int) -> PointSet:
     """Translated lattice clusters with a huge distance ratio.
 
     Clusters are copies of a small pattern orthogonal to axis 0, translated
-    along axis 0 by multiples of `spread`; under l-infinity all
-    cross-cluster distances are exact multiples of `spread`, so the total
+    along axis 0 by multiples of SPREAD; under l-infinity all
+    cross-cluster distances are exact multiples of SPREAD, so the total
     distance count stays small while rho_k / rho_1 is large.
     """
     if d == 1:
-        return PointSet(1, tuple(sorted({vec(a + o) for a in (0, 1) for o in (0, spread)})))
+        return PointSet(1, tuple(sorted({vec(a + o) for a in (0, 1) for o in (0, SPREAD)})))
     while True:
         pattern = set()
         for _ in range(rng.randint(2, 4)):
@@ -59,7 +61,7 @@ def clustered_lattice_set(rng: random.Random, d: int,
         if len(pattern) < 2:
             continue
         positions = sorted(rng.sample((0, 1, 2, 3, 5), k=rng.randint(2, 3)))
-        pts = {tuple((p[0] + pos * spread,) + p[1:]) for p in pattern
+        pts = {tuple((p[0] + pos * SPREAD,) + p[1:]) for p in pattern
                for pos in positions}
         return PointSet(d, tuple(sorted(pts)))
 

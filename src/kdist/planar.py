@@ -78,9 +78,9 @@ def polygon_gauge(verts: list[Vec]) -> NormSpec:
     return polytopal(funcs)
 
 
-def _quadrant_pair(verts: list[Vec], x0: Vec, y0: Vec):
-    """The quadrant pair of a polygon's vertex basis x0, y0 (cross(x0, y0) > 0)
-    and its removed rays (label, ray) in edge order: p1 = {cross(x, y0) >= 0,
+def _quadrant_pair(verts: list[Vec], x0: Vec, y0: Vec) -> tuple[PolyhedralCone, PolyhedralCone]:
+    """The quadrant pair of a polygon's vertex basis x0, y0 (cross(x0, y0) > 0),
+    each cone with its removed rays in edge order: p1 = {cross(x, y0) >= 0,
     cross(x0, x) >= 0}, p2 = {cross(x, y0) <= 0, cross(x0, x) >= 0}.  Those
     two values are det T x for T x0 = e1, T y0 = e2, so x lies in p1 (p2)
     iff T x lies in the first (second) closed quadrant.  A cone loses the
@@ -104,10 +104,14 @@ def _quadrant_pair(verts: list[Vec], x0: Vec, y0: Vec):
                 removed[(label, x_ray)] = True
             if inside and u[0] == v[0]:             # parallel to y0
                 removed[(label, y0)] = True
-    p1, p2 = (PolyhedralCone((vec(sign * y0[1], -sign * y0[0]), vec(-x0[1], x0[0])),
-                             tuple(r for c, r in removed if c == label))
-              for sign, label in ((1, "p1"), (-1, "p2")))
-    return p1, p2, tuple(removed)
+    return tuple(PolyhedralCone((vec(sign * y0[1], -sign * y0[0]), vec(-x0[1], x0[0])),
+                                tuple(r for c, r in removed if c == label))
+                 for sign, label in ((1, "p1"), (-1, "p2")))
+
+
+def removed_rays(cones: tuple[PolyhedralCone, PolyhedralCone]) -> list[tuple[str, Vec]]:
+    """A quadrant pair's removed rays as (label, ray): p1's, then p2's."""
+    return [(label, r) for label, cone in zip(("p1", "p2"), cones) for r in cone.excluded_rays]
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,6 @@ class Normalization2D:
     matrix: Matrix2              # T with T x0 = e1, T y0 = e2
     vertices: tuple[Vec, ...]    # image polygon C', counterclockwise
     cones: tuple[PolyhedralCone, PolyhedralCone]    # the quadrant pair of x0, y0
-    removed: tuple[tuple[str, Vec], ...]            # its removed rays (label, ray)
     polygon: tuple[Vec, ...]     # the input polygon, counterclockwise
 
 
@@ -156,8 +159,7 @@ def max_area_normalization(polygon) -> Normalization2D:
     # C' is convex (validated), so it holds B1 when it has +-e1, +-e2 as vertices.
     if not {vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)} <= set(image):
         raise GeometryError("cross-polytope vertex outside normalized polygon")
-    p1, p2, removed = _quadrant_pair(verts, x0, y0)
-    return Normalization2D(x0, y0, T, image, (p1, p2), removed, tuple(verts))
+    return Normalization2D(x0, y0, T, image, _quadrant_pair(verts, x0, y0), tuple(verts))
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,6 @@ class QuadrantCones:
 
     p1: PolyhedralCone
     p2: PolyhedralCone
-    removed: tuple[tuple[str, Vec], ...]
     condition_report: ConeConditionReport
 
 
@@ -181,10 +182,10 @@ def quadrant_cones(vertices) -> QuadrantCones:
     """
     verts = [vec(*v) for v in vertices]
     _validate_polygon(verts)
-    p1, p2, removed = _quadrant_pair(verts, vec(1, 0), vec(0, 1))
-    report = check_cone_conditions((p1, p2), polygon_gauge(verts),
+    cones = _quadrant_pair(verts, vec(1, 0), vec(0, 1))
+    report = check_cone_conditions(cones, polygon_gauge(verts),
                                    [vsub(v, u) for u in verts for v in verts if u != v])
-    return QuadrantCones(p1, p2, removed, report)
+    return QuadrantCones(*cones, report)
 
 
 @functools.cache       # once per norm, as parallelotope_cones

@@ -96,7 +96,8 @@ def _root_layer(spec: NormSpec, ints: list[tuple]) -> int:
 
 
 def brute_force_oracle(problem: SearchProblem) -> SearchResult:
-    """Exhaustive enumeration: combinations by decreasing size, first hit wins.
+    """Exhaustive enumeration: combinations by decreasing size, first hit wins
+    (at size 1 at the latest: a one-point subset has no distance).
 
     Refuses grounds larger than 20 points; use branch_and_bound there.
     """
@@ -124,7 +125,6 @@ def brute_force_oracle(problem: SearchProblem) -> SearchResult:
             if ok:
                 return SearchResult(tuple(pts[i] for i in comb), table.spectrum_of(comb),
                                     examined, True)
-    raise InputError("empty ground")
 
 
 def _bound_cap(problem: SearchProblem) -> int:

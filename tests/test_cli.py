@@ -27,7 +27,7 @@ from kdist.cover import (MAX_SAMPLES, cone_halfwidth_check, cover_assignment, ge
                          greedy_separated_set, packing_bound_check, sphere_samples)
 from kdist.errors import InputError
 from kdist.norms import MAX_JSON_DIM, MAX_TABLE_BYTES, gauge, norm_to_json, vec_to_json
-from kdist.planar import apply_matrix, planar_cones, quadrant_cones
+from kdist.planar import apply_matrix, planar_cones, quadrant_cones, removed_rays
 from kdist.spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_json,
                             pointset_to_json)
 
@@ -243,18 +243,38 @@ def test_bound_command_planar(files, capsys):
     assert out["claimed"] == 4 and out["observed"] == 3
 
 
-@pytest.mark.parametrize("spec, turn", [(linf(2), lambda x, y: (x, y)),
-                                         (l1(2), lambda x, y: (x + y, x - y))],
-                         ids=["linf-grid", "l1-rotated-grid"])
-def test_bound_reports_tight_iff_observed_equals_claimed(files, capsys, spec, turn):
+@pytest.mark.parametrize("spec, turn, route", [
+    (linf(2), lambda x, y: (x, y), "parallelotope-chain"),
+    (l1(2), lambda x, y: (x + y, x - y), "planar-two-cones"),
+    # max(|x|, |x + y|): the grid sheared onto its parallelogram ball.
+    (polytopal([(1, 0), (1, 1)]), lambda x, y: (x, y - x), "planar-two-cones"),
+], ids=["linf-grid", "l1-rotated-grid", "parallelogram-grid"])
+def test_bound_reports_tight_iff_observed_equals_claimed(files, capsys, spec, turn, route):
+    # A parallelogram norm reaches (k+1)^2 with no alarm, on either route.
     norm = files("norm.json", norm_to_json(spec))
     grid = [list(turn(x, y)) for x in range(4) for y in range(4)]
     for pts, tight in ((grid, True), (grid[1:], False)):   # k = 3 on both
         points = files("pts.json", {"dim": 2, "points": pts})
         assert run_command(["bound", "--norm", norm, "--points", points]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert (out["k"], out["claimed"], out["observed"]) == (3, 16, len(pts))
+        assert (out["bound"], out["k"], out["claimed"], out["observed"]) == (
+            route, 3, 16, len(pts))
         assert out["tight"] is tight
+
+
+def test_a_tight_planar_set_under_a_hexagon_is_an_alarm(files, capsys, monkeypatch):
+    # Only a parallelogram reaches (k+1)^2: a claim patched down to the
+    # observed size makes a hexagon set tight, which the theorem forbids.
+    pts = [[0, 0], [1, 0], [1, 1]]
+    monkeypatch.setattr(planar.Route, "claim", lambda self, k, d: len(pts))
+    argv = ["bound", "--norm", files("norm.json", norm_to_json(hexagon_gauge())),
+            "--points", files("pts.json", {"dim": 2, "points": pts})]
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert (doc["bound"], doc["pass"], doc["tight"]) == ("planar-two-cones", True, True)
+    assert err.count("\n") == 1 and err.startswith("falsification alarm: ")
+    assert "6 vertices" in err
 
 
 def test_bound_planar_heights_are_keyed_by_input_points(files, capsys):
@@ -285,10 +305,11 @@ def test_bound_planar_removed_rays_are_in_the_input_frame(files, capsys, spec):
     rays = json.loads(capsys.readouterr().out)["witnesses"]["removed_rays"]
     nrm = max_area_normalization(polygon_vertices_2d(spec))
     qc, family = quadrant_cones(nrm.vertices), planar_cones(spec)
-    assert rays and len(rays) == len(qc.removed)
+    removed = removed_rays((qc.p1, qc.p2))
+    assert rays and len(rays) == len(removed)
     for item in rays:
         label, ray = item["cone"], vec(*(Fraction(a, b) for a, b in item["ray"]))
-        assert (label, apply_matrix(nrm.matrix, ray)) in qc.removed
+        assert (label, apply_matrix(nrm.matrix, ray)) in removed
         cone = family[("p1", "p2").index(label)]
         assert not cone.contains(ray) and PolyhedralCone(cone.facets).contains(ray)
 
@@ -394,7 +415,8 @@ def test_normalize2d_reports_the_cones_of_the_normalized_polygon(files, capsys, 
     qc = quadrant_cones(nrm.vertices)
     assert run_command(["normalize2d", "--norm", files("norm.json", norm_to_json(spec))]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["removed_rays"] == [{"cone": c, "ray": vec_to_json(r)} for c, r in qc.removed]
+    assert out["removed_rays"] == [{"cone": c, "ray": vec_to_json(r)}
+                                   for c, r in removed_rays((qc.p1, qc.p2))]
     assert out["conditions_ok"] and out["uncovered"] == [] == qc.condition_report.uncovered
 
 
@@ -1058,6 +1080,51 @@ def test_help_exits_0(capsys):
     assert run_command(["--help"]) == 0
     assert run_command(["search", "-h"]) == 0
     assert "--enumerate-optima" in capsys.readouterr().out
+
+
+#: Each command's options, as (flag, required, type, default, action), in order.
+_OPTIONS = {
+    "spectrum": [("--norm", True, None, None, "store"), ("--points", True, None, None, "store")],
+    "chains": [("--norm", True, None, None, "store"), ("--points", True, None, None, "store")],
+    "normalize2d": [("--norm", True, None, None, "store")],
+    "conecover": [("--norm", True, None, None, "store"), ("--samples", False, int, 10_000, "store"),
+                  ("--seed", False, int, 0, "store")],
+    "decompose": [("--norm", True, None, None, "store"), ("--points", True, None, None, "store")],
+    "search": [("--norm", True, None, None, "store"), ("--ground", True, None, None, "store"),
+               ("--k", True, int, None, "store"),
+               ("--use-bound-pruning", False, None, False, "store_true"),
+               ("--enumerate-optima", False, None, False, "store_true")],
+    "bound": [("--norm", True, None, None, "store"), ("--points", True, None, None, "store")],
+    "selftest": [],
+}
+
+
+def test_each_command_declares_exactly_its_options():
+    parser, commands = cli._parser()
+    assert list(commands) == list(_OPTIONS)
+    actions = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true"}
+    for name, command in commands.items():
+        assert command.prog == f"kdist {name}"
+        options = [a for a in command._actions if a.dest != "help"]
+        assert all(len(a.option_strings) == 1 for a in options), name
+        assert [(a.option_strings[0], a.required, a.type, a.default, actions[type(a)])
+                for a in options] == _OPTIONS[name], name
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_each_command_help_exits_0(capsys, command):
+    assert run_command([command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: kdist {command} [-h]") and err == ""
+    assert all(flag in out for flag, *_ in _OPTIONS[command])
+
+
+def test_a_polytopal_norm_file_without_functionals_is_input_error(files, capsys):
+    # polytopal() refuses an empty list itself; a norm file reaches NormSpec's own check.
+    norm = files("norm.json", {"dim": 2, "kind": "polytopal", "functionals": []})
+    assert run_command(["normalize2d", "--norm", norm]) == 1
+    assert capsys.readouterr() == (
+        "", "input error: polytopal gauge needs at least one functional\n")
 
 
 # ---------------------------------------------------------------------------

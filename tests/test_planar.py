@@ -12,7 +12,7 @@ from kdist import (GeometryError, InputError, PointSet, PolyhedralCone, chain_ce
 from kdist import chains
 from kdist.gen import random_lattice_subset, random_symmetric_polygon
 from kdist.norms import cross2, vsub
-from kdist.planar import Route, apply_matrix, best_route, planar_cones, routes
+from kdist.planar import Route, apply_matrix, best_route, planar_cones, removed_rays, routes
 from kdist.search import extremal_grid
 from kdist.spectrum import PairTable
 
@@ -111,7 +111,7 @@ def test_gauge_covariance():
 
 def test_quadrant_cones_diamond_no_removals():
     qc = quadrant_cones(DIAMOND)
-    assert qc.removed == ()
+    assert removed_rays((qc.p1, qc.p2)) == []
     assert qc.condition_report.ok
 
 
@@ -120,7 +120,7 @@ def test_quadrant_cones_hexagon_removals():
     # axis-parallel first-quadrant boundary segments force both positive
     # axis rays out of the first-quadrant cone.
     qc = quadrant_cones(HEXAGON)
-    assert set(qc.removed) == {("p1", vec(1, 0)), ("p1", vec(0, 1))}
+    assert set(removed_rays((qc.p1, qc.p2))) == {("p1", vec(1, 0)), ("p1", vec(0, 1))}
     assert qc.condition_report.ok
     assert not qc.p1.contains(vec(1, 0))
     assert not qc.p1.contains(vec(0, 1))
