@@ -11,6 +11,7 @@ relative tolerance ``FLOAT_EPS``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property, reduce as fold
 from itertools import chain
@@ -298,8 +299,10 @@ class LpGauge:
         image = tuple(image)
         try:
             return sum(abs(float(a)) ** self.p for a in image) ** (1.0 / self.p)
-        except OverflowError as exc:
-            raise GeometryError(f"lp norm of {image} overflows a float") from exc
+        except OverflowError as exc:    # named to 6 digits: no float() and no str of a huge int
+            shown = ", ".join(f"{Decimal(q.numerator) / q.denominator:.6g}"
+                              for q in map(Fraction, image))
+            raise GeometryError(f"lp norm of ({shown}) overflows a float") from exc
 
     def reduce(self, images: np.ndarray) -> np.ndarray:
         """As :meth:`IntGauge.reduce`, in float64: bit for bit ``value`` on object arrays."""

@@ -1,13 +1,15 @@
 """Exact maximum-cardinality k-distance subset search over finite grounds.
 
-Two independent routes: a dumb top-down enumeration oracle (combinations
-by decreasing size, first hit wins) and a forward-checking branch-and-bound
+Two independent routes: a dumb top-down enumeration oracle (combinations by
+decreasing size, first hit wins) and a forward-checking branch-and-bound
 (Carraghan-Pardalos, Oper. Res. Lett. 9, 1990, with a class count in place
 of adjacency): each candidate carries the mask of distance classes it would
 add, choosing a point drops every candidate past k classes, and `nodes`
-counts the chosen sets so checked.  Both are deterministic: points are
-sorted, candidates keep that order and inclusion is tried first, so the
-reported optimum is the lexicographically smallest one.
+counts the chosen sets so checked.  It shares one walk, a loop on an
+explicit stack, with the enumeration of optima, so no search depth meets
+Python's recursion limit.  Both routes are deterministic: points are sorted,
+candidates keep that order and inclusion is tried first, so the reported
+optimum is the lexicographically smallest one.
 
 The branch-and-bound root branches only on the lowest layer L0 of axis 0
 (the points of least first coordinate, a prefix of the sorted points) when
@@ -147,54 +149,59 @@ def _forward_check(cls: list[list[int]], k: int, cands: list, j: int) -> list:
     return viable
 
 
+def _walk(cls: list[list[int]], k: int, stop: int, floor: int, top: int,
+          found: list[list[int]], rising: bool = False) -> int:
+    """The forward-checking DFS of both searches, on a stack of frames
+    [candidates, stop, next j]: the root branches on the first stop points,
+    each child on all its viable candidates, and the chosen points are the
+    candidates each frame on the stack took last.  Each chosen index list
+    longer than floor is appended to found; with rising, it raises the floor
+    to its length, and the walk ends once the floor reaches top.  No list
+    grows past top, and a frame is left once its chosen points plus its
+    candidates from j on cannot exceed the floor.  Returns the nodes: the
+    root and each chosen set forward-checked."""
+    stack, nodes = [[[(i, 0) for i in range(len(cls))], stop, 0]], 1
+    while stack and floor < top:
+        cands, stop, j = frame = stack[-1]
+        depth = len(stack) - 1
+        if j == stop or depth + len(cands) - j <= floor:
+            stack.pop()
+            continue
+        frame[2] = j + 1
+        nodes += 1
+        viable = _forward_check(cls, k, cands, j)
+        if depth + 1 + len(viable) > floor:
+            if depth + 1 > floor:
+                found.append([c[i - 1][0] for c, _, i in stack])
+                if rising:
+                    floor = depth + 1
+            if depth + 1 < top:
+                stack.append([viable, len(viable), 0])
+    return nodes
+
+
 def branch_and_bound(problem: SearchProblem,
                      use_bound_pruning: bool = False) -> SearchResult:
-    """Forward-checking DFS over sorted candidates, inclusion first.
-
-    A node is pruned, and a child is not expanded, when its chosen points
-    plus its viable candidates cannot exceed the incumbent.  The root
-    branches only on the lowest layer of a ground closed under the shift
-    along axis 0 (see the module docstring).  `nodes` counts the root and
-    each chosen set forward-checked.  With use_bound_pruning,
-    the search also stops once the incumbent reaches the tightest
-    applicable proved bound; keep it off when the bound itself is the
-    claim under test.
+    """The walk from floor 0, the floor rising to each incumbent: a node is
+    pruned once its chosen points and viable candidates cannot beat it.  The
+    root branches only on the lowest layer of a ground closed under the
+    shift along axis 0 (see the module docstring).  With use_bound_pruning
+    the search also stops once the incumbent reaches the tightest proved
+    bound; keep it off when the bound itself is the claim under test.
     """
     table = _pair_classes(problem.spec, problem.ground)
     pts, cls, n = table.points, table.classes, len(table.points)
     # With k >= n(n-1)/2 every subset qualifies: the cap is n, and no bound is formed.
     cap = _bound_cap(problem) if use_bound_pruning and problem.k < n * (n - 1) // 2 else n
-    best: list[int] = []
-    nodes = 1
-    chosen: list[int] = []
-
-    def expand(cands: list[tuple[int, int]], stop: int) -> bool:
-        """Branch on cands[:stop], each with the candidates after it."""
-        nonlocal nodes, best
-        depth = len(chosen)
-        if depth > len(best):
-            best = list(chosen)
-            if depth >= cap:
-                return True
-        for j in range(stop):
-            if depth + len(cands) - j <= len(best):
-                return False
-            nodes += 1
-            viable = _forward_check(cls, problem.k, cands, j)
-            if depth + 1 + len(viable) > len(best):
-                chosen.append(cands[j][0])
-                if expand(viable, len(viable)):
-                    return True
-                chosen.pop()
-        return False
-
-    expand([(i, 0) for i in range(n)], _root_layer(problem.spec, table.ints))
+    found: list[list[int]] = [[]]
+    nodes = _walk(cls, problem.k, _root_layer(problem.spec, table.ints), 0, cap, found, rising=True)
+    best = found[-1]
     return SearchResult(tuple(pts[i] for i in best), table.spectrum_of(best), nodes, True)
 
 
 def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[Vec, ...]]:
     """All subsets of exactly the given size with at most k distance classes,
-    in lexicographic order, by the forward-checking DFS of branch_and_bound.
+    in lexicographic order: the walk at floor size - 1 and top size.
 
     On a ground closed under the shift by s along axis 0 the root branches
     only on L0, and each subset found is followed by its translates by
@@ -206,22 +213,9 @@ def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[V
     table = _pair_classes(problem.spec, problem.ground)
     pts, cls, ints = table.points, table.classes, table.ints
     found: list[list[int]] = []
-    chosen: list[int] = []
-
-    def expand(cands: list[tuple[int, int]], stop: int) -> None:
-        if len(chosen) == size:
-            found.append(list(chosen))
-            return
-        for j in range(min(stop, len(cands) - (size - len(chosen)) + 1)):
-            chosen.append(cands[j][0])
-            viable = _forward_check(cls, problem.k, cands, j)
-            expand(viable, len(viable))
-            chosen.pop()
-
-    n = len(pts)
     stop = _root_layer(problem.spec, ints)
-    expand([(i, 0) for i in range(n)], stop)
-    if stop < n:
+    _walk(cls, problem.k, stop, size - 1, size, found)
+    if stop < len(pts):
         # up[i]: the index of point i + s*e0, None off the ground.  up is
         # increasing, so a shifted index list stays ascending, and the lists
         # come out sorted: the translates are appended by generation, those

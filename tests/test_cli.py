@@ -207,6 +207,21 @@ def test_search_prints_lp_points_as_rational_pairs(files, capsys):
             for s in out["optima"]] == [tuple(want)]
 
 
+def test_search_on_a_line_deeper_than_the_recursion_limit(files, capsys):
+    # The optimum is the whole line: one walk level per point, 1,100 of them.
+    argv = ["search", "--norm", files("norm.json", norm_to_json(linf(1))),
+            "--ground", files("ground.json", {"dim": 1, "points": [[i] for i in range(1100)]}),
+            "--k", "1099"]
+    assert run_command(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["size"] == 1100 and out["nodes"] == 1101
+    assert run_command(argv + ["--enumerate-optima"]) == 0
+    out, err = capsys.readouterr()
+    out = json.loads(out)
+    assert (out["size"], len(out["optima"]), err) == (1100, 1, "")
+    assert out["optima"][0] == out["points"]
+
+
 def test_pruned_search_with_k_past_every_pair_forms_no_bound(files, capsys, monkeypatch):
     # Two points have one pair: every k >= 1 admits both, and 2^{kd} is never formed.
     argv = ["search", "--norm", files("norm.json", norm_to_json(l1(3))),
@@ -748,6 +763,21 @@ def test_lp_overflow_is_an_error_not_a_crash(files, capsys):
     points = files("pts.json", {"dim": 1, "points": [[0], [4]]})
     assert run_command(["spectrum", "--norm", norm, "--points", points]) == 1
     assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, points, shown", [
+    (2.0, [[0, 0], [10 ** 300, 1]], "(-1.00000e+300, -1)"),
+    (1e20, [[x, y] for x in range(3) for y in range(3)], "(0, -2)"),
+    # A difference of 4,302 digits: past the limit of str() on an int.
+    (2.0, [[[9 * 10 ** 4299, 7], 0], [[-9 * 10 ** 4299, 11], 0]], "(-2.10390e+4299, 0)"),
+])
+def test_lp_overflow_names_the_vector_in_a_short_line(files, capsys, p, points, shown):
+    norm = files("norm.json", {"dim": 2, "kind": "lp", "p": p})
+    points = files("pts.json", {"dim": 2, "points": points})
+    assert run_command(["spectrum", "--norm", norm, "--points", points]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: lp norm of {shown} overflows a float\n"
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("command", ["bound", "conecover"])

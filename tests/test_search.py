@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -248,8 +249,42 @@ def test_hexagon_on_9x9_grid_stays_below_16():
     result = branch_and_bound(SearchProblem(hexagon_gauge(), _lattice(2, 8), 3))
     assert result.size == 12 < 4 ** 2
     # The README example: the root branches on the 9 points of x = 0 only
-    # (80,834 nodes on all 81).
-    assert result.nodes <= 40_000
+    # (80,834 nodes on all 81).  The count pins the walk's visiting order.
+    assert result.nodes == 27_564
+
+
+def test_enumeration_on_8x8_grid_lists_the_readme_optima():
+    optima = enumerate_optimal_subsets(SearchProblem(linf(2), _lattice(2, 7), 2), 9)
+    assert len(optima) == 56 and optima == sorted(optima)
+    assert all(is_grid_homothet(s, 2) for s in optima)
+
+
+def test_extremal_grid_deeper_than_the_recursion_limit():
+    # The paper's tight case at (k+1)^2 = 1,024 points, one walk level per point.
+    grid = extremal_grid(31, 2)
+    result = branch_and_bound(SearchProblem(linf(2), grid, 31), use_bound_pruning=True)
+    assert result.size == 1024 == len(grid) and is_grid_homothet(result.points, 31)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_searches_do_not_recurse_per_point():
+    # A limit just above this test's own depth: any recursion per chosen
+    # point on the 300-point line fails at once, whatever the default limit.
+    problem = SearchProblem(linf(1), PointSet(1, tuple(vec(i) for i in range(300))), 299)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        result = branch_and_bound(problem)
+        optima = enumerate_optimal_subsets(problem, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.size == 300 and optima == [result.points]
 
 
 @pytest.mark.parametrize("k, size", [(1, 6), (2, 16)])
