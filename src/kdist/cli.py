@@ -1,19 +1,21 @@
 """Command-line interface: JSON in, JSON certificates out.
 
-Subcommands: spectrum, chains, normalize2d, conecover, decompose, search,
-bound, selftest.  Exit status: 0 on success/pass (and --help), 1 on input
-errors (usage errors included) and other rejected input, 2 on a
+Subcommands: spectrum, chains, normalize2d, conecover, decompose, search, bound, selftest,
+parsed off one table (argparse only renders --help).  Exit status: 0 on success/pass (and
+--help), 1 on input errors (usage errors included) and other rejected input, 2 on a
 falsification alarm (a verified computation contradicting a bound).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
+import io
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .chains import chain_certificate, parallelotope_cones
@@ -25,7 +27,7 @@ from .errors import CertificateError, FalsificationError, InputError, KdistError
 from .norms import NormSpec, norm_from_json, norm_to_json, rat_to_pair, vec_to_json
 from .planar import (apply_matrix, best_route, planar_conditions, planar_normalization,
                      removed_rays, routes)
-from .search import SearchProblem, branch_and_bound, enumerate_optimal_subsets
+from .search import SearchProblem, _pair_classes, branch_and_bound, enumerate_optimal_subsets
 from .spectrum import (PairTable, PointSet, distance_spectrum, pointset_from_json,
                        pointset_to_json, spectrum_to_json)
 
@@ -49,8 +51,8 @@ def _load_json(path: str):
     # bad JSON, text that is not UTF-8, too many digits or a repeated key;
     # RecursionError: deep nesting.
     try:
-        with open(path, "rb") as fh:
-            return _DECODER.decode(fh.read().decode("utf-8"))
+        with io.FileIO(path) as fh:    # unbuffered: one read to the end
+            return _DECODER.decode(fh.readall().decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
@@ -150,7 +152,8 @@ def _cmd_decompose(spec: NormSpec, args) -> int:
 def _cmd_search(spec: NormSpec, args) -> int:
     ground = _load_points(args.ground)
     problem = SearchProblem(spec, ground, args.k)
-    result = branch_and_bound(problem, use_bound_pruning=args.use_bound_pruning)
+    table = _pair_classes(spec, ground)         # one table for both searches
+    result = branch_and_bound(problem, use_bound_pruning=args.use_bound_pruning, table=table)
     out = {
         "size": result.size,
         "points": [vec_to_json(p) for p in result.points],
@@ -159,7 +162,7 @@ def _cmd_search(spec: NormSpec, args) -> int:
         "optimal": result.optimal,
     }
     if args.enumerate_optima:
-        optima = enumerate_optimal_subsets(problem, result.size)
+        optima = enumerate_optimal_subsets(problem, result.size, table=table)
         out["optima"] = [[vec_to_json(p) for p in s] for s in optima]
     _emit(out)
     return 0
@@ -218,70 +221,97 @@ def _cmd_selftest(spec: None, args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors raise InputError (exit 1), not SystemExit(2)."""
-
-    def error(self, message):
-        raise InputError(f"{self.prog}: {message}")
-
-
-#: Each command once: its name, help, handler and options after --norm, or None
-#: for a command that reads no norm.  run_command reads the norm for the handler.
-_POINTS = ("--points", {"required": True})
-_COMMANDS = (
-    ("spectrum", "distance spectrum of a point set", _cmd_spectrum, [_POINTS]),
-    ("chains", "(k+1)^d chain-height certificate for every parallelotope gauge",
-     _cmd_chains, [_POINTS]),
-    ("normalize2d", "planar max-area normalization", _cmd_normalize2d, []),
-    ("conecover", "greedy separated set and cone cover", _cmd_conecover,
-     [("--samples", {"type": int, "default": 10_000}), ("--seed", {"type": int, "default": 0})]),
-    ("decompose", "cluster decomposition bound trace", _cmd_decompose, [_POINTS]),
-    ("search", "maximum k-distance subset search", _cmd_search,
-     [("--ground", {"required": True}), ("--k", {"type": int, "required": True}),
-      ("--use-bound-pruning", {"action": "store_true"}),
-      ("--enumerate-optima", {"action": "store_true"})]),
-    ("bound", "tightest applicable cardinality certificate", _cmd_bound, [_POINTS]),
-    ("selftest", "run the ten acceptance criteria at small scale", _cmd_selftest, None),
-)
+#: Each command once, by name: its help, its handler and its options' argparse
+#: keywords by flag.  run_command reads --norm, where given, for the handler.
+_NORM = {"--norm": {"required": True}}
+_POINTS = {**_NORM, "--points": {"required": True}}
+_COMMANDS = {
+    "spectrum": ("distance spectrum of a point set", _cmd_spectrum, _POINTS),
+    "chains": ("(k+1)^d chain-height certificate for every parallelotope gauge",
+               _cmd_chains, _POINTS),
+    "normalize2d": ("planar max-area normalization", _cmd_normalize2d, _NORM),
+    "conecover": ("greedy separated set and cone cover", _cmd_conecover,
+                  {**_NORM, "--samples": {"type": int, "default": 10_000},
+                   "--seed": {"type": int, "default": 0}}),
+    "decompose": ("cluster decomposition bound trace", _cmd_decompose, _POINTS),
+    "search": ("maximum k-distance subset search", _cmd_search, {
+        **_NORM, "--ground": {"required": True}, "--k": {"type": int, "required": True},
+        "--use-bound-pruning": {"action": "store_true", "default": False},
+        "--enumerate-optima": {"action": "store_true", "default": False}}),
+    "bound": ("tightest applicable cardinality certificate", _cmd_bound, _POINTS),
+    "selftest": ("run the ten acceptance criteria at small scale", _cmd_selftest, {}),
+}
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The kdist parser, and each command's own parser by name."""
-    parser = _Parser(
-        prog="kdist",
-        description="Bounds and certificates for k-distance sets in Minkowski spaces")
+def _parser():
+    """argparse's kdist parser and command parsers, by name: they render the help."""
+    import argparse
+    parser = argparse.ArgumentParser(prog="kdist", description="Bounds and certificates "
+                                     "for k-distance sets in Minkowski spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary, func, options in _COMMANDS:
+    for name, (summary, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func, norm=None)        # a --norm below replaces the None
-        if options is not None:
-            p.add_argument("--norm", required=True)
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser, sub.choices
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """One argparse pass: a named command's own parser reads the rest of argv,
-    as the kdist parser would hand it on; the kdist parser takes everything
-    else (no command, -h, an unknown command) and reports leftovers."""
+def _help(spec: None, args) -> int:
     parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    return commands.get(args.command, parser).print_help() or 0
+
+
+def _is_option(token: str, flags: dict) -> bool:
+    """True iff argparse reads token as an option, not as a value."""
+    return (token.partition("=")[0] in flags or token[:1] == "-" and len(token) > 1 and
+            not re.match(r"^-\d+$|^-\d*\.\d+$", token) and " " not in token)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv read off the command table as argparse reads it, less unique prefixes.
+    A usage error raises InputError with argparse's text, in argparse's order."""
+    name, prog, flags, given, extras, words = None, "kdist", {}, {}, [], iter(argv)
+    for token in words:
+        flag, eq, value = token.partition("=")
+        kw = flags.get(flag)
+        if name is None and (token == "--" or not _is_option(token, flags)):
+            if token == "--" and next(words, None) is None:
+                break                       # a command is still missing
+            if token not in _COMMANDS:
+                raise InputError(f"kdist: argument command: invalid choice: {token!r} "
+                                 f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            name, prog, flags = token, f"kdist {token}", _COMMANDS[token][2]
+        elif flag in ("-h", "--help") or kw and "action" in kw:    # no value
+            if eq:
+                raise InputError(f"{prog}: argument {flag if kw else '-h/--help'}: "
+                                 f"ignored explicit argument {value!r}")
+            if kw is None:
+                return SimpleNamespace(func=_help, norm=None, command=name)   # -h, --help
+            given[flag] = True
+        elif kw is None:    # a stray word or an unknown option; "--" takes the rest along
+            extras += [token, *words] if token == "--" else [token]
+        else:
+            # The next word; taking an option, "--" or the end is harmless: it is refused.
+            if not eq and _is_option(value := next(words, "--"), flags):
+                raise InputError(f"{prog}: argument {flag}: expected one argument")
+            try:
+                given[flag] = kw.get("type", str)(value)
+            except ValueError:
+                raise InputError(f"{prog}: argument {flag}: invalid int value: {value!r}") from None
+    if name is None:
+        raise InputError("kdist: the following arguments are required: command")
+    if missing := [f for f, kw in flags.items() if kw.get("required") and f not in given]:
+        raise InputError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise InputError(f"kdist: unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(func=_COMMANDS[name][1], **{"norm": None, **{
+        f[2:].replace("-", "_"): given.get(f, kw.get("default")) for f, kw in flags.items()}})
 
 
 def run_command(argv: list[str]) -> int:
     try:
-        try:
-            args = _parse_args(argv)
-        except SystemExit as exc:   # --help; usage errors raise InputError
-            return exc.code
+        args = _parse_args(argv)
         spec = None if args.norm is None else norm_from_json(_load_json(args.norm))
         return args.func(spec, args)
     except InputError as exc:

@@ -180,16 +180,17 @@ def _walk(cls: list[list[int]], k: int, stop: int, floor: int, top: int,
     return nodes
 
 
-def branch_and_bound(problem: SearchProblem,
-                     use_bound_pruning: bool = False) -> SearchResult:
+def branch_and_bound(problem: SearchProblem, use_bound_pruning: bool = False, *,
+                     table: PairTable | None = None) -> SearchResult:
     """The walk from floor 0, the floor rising to each incumbent: a node is
     pruned once its chosen points and viable candidates cannot beat it.  The
     root branches only on the lowest layer of a ground closed under the
     shift along axis 0 (see the module docstring).  With use_bound_pruning
     the search also stops once the incumbent reaches the tightest proved
-    bound; keep it off when the bound itself is the claim under test.
+    bound; keep it off when the bound itself is the claim under test.  A
+    caller that holds the ground's `_pair_classes` table may hand it over.
     """
-    table = _pair_classes(problem.spec, problem.ground)
+    table = _pair_classes(problem.spec, problem.ground) if table is None else table
     pts, cls, n = table.points, table.classes, len(table.points)
     # With k >= n(n-1)/2 every subset qualifies: the cap is n, and no bound is formed.
     cap = _bound_cap(problem) if use_bound_pruning and problem.k < n * (n - 1) // 2 else n
@@ -199,9 +200,11 @@ def branch_and_bound(problem: SearchProblem,
     return SearchResult(tuple(pts[i] for i in best), table.spectrum_of(best), nodes, True)
 
 
-def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[Vec, ...]]:
+def enumerate_optimal_subsets(problem: SearchProblem, size: int, *,
+                              table: PairTable | None = None) -> list[tuple[Vec, ...]]:
     """All subsets of exactly the given size with at most k distance classes,
-    in lexicographic order: the walk at floor size - 1 and top size.
+    in lexicographic order: the walk at floor size - 1 and top size.  table
+    is the ground's `_pair_classes` table, built here when it is not given.
 
     On a ground closed under the shift by s along axis 0 the root branches
     only on L0, and each subset found is followed by its translates by
@@ -210,7 +213,7 @@ def enumerate_optimal_subsets(problem: SearchProblem, size: int) -> list[tuple[V
     """
     if size < 1:
         raise InputError("enumeration size must be >= 1")
-    table = _pair_classes(problem.spec, problem.ground)
+    table = _pair_classes(problem.spec, problem.ground) if table is None else table
     pts, cls, ints = table.points, table.classes, table.ints
     found: list[list[int]] = []
     stop = _root_layer(problem.spec, ints)

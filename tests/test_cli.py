@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -123,13 +124,16 @@ _SPLIT_3D = PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(100, 0, 0), vec(101, 0,
     (["decompose"], linf(1), _LINE),
     # The optimum's spectrum is read off the ground's table.
     (["search", "--k", "2"], linf(2), _grid_points()),
+    # Both searches of --enumerate-optima read the one table.
+    (["search", "--k", "2", "--enumerate-optima"], linf(2), _grid_points()),
     # k = 0: the table gives k, and no route is taken.
     (["bound"], linf(2), PointSet.of([vec(1, 2)])),
     (["bound"], lp(2, 3.0), PointSet.of([vec(0, 0), vec(1, 0), vec(0, 1)])),
     (["chains"], polytopal([(1, 1, 0), (0, 1, 0), (0, 0, 1)]),
      PointSet.of([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0), vec(-1, 1, 1)])),
 ], ids=["bound", "chains", "bound-planar", "bound-general", "bound-general-split",
-        "decompose-split", "search", "bound-single-point", "bound-lp", "chains-skewed"])
+        "decompose-split", "search", "search-enumerate", "bound-single-point", "bound-lp",
+        "chains-skewed"])
 def test_one_pair_table_per_command(files, capsys, monkeypatch, command, norm, pts):
     builds = []
     init = PairTable.__init__
@@ -870,7 +874,7 @@ def test_bound_rejects_a_planar_seminorm(files, capsys):
     assert out.out == "" and "functionals do not span the plane" in out.err
 
 
-@pytest.mark.parametrize("argv, err", [
+_USAGE_ERRORS = [
     ([], "kdist: the following arguments are required: command"),
     (["bound"], "kdist bound: the following arguments are required: --norm, --points"),
     (["bound", "--points", "x"], "kdist bound: the following arguments are required: --norm"),
@@ -882,26 +886,77 @@ def test_bound_rejects_a_planar_seminorm(files, capsys):
     (["spectrum", "--norm", "n", "--points", "p", "--extra"],
      "kdist: unrecognized arguments: --extra"),
     (["bound", "--norm", "a", "--points", "b", "extra"], "kdist: unrecognized arguments: extra"),
-])
+    (["bound", "--norm"], "kdist bound: argument --norm: expected one argument"),
+    (["bound", "--norm", "--points", "p"], "kdist bound: argument --norm: expected one argument"),
+    (["search", "--norm", "n", "--ground", "g", "--k=two"],
+     "kdist search: argument --k: invalid int value: 'two'"),
+    (["search", "--norm", "n", "--ground", "g", "--k", "2", "--use-bound-pruning=1"],
+     "kdist search: argument --use-bound-pruning: ignored explicit argument '1'"),
+    # Flags are given in full: a unique prefix is a leftover, not --points.
+    (["bound", "--poi", "p", "--norm", "n"],
+     "kdist bound: the following arguments are required: --points"),
+]
+
+
+@pytest.mark.parametrize("argv, err", _USAGE_ERRORS)
 def test_usage_error_is_input_error(capsys, argv, err):
     assert run_command(argv) == 1
     assert capsys.readouterr() == ("", f"input error: {err}\n")
 
 
-def test_a_command_is_parsed_in_one_argparse_pass(files, capsys, monkeypatch):
-    passes = []
-    parse = argparse.ArgumentParser.parse_known_args
+def test_no_argparse_parse_runs(files, capsys, monkeypatch):
+    def no_parse(*args, **kwargs):
+        raise AssertionError("an argparse parse ran")
+    for method in ("parse_known_args", "parse_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, method, no_parse)
+    monkeypatch.setattr(criteria, "run_selftest", lambda: 0)
+    for command, argv in [*_OUTPUT_ARGV.items(), ("selftest", lambda f: [])]:
+        assert run_command([command, *argv(files)]) == 0, command
+    capsys.readouterr()
+    for argv, err in _USAGE_ERRORS:
+        assert run_command(argv) == 1
+        assert capsys.readouterr() == ("", f"input error: {err}\n")
+    # Help still goes through argparse, which only renders it.
+    assert run_command(["search", "--help"]) == 0
+    assert "--enumerate-optima" in capsys.readouterr().out
 
-    def counted(self, *args, **kwargs):
-        passes.append(self.prog)
-        return parse(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+def test_a_spectrum_run_loads_no_argparse(files):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["spectrum", "--norm", files("norm.json", norm_to_json(linf(2))),
+            "--points", files("pts.json", pointset_to_json(_grid_points()))]
+    code = ("import sys; from kdist import cli; loaded = 'argparse' in sys.modules; "
+            f"rc = cli.run_command({argv!r}); "
+            "print(rc, loaded, 'argparse' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stderr == "0 False False\n"
+    assert json.loads(proc.stdout)["k"] == 2
+
+
+def test_flags_take_their_value_after_an_equals_sign_or_a_space(files, capsys):
     norm = files("norm.json", norm_to_json(linf(2)))
+    parse = cli._parse_args
+    assert parse(["search", "--norm", "n", "--ground", "g", "--k=2"]).k == 2
+    assert parse(["conecover", f"--norm={norm}", "--seed", "-1"]).seed == -1
+    args = parse(["search", "--norm", "n", "--ground", "g", "--k", "1", "--enumerate-optima"])
+    assert (args.func, args.norm, args.ground, args.k) == (cli._cmd_search, "n", "g", 1)
+    assert (args.use_bound_pruning, args.enumerate_optima) == (False, True)
+    args = parse(["conecover", "--norm", "n"])
+    assert (args.samples, args.seed) == (10_000, 0)
+    # A repeated flag: the last one wins.
     points = files("pts.json", pointset_to_json(_grid_points()))
-    assert run_command(["spectrum", "--norm", norm, "--points", points]) == 0
-    assert passes == ["kdist spectrum"]
-    assert json.loads(capsys.readouterr().out)["k"] > 0
+    assert run_command(["spectrum", "--norm", norm, "--points", "/nonexistent.json",
+                        "--points", points]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 2
+
+
+def test_help_after_a_missing_required_option_exits_0(capsys):
+    assert run_command(["bound", "--points", "p", "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: kdist bound [-h] --norm NORM --points POINTS") and err == ""
 
 
 @pytest.mark.parametrize("command", ["spectrum", "decompose", "chains", "bound"])
@@ -1042,6 +1097,25 @@ def test_usage_error_exit_status_of_the_module():
     assert proc.returncode == 0 and "bound" in proc.stdout
 
 
+def test_a_point_set_piped_to_dev_stdin_reads_as_the_file(files):
+    # /dev/stdin is a pipe here: the reader must read it to the end, not by its size.
+    if not os.path.exists("/dev/stdin"):
+        pytest.skip("no /dev/stdin on this platform")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    points = files("pts.json", pointset_to_json(_grid_points()))
+    argv = [sys.executable, "-m", "kdist.cli", "spectrum", "--norm",
+            files("norm.json", norm_to_json(hexagon_gauge())), "--points"]
+    from_file = subprocess.run(argv + [points], env=env, capture_output=True, text=True,
+                               timeout=60)
+    piped = subprocess.run(argv + ["/dev/stdin"], env=env, input=Path(points).read_text(),
+                           capture_output=True, text=True, timeout=60)
+    assert from_file.returncode == piped.returncode == 0
+    assert piped.stdout == from_file.stdout and json.loads(piped.stdout)["k"] > 0
+    assert piped.stderr == ""
+
+
 def test_closed_stdout_exits_1_without_traceback(files):
     # The reader closes its end before kdist writes anything.
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -1147,6 +1221,66 @@ def test_each_command_help_exits_0(capsys, command):
     out, err = capsys.readouterr()
     assert out.startswith(f"usage: kdist {command} [-h]") and err == ""
     assert all(flag in out for flag, *_ in _OPTIONS[command])
+
+
+#: Tokens of a command's argv: every flag, bare or with "=value", values,
+#: "--" and stray words; no -h or --help, and no proper prefix of a flag.
+_FLAG_NAMES = sorted({flag for options in _OPTIONS.values() for flag, *_ in options})
+_VALUES = ["a", "7", "-1", "-x", "two", ""]
+_argv_tokens = (st.sampled_from(_FLAG_NAMES)
+                | st.builds("{}={}".format, st.sampled_from(_FLAG_NAMES), st.sampled_from(_VALUES))
+                | st.sampled_from([*_VALUES, "--", "extra", "--extra", "x=y"]))
+
+
+def _argparse_reading(argv):
+    """argv read by the kdist argparse parser, its errors raised as InputError
+    and its leftovers reported, as run_command did before the table parser."""
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+    with mock.patch.object(argparse.ArgumentParser, "error", error):
+        args, extra = cli._parser()[0].parse_known_args(argv)
+    if extra:
+        raise InputError(f"kdist: unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+@st.composite
+def _argvs(draw):
+    """A command's argv: its options in any order, each given, dropped or
+    repeated, with a value after a space or an "=", and a few other tokens
+    mixed in, also before the command.  Returns the command and the argv."""
+    command = draw(st.sampled_from(list(_OPTIONS)))
+    options = draw(st.permutations(_OPTIONS[command]))
+    if options:
+        options += draw(st.lists(st.sampled_from(options), max_size=2))
+    words = []
+    for flag, *_, action in options:
+        value = draw(st.sampled_from(["a", "7", "-1"]))
+        if draw(st.integers(0, 9)):             # one in ten is left out
+            words += ([flag] if action == "store_true" else
+                      draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    for token in draw(st.lists(_argv_tokens, max_size=3)):
+        words.insert(draw(st.integers(0, len(words))), token)
+    return command, [*draw(st.lists(_argv_tokens, max_size=1)), command, *words]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_argvs())
+def test_the_table_parser_reads_argv_as_argparse_does(case):
+    command, argv = case
+    try:
+        expected = vars(_argparse_reading(argv))
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            cli._parse_args(argv)
+        assert str(got.value) == str(exc)
+        event("usage error")
+        return
+    got = vars(cli._parse_args(argv))
+    expected.pop("command")
+    assert got.pop("func") is cli._COMMANDS[command][1]
+    assert got == {"norm": None, **expected}
+    event("parsed")
 
 
 def test_a_polytopal_norm_file_without_functionals_is_input_error(files, capsys):
